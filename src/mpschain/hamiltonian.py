@@ -414,19 +414,46 @@ def build_family(params: FamilyParams) -> LocalHamiltonian:
 # ---------------------------------------------------------------------------
 # chain embedding
 
-def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
-    """H = sum_i 1 x ... x h_{i,i+1} x ... x 1 on the open chain."""
+def chain_entries(local: LocalHamiltonian, n_sites: int):
+    """Nonzero entries of H = sum_i h_{i,i+1} on the open chain.
+
+    Returns (rows, cols, values), sorted by row then column, with
+    duplicate positions summed and exact zeros dropped.  The pair on bond
+    i of basis index x is (x >> (n-2-i)) & 3, and each nonzero h[a, b]
+    links every x whose pair is a to the same x with pair b.  Bonds are
+    summed in order, as a dense accumulation would.
+    """
     limit = max_sites()
     if not 2 <= n_sites <= limit:
         raise ChainSizeError(
             f"n_sites must be between 2 and {limit} (got {n_sites})")
     dim = 2 ** n_sites
     h = local.matrix
+    a, b = np.nonzero(h)
+    flip, hab = a ^ b, h[a, b]
+    x = np.arange(dim)
+    rows, cols, vals = [], [], []
+    for shift in range(n_sites - 2, -1, -1):
+        entry, xs = np.nonzero(((x >> shift) & 3) == a[:, None])
+        rows.append(xs)
+        cols.append(xs ^ (flip[entry] << shift))
+        vals.append(hab[entry])
+    keys, slot = np.unique(np.concatenate(rows) * dim + np.concatenate(cols),
+                           return_inverse=True)
+    vals = np.concatenate(vals)
+    total = (np.bincount(slot, weights=vals.real, minlength=keys.size)
+             + 1j * np.bincount(slot, weights=vals.imag, minlength=keys.size))
+    keep = total != 0
+    keys = keys[keep]
+    return keys // dim, keys % dim, total[keep]
+
+
+def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
+    """H = sum_i 1 x ... x h_{i,i+1} x ... x 1 on the open chain, dense."""
+    rows, cols, vals = chain_entries(local, n_sites)
+    dim = 2 ** n_sites
     total = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_sites - 1):
-        left = np.eye(2 ** i, dtype=complex)
-        right = np.eye(2 ** (n_sites - 2 - i), dtype=complex)
-        total += np.kron(np.kron(left, h), right)
+    total[rows, cols] = vals
     return FullHamiltonian(n_sites=n_sites, matrix=total)
 
 

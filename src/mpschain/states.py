@@ -165,14 +165,14 @@ def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
 
 
 def psi_parity(n_sites: int, parity: str,
-               literal_bounds: bool = True) -> StateVector:
+               literal_bounds: bool = False) -> StateVector:
     """Alternating-sign sums over fixed-parity zero counts.
 
     parity 'even': amplitude (-1)^k on strings with 2k zeros, k from 0.
-    parity 'odd':  amplitude (-1)^k on strings with 2k+1 zeros.  With
-    literal_bounds the odd sum starts at k = 1, which leaves single-zero
-    strings with amplitude zero (and produces the zero vector on two
-    sites); with literal_bounds=False it starts at k = 0.
+    parity 'odd':  amplitude (-1)^k on strings with 2k+1 zeros, k from 0.
+    literal_bounds=True starts the odd sum at k = 1 instead, which leaves
+    single-zero strings with amplitude zero (and produces the zero vector
+    on two sites); that variant leaves the kernel from three sites on.
     """
     _check_sites(n_sites)
     amps = np.zeros(2 ** n_sites, dtype=complex)
@@ -487,8 +487,7 @@ def ground_state_catalogue(params: FamilyParams,
             return [NamedState("psi_prime", psi_prime(n_sites))]
         if abs(params.nu_prime - params.nu) <= 1e-12 * scale:
             return [NamedState("psi_parity_odd",
-                               psi_parity(n_sites, "odd",
-                                          literal_bounds=False)),
+                               psi_parity(n_sites, "odd")),
                     NamedState("psi_parity_even",
                                psi_parity(n_sites, "even"))]
         return []

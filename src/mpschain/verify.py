@@ -1,8 +1,12 @@
 """Exact-diagonalization checks of every zero-energy claim at small size.
 
-All checks reduce to dense Hermitian eigensolves and residual norms, so
-they are slow but unambiguous: a state either sits in the numerical
-kernel of the assembled chain or it does not.
+A chain is block diagonal over the connected components (sectors) of its
+off-diagonal pattern, so spectra and residuals come from one dense
+Hermitian eigensolve per sector block; a sector of one basis state is its
+diagonal entry.  Finding the sectors needs no per-family symmetry.  The
+checks stay unambiguous: a state either sits in the numerical kernel of
+the chain or it does not.  check_zero_member keeps the dense residual as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import numpy as np
 
 from .classify import CanonicalForm, CaseId, canonical_space
 from .hamiltonian import (FullHamiltonian, LocalHamiltonian, FamilyParams,
-                          build_family, conjugate_local, full_chain,
-                          local_from_espace)
+                          build_family, chain_entries, conjugate_local,
+                          full_chain, local_from_espace)
 from .pauli import SL2
 from .states import StateVector, ground_state_catalogue, transform_state
 
@@ -45,15 +49,66 @@ class SpectrumReport:
         return all(r <= tol for r in self.residuals.values())
 
 
-def spectrum(chain: FullHamiltonian, k: int = 8,
-             kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
-    """Lowest k eigenvalues (ascending) and the kernel count.
+def _sector_roots(dim: int, rows, cols) -> np.ndarray:
+    """Smallest basis index in the connected component of each basis
+    state, for the graph whose edges are (rows, cols).
 
-    The kernel count uses a relative threshold; when the first excluded
-    eigenvalue sits within GAP_FACTOR of that threshold the separation
-    is ambiguous and the report says so instead of pretending.
+    Every component root hooks onto the smallest root it touches, then
+    pointer jumping flattens the trees; this repeats until no edge joins
+    two roots.
     """
-    evals = np.linalg.eigvalsh(chain.matrix)
+    root = np.arange(dim)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _sector_blocks(dim: int, rows, cols, vals) -> list:
+    """Split H, given by its nonzero entries, into sector blocks.
+
+    Returns a list of (members, blocks) with one item per sector size k:
+    members (s, k) holds the basis indices of the s sectors of that size,
+    ascending within each sector, and blocks (s, k, k) holds H restricted
+    to each of them, real when no entry has an imaginary part.
+    """
+    if np.iscomplexobj(vals) and not np.any(vals.imag):
+        vals = vals.real
+    off = rows != cols
+    _, sector, sizes = np.unique(_sector_roots(dim, rows[off], cols[off]),
+                                 return_inverse=True, return_counts=True)
+    size = sizes[sector]
+    order = np.lexsort((sector, size))
+    block = np.empty(dim, dtype=np.intp)
+    pos = np.empty(dim, dtype=np.intp)
+    out = []
+    ks, counts = np.unique(size, return_counts=True)
+    for k, members in zip(ks, np.split(order, np.cumsum(counts)[:-1])):
+        members = members.reshape(-1, k)
+        block[members] = np.arange(members.shape[0])[:, None]
+        pos[members] = np.arange(k)
+        sel = size[rows] == k
+        r, c = rows[sel], cols[sel]
+        blocks = np.zeros((members.shape[0], k, k), dtype=vals.dtype)
+        blocks[block[r], pos[r], pos[c]] = vals[sel]
+        out.append((members, blocks))
+    return out
+
+
+def _spectrum_report(n_sites: int, sectors: list, k: int,
+                     kernel_tol: float) -> SpectrumReport:
+    """Lowest k eigenvalues (ascending) and the kernel count of the
+    sorted union of the sector spectra."""
+    evals = np.sort(np.concatenate([
+        np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
+        else blocks[:, 0, 0].real
+        for _, blocks in sectors], axis=None))
     scale = max(1.0, float(np.max(np.abs(evals))))
     cut = kernel_tol * scale
     kernel_dim = int(np.sum(evals <= cut))
@@ -65,13 +120,27 @@ def spectrum(chain: FullHamiltonian, k: int = 8,
                        f"({first_excluded:.3e}) is within {GAP_FACTOR:g}x "
                        f"of the threshold; kernel count may be unreliable")
     return SpectrumReport(
-        n_sites=chain.n_sites,
+        n_sites=n_sites,
         ground_energy=float(evals[0]),
         kernel_dim=kernel_dim,
         lowest_k_eigenvalues=tuple(float(v) for v in evals[:k]),
         residuals={},
         warning=warning,
     )
+
+
+def spectrum(chain: FullHamiltonian, k: int = 8,
+             kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
+    """Lowest k eigenvalues (ascending) and the kernel count.
+
+    The kernel count uses a relative threshold; when the first excluded
+    eigenvalue sits within GAP_FACTOR of that threshold the separation
+    is ambiguous and the report says so instead of pretending.
+    """
+    rows, cols = np.nonzero(chain.matrix)
+    sectors = _sector_blocks(chain.matrix.shape[0], rows, cols,
+                             chain.matrix[rows, cols])
+    return _spectrum_report(chain.n_sites, sectors, k, kernel_tol)
 
 
 def check_zero_member(chain: FullHamiltonian, psi: StateVector,
@@ -107,12 +176,26 @@ def covariance_check(local: LocalHamiltonian, psi: StateVector, g: SL2,
 def family_report(params: FamilyParams, n_sites: int, k: int = 8,
                   kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
     """Spectrum of one family chain plus residuals of its catalogued
-    zero-energy states."""
-    chain = full_chain(build_family(params), n_sites)
-    report = spectrum(chain, k=k, kernel_tol=kernel_tol)
-    residuals = {ns.label: check_zero_member(chain, ns.state)
-                 for ns in ground_state_catalogue(params, n_sites)}
-    return replace(report, residuals=residuals)
+    zero-energy states, each |H psi| / (|psi| max(1, |H|_F)) as in
+    check_zero_member, without assembling the dense chain."""
+    rows, cols, vals = chain_entries(build_family(params), n_sites)
+    sectors = _sector_blocks(2 ** n_sites, rows, cols, vals)
+    report = _spectrum_report(n_sites, sectors, k, kernel_tol)
+    catalogue = ground_state_catalogue(params, n_sites)
+    if not catalogue:
+        return report
+    psi = np.array([ns.state.amplitudes for ns in catalogue])
+    norms = np.linalg.norm(psi, axis=1)
+    if not np.all(norms):
+        raise ValueError("zero vector cannot witness a ground state")
+    hpsi_sq = np.zeros(len(catalogue))
+    for members, blocks in sectors:
+        hpsi = blocks @ psi[:, members].transpose(1, 2, 0)
+        hpsi_sq += np.sum(np.abs(hpsi) ** 2, axis=(0, 1))
+    hnorm = max(1.0, float(np.linalg.norm(vals)))
+    residuals = np.sqrt(hpsi_sq) / (norms * hnorm)
+    return replace(report, residuals={
+        ns.label: float(r) for ns, r in zip(catalogue, residuals)})
 
 
 def stacked_state_rank(states, tol: float = 1e-8) -> int:

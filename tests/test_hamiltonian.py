@@ -126,6 +126,25 @@ def test_full_chain_small_sizes():
     assert_allclose(chain3.matrix, expected, atol=1e-14)
 
 
+def _kron_chain(h, n_sites):
+    """Dense open-chain sum by explicit Kronecker products, bond by bond."""
+    total = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
+    for i in range(n_sites - 1):
+        left = np.eye(2 ** i, dtype=complex)
+        right = np.eye(2 ** (n_sites - 2 - i), dtype=complex)
+        total += np.kron(np.kron(left, h), right)
+    return total
+
+
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+def test_full_chain_matches_kron_sum(family):
+    rng = np.random.default_rng(list(FamilyId).index(family) + 700)
+    h = build_family(_random_params(family, rng))
+    for n in range(2, 8):
+        assert_allclose(full_chain(h, n).matrix, _kron_chain(h.matrix, n),
+                        rtol=0, atol=1e-14)
+
+
 def test_hardcore_chain_diagonal_rule():
     # chain energy of a basis string counts adjacent 00 pairs, 4g each
     p = FamilyParams(FamilyId.HARDCORE, g=1.0)

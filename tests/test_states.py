@@ -105,8 +105,9 @@ def test_psi_parity_membership_and_literal_gap():
         assert chain_residual(params, odd_fixed) <= 1e-10
     # the literal lower bound drops the single-zero strings: the result is
     # the zero vector on two sites and off the kernel for longer chains
-    assert psi_parity(2, "odd").norm() == 0.0
-    assert chain_residual(params, psi_parity(4, "odd")) > 1e-3
+    assert psi_parity(2, "odd", literal_bounds=True).norm() == 0.0
+    assert chain_residual(params, psi_parity(4, "odd",
+                                             literal_bounds=True)) > 1e-3
 
 
 def test_hardcore_strings_counts_and_order():

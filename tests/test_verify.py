@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
 from mpschain.classify import CanonicalForm, CaseId
 from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
-                                  build_family, full_chain)
+                                  build_family, chain_entries, full_chain)
 from mpschain.pauli import SL2, random_sl2
-from mpschain.states import StateVector, ground_state_catalogue
-from mpschain.verify import (check_zero_member, covariance_check,
-                             family_report, no_mps_case_report, spectrum,
-                             stacked_state_rank)
+from mpschain import verify
+from mpschain.states import NamedState, StateVector, ground_state_catalogue
+from mpschain.verify import (KERNEL_TOL, _sector_blocks, check_zero_member,
+                             covariance_check, family_report,
+                             no_mps_case_report, spectrum, stacked_state_rank)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -87,6 +91,122 @@ def test_family_reports_pass_at_1e_10(params, n_sites):
     assert rep.residuals
     assert max(rep.residuals.values()) <= 1e-10
     assert rep.all_pass(1e-10)
+
+
+def _seeded_params(label, rng):
+    """One parameter set per case, every catalogued state present.
+
+    hardcore, hardcore-mixed and exchange/-1 have a real pair energy;
+    the others are complex.
+    """
+    def cplx():
+        return complex(rng.normal(), rng.normal())
+
+    def weights():
+        g1, g2 = rng.uniform(0.2, 2.0, size=2)
+        g3 = 0.9 * np.sqrt(g1 * g2) * np.exp(2j * np.pi * rng.uniform())
+        return {"g1": float(g1), "g2": float(g2), "g3": g3}
+
+    fam = FamilyId(label.split("/")[0])
+    if fam in (FamilyId.HARDCORE, FamilyId.HARDCORE_MIXED):
+        return FamilyParams(fam, g=float(rng.uniform(0.1, 3.0)))
+    if label == "exchange/-1":
+        nu = float(rng.uniform(0.5, 2.0))
+        return FamilyParams(fam, g=float(rng.uniform(0.1, 3.0)), nu=nu,
+                            nu_prime=-nu)
+    if fam is FamilyId.EXCHANGE:
+        return FamilyParams(fam, g=float(rng.uniform(0.1, 3.0)), nu=cplx(),
+                            nu_prime=cplx())
+    if fam is FamilyId.PINNED:
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return FamilyParams(fam, lambda3=a.conj().T @ a)
+    if fam is FamilyId.PAIRSUM_EXCHANGE:
+        nu = cplx()
+        sign = -1.0 if label.endswith("prime") else 1.0
+        return FamilyParams(fam, nu=nu, nu_prime=sign * nu, **weights())
+    if fam is FamilyId.HARDCORE_EXCHANGE:
+        return FamilyParams(fam, nu=cplx(), nu_prime=cplx(), **weights())
+    return FamilyParams(fam, **weights())
+
+
+ORACLE_CASES = ["hardcore", "hardcore-mixed", "exchange/-1", "exchange",
+                "antialigned", "hardcore-singlet", "pairsum-exchange/prime",
+                "pairsum-exchange/parity", "hardcore-exchange",
+                "mixed-singlet", "pinned"]
+
+
+@pytest.mark.parametrize("label", ORACLE_CASES)
+def test_family_report_matches_dense_ed(label, monkeypatch):
+    rng = np.random.default_rng(ORACLE_CASES.index(label) + 900)
+    params = _seeded_params(label, rng)
+    real_h = not np.any(build_family(params).matrix.imag)
+    assert real_h == (label in ("hardcore", "hardcore-mixed", "exchange/-1"))
+
+    # Two random non-members ride along with the catalogue, so residuals
+    # are compared away from zero as well.
+    reported = []
+
+    def catalogue_with_probes(p, n):
+        states = ground_state_catalogue(p, n) + [
+            NamedState(f"probe{j}", StateVector(
+                n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)))
+            for j in range(2)]
+        reported[:] = states
+        return states
+
+    monkeypatch.setattr(verify, "ground_state_catalogue",
+                        catalogue_with_probes)
+    for n in range(2, 9):
+        rep = family_report(params, n)
+        chain = full_chain(build_family(params), n)
+        evals = np.linalg.eigvalsh(chain.matrix)
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert rep.kernel_dim == int(np.sum(evals <= KERNEL_TOL * scale))
+        k = len(rep.lowest_k_eigenvalues)
+        assert k == min(8, 2 ** n)
+        assert np.max(np.abs(np.array(rep.lowest_k_eigenvalues)
+                             - evals[:k])) <= 1e-10 * scale
+        assert set(rep.residuals) == {ns.label for ns in reported}
+        for ns in reported:
+            assert abs(rep.residuals[ns.label]
+                       - check_zero_member(chain, ns.state)) <= 1e-12
+        assert min(rep.residuals["probe0"], rep.residuals["probe1"]) > 1e-3
+
+
+def _sector_sizes(params, n_sites):
+    rows, cols, vals = chain_entries(build_family(params), n_sites)
+    return sorted(members.shape[1]
+                  for members, _ in _sector_blocks(2 ** n_sites, rows, cols,
+                                                   vals)
+                  for _ in range(members.shape[0]))
+
+
+def test_sector_sizes_follow_bond_connectivity():
+    rng = np.random.default_rng(950)
+    hardcore = _seeded_params("hardcore", rng)
+    exchange = _seeded_params("exchange", rng)
+    antialigned = _seeded_params("antialigned", rng)
+    pairsum = _seeded_params("pairsum-exchange/parity", rng)
+    assert pairsum.g3 != 0
+    for n in range(2, 9):
+        binomial = sorted(comb(n, k) for k in range(n + 1))
+        assert _sector_sizes(hardcore, n) == [1] * 2 ** n
+        assert _sector_sizes(exchange, n) == binomial
+        assert _sector_sizes(antialigned, n) == binomial
+        assert _sector_sizes(pairsum, n) == [2 ** n]
+
+
+def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
+    tracemalloc.start()
+    try:
+        rep = family_report(FamilyParams(family=FamilyId.HARDCORE, g=1.0), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4 ** 12
+    assert rep.kernel_dim == 377
+    assert len(rep.residuals) == 377
+    assert max(rep.residuals.values()) <= 1e-9
 
 
 def test_check_zero_member_rejects_zero_vector():
