@@ -268,30 +268,13 @@ def normal_complement(vplus_rows: np.ndarray) -> np.ndarray:
     return np.conj(vh[-1])
 
 
-def symmetric_rank_profile(space: CSpace, tol: float = ZERO_TOL):
-    """(dim of symmetric part, sigma membership, w with u = w.v or None).
-
-    w is reported only when the antisymmetric coefficient is a function of
-    the symmetric part; it is the minimum-norm solution and is determined
-    only up to directions normal to the symmetric part.
-    """
-    rows = space.coefficient_matrix()
-    if rows.shape[0] == 0:
-        return 0, False, None
-    vpart = rows[:, :3]
-    sv = np.linalg.svd(vpart, compute_uv=False)
+def _symmetric_rank(rows: np.ndarray):
+    """Rank p of the symmetric part rows[:, :3], counting singular values
+    above 1e-10 of the largest entry (at least 1), and the right singular
+    vectors: the first p rows of vh span the symmetric part."""
+    _, sv, vh = np.linalg.svd(rows[:, :3])
     scale = max(1.0, float(np.max(np.abs(rows))))
-    p = int(np.sum(sv > 1e-10 * scale))
-    sigma_in = p < rows.shape[0]
-    if sigma_in:
-        return p, True, None
-    w, *_ = np.linalg.lstsq(vpart @ MINKOWSKI_METRIC, rows[:, 3], rcond=None)
-    resid = float(np.linalg.norm(vpart @ MINKOWSKI_METRIC @ w - rows[:, 3]))
-    if resid > 1e-10 * scale:
-        raise ClassificationError(
-            f"antisymmetric part is not a consistent linear function of the "
-            f"symmetric part (residual {resid:.3e})")
-    return p, False, PauliQuartet(w[0], w[1], w[2], 0.0)
+    return int(np.sum(sv > 1e-10 * scale)), vh
 
 
 def invariant_signature(space: CSpace) -> SpaceSignature:
@@ -301,10 +284,7 @@ def invariant_signature(space: CSpace) -> SpaceSignature:
     n = rows.shape[0]
     if n == 0:
         return SpaceSignature(0, 0, 0, False)
-    vpart = rows[:, :3]
-    u_mat, sv, vh = np.linalg.svd(vpart)
-    scale = max(1.0, float(np.max(np.abs(rows))))
-    p = int(np.sum(sv > 1e-10 * scale))
+    p, vh = _symmetric_rank(rows)
     sigma_in = p < n
     if p == 0:
         return SpaceSignature(n, 0, 0, sigma_in)
@@ -378,37 +358,23 @@ def classify(space: CSpace, *, tol: float = ZERO_TOL) -> ClassificationResult:
         form = CanonicalForm(CaseId.EMPTY)
         return _finish(space, pipe, form)
 
-    vpart = pipe.rows[:, :3]
-    sv = np.linalg.svd(vpart, compute_uv=False)
-    scale = max(1.0, float(np.max(np.abs(pipe.rows))))
-    p = int(np.sum(sv > 1e-10 * scale))
+    p, vh = _symmetric_rank(pipe.rows)
     sigma_in = p < n
 
     if p == 0:
         form = CanonicalForm(CaseId.ANTISYMMETRIC_LINE)
     elif p == 1:
-        form = _classify_line(pipe, sigma_in, tol)
+        form = _classify_line(pipe, vh[0], sigma_in, tol)
     elif p == 2:
-        form = _classify_plane(pipe, sigma_in, tol)
+        form = _classify_plane(pipe, vh[:2], sigma_in, tol)
     else:
         form = _classify_full(pipe, sigma_in, tol)
     return _finish(space, pipe, form)
 
 
-def _v_direction(rows: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the (rank-one) symmetric row space."""
-    _, _, vh = np.linalg.svd(rows[:, :3])
-    return vh[0]
-
-
-def _vplus_basis(rows: np.ndarray) -> np.ndarray:
-    """Two rows spanning the (rank-two) symmetric row space."""
-    _, _, vh = np.linalg.svd(rows[:, :3])
-    return vh[:2]
-
-
-def _classify_line(pipe: _Pipeline, sigma_in: bool, tol: float):
-    s = _v_direction(pipe.rows)
+def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool,
+                   tol: float):
+    """s: unit vector spanning the (rank-one) symmetric row space."""
     sq = quartet_from_array(np.concatenate([s, [0.0]]))
     is_null = abs(minkowski_vec(s, s)) <= tol * float(np.vdot(s, s).real)
     if is_null:
@@ -433,8 +399,9 @@ def _classify_line(pipe: _Pipeline, sigma_in: bool, tol: float):
     return CanonicalForm(CaseId.NONNULL_LINE, mu)
 
 
-def _classify_plane(pipe: _Pipeline, sigma_in: bool, tol: float):
-    vp = _vplus_basis(pipe.rows)
+def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
+                    tol: float):
+    """vp: two rows spanning the (rank-two) symmetric row space."""
     w_dir = normal_complement(vp)
     wq = quartet_from_array(np.concatenate([w_dir, [0.0]]))
     w_null = abs(minkowski_vec(w_dir, w_dir)) \

@@ -192,10 +192,6 @@ class LocalHamiltonian:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def kernel_dimension(self, tol: float = 1e-9) -> int:
-        evals = np.linalg.eigvalsh(self.matrix)
-        return int(np.sum(evals <= tol * max(1.0, evals[-1])))
-
 
 @dataclass(frozen=True)
 class FullHamiltonian:

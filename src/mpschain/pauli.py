@@ -112,20 +112,6 @@ def quartet_from_array(a) -> PauliQuartet:
     return PauliQuartet(a[0], a[1], a[2], a[3])
 
 
-def permute(c: PauliQuartet) -> PauliQuartet:
-    """Index transposition (PC)_{ab} = C_{ba}: fixes v, negates u."""
-    return PauliQuartet(c.v0, c.v1, c.v2, -c.u)
-
-
-def project(c: PauliQuartet, sign: str) -> PauliQuartet:
-    """Projector onto the symmetric ('+') or antisymmetric ('-') part."""
-    if sign == "+":
-        return PauliQuartet(c.v0, c.v1, c.v2, 0.0)
-    if sign == "-":
-        return PauliQuartet(0.0, 0.0, 0.0, c.u)
-    raise ValueError("sign must be '+' or '-'")
-
-
 def minkowski(a: PauliQuartet, b: PauliQuartet) -> complex:
     """Bilinear product -v0*w0 + v1*w1 + v2*w2 on the symmetric parts.
 
@@ -145,15 +131,6 @@ def minkowski_vec(a, b) -> complex:
 def trace_form(a: PauliQuartet, b: PauliQuartet) -> complex:
     """Invariant pairing tr(C1 sigma^-1 C2^T sigma^-1) in closed form."""
     return 2.0 * (-a.u * b.u + minkowski(a, b))
-
-
-def trace_form_matrix(a: PauliQuartet, b: PauliQuartet) -> complex:
-    """Same pairing evaluated by direct matrix multiplication.
-
-    Kept as an independent evaluation route for testing.
-    """
-    sig_inv = np.linalg.inv(SIGMA)
-    return complex(np.trace(a.matrix() @ sig_inv @ b.matrix().T @ sig_inv))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Conventions shared by everything here:
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +89,6 @@ def product_state(symbol: str, n_sites: int) -> StateVector:
     return StateVector(n_sites, amps)
 
 
-def zeta_weight(bits, ratio) -> complex:
-    """ratio ** (sum of 1-based zero positions - Z(Z+1)/2).
-
-    The exponent counts how far the pattern of Z zeros sits to the right
-    of the fully left-packed configuration, so the weight is 1 when all
-    zeros are leading.
-    """
-    positions = [i + 1 for i, b in enumerate(str(bits)) if b == "0"]
-    z = len(positions)
-    exponent = sum(positions) - z * (z + 1) // 2
-    return complex(ratio) ** exponent
-
-
 def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER,
                        tol: float = ROOT_TOL):
     """Smallest M <= max_order with z^M = 1, or None."""
@@ -116,21 +103,36 @@ def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER,
     return None
 
 
-def _strings_with_zeros(n_sites: int, n_zeros: int):
-    """Yield (index, bits) over strings with exactly n_zeros zeros."""
-    for zero_positions in itertools.combinations(range(n_sites), n_zeros):
-        bits = ["1"] * n_sites
-        for p in zero_positions:
-            bits[p] = "0"
-        s = "".join(bits)
-        yield int(s, 2), s
+def _zero_counts(n_sites: int):
+    """Zero count Z and zeta exponent of every basis index.
+
+    The exponent is the sum of the 1-based zero positions minus Z(Z+1)/2:
+    it counts how far the Z zeros sit to the right of the fully
+    left-packed string, so it is 0 when all zeros are leading.
+    """
+    x = np.arange(2 ** n_sites)
+    zeros = np.zeros_like(x)
+    position_sum = np.zeros_like(x)
+    for pos in range(1, n_sites + 1):
+        is_zero = 1 - ((x >> (n_sites - pos)) & 1)
+        zeros += is_zero
+        position_sum += pos * is_zero
+    return zeros, position_sum - zeros * (zeros + 1) // 2
+
+
+def _signed_powers(ratio, max_exponent: int) -> np.ndarray:
+    """Table t[s, e] = (-1.0)**s * complex(ratio)**e, each entry taken in
+    Python: numpy's elementwise complex power may round differently."""
+    powers = [complex(ratio) ** e for e in range(max_exponent + 1)]
+    return np.array([[sign * w for w in powers] for sign in (1.0, -1.0)])
 
 
 def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
     """Weighted sum over all strings with exactly k*m_period zeros.
 
-    The weight of a string is zeta_weight(string, ratio), and ratio must
-    be a primitive root of unity of order exactly m_period.
+    The weight of a string is ratio ** (its zeta exponent, see
+    _zero_counts), and ratio must be a primitive root of unity of order
+    exactly m_period.
     """
     _check_sites(n_sites)
     if m_period < 1:
@@ -142,25 +144,28 @@ def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
     if order_of_unit_root(ratio, max_order=max(m_period, 1)) != m_period:
         raise ValueError(
             f"ratio must be a primitive root of unity of order {m_period}")
+    zeros, exponent = _zero_counts(n_sites)
+    sel = zeros == k * m_period
+    e = exponent[sel]
     amps = np.zeros(2 ** n_sites, dtype=complex)
-    for idx, bits in _strings_with_zeros(n_sites, k * m_period):
-        amps[idx] = zeta_weight(bits, ratio)
+    amps[sel] = _signed_powers(ratio, int(e.max()))[0, e]
     return StateVector(n_sites, amps)
 
 
 def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
     """Alternating-sign sum over even-zero-count strings, weight
-    zeta_weight * (-1)^(half the zero count).  Defined for even chains
-    and ratio -1."""
+    ratio ** (zeta exponent) * (-1)^(half the zero count).  Defined for
+    even chains and ratio -1."""
     _check_sites(n_sites)
     if n_sites % 2 != 0:
         raise ValueError("n_sites must be even")
     if abs(complex(ratio) + 1.0) > ROOT_TOL:
         raise ValueError("ratio must be -1")
+    zeros, exponent = _zero_counts(n_sites)
+    even = zeros % 2 == 0
+    e = exponent[even]
     amps = np.zeros(2 ** n_sites, dtype=complex)
-    for k in range(n_sites // 2 + 1):
-        for idx, bits in _strings_with_zeros(n_sites, 2 * k):
-            amps[idx] = (-1.0) ** k * zeta_weight(bits, ratio)
+    amps[even] = _signed_powers(ratio, int(e.max()))[zeros[even] // 2 % 2, e]
     return StateVector(n_sites, amps)
 
 
@@ -175,47 +180,27 @@ def psi_parity(n_sites: int, parity: str,
     on two sites); that variant leaves the kernel from three sites on.
     """
     _check_sites(n_sites)
-    amps = np.zeros(2 ** n_sites, dtype=complex)
-    if parity == "even":
-        for k in range(n_sites // 2 + 1):
-            for idx, _ in _strings_with_zeros(n_sites, 2 * k):
-                amps[idx] = (-1.0) ** k
-    elif parity == "odd":
-        start = 1 if literal_bounds else 0
-        for k in range(start, (n_sites + 1) // 2):
-            if 2 * k + 1 > n_sites:
-                break
-            for idx, _ in _strings_with_zeros(n_sites, 2 * k + 1):
-                amps[idx] = (-1.0) ** k
-    else:
+    fewest = {"even": 0, "odd": 3 if literal_bounds else 1}.get(parity)
+    if fewest is None:
         raise ValueError("parity must be 'even' or 'odd'")
+    zeros, _ = _zero_counts(n_sites)
+    sel = (zeros % 2 == fewest % 2) & (zeros >= fewest)
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[sel] = np.where(zeros[sel] // 2 % 2 == 0, 1.0, -1.0)
     return StateVector(n_sites, amps)
-
-
-def hardcore_strings(n_sites: int) -> list:
-    """Bit strings with no two adjacent zeros, lexicographically sorted."""
-    _check_sites(n_sites)
-    out = []
-
-    def grow(prefix: str):
-        if len(prefix) == n_sites:
-            out.append(prefix)
-            return
-        if not prefix.endswith("0"):
-            grow(prefix + "0")
-        grow(prefix + "1")
-
-    grow("")
-    return sorted(out)
 
 
 def hardcore_states(n_sites: int) -> list:
     """The no-adjacent-zeros product basis states, lex order by string."""
+    _check_sites(n_sites)
+    z = ~np.arange(2 ** n_sites) & (2 ** n_sites - 1)
     states = []
-    for s in hardcore_strings(n_sites):
+    # ascending index is lexicographic order of the strings
+    for idx in np.flatnonzero(z & (z >> 1) == 0).tolist():
         amps = np.zeros(2 ** n_sites, dtype=complex)
-        amps[int(s, 2)] = 1.0
-        states.append(NamedState(s, StateVector(n_sites, amps)))
+        amps[idx] = 1.0
+        states.append(NamedState(format(idx, f"0{n_sites}b"),
+                                 StateVector(n_sites, amps)))
     return states
 
 
@@ -286,6 +271,12 @@ def _half_products(spec: MPSSpec, n_bits: int, prepend: bool) -> np.ndarray:
     return out
 
 
+def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e for a contiguous complex array, exact wherever the result
+    stays a normal float."""
+    return np.ldexp(a.view(float), e).view(complex)
+
+
 def mps_contract(spec: MPSSpec, n_sites: int,
                  zero_tol: float = 1e-24) -> MPSResult:
     """Evaluate all trace amplitudes of the N-site bond-matrix state.
@@ -294,25 +285,42 @@ def mps_contract(spec: MPSSpec, n_sites: int,
     suffix products, which is a single flat matrix product.
     """
     _check_sites(n_sites)
+    # Work with the bond matrices times 2**-f, their largest real or
+    # imaginary part brought into [0.5, 1).  Scaling by a power of two is
+    # exact, so amplitudes and z come out bit for bit as from the raw
+    # matrices wherever those stay in range; where they overflow or
+    # underflow, z becomes inf or 0 (never nan) while the zero test and
+    # the normalized state stay right.
+    f = math.frexp(max(np.abs(spec.a0.view(float)).max(),
+                       np.abs(spec.a1.view(float)).max()))[1]
+    scaled = MPSSpec(_times_power_of_two(spec.a0, -f),
+                     _times_power_of_two(spec.a1, -f))
     d = spec.bond_dim
     m1 = n_sites // 2
     m2 = n_sites - m1
-    pref = _half_products(spec, m1, prepend=False).reshape(2 ** m1, d * d)
-    suff = _half_products(spec, m2, prepend=True)
+    pref = _half_products(scaled, m1, prepend=False).reshape(2 ** m1, d * d)
+    suff = _half_products(scaled, m2, prepend=True)
     suff = suff.transpose(0, 2, 1).reshape(2 ** m2, d * d)
     amps = (pref @ suff.T).ravel()
-    state = StateVector(n_sites, amps)
 
-    t = transfer_matrix(spec)
-    z = float(np.real(np.trace(np.linalg.matrix_power(t, n_sites))))
-    # scale bound: z can never exceed (|a0|_F^2 + |a1|_F^2)^N; compare in
-    # logs so huge N or huge entries cannot overflow
-    s = np.linalg.norm(spec.a0) ** 2 + np.linalg.norm(spec.a1) ** 2
-    if s == 0.0 or z <= 0.0:
+    t = transfer_matrix(scaled)
+    tr = float(np.real(np.trace(np.linalg.matrix_power(t, n_sites))))
+    # scale bound: z can never exceed (|a0|_F^2 + |a1|_F^2)^N; both sides
+    # carry the same factor 2**(2fN), so the scaled values compare alike
+    s = np.linalg.norm(scaled.a0) ** 2 + np.linalg.norm(scaled.a1) ** 2
+    if s == 0.0 or tr <= 0.0:
         is_zero = True
     else:
-        is_zero = np.log(z) < n_sites * np.log(s) + np.log(zero_tol)
-    normalized = None if is_zero else state.normalized()
+        is_zero = np.log(tr) < n_sites * np.log(s) + np.log(zero_tol)
+    # amps carry the factor 2**-(fN) too, so their squared sum is about tr
+    # and in range whenever the state is not zero
+    normalized = None if is_zero else StateVector(
+        n_sites, amps / np.linalg.norm(amps))
+    # the raw state last, so at most four 2^N arrays are alive at once;
+    # out of range, z reads inf and StateVector refuses the amplitudes
+    with np.errstate(over="ignore"):
+        z = float(np.ldexp(tr, 2 * f * n_sites))
+        state = StateVector(n_sites, _times_power_of_two(amps, f * n_sites))
     return MPSResult(state=state, z=max(z, 0.0), is_zero=is_zero,
                      normalized=normalized)
 

@@ -10,7 +10,7 @@ from mpschain.classify import (CanonicalForm, CaseId, ClassificationError,
                                UncataloguedSpaceError, canonical_space,
                                classify, invariant_signature,
                                normal_complement, normalize_nonnull,
-                               normalize_null, symmetric_rank_profile)
+                               normalize_null)
 from mpschain.pauli import (CSpace, PauliQuartet, minkowski_vec,
                             quartet_from_array, random_sl2, sl2_act,
                             sl2_act_space, span_equal)
@@ -182,18 +182,6 @@ def test_normal_complement_examples():
     assert abs(minkowski_vec(w, w)) < 1e-12
     w = normal_complement(np.array([[0, 1, 0], [0, 0, 1]], dtype=complex))
     assert abs(w[1]) < 1e-12 and abs(w[2]) < 1e-12 and abs(w[0]) > 0.9
-
-
-def test_symmetric_rank_profile():
-    p, sigma_in, w = symmetric_rank_profile(CSpace([T0, T2 + MU * SG]))
-    assert (p, sigma_in) == (2, False)
-    assert w is not None
-    # u = <w, v>: check against both basis elements
-    assert minkowski_vec(w.v_array(), [1, 0, 0]) == pytest.approx(0, abs=1e-9)
-    assert minkowski_vec(w.v_array(), [0, 0, 1]) == pytest.approx(MU, abs=1e-9)
-    p, sigma_in, w = symmetric_rank_profile(CSpace([T2, SG]))
-    assert (p, sigma_in, w) == (1, True, None)
-    assert symmetric_rank_profile(CSpace([])) == (0, False, None)
 
 
 def test_invariant_signature_distinguishes_and_is_invariant():

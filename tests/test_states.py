@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mpschain.classify import CanonicalForm, CaseId, classify
@@ -10,11 +11,12 @@ from mpschain.hamiltonian import FamilyId, FamilyParams, build_family, \
 from mpschain.pauli import CSpace, PauliQuartet, random_sl2, sl2_act_space
 from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              NoRepresentationError, StateVector,
-                             constraint_residual, ground_state_catalogue,
-                             hardcore_states, hardcore_strings, mps_contract,
-                             order_of_unit_root, product_state, psi_k,
-                             psi_parity, psi_prime, representation_for_case,
-                             transfer_matrix, transform_state, zeta_weight)
+                             _zero_counts, constraint_residual,
+                             ground_state_catalogue, hardcore_states,
+                             mps_contract, order_of_unit_root, product_state,
+                             psi_k, psi_parity, psi_prime,
+                             representation_for_case, transfer_matrix,
+                             transform_state)
 
 
 def chain_residual(params: FamilyParams, state: StateVector) -> float:
@@ -32,11 +34,58 @@ def test_product_states():
 
 
 def test_zeta_weight_examples():
-    r = 0.3 + 0.4j
-    assert zeta_weight("0011", r) == pytest.approx(1.0)
-    assert zeta_weight("0101", r) == pytest.approx(r)
-    assert zeta_weight("1100", r) == pytest.approx(r ** 4)
-    assert zeta_weight("1111", r) == pytest.approx(1.0)
+    zeros, exponent = _zero_counts(4)
+    for bits, z, e in [("0011", 2, 0), ("0101", 2, 1), ("1100", 2, 4),
+                       ("1111", 0, 0)]:
+        assert (zeros[int(bits, 2)], exponent[int(bits, 2)]) == (z, e)
+
+
+def definition_amplitudes(n_sites, weight):
+    """Amplitudes from a per-string definition: weight(zero count, zeta
+    exponent) for every basis string, None meaning amplitude zero."""
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    for idx in range(2 ** n_sites):
+        positions = [i + 1 for i, b in enumerate(format(idx, f"0{n_sites}b"))
+                     if b == "0"]
+        z = len(positions)
+        w = weight(z, sum(positions) - z * (z + 1) // 2)
+        if w is not None:
+            amps[idx] = w
+    return amps
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_builders_match_per_string_definition(n):
+    for m in range(1, 6):
+        if n % m:
+            continue
+        ratio = {1: 1.0, 2: -1.0}.get(m, np.exp(2j * np.pi / m))
+        for k in range(n // m + 1):
+            expected = definition_amplitudes(
+                n, lambda z, e: complex(ratio) ** e if z == k * m else None)
+            assert psi_k(n, m, k, ratio).amplitudes.tobytes() == \
+                expected.tobytes(), (m, k)
+    if n % 2 == 0:
+        expected = definition_amplitudes(
+            n, lambda z, e: ((-1.0) ** (z // 2) * complex(-1.0) ** e
+                             if z % 2 == 0 else None))
+        assert psi_prime(n).amplitudes.tobytes() == expected.tobytes()
+    for parity, literal, first in [("even", False, 0), ("even", True, 0),
+                                   ("odd", False, 1), ("odd", True, 3)]:
+        expected = definition_amplitudes(
+            n, lambda z, e: ((-1.0) ** (z // 2)
+                             if z % 2 == first % 2 and z >= first else None))
+        got = psi_parity(n, parity, literal_bounds=literal)
+        assert got.amplitudes.tobytes() == expected.tobytes(), \
+            (parity, literal)
+    strings = [format(i, f"0{n}b") for i in range(2 ** n)]
+    allowed = [s for s in strings if "00" not in s]
+    named = hardcore_states(n)
+    assert [ns.label for ns in named] == allowed
+    for ns in named:
+        expected = np.zeros(2 ** n, dtype=complex)
+        expected[strings.index(ns.label)] = 1.0
+        assert ns.state.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_order_of_unit_root():
@@ -113,7 +162,7 @@ def test_psi_parity_membership_and_literal_gap():
 def test_hardcore_strings_counts_and_order():
     counts = {1: 2, 2: 3, 3: 5, 4: 8, 5: 13, 6: 21}
     for n, expected in counts.items():
-        strs = hardcore_strings(n)
+        strs = [ns.label for ns in hardcore_states(n)]
         assert len(strs) == expected
         assert strs == sorted(strs)
         assert all("00" not in s for s in strs)
@@ -148,6 +197,46 @@ def test_mps_zero_state_flag():
     assert res.is_zero
     assert res.normalized is None
     assert res.state.norm() == 0.0
+
+
+def test_mps_huge_entries_keep_a_unit_normalized_state():
+    rng = np.random.default_rng(5)
+    a0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    res = mps_contract(MPSSpec(1e9 * a0, 1e9 * a1), 20)
+    # z is about 1e380: out of range, so inf, never nan
+    assert res.z == np.inf and not res.is_zero
+    assert res.normalized.norm() == pytest.approx(1.0, abs=1e-12)
+    unit = mps_contract(MPSSpec(a0, a1), 20).normalized
+    assert_allclose(res.normalized.amplitudes, unit.amplitudes, atol=1e-12)
+    res = mps_contract(MPSSpec([[1e10]], [[1e10]]), 20)
+    assert res.z == np.inf and not res.is_zero
+    assert res.normalized.norm() == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(res.normalized.amplitudes, 2.0 ** -10, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), n=st.integers(1, 20),
+       exponent=st.integers(-30, 30), data=st.data())
+def test_mps_contract_across_scales(d, n, exponent, data):
+    unit = st.floats(-1.0, 1.0)
+    parts = [np.array(data.draw(st.lists(unit, min_size=d * d,
+                                         max_size=d * d))).reshape(d, d)
+             for _ in range(4)]
+    a0, a1 = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    scale = 10.0 ** exponent
+    try:
+        res = mps_contract(MPSSpec(scale * a0, scale * a1), n)
+    except ValueError as exc:
+        # refused only when the raw amplitudes leave the float range
+        assert "non-finite amplitudes" in str(exc)
+        amps = mps_contract(MPSSpec(a0, a1), n).state.amplitudes
+        assert np.log10(np.max(np.abs(amps))) + n * exponent > 308
+        return
+    assert not np.isnan(res.z)
+    assert res.is_zero == (res.normalized is None)
+    if res.normalized is not None:
+        assert abs(res.normalized.norm() - 1.0) <= 1e-12
 
 
 def test_transfer_matrix_traces_norm():
