@@ -56,14 +56,31 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
+    def _scaled(self):
+        """(amplitudes * 2**-f, f), f the binary exponent of their largest
+        real or imaginary part: exact, and safe to square."""
+        f = math.frexp(np.abs(self.amplitudes.view(float)).max())[1]
+        return _times_power_of_two(self.amplitudes, -f), f
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm, inf only when the norm itself is out of range;
+        the power-of-two scaling leaves in-range results bit for bit."""
+        scaled, f = self._scaled()
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(scaled), f))
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
+        scaled, _ = self._scaled()
+        n = np.linalg.norm(scaled)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n_sites, self.amplitudes / n)
+        return StateVector(self.n_sites, scaled / n)
+
+
+def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e for a contiguous complex array, exact wherever the result
+    stays a normal float."""
+    return np.ldexp(a.view(float), e).view(complex)
 
 
 @dataclass(frozen=True)
@@ -271,12 +288,6 @@ def _half_products(spec: MPSSpec, n_bits: int, prepend: bool) -> np.ndarray:
     return out
 
 
-def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
-    """a * 2**e for a contiguous complex array, exact wherever the result
-    stays a normal float."""
-    return np.ldexp(a.view(float), e).view(complex)
-
-
 def mps_contract(spec: MPSSpec, n_sites: int,
                  zero_tol: float = 1e-24) -> MPSResult:
     """Evaluate all trace amplitudes of the N-site bond-matrix state.
@@ -317,10 +328,14 @@ def mps_contract(spec: MPSSpec, n_sites: int,
     normalized = None if is_zero else StateVector(
         n_sites, amps / np.linalg.norm(amps))
     # the raw state last, so at most four 2^N arrays are alive at once;
-    # out of range, z reads inf and StateVector refuses the amplitudes
+    # out of range, z reads inf and the raw amplitudes are refused
     with np.errstate(over="ignore"):
         z = float(np.ldexp(tr, 2 * f * n_sites))
-        state = StateVector(n_sites, _times_power_of_two(amps, f * n_sites))
+        amps = _times_power_of_two(amps, f * n_sites)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError(f"contracted amplitudes exceed the float range "
+                         f"at n_sites={n_sites}")
+    state = StateVector(n_sites, amps)
     return MPSResult(state=state, z=max(z, 0.0), is_zero=is_zero,
                      normalized=normalized)
 

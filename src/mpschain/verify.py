@@ -3,7 +3,12 @@
 A chain is block diagonal over the connected components (sectors) of its
 off-diagonal pattern, so spectra and residuals come from one dense
 Hermitian eigensolve per sector block; a sector of one basis state is its
-diagonal entry.  Finding the sectors needs no per-family symmetry.  The
+diagonal entry.  Finding the sectors needs no per-family symmetry.  Before
+they are found, every site is turned by one unitary frame chosen from the
+4x4 bond term alone (symmetry_frame): it brings an axis along which the
+bond term keeps the number or parity of ones onto z, and makes the bond
+term real where a site phase can.  A unitary frame leaves the spectrum
+unchanged, and it lets a hidden local symmetry split the chain.  The
 checks stay unambiguous: a state either sits in the numerical kernel of
 the chain or it does not.  check_zero_member keeps the dense residual as
 an independent cross-check.
@@ -16,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import CanonicalForm, CaseId, canonical_space
-from .hamiltonian import (FullHamiltonian, LocalHamiltonian, FamilyParams,
-                          build_family, chain_entries, conjugate_local,
-                          full_chain, local_from_espace)
-from .pauli import SL2
+from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
+                          FamilyParams, build_family, chain_entries,
+                          conjugate_local, full_chain, local_from_espace)
+from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import StateVector, ground_state_catalogue, transform_state
 
 # Eigenvalues at or below KERNEL_TOL times the spectral scale count as
@@ -32,6 +37,12 @@ GAP_FACTOR = 1e3
 
 # Default pass tolerance for zero-membership residuals.
 MEMBER_TOL = 1e-9
+
+# One-site Pauli matrices I, X, Y, Z, their pair products P_a x P_b
+# indexed [a, b], and the number of ones in |00>, |01>, |10>, |11>.
+_PAULI = np.array([TAU0, TAU2, -1j * SIGMA, TAU1])
+_PAIR_PAULI = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+_PAIR_ONES = np.array([0, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,96 @@ def _sector_blocks(dim: int, rows, cols, vals) -> list:
         blocks[block[r], pos[r], pos[c]] = vals[sel]
         out.append((members, blocks))
     return out
+
+
+def _snapped(h: np.ndarray) -> np.ndarray:
+    """h with every real or imaginary part at or below
+    HERMITICITY_TOL * max|h| set to zero."""
+    cut = HERMITICITY_TOL * np.max(np.abs(h))
+    return (np.where(np.abs(h.real) > cut, h.real, 0.0)
+            + 1j * np.where(np.abs(h.imag) > cut, h.imag, 0.0))
+
+
+def _rotated(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(u x u)^dagger h (u x u), snapped."""
+    uu = (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
+    return _snapped(uu.conj().T @ h @ uu)
+
+
+def _conserved(h: np.ndarray) -> int:
+    """2 if h keeps the number of ones, 1 if it keeps only its parity,
+    0 if neither."""
+    a, b = np.nonzero(h)
+    change = _PAIR_ONES[a] - _PAIR_ONES[b]
+    if not change.any():
+        return 2
+    return 1 if not (change % 2).any() else 0
+
+
+def _axis_frame(axis: np.ndarray) -> np.ndarray:
+    """Special unitary u with u^dagger (n . sigma) u = Z for the unit
+    vector n along axis: its columns are the +1 and -1 eigenvectors."""
+    x, y, z = axis / np.linalg.norm(axis)
+    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
+    phase = np.exp(1j * np.arctan2(y, x))
+    return np.array([[np.cos(half), -np.sin(half) / phase],
+                     [phase * np.sin(half), np.cos(half)]])
+
+
+def symmetry_frame(local: LocalHamiltonian) -> SL2:
+    """One-site unitary frame u in which the chain splits best.
+
+    Writes h = sum_ab c_ab P_a x P_b over the Pauli matrices.  If h keeps
+    the number (or parity) of ones along some axis n, then n is a real
+    eigenvector of K = c[1:, 1:] and of K^T, or (for a degenerate K) the
+    direction of a one-site field c[0, 1:] or c[1:, 0].  Each candidate
+    axis is rotated onto z, and the frame whose rotated h keeps the most
+    wins: number beats parity, parity beats nothing, and the identity
+    stays unless another frame is strictly better.  Then, if a site phase
+    diag(1, e^{i theta}) makes the rotated h real, it is folded in; theta
+    is read off the largest entry that changes the number.
+
+    A unitary frame leaves the chain spectrum unchanged.  Entries are
+    compared after snapping to zero every real or imaginary part at or
+    below HERMITICITY_TOL * max|h|, which removes the rotation's rounding
+    residue; a bond term whose snapped mass is `dropped` shifts every
+    chain eigenvalue by at most (n - 1) * |dropped|_2.
+    """
+    h = local.matrix
+    frame = np.eye(2, dtype=complex)
+    best = _conserved(_snapped(h))
+    if best < 2:
+        c = np.einsum("ij,abji->ab", h, _PAIR_PAULI).real / 4.0
+        k = c[1:, 1:]
+        axes = [c[0, 1:], c[1:, 0]]
+        for m in (k, k.T):
+            w, v = np.linalg.eig(m)
+            axes.extend(v[:, w.imag == 0].real.T)
+        cut = HERMITICITY_TOL * np.max(np.abs(c))
+        for axis in axes:
+            if np.max(np.abs(axis)) <= cut:
+                continue
+            u = _axis_frame(axis)
+            score = _conserved(_rotated(h, u))
+            if score > best:
+                best, frame = score, u
+                if best == 2:
+                    break
+    moved = _rotated(h, frame)
+    a, b = np.nonzero(moved)
+    change = _PAIR_ONES[b] - _PAIR_ONES[a]
+    if np.any(moved.imag) and np.any(change):
+        j = np.flatnonzero(change)[np.argmax(np.abs(
+            moved[a[change != 0], b[change != 0]]))]
+        angle, delta = np.angle(moved[a[j], b[j]]), change[j]
+        for turn in range(abs(delta)):
+            theta = (turn * np.pi - angle) / delta
+            u = frame @ np.diag([np.exp(-0.5j * theta),
+                                 np.exp(0.5j * theta)])
+            if not np.any(_rotated(h, u).imag):
+                frame = u
+                break
+    return SL2(frame)
 
 
 def _spectrum_report(n_sites: int, sectors: list, k: int,
@@ -173,25 +274,50 @@ def covariance_check(local: LocalHamiltonian, psi: StateVector, g: SL2,
     return check_zero_member(moved, transform_state(psi, g))
 
 
+def _framed_sectors(local: LocalHamiltonian, n_sites: int):
+    """Sector blocks and nonzero entries of the chain of local, built on
+    the snapped bond term in its symmetry frame, and the frame (None,
+    with the bond term untouched, when the frame is the identity)."""
+    u = symmetry_frame(local)
+    if np.array_equal(u.matrix, np.eye(2)):
+        u = None
+    else:
+        local = LocalHamiltonian(_snapped(conjugate_local(local, u).matrix))
+    rows, cols, vals = chain_entries(local, n_sites)
+    return _sector_blocks(2 ** n_sites, rows, cols, vals), vals, u
+
+
 def family_report(params: FamilyParams, n_sites: int, k: int = 8,
                   kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
     """Spectrum of one family chain plus residuals of its catalogued
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)) as in
-    check_zero_member, without assembling the dense chain."""
-    rows, cols, vals = chain_entries(build_family(params), n_sites)
-    sectors = _sector_blocks(2 ** n_sites, rows, cols, vals)
+    check_zero_member, without assembling the dense chain.
+
+    The chain is built in the bond term's symmetry frame u; a unitary
+    frame keeps the spectrum, |H|_F and |psi|, and H psi is measured as
+    H' psi' with psi' = transform_state(psi, u).
+    """
+    sectors, vals, u = _framed_sectors(build_family(params), n_sites)
     report = _spectrum_report(n_sites, sectors, k, kernel_tol)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:
         return report
-    psi = np.array([ns.state.amplitudes for ns in catalogue])
+    psi = np.array([(ns.state if u is None
+                     else transform_state(ns.state, u)).amplitudes
+                    for ns in catalogue])
     norms = np.linalg.norm(psi, axis=1)
     if not np.all(norms):
         raise ValueError("zero vector cannot witness a ground state")
-    hpsi_sq = np.zeros(len(catalogue))
+    if not np.iscomplexobj(sectors[0][1]):
+        # real blocks act on the real and imaginary parts apart, so they
+        # are never cast to complex copies
+        psi = (np.concatenate([psi.real, psi.imag]) if np.any(psi.imag)
+               else psi.real)
+    hpsi_sq = np.zeros(psi.shape[0])
     for members, blocks in sectors:
         hpsi = blocks @ psi[:, members].transpose(1, 2, 0)
         hpsi_sq += np.sum(np.abs(hpsi) ** 2, axis=(0, 1))
+    hpsi_sq = hpsi_sq.reshape(-1, len(catalogue)).sum(axis=0)
     hnorm = max(1.0, float(np.linalg.norm(vals)))
     residuals = np.sqrt(hpsi_sq) / (norms * hnorm)
     return replace(report, residuals={
@@ -224,5 +350,5 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     rows = np.array([q.flat() for q in space.basis])
     if lam is None:
         lam = np.eye(rows.shape[0])
-    local = local_from_espace(rows, lam)
-    return spectrum(full_chain(local, n_sites), k=k)
+    sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
+    return _spectrum_report(n_sites, sectors, k, KERNEL_TOL)

@@ -155,6 +155,16 @@ def test_mps_uniform_and_bond_dim_two():
     assert decode_vector(out["amplitudes"]).tolist() == [2, 0, 0, -2]
 
 
+def test_mps_refuses_amplitudes_beyond_the_float_range():
+    # the bond matrices are finite; their 3-site traces (1e600) are not
+    proc = run_cli("mps", "--a0", "[[1e200]]", "--a1", "[[1e200]]",
+                   "--n-sites", "3")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip() == ("error: contracted amplitudes exceed the "
+                                   "float range at n_sites=3")
+    assert proc.stdout == ""
+
+
 def test_verify_passes_and_reports_kernel():
     proc = run_cli("verify", "--family", "hardcore", "--params",
                    '{"g": 1.0}', "--n-sites", "5")

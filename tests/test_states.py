@@ -1,5 +1,7 @@
 """State constructions: weighted sums, bond-matrix traces, catalogues."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +217,20 @@ def test_mps_huge_entries_keep_a_unit_normalized_state():
     assert_allclose(res.normalized.amplitudes, 2.0 ** -10, rtol=1e-12)
 
 
+def test_state_norm_of_huge_amplitudes_stays_finite():
+    state = mps_contract(MPSSpec([[1e10]], [[1e10]]), 20).state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = state.norm()
+        unit = state.normalized()
+    # every one of the 2^20 amplitudes is about 1e200
+    assert norm == pytest.approx(1e200 * 2.0 ** 10, rel=1e-12)
+    assert unit.norm() == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(unit.amplitudes, 2.0 ** -10, rtol=1e-12)
+    tiny = StateVector(2, [3e-200, 4e-200j, 0, 0])
+    assert tiny.norm() == pytest.approx(5e-200, rel=1e-15)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(d=st.integers(1, 3), n=st.integers(1, 20),
        exponent=st.integers(-30, 30), data=st.data())
@@ -229,7 +245,7 @@ def test_mps_contract_across_scales(d, n, exponent, data):
         res = mps_contract(MPSSpec(scale * a0, scale * a1), n)
     except ValueError as exc:
         # refused only when the raw amplitudes leave the float range
-        assert "non-finite amplitudes" in str(exc)
+        assert "exceed the float range" in str(exc)
         amps = mps_contract(MPSSpec(a0, a1), n).state.amplitudes
         assert np.log10(np.max(np.abs(amps))) + n * exponent > 308
         return

@@ -7,16 +7,20 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpschain.classify import CanonicalForm, CaseId
 from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
-                                  build_family, chain_entries, full_chain)
+                                  LocalHamiltonian, build_family,
+                                  chain_entries, conjugate_local, full_chain)
 from mpschain.pauli import SL2, random_sl2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
-from mpschain.verify import (KERNEL_TOL, _sector_blocks, check_zero_member,
+from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
+                             _spectrum_report, check_zero_member,
                              covariance_check, family_report,
-                             no_mps_case_report, spectrum, stacked_state_rank)
+                             no_mps_case_report, spectrum, stacked_state_rank,
+                             symmetry_frame)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -194,6 +198,115 @@ def test_sector_sizes_follow_bond_connectivity():
         assert _sector_sizes(exchange, n) == binomial
         assert _sector_sizes(antialigned, n) == binomial
         assert _sector_sizes(pairsum, n) == [2 ** n]
+
+
+def _framed_sizes(local, n_sites):
+    sectors, _, _ = _framed_sectors(local, n_sites)
+    return sorted(members.shape[1] for members, _ in sectors
+                  for _ in range(members.shape[0]))
+
+
+def _framed_report(local, n_sites):
+    sectors, _, _ = _framed_sectors(local, n_sites)
+    return _spectrum_report(n_sites, sectors, 8, KERNEL_TOL)
+
+
+def _dense_evals(local, n_sites):
+    evals = np.linalg.eigvalsh(full_chain(local, n_sites).matrix)
+    return evals, max(1.0, float(np.max(np.abs(evals))))
+
+
+def _assert_matches_dense(rep, evals, scale):
+    assert rep.kernel_dim == int(np.sum(evals <= KERNEL_TOL * scale))
+    k = len(rep.lowest_k_eigenvalues)
+    assert np.max(np.abs(np.array(rep.lowest_k_eigenvalues)
+                         - evals[:k])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("label", ["pairsum-exchange/prime",
+                                   "pairsum-exchange/parity"])
+def test_frame_splits_pairsum_chains(label):
+    rng = np.random.default_rng(960)
+    for _ in range(3):
+        params = _seeded_params(label, rng)
+        local = build_family(params)
+        assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+        for n in range(2, 9):
+            sizes = _framed_sizes(local, n)
+            assert sum(sizes) == 2 ** n
+            assert max(sizes) <= comb(n, n // 2)
+
+
+def test_hardcore_singlet_blocks_are_real_in_its_frame():
+    rng = np.random.default_rng(961)
+    params = _seeded_params("hardcore-singlet", rng)
+    local = build_family(params)
+    assert np.any(local.matrix.imag)
+    for n in range(2, 9):
+        sectors, _, u = _framed_sectors(local, n)
+        assert u is not None
+        assert all(blocks.dtype == np.float64 for _, blocks in sectors)
+
+
+@pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
+                                   "antialigned", "hardcore-mixed",
+                                   "hardcore-exchange", "mixed-singlet",
+                                   "pinned"])
+def test_frame_is_the_identity_without_a_hidden_symmetry(label):
+    rng = np.random.default_rng(962)
+    for _ in range(3):
+        local = build_family(_seeded_params(label, rng))
+        assert np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+        _, _, u = _framed_sectors(local, 4)
+        assert u is None
+
+
+@pytest.mark.parametrize("label,sizes", [
+    ("exchange", lambda n: sorted(comb(n, k) for k in range(n + 1))),
+    ("hardcore", lambda n: [1] * 2 ** n),
+])
+def test_frame_undoes_a_site_rotation(label, sizes):
+    rng = np.random.default_rng(963)
+    params = _seeded_params(label, rng)
+    for _ in range(3):
+        local = conjugate_local(build_family(params),
+                                _random_special_unitary(rng))
+        for n in range(2, 9):
+            assert _framed_sizes(local, n) == sizes(n)
+            rep, plain = _framed_report(local, n), family_report(params, n)
+            evals, scale = _dense_evals(local, n)
+            assert rep.kernel_dim == plain.kernel_dim
+            assert np.max(np.abs(np.array(rep.lowest_k_eigenvalues)
+                                 - plain.lowest_k_eigenvalues)) \
+                <= 1e-10 * scale
+            _assert_matches_dense(rep, evals, scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(label=st.sampled_from(ORACLE_CASES), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 7))
+def test_frame_keeps_spectra_of_rotated_families(label, seed, n):
+    rng = np.random.default_rng(seed)
+    local = conjugate_local(build_family(_seeded_params(label, rng)),
+                            _random_special_unitary(rng))
+    _assert_matches_dense(_framed_report(local, n), *_dense_evals(local, n))
+
+
+def test_frame_keeps_a_small_symmetry_breaking_term():
+    rng = np.random.default_rng(964)
+    u = _random_special_unitary(rng)
+    exchange = build_family(_seeded_params("exchange", rng)).matrix
+    # (|00> + |11>)/sqrt(2) keeps the parity of ones but not their number
+    bell = np.zeros(4)
+    bell[[0, 3]] = 2 ** -0.5
+    local = conjugate_local(
+        LocalHamiltonian(exchange + 1e-6 * np.outer(bell, bell)), u)
+    assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+    for n in range(2, 9):
+        # the parity sectors, not the number sectors of exchange alone
+        assert _framed_sizes(local, n) == [2 ** (n - 1)] * 2
+        _assert_matches_dense(_framed_report(local, n),
+                              *_dense_evals(local, n))
 
 
 def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
