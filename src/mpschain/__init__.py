@@ -15,8 +15,8 @@ from .states import (CaseRepresentation, MPSResult, MPSSpec, NamedState,
                      ground_state_catalogue, hardcore_states, mps_contract,
                      psi_k, psi_parity, psi_prime, representation_for_case,
                      transform_state)
-from .verify import (SpectrumReport, check_zero_member, covariance_check,
-                     family_report, no_mps_case_report, spectrum)
+from .verify import (SpectrumReport, family_report, no_mps_case_report,
+                     spectrum)
 
 __version__ = "0.1.0"
 
@@ -25,14 +25,12 @@ __all__ = [
     "ClassificationError", "ClassificationResult", "CSpace", "FamilyId",
     "FamilyParams", "FullHamiltonian", "LocalHamiltonian", "MPSResult",
     "MPSSpec", "NamedState", "NoRepresentationError", "ParameterError",
-    "PauliQuartet", "SL2", "SpaceSignature", "SpectrumReport",
-    "StateVector", "UncataloguedSpaceError", "build_family",
-    "canonical_space", "check_zero_member", "classify", "conjugate_local",
-    "constraint_residual", "covariance_check", "family_report",
-    "family_space", "full_chain", "ground_state_catalogue",
-    "hardcore_states", "invariant_signature", "local_from_espace",
-    "minkowski", "mps_contract", "no_mps_case_report", "params_from_mapping",
-    "psi_k", "psi_parity", "psi_prime", "quartet_from_matrix",
-    "representation_for_case", "sl2_act", "sl2_act_space", "span_equal",
-    "spectrum", "trace_form", "transform_state",
+    "PauliQuartet", "SL2", "SpaceSignature", "SpectrumReport", "StateVector",
+    "UncataloguedSpaceError", "build_family", "canonical_space", "classify",
+    "conjugate_local", "constraint_residual", "family_report", "family_space",
+    "full_chain", "ground_state_catalogue", "hardcore_states",
+    "invariant_signature", "local_from_espace", "minkowski", "mps_contract",
+    "no_mps_case_report", "params_from_mapping", "psi_k", "psi_parity",
+    "psi_prime", "quartet_from_matrix", "representation_for_case", "sl2_act",
+    "sl2_act_space", "span_equal", "spectrum", "trace_form", "transform_state",
 ]

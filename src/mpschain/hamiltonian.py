@@ -10,10 +10,9 @@ positive-semidefinite Lambda gives the positive pair energy
 
 whose kernel is exactly the joint kernel of the functionals.  The module
 provides that generic constructor, a catalogue of nine named families
-with validated parameters, an independent spin-operator construction for
-every family (kept deliberately separate from the R^dagger Lambda R
-route so the two can be compared), and the open-chain embedding
-H = sum_i h_{i,i+1}.
+with validated parameters (each family is defined by its constraint rows
+and weight, and built through the same constructor), and the open-chain
+embedding H = sum_i h_{i,i+1}.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ HERMITICITY_TOL = 1e-12
 # Relative slack when checking positive semidefiniteness.
 PSD_TOL = 1e-10
 
-# Dense chain matrices above this site count are refused unless the
-# MPS_MAX_SITES environment variable raises the bound.
+# chain_entries (and so every chain, sparse or dense) refuses chains above
+# this site count unless the MPS_MAX_SITES environment variable raises it.
 DEFAULT_MAX_SITES = 14
 
 
@@ -42,7 +41,7 @@ class ParameterError(ValueError):
 
 
 class ChainSizeError(ValueError):
-    """The requested chain length is outside the dense-matrix guard."""
+    """The requested chain length is outside the site guard."""
 
 
 class FamilyId(str, Enum):
@@ -147,7 +146,7 @@ class FamilyParams:
             lam = np.array(self.lambda3, dtype=complex)
             if lam.shape != (3, 3):
                 raise ParameterError("lambda3 must be a 3x3 matrix")
-            _check_weight_matrix(lam)
+            _check_hermitian_psd(lam, "weight matrix", ParameterError)
             lam.flags.writeable = False
             object.__setattr__(self, "lambda3", lam)
 
@@ -162,13 +161,15 @@ def params_from_mapping(family, mapping) -> FamilyParams:
     return FamilyParams(family=fam, **dict(mapping))
 
 
-def _check_weight_matrix(lam: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.max(np.abs(lam - lam.conj().T)) > HERMITICITY_TOL * scale:
-        raise ParameterError("weight matrix is not Hermitian")
-    evals = np.linalg.eigvalsh(lam)
+def _check_hermitian_psd(m: np.ndarray, name: str, error: type) -> None:
+    """Raise error(f"{name} is not ...") unless m is Hermitian to
+    HERMITICITY_TOL and positive semidefinite to PSD_TOL (relative)."""
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
+        raise error(f"{name} is not Hermitian")
+    evals = np.linalg.eigvalsh(m)
     if evals[0] < -PSD_TOL * max(1.0, evals[-1]):
-        raise ParameterError("weight matrix is not positive semidefinite")
+        raise error(f"{name} is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,7 @@ class LocalHamiltonian:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
-            raise ValueError("pair energy is not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -PSD_TOL * max(1.0, evals[-1]):
-            raise ValueError("pair energy is not positive semidefinite")
+        _check_hermitian_psd(m, "pair energy", ValueError)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -202,7 +198,7 @@ class FullHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# generic route: h = R^dagger Lambda R
+# pair energies: h = R^dagger Lambda R
 
 def local_from_espace(rows, lam, family=None, params=None) -> LocalHamiltonian:
     """Pair energy from constraint rows and a Hermitian PSD weight.
@@ -217,7 +213,7 @@ def local_from_espace(rows, lam, family=None, params=None) -> LocalHamiltonian:
         raise ValueError("constraint rows must have four components")
     if lam.shape != (k, k):
         raise ValueError("weight matrix shape does not match the row count")
-    _check_weight_matrix(lam)
+    _check_hermitian_psd(lam, "weight matrix", ParameterError)
     h = r.conj().T @ lam @ r
     h = (h + h.conj().T) / 2.0  # symmetrize away rounding
     return LocalHamiltonian(h, family=family, params=params)
@@ -263,148 +259,10 @@ def family_space(params: FamilyParams) -> CSpace:
     return CSpace([quartet_from_matrix(r.reshape(2, 2)) for r in rows])
 
 
-# ---------------------------------------------------------------------------
-# independent route: explicit spin-operator sums
-
-_I2 = np.eye(2, dtype=complex)
-_S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SM = _SP.T.copy()
-_S1 = _SP + _SM
-
-
-def _k(a, b):
-    return np.kron(a, b)
-
-
-def _pauli_exchange(g, nu, nup):
-    s = abs(nu) ** 2 + abs(nup) ** 2
-    return g * (s / 4.0 * (_k(_I2, _I2) - _k(_S3, _S3))
-                + (abs(nup) ** 2 - abs(nu) ** 2) / 4.0
-                * (_k(_S3, _I2) - _k(_I2, _S3))
-                - np.conj(nup) * nu * _k(_SP, _SM)
-                - nup * np.conj(nu) * _k(_SM, _SP))
-
-
-def _pauli_hardcore(g):
-    return g * _k(_I2 + _S3, _I2 + _S3)
-
-
-def _pauli_hardcore_mixed(g):
-    return g * (1.5 * _k(_I2, _I2) + _k(_I2, _S3) + _k(_S3, _I2)
-                + 0.5 * _k(_S3, _S3)
-                + _k(_I2 + _S3, _S1) - _k(_S1, _I2 + _S3)
-                - _k(_SM, _SP) - _k(_SP, _SM))
-
-
-def _pauli_antialigned(g1, g2, g3):
-    return ((g1 + g2) / 4.0 * (_k(_I2, _I2) - _k(_S3, _S3))
-            + (g1 - g2) / 4.0 * (_k(_S3, _I2) - _k(_I2, _S3))
-            + g3 * _k(_SP, _SM) + np.conj(g3) * _k(_SM, _SP))
-
-
-def _pauli_hardcore_singlet(g1, g2, g3):
-    x = g3 * _SP + np.conj(g3) * _SM
-    return ((g1 + 2.0 * g2) / 4.0 * _k(_I2, _I2)
-            + g1 / 4.0 * (_k(_S3, _I2) + _k(_I2, _S3))
-            + (g1 - 2.0 * g2) / 4.0 * _k(_S3, _S3)
-            - g2 * (_k(_SP, _SM) + _k(_SM, _SP))
-            + _k((_I2 + _S3) / 2.0, x) - _k(x, (_I2 + _S3) / 2.0))
-
-
-def _pauli_pairsum_exchange(g1, g2, g3, nu, nup):
-    s = abs(nu) ** 2 + abs(nup) ** 2
-    cnu, cnup, cg3 = np.conj(nu), np.conj(nup), np.conj(g3)
-    h = ((2.0 * g1 + g2 * s) / 4.0 * _k(_I2, _I2)
-         + (2.0 * g1 - g2 * s) / 4.0 * _k(_S3, _S3)
-         + g1 * (_k(_SP, _SP) + _k(_SM, _SM))
-         - g2 * cnup * nu * _k(_SP, _SM)
-         - g2 * nup * cnu * _k(_SM, _SP)
-         + g2 * (abs(nup) ** 2 - abs(nu) ** 2) / 4.0
-         * (_k(_S3, _I2) - _k(_I2, _S3)))
-    h += g3 / 2.0 * (_k(_I2, nup * _SP - nu * _SM)
-                     + _k(nup * _SM - nu * _SP, _I2)
-                     + _k(_S3, nup * _SP + nu * _SM)
-                     - _k(nup * _SM + nu * _SP, _S3))
-    h += cg3 / 2.0 * (_k(_I2, cnup * _SM - cnu * _SP)
-                      + _k(cnup * _SP - cnu * _SM, _I2)
-                      + _k(_S3, cnup * _SM + cnu * _SP)
-                      - _k(cnup * _SP + cnu * _SM, _S3))
-    return h
-
-
-def _pauli_hardcore_exchange(g1, g2, g3, nu, nup):
-    s = abs(nu) ** 2 + abs(nup) ** 2
-    cnu, cnup, cg3 = np.conj(nu), np.conj(nup), np.conj(g3)
-    h = ((g1 + g2 * s) / 4.0 * _k(_I2, _I2)
-         + (g1 - g2 * s) / 4.0 * _k(_S3, _S3)
-         + g1 / 4.0 * (_k(_S3, _I2) + _k(_I2, _S3))
-         - g2 * (cnup * nu * _k(_SP, _SM) + nup * cnu * _k(_SM, _SP))
-         + g2 * (abs(nup) ** 2 - abs(nu) ** 2) / 4.0
-         * (_k(_S3, _I2) - _k(_I2, _S3)))
-    h += g3 / 2.0 * (nup * _k(_I2, _SP) - nu * _k(_SP, _I2)
-                     + nup * _k(_S3, _SP) - nu * _k(_SP, _S3))
-    h += cg3 / 2.0 * (cnup * _k(_I2, _SM) - cnu * _k(_SM, _I2)
-                      + cnup * _k(_S3, _SM) - cnu * _k(_SM, _S3))
-    return h
-
-
-def _pauli_mixed_singlet(g1, g2, g3):
-    cg3 = np.conj(g3)
-    x = g3 * _SP + cg3 * _SM
-    return ((3.0 * g1 + g2) / 2.0 * _k(_I2, _I2)
-            + (g1 - g2) / 2.0 * _k(_S3, _S3)
-            + (g1 - g2) * (_k(_SP, _SM) + _k(_SM, _SP))
-            + g1 * (_k(_S3, _S1) + _k(_S1, _S3))
-            + g1 * (_k(_S3 + _S1, _I2) + _k(_I2, _S3 + _S1))
-            + _k(_I2 + _S3, x) - _k(x, _I2 + _S3)
-            + (g3 + cg3) / 2.0 * (_k(_S3, _I2) - _k(_I2, _S3))
-            + (cg3 - g3) * (_k(_SP, _SM) - _k(_SM, _SP)))
-
-
-# single-site matrix units for the pinned sum
-_UNIT = {(0, 0): (_I2 + _S3) / 2.0, (0, 1): _SP,
-         (1, 0): _SM, (1, 1): (_I2 - _S3) / 2.0}
-
-
-def _pauli_pinned(lam3):
-    pairs = [(0, 0), (0, 1), (1, 0)]  # |00>, |01>, |10>
-    h = np.zeros((4, 4), dtype=complex)
-    for a, pa in enumerate(pairs):
-        for b, pb in enumerate(pairs):
-            h += lam3[a, b] * _k(_UNIT[pa[0], pb[0]], _UNIT[pa[1], pb[1]])
-    return h
-
-
 def build_family(params: FamilyParams) -> LocalHamiltonian:
-    """Pair energy of a named family via explicit operator sums.
-
-    Independent of local_from_espace; the two must agree to rounding.
-    """
-    p = params
-    fam = p.family
-    if fam is FamilyId.EXCHANGE:
-        h = _pauli_exchange(p.g, p.nu, p.nu_prime)
-    elif fam is FamilyId.HARDCORE:
-        h = _pauli_hardcore(p.g)
-    elif fam is FamilyId.HARDCORE_MIXED:
-        h = _pauli_hardcore_mixed(p.g)
-    elif fam is FamilyId.ANTIALIGNED:
-        h = _pauli_antialigned(p.g1, p.g2, p.g3)
-    elif fam is FamilyId.HARDCORE_SINGLET:
-        h = _pauli_hardcore_singlet(p.g1, p.g2, p.g3)
-    elif fam is FamilyId.PAIRSUM_EXCHANGE:
-        h = _pauli_pairsum_exchange(p.g1, p.g2, p.g3, p.nu, p.nu_prime)
-    elif fam is FamilyId.HARDCORE_EXCHANGE:
-        h = _pauli_hardcore_exchange(p.g1, p.g2, p.g3, p.nu, p.nu_prime)
-    elif fam is FamilyId.MIXED_SINGLET:
-        h = _pauli_mixed_singlet(p.g1, p.g2, p.g3)
-    elif fam is FamilyId.PINNED:
-        h = _pauli_pinned(p.lambda3)
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
-    h = (h + h.conj().T) / 2.0
-    return LocalHamiltonian(h, family=fam, params=p)
+    """Pair energy of a named family from its constraint rows."""
+    return local_from_espace(*family_espace(params), family=params.family,
+                             params=params)
 
 
 # ---------------------------------------------------------------------------

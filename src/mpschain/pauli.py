@@ -291,21 +291,3 @@ def span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
     return all(b.contains(q, tol) for q in a.basis) and \
         all(a.contains(q, tol) for q in b.basis)
 
-
-def random_sl2(rng: np.random.Generator, max_cond: float | None = None) -> SL2:
-    """Draw a unit-determinant matrix with complex normal entries.
-
-    With max_cond set, rejection-sample until the condition number is at
-    most that bound.
-    """
-    while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-3:
-            continue
-        g = SL2.unit_normalized(m)
-        if max_cond is None:
-            return g
-        s = np.linalg.svd(g.matrix, compute_uv=False)
-        if s[0] / s[-1] <= max_cond:
-            return g

@@ -8,10 +8,10 @@ they are found, every site is turned by one unitary frame chosen from the
 4x4 bond term alone (symmetry_frame): it brings an axis along which the
 bond term keeps the number or parity of ones onto z, and makes the bond
 term real where a site phase can.  A unitary frame leaves the spectrum
-unchanged, and it lets a hidden local symmetry split the chain.  The
-checks stay unambiguous: a state either sits in the numerical kernel of
-the chain or it does not.  check_zero_member keeps the dense residual as
-an independent cross-check.
+unchanged, and it lets a hidden local symmetry split the chain; the
+chain is built from exactly the framed bond term the frame was scored
+on.  The checks stay unambiguous: a state either sits in the numerical
+kernel of the chain or it does not.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import CanonicalForm, CaseId, canonical_space
+from .classify import CanonicalForm, canonical_space
 from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
                           FamilyParams, build_family, chain_entries,
-                          conjugate_local, full_chain, local_from_espace)
+                          local_from_espace)
 from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
-from .states import StateVector, ground_state_catalogue, transform_state
+from .states import ground_state_catalogue, transform_state
 
 # Eigenvalues at or below KERNEL_TOL times the spectral scale count as
 # kernel members.
@@ -244,45 +244,16 @@ def spectrum(chain: FullHamiltonian, k: int = 8,
     return _spectrum_report(chain.n_sites, sectors, k, kernel_tol)
 
 
-def check_zero_member(chain: FullHamiltonian, psi: StateVector,
-                      tol: float = MEMBER_TOL) -> float:
-    """Relative residual |H psi| / (|psi| max(1, |H|_F)).
-
-    The caller decides pass/fail against tol; the value is returned so
-    reports can show margins.  Zero input vectors are an error, not a
-    trivial pass.
-    """
-    if psi.amplitudes.shape[0] != chain.matrix.shape[0]:
-        raise ValueError("state and chain dimensions differ")
-    norm = psi.norm()
-    if norm == 0.0:
-        raise ValueError("zero vector cannot witness a ground state")
-    hnorm = max(1.0, float(np.linalg.norm(chain.matrix)))
-    return float(np.linalg.norm(chain.matrix @ psi.amplitudes)
-                 / (norm * hnorm))
-
-
-def covariance_check(local: LocalHamiltonian, psi: StateVector, g: SL2,
-                     n_sites: int) -> float:
-    """Residual of the transformed state against the conjugated chain.
-
-    If psi annihilates every bond term of the original chain, the
-    site-wise inverse action of g must annihilate every bond term of the
-    congruence-transformed chain, unitary or not.
-    """
-    moved = full_chain(conjugate_local(local, g), n_sites)
-    return check_zero_member(moved, transform_state(psi, g))
-
-
 def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     """Sector blocks and nonzero entries of the chain of local, built on
-    the snapped bond term in its symmetry frame, and the frame (None,
-    with the bond term untouched, when the frame is the identity)."""
+    the bond term exactly as symmetry_frame scored it in its frame, and
+    the frame (None, with the bond term untouched, when the frame is the
+    identity)."""
     u = symmetry_frame(local)
     if np.array_equal(u.matrix, np.eye(2)):
         u = None
     else:
-        local = LocalHamiltonian(_snapped(conjugate_local(local, u).matrix))
+        local = LocalHamiltonian(_rotated(local.matrix, u.matrix))
     rows, cols, vals = chain_entries(local, n_sites)
     return _sector_blocks(2 ** n_sites, rows, cols, vals), vals, u
 
@@ -290,8 +261,8 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
 def family_report(params: FamilyParams, n_sites: int, k: int = 8,
                   kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
     """Spectrum of one family chain plus residuals of its catalogued
-    zero-energy states, each |H psi| / (|psi| max(1, |H|_F)) as in
-    check_zero_member, without assembling the dense chain.
+    zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
+    assembling the dense chain.
 
     The chain is built in the bond term's symmetry frame u; a unitary
     frame keeps the spectrum, |H|_F and |psi|, and H psi is measured as

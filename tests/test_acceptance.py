@@ -18,16 +18,16 @@ import pytest
 
 from mpschain.classify import (CanonicalForm, CaseId, MU_CASES,
                                canonical_space, classify)
-from mpschain.hamiltonian import (FamilyId, FamilyParams, build_family,
-                                  conjugate_local, family_espace, full_chain,
-                                  local_from_espace)
-from mpschain.pauli import (PauliQuartet, minkowski, random_sl2, sl2_act,
-                            sl2_act_space, span_equal, trace_form)
+from mpschain.hamiltonian import FamilyId, FamilyParams, build_family
+from mpschain.pauli import (PauliQuartet, minkowski, sl2_act, sl2_act_space,
+                            span_equal, trace_form)
 from mpschain.states import (MPSSpec, constraint_residual,
                              ground_state_catalogue, mps_contract,
-                             product_state, psi_k, psi_parity, psi_prime,
-                             representation_for_case, transform_state)
-from mpschain.verify import check_zero_member, family_report
+                             product_state, psi_k, psi_parity,
+                             representation_for_case)
+from mpschain.verify import family_report
+from oracles import (check_zero_member, covariance_check, kron_chain,
+                     operator_sum, random_sl2)
 
 MU_SAMPLES = (0.0, 1.0, 0.37 + 0.2j)
 
@@ -112,9 +112,8 @@ def test_criterion_2_dual_route_agreement():
             if p.g1 is not None and abs(
                     p.g1 * p.g2 - abs(p.g3) ** 2) <= 1e-15:
                 boundary_draws += 1
-            via_ops = build_family(p).matrix
-            rows, lam = family_espace(p)
-            via_rows = local_from_espace(rows, lam).matrix
+            via_ops = operator_sum(p)
+            via_rows = build_family(p).matrix
             scale = max(1.0, float(np.max(np.abs(via_rows))))
             worst = max(worst, float(np.max(np.abs(via_ops - via_rows)))
                         / scale)
@@ -160,16 +159,16 @@ def test_criterion_4_catalogued_memberships():
                 params = FamilyParams(family, g1=params.g1, g2=params.g2,
                                       g3=params.g3, nu=nu,
                                       nu_prime=-nu if n % 2 == 0 else nu)
-            chain = full_chain(build_family(params), n)
+            chain = kron_chain(operator_sum(params), n)
             for ns in ground_state_catalogue(params, n):
                 worst = max(worst, check_zero_member(chain, ns.state))
                 checks += 1
 
     # exchange with ratio -1: every k-string state on even chains
     exchange = FamilyParams(FamilyId.EXCHANGE, g=1.0, nu=1.0, nu_prime=-1.0)
-    local = build_family(exchange)
+    local = operator_sum(exchange)
     for n in (2, 4, 6, 8):
-        chain = full_chain(local, n)
+        chain = kron_chain(local, n)
         for k in range(n // 2 + 1):
             worst = max(worst, check_zero_member(
                 chain, psi_k(n, 2, k, -1.0)))
@@ -200,7 +199,7 @@ def test_criterion_4_pairsum_endpoint_products():
     worst = np.inf
     for n in range(2, 11):
         params = _random_params(FamilyId.PAIRSUM_EXCHANGE, rng)
-        chain = full_chain(build_family(params), n)
+        chain = kron_chain(operator_sum(params), n)
         for symbol in ("0", "1"):
             worst = min(worst, check_zero_member(
                 chain, product_state(symbol, n)))
@@ -222,7 +221,7 @@ def test_criterion_4_literal_odd_parity_bounds():
     empty_at_two = psi_parity(2, "odd", literal_bounds=True).norm() == 0.0
     worst = 0.0
     for n in range(3, 11):
-        chain = full_chain(build_family(params), n)
+        chain = kron_chain(operator_sum(params), n)
         state = psi_parity(n, "odd", literal_bounds=True)
         worst = max(worst, check_zero_member(chain, state))
     ok = worst <= 1e-9 and not empty_at_two
@@ -310,12 +309,10 @@ def test_criterion_7_covariance_triples():
     for trial in range(20):
         family = candidates[trial % len(candidates)]
         params = _random_params(family, rng)
-        local = build_family(params)
+        local = operator_sum(params)
         g = random_sl2(rng, max_cond=10.0)
-        moved_chain = full_chain(conjugate_local(local, g), n)
         for ns in ground_state_catalogue(params, n):
-            moved_state = transform_state(ns.state, g)
-            worst = max(worst, check_zero_member(moved_chain, moved_state))
+            worst = max(worst, covariance_check(local, ns.state, g, n))
             checks += 1
     ok = worst <= 1e-8
     _line("7", ok, f"20 (family, params, g) triples at N=6, {checks} "

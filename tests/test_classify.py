@@ -12,8 +12,9 @@ from mpschain.classify import (CanonicalForm, CaseId, ClassificationError,
                                normal_complement, normalize_nonnull,
                                normalize_null)
 from mpschain.pauli import (CSpace, PauliQuartet, minkowski_vec,
-                            quartet_from_array, random_sl2, sl2_act,
-                            sl2_act_space, span_equal)
+                            quartet_from_array, sl2_act, sl2_act_space,
+                            span_equal)
+from oracles import random_sl2
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)

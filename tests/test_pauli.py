@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
                             PauliQuartet, SL2, SIGMA, TAU0, TAU1, TAU2,
                             minkowski, minkowski_vec, quartet_from_array,
-                            quartet_from_matrix, random_sl2, sl2_act,
-                            sl2_act_space, span_equal, trace_form)
+                            quartet_from_matrix, sl2_act, sl2_act_space,
+                            span_equal, trace_form)
+from oracles import random_sl2
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)

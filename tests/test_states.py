@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from mpschain.classify import CanonicalForm, CaseId, classify
 from mpschain.hamiltonian import FamilyId, FamilyParams, build_family, \
     full_chain
-from mpschain.pauli import CSpace, PauliQuartet, random_sl2, sl2_act_space
+from mpschain.pauli import PauliQuartet
 from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              NoRepresentationError, StateVector,
                              _zero_counts, constraint_residual,
@@ -19,6 +19,7 @@ from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              psi_k, psi_parity, psi_prime,
                              representation_for_case, transfer_matrix,
                              transform_state)
+from oracles import random_sl2
 
 
 def chain_residual(params: FamilyParams, state: StateVector) -> float:

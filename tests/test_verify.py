@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 from mpschain.classify import CanonicalForm, CaseId
 from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
-                                  chain_entries, conjugate_local, full_chain)
-from mpschain.pauli import SL2, random_sl2
+                                  chain_entries, conjugate_local)
+from mpschain.pauli import SL2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
 from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
-                             _spectrum_report, check_zero_member,
-                             covariance_check, family_report,
+                             _spectrum_report, family_report,
                              no_mps_case_report, spectrum, stacked_state_rank,
                              symmetry_frame)
+from oracles import (check_zero_member, covariance_check, kron_chain,
+                     operator_sum, random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -162,8 +163,8 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
                         catalogue_with_probes)
     for n in range(2, 9):
         rep = family_report(params, n)
-        chain = full_chain(build_family(params), n)
-        evals = np.linalg.eigvalsh(chain.matrix)
+        chain = kron_chain(operator_sum(params), n)
+        evals = np.linalg.eigvalsh(chain)
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert rep.kernel_dim == int(np.sum(evals <= KERNEL_TOL * scale))
         k = len(rep.lowest_k_eigenvalues)
@@ -175,6 +176,24 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
             assert abs(rep.residuals[ns.label]
                        - check_zero_member(chain, ns.state)) <= 1e-12
         assert min(rep.residuals["probe0"], rep.residuals["probe1"]) > 1e-3
+
+
+PSI1_CASES = ["hardcore-mixed", "hardcore-singlet", "hardcore-exchange",
+              "mixed-singlet", "pinned"]
+
+
+@pytest.mark.parametrize("label", PSI1_CASES)
+def test_psi1_is_an_exact_zero_mode(label):
+    # No constraint row of these families touches |11>, so the pair
+    # energy has an exactly zero |11> row and column, and the all-ones
+    # product state has residual exactly 0, not merely below tolerance.
+    rng = np.random.default_rng(PSI1_CASES.index(label) + 970)
+    for _ in range(10):
+        params = _seeded_params(label, rng)
+        h = build_family(params).matrix
+        assert not np.any(h[3]) and not np.any(h[:, 3])
+        for n in range(2, 9):
+            assert family_report(params, n).residuals["psi1"] == 0.0
 
 
 def _sector_sizes(params, n_sites):
@@ -212,7 +231,7 @@ def _framed_report(local, n_sites):
 
 
 def _dense_evals(local, n_sites):
-    evals = np.linalg.eigvalsh(full_chain(local, n_sites).matrix)
+    evals = np.linalg.eigvalsh(kron_chain(local.matrix, n_sites))
     return evals, max(1.0, float(np.max(np.abs(evals))))
 
 
@@ -246,6 +265,17 @@ def test_hardcore_singlet_blocks_are_real_in_its_frame():
         sectors, _, u = _framed_sectors(local, n)
         assert u is not None
         assert all(blocks.dtype == np.float64 for _, blocks in sectors)
+
+
+def test_framed_chain_is_built_from_the_scored_bond_term():
+    rng = np.random.default_rng(965)
+    for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
+                  "hardcore-singlet") * 4:
+        local = build_family(_seeded_params(label, rng))
+        scored = verify._rotated(local.matrix, symmetry_frame(local).matrix)
+        _, vals, u = _framed_sectors(local, 2)
+        assert u is not None
+        assert np.array_equal(vals, scored[np.nonzero(scored)])
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
@@ -323,19 +353,19 @@ def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
 
 
 def test_check_zero_member_rejects_zero_vector():
-    chain = FullHamiltonian(2, np.eye(4, dtype=complex))
+    chain = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
         check_zero_member(chain, StateVector(2, np.zeros(4)))
 
 
 def test_check_zero_member_rejects_dimension_mismatch():
-    chain = FullHamiltonian(2, np.eye(4, dtype=complex))
+    chain = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
         check_zero_member(chain, StateVector(3, np.ones(8)))
 
 
 def test_check_zero_member_flags_non_members():
-    chain = full_chain(build_family(
+    chain = kron_chain(operator_sum(
         FamilyParams(family=FamilyId.HARDCORE, g=1.0)), 3)
     # |000> maximally violates the no-adjacent-zeros rule.
     bad = np.zeros(8, dtype=complex)
@@ -348,7 +378,7 @@ def test_check_zero_member_flags_non_members():
 
 def test_covariance_identity_is_exact():
     params = FamilyParams(family=FamilyId.HARDCORE_MIXED, g=1.0)
-    local = build_family(params)
+    local = operator_sum(params)
     (ns,) = ground_state_catalogue(params, 6)
     assert covariance_check(local, ns.state, SL2.identity(), 6) <= 1e-12
 
@@ -357,7 +387,7 @@ def test_covariance_under_unitaries():
     rng = np.random.default_rng(61)
     params = FamilyParams(family=FamilyId.EXCHANGE, g=1.0, nu=1.0,
                           nu_prime=-1.0)
-    local = build_family(params)
+    local = operator_sum(params)
     states = ground_state_catalogue(params, 6)
     for _ in range(5):
         g = _random_special_unitary(rng)
@@ -368,7 +398,7 @@ def test_covariance_under_unitaries():
 def test_covariance_under_invertible_maps():
     rng = np.random.default_rng(62)
     params = FamilyParams(family=FamilyId.ANTIALIGNED, g1=1.0, g2=1.0, g3=0.4)
-    local = build_family(params)
+    local = operator_sum(params)
     states = ground_state_catalogue(params, 6)
     for _ in range(5):
         g = random_sl2(rng, max_cond=10.0)
