@@ -6,8 +6,8 @@ from .classify import (CanonicalForm, CaseId, ClassificationError,
                        invariant_signature)
 from .hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
                           FullHamiltonian, LocalHamiltonian, ParameterError,
-                          build_family, conjugate_local, family_space,
-                          full_chain, local_from_espace, params_from_mapping)
+                          build_family, family_space, full_chain,
+                          local_from_espace, params_from_mapping)
 from .pauli import (CSpace, PauliQuartet, SL2, minkowski, quartet_from_matrix,
                     sl2_act, sl2_act_space, span_equal, trace_form)
 from .states import (CaseRepresentation, MPSResult, MPSSpec, NamedState,
@@ -27,7 +27,7 @@ __all__ = [
     "MPSSpec", "NamedState", "NoRepresentationError", "ParameterError",
     "PauliQuartet", "SL2", "SpaceSignature", "SpectrumReport", "StateVector",
     "UncataloguedSpaceError", "build_family", "canonical_space", "classify",
-    "conjugate_local", "constraint_residual", "family_report", "family_space",
+    "constraint_residual", "family_report", "family_space",
     "full_chain", "ground_state_catalogue", "hardcore_states",
     "invariant_signature", "local_from_espace", "minkowski", "mps_contract",
     "no_mps_case_report", "params_from_mapping", "psi_k", "psi_parity",

@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import (CSpace, PauliQuartet, SL2, MINKOWSKI_METRIC,
-                    minkowski_vec, quartet_from_array, sl2_act,
-                    sl2_act_space, span_equal)
+from .pauli import (CSpace, SL2, MINKOWSKI_METRIC, _action_matrix,
+                    minkowski_vec, sl2_act_space, span_equal)
 
 # Relative threshold for "is this invariant zero" decisions during
 # classification.  Coarser than the rank tolerance: the inputs are floats
@@ -126,13 +125,8 @@ _CANONICAL_BASES = {
 
 def canonical_space(form: CanonicalForm) -> CSpace:
     """The literal canonical basis for a form, mu substituted where used."""
-    rows = []
-    for entry in _CANONICAL_BASES[form.case_id]:
-        if entry == "t2+mu*s":
-            rows.append(PauliQuartet(0, 0, 1, form.mu))
-        else:
-            rows.append(quartet_from_array(np.array(entry, dtype=complex)))
-    return CSpace(rows)
+    return CSpace([(0, 0, 1, form.mu) if entry == "t2+mu*s" else entry
+                   for entry in _CANONICAL_BASES[form.case_id]])
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +186,25 @@ def _lorentz_steps(big_c: complex, big_s: complex) -> list[SL2]:
 # ---------------------------------------------------------------------------
 # normal-form subroutines
 
-def normalize_null(s: PauliQuartet, tol: float = ZERO_TOL) -> SL2:
-    """Witness carrying a nonzero null symmetric tensor onto the
-    tau0+tau1 ray.
+def _symmetric_matrix(v) -> np.ndarray:
+    """The 2x2 matrix v0 tau0 + v1 tau1 + v2 tau2."""
+    v0, v1, v2 = np.asarray(v, dtype=complex)
+    return np.array([[v0 + v1, v2], [v2, v0 - v1]])
+
+
+def normalize_null(v, tol: float = ZERO_TOL) -> SL2:
+    """Witness carrying a nonzero null symmetric tensor, given by its
+    coefficients (v0, v1, v2), onto the tau0+tau1 ray.
 
     The recomposed 2x2 matrix of a null tensor is rank one and symmetric,
     M = c w w^T.  Completing w to a unimodular column basis N and acting
     with N^{-T} sends M to a multiple of e0 e0^T = (tau0+tau1)/2.
     """
-    m = PauliQuartet(s.v0, s.v1, s.v2, 0.0).matrix()
+    m = _symmetric_matrix(v)
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(s.v_array(), s.v_array())) > tol * scale ** 2:
+    if abs(minkowski_vec(v, v)) > tol * scale ** 2:
         raise ValueError("input is not null")
     i = 0 if abs(m[0, 0]) >= abs(m[1, 1]) else 1
     if abs(m[i, i]) <= 1e-14 * scale:
@@ -220,19 +220,20 @@ def normalize_null(s: PauliQuartet, tol: float = ZERO_TOL) -> SL2:
     return SL2(gamma)
 
 
-def normalize_nonnull(s: PauliQuartet, tol: float = ZERO_TOL) -> SL2:
-    """Witness carrying a non-null symmetric tensor onto the tau2 ray.
+def normalize_nonnull(v, tol: float = ZERO_TOL) -> SL2:
+    """Witness carrying a non-null symmetric tensor, given by its
+    coefficients (v0, v1, v2), onto the tau2 ray.
 
     The associated quadratic form x^T M x factors over C into two
     independent linear forms; the matrix of their zero directions,
     rescaled to unit determinant, has zero diagonal in the transformed
     tensor, i.e. the image is proportional to tau2.
     """
-    m = PauliQuartet(s.v0, s.v1, s.v2, 0.0).matrix()
+    m = _symmetric_matrix(v)
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(s.v_array(), s.v_array())) <= tol * scale ** 2:
+    if abs(minkowski_vec(v, v)) <= tol * scale ** 2:
         raise ValueError("input is null")
     a, b, c = m[0, 0], m[0, 1], m[1, 1]
     if max(abs(a), abs(c)) <= 1e-14 * scale:
@@ -302,15 +303,12 @@ class _Pipeline:
     """Mutable state while reducing: coefficient rows plus the witness."""
 
     def __init__(self, space: CSpace):
-        self.rows = space.coefficient_matrix().copy()
+        self.rows = space.coefficient_matrix()
         self.gamma = SL2.identity()
 
     def apply(self, g: SL2) -> None:
         self.gamma = self.gamma @ g
-        if self.rows.shape[0]:
-            self.rows = np.array(
-                [sl2_act(g, quartet_from_array(r)).as_array()
-                 for r in self.rows])
+        self.rows = self.rows @ _action_matrix(g)
 
     def apply_all(self, steps) -> None:
         for g in steps:
@@ -375,10 +373,9 @@ def classify(space: CSpace, *, tol: float = ZERO_TOL) -> ClassificationResult:
 def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool,
                    tol: float):
     """s: unit vector spanning the (rank-one) symmetric row space."""
-    sq = quartet_from_array(np.concatenate([s, [0.0]]))
     is_null = abs(minkowski_vec(s, s)) <= tol * float(np.vdot(s, s).real)
     if is_null:
-        pipe.apply(normalize_null(sq, tol))
+        pipe.apply(normalize_null(s, tol))
         if sigma_in:
             return CanonicalForm(CaseId.NULL_LINE_SIGMA)
         row = pipe.rows[0]
@@ -388,7 +385,7 @@ def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool,
             return CanonicalForm(CaseId.NULL_LINE)
         pipe.apply(_scale(np.sqrt(mu)))
         return CanonicalForm(CaseId.NULL_LINE_TILTED)
-    pipe.apply(normalize_nonnull(sq, tol))
+    pipe.apply(normalize_nonnull(s, tol))
     if sigma_in:
         return CanonicalForm(CaseId.NONNULL_LINE_SIGMA)
     row = pipe.rows[0]
@@ -403,13 +400,12 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
                     tol: float):
     """vp: two rows spanning the (rank-two) symmetric row space."""
     w_dir = normal_complement(vp)
-    wq = quartet_from_array(np.concatenate([w_dir, [0.0]]))
     w_null = abs(minkowski_vec(w_dir, w_dir)) \
         <= tol * float(np.vdot(w_dir, w_dir).real)
 
     if not w_null:
         # symmetric part equivalent to span{tau0, tau2}
-        pipe.apply(normalize_nonnull(wq, tol))
+        pipe.apply(normalize_nonnull(w_dir, tol))
         pipe.apply(_R_T2_TO_T1)
         if sigma_in:
             raise UncataloguedSpaceError(
@@ -441,7 +437,7 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
         return CanonicalForm(CaseId.REGULAR_PLANE, mu)
 
     # null complement: symmetric part equivalent to span{tau0+tau1, tau2}
-    pipe.apply(normalize_null(wq, tol))
+    pipe.apply(normalize_null(w_dir, tol))
     if sigma_in:
         return CanonicalForm(CaseId.DEGENERATE_PLANE_SIGMA)
     targets = np.array([[1, 1, 0], [0, 0, 1]], dtype=complex)
@@ -468,15 +464,17 @@ def _classify_full(pipe: _Pipeline, sigma_in: bool, tol: float):
     wnorm = float(np.linalg.norm(w))
     if wnorm <= tol:
         return CanonicalForm(CaseId.FULL_SYMMETRIC, 0.0)
-    wq = quartet_from_array(np.concatenate([w, [0.0]]))
     if abs(minkowski_vec(w, w)) <= tol * wnorm ** 2:
-        pipe.apply(normalize_null(wq, tol))
+        pipe.apply(normalize_null(w, tol))
         pipe.apply(_SWAP)
         w2 = _solve_w(pipe.rows)
         c = (w2[0] - w2[1]) / 2.0  # coefficient on the v0 - v1 ray
-        pipe.apply(_scale(np.sqrt(-c)))
+        # c is 1/2 up to rounding (w lands on (tau0+tau1)/2, then _SWAP):
+        # sqrt(-c) would sit on the branch cut and let rounding pick the
+        # sign of gamma; i sqrt(c) is the same action with a fixed sign.
+        pipe.apply(_scale(1j * np.sqrt(c)))
         return CanonicalForm(CaseId.FULL_SYMMETRIC_TILTED)
-    pipe.apply(normalize_nonnull(wq, tol))
+    pipe.apply(normalize_nonnull(w, tol))
     mu = _solve_w(pipe.rows)[2]
     if _needs_sign_flip(mu):
         pipe.apply(_FLIP)

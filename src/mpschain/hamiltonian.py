@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import CSpace, quartet_from_matrix
+from .pauli import _FROM_FLAT, CSpace
 
 # Relative tolerance for Hermiticity of inputs and outputs.
 HERMITICITY_TOL = 1e-12
@@ -128,11 +128,9 @@ class FamilyParams:
             g3 = complex(self.g3)
             if g1 < 0.0 or g2 < 0.0:
                 raise ParameterError("g1 and g2 must be nonnegative")
-            det = g1 * g2 - abs(g3) ** 2
-            if det < -PSD_TOL * max(1.0, g1 * g2, abs(g3) ** 2):
-                raise ParameterError(
-                    "weight matrix [[g1, g3], [conj(g3), g2]] is not "
-                    "positive semidefinite")
+            _check_hermitian_psd(
+                np.array([[g1, g3], [np.conj(g3), g2]]),
+                "weight matrix [[g1, g3], [conj(g3), g2]]", ParameterError)
             object.__setattr__(self, "g1", g1)
             object.__setattr__(self, "g2", g2)
             object.__setattr__(self, "g3", g3)
@@ -255,8 +253,7 @@ def family_espace(params: FamilyParams):
 
 def family_space(params: FamilyParams) -> CSpace:
     """The constraint subspace of a family, in quartet coordinates."""
-    rows, _ = family_espace(params)
-    return CSpace([quartet_from_matrix(r.reshape(2, 2)) for r in rows])
+    return CSpace(family_espace(params)[0] @ _FROM_FLAT)
 
 
 def build_family(params: FamilyParams) -> LocalHamiltonian:
@@ -309,16 +306,3 @@ def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
     total = np.zeros((dim, dim), dtype=complex)
     total[rows, cols] = vals
     return FullHamiltonian(n_sites=n_sites, matrix=total)
-
-
-def conjugate_local(local: LocalHamiltonian, g) -> LocalHamiltonian:
-    """Congruence transform (g x g)^dagger h (g x g).
-
-    This is how a pair energy responds when every constraint row is pushed
-    through the unimodular action; positivity and the kernel dimension
-    survive, the spectrum only for unitary g.
-    """
-    gg = np.kron(g.matrix, g.matrix)
-    h = gg.conj().T @ local.matrix @ gg
-    h = (h + h.conj().T) / 2.0
-    return LocalHamiltonian(h)

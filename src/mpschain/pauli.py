@@ -5,16 +5,19 @@ A rank-2 tensor C on C^2 x C^2 is stored as the coefficient quartet
 three basis matrices are symmetric, sigma is antisymmetric, and the change
 of basis is rational, so it is done in closed form rather than by a solve.
 
-The module also provides the unimodular group action Op_g C = g^T C g,
+A list of k tensors is a (k, 4) array of such rows; that array is the
+working format of this module and of the classifier.  The unimodular group
+action Op_g C = g^T C g is one fixed linear map on it: rows @ M(g), where
+M(g) is g x g written in quartet coordinates.  The module also provides
 the signature (-,+,+) bilinear product on the symmetric coefficients, the
 invariant trace pairing, and a canonicalized subspace container (CSpace)
-used by the classifier.
+that stores its reduced rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +34,13 @@ SIGMA = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 # Metric of the bilinear product on (v0, v1, v2).
 MINKOWSKI_METRIC = np.diag([-1.0, 1.0, 1.0]).astype(complex)
+
+# Quartet rows to flat entries (C00, C01, C10, C11): flat = q @ _TO_FLAT.
+# The rows are orthogonal with squared norm 2, so the inverse is the
+# transpose over two, and both maps are exact.
+_TO_FLAT = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                     [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
+_FROM_FLAT = _TO_FLAT.T / 2.0
 
 
 class LinearDependenceError(ValueError):
@@ -66,10 +76,6 @@ class PauliQuartet:
     def as_array(self) -> np.ndarray:
         """Coefficients as a length-4 complex vector (v0, v1, v2, u)."""
         return np.array([self.v0, self.v1, self.v2, self.u], dtype=complex)
-
-    def v_array(self) -> np.ndarray:
-        """Symmetric part (v0, v1, v2) only."""
-        return np.array([self.v0, self.v1, self.v2], dtype=complex)
 
     def matrix(self) -> np.ndarray:
         """Recompose the 2x2 matrix v^i tau_i + u sigma."""
@@ -178,43 +184,56 @@ class SL2:
         return SL2(self.matrix @ other.matrix)
 
 
-def sl2_act(g: SL2, c: PauliQuartet) -> PauliQuartet:
-    """Push a tensor through the unimodular action: quartet of g^T C g.
+def _action_matrix(g: SL2) -> np.ndarray:
+    """The 4x4 map M(g) with rows @ M(g) the quartet rows of g^T C g.
 
-    The u component is untouched (the antisymmetric part scales with the
-    determinant, which is one).
+    flat(g^T C g) = flat(C) (g x g), taken into quartet coordinates.  The
+    antisymmetric part scales with det g = 1, so the u row and column are
+    set to e3: u passes through bit-exact and never leaks into v.
     """
-    out = quartet_from_matrix(g.matrix.T @ c.matrix() @ g.matrix)
-    # restore exact invariance of u against rounding
-    return PauliQuartet(out.v0, out.v1, out.v2, c.u)
+    m = _TO_FLAT @ np.kron(g.matrix, g.matrix) @ _FROM_FLAT
+    m[3] = m[:, 3] = (0, 0, 0, 1)
+    return m
+
+
+def sl2_act(g: SL2, c: PauliQuartet) -> PauliQuartet:
+    """Push a tensor through the unimodular action: quartet of g^T C g,
+    with u kept exactly."""
+    return quartet_from_array(c.as_array() @ _action_matrix(g))
 
 
 class CSpace:
     """A subspace of the tau/sigma coefficient space, given by a basis.
 
-    The basis is independence-checked and canonicalized on construction by
+    The basis (quartets, or length-4 coefficient rows such as a (k, 4)
+    array) is independence-checked and canonicalized on construction by
     row reduction (columns scanned left to right, partial pivoting on row
     magnitude), so that two equal spans produce the same stored basis up
     to rounding.
     """
 
-    def __init__(self, basis: Iterable[PauliQuartet],
+    def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray,
                  rank_tol: float = DEFAULT_RANK_TOL):
-        rows = [q if isinstance(q, PauliQuartet) else quartet_from_array(q)
-                for q in basis]
+        coeff = np.array([q.as_array() if isinstance(q, PauliQuartet) else q
+                          for q in basis] or np.zeros((0, 4)), dtype=complex)
+        if coeff.ndim != 2 or coeff.shape[1] != 4:
+            raise ValueError("expected rows of 4 coefficients")
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError("non-finite complex value")
         self.rank_tol = float(rank_tol)
-        if len(rows) > 4:
+        if coeff.shape[0] > 4:
             raise LinearDependenceError("more than 4 basis vectors")
-        if rows:
-            coeff = np.array([r.as_array() for r in rows])
+        if coeff.shape[0]:
             self._check_independence(coeff)
             reduced = _row_reduce(coeff, self.rank_tol)
-            if reduced.shape[0] != len(rows):
+            if reduced.shape[0] != coeff.shape[0]:
                 # row reduction lost a vector the SVD band check let through
                 raise LinearDependenceError("basis is not independent")
-            self.basis = tuple(quartet_from_array(r) for r in reduced)
         else:
-            self.basis = ()
+            reduced = coeff
+        reduced.flags.writeable = False
+        self._rows = reduced
+        self.basis = tuple(quartet_from_array(r) for r in reduced)
 
     def _check_independence(self, coeff: np.ndarray) -> None:
         s = np.linalg.svd(coeff, compute_uv=False)
@@ -235,10 +254,8 @@ class CSpace:
         return len(self.basis)
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Basis rows as an (dim x 4) complex array."""
-        if not self.basis:
-            return np.zeros((0, 4), dtype=complex)
-        return np.array([q.as_array() for q in self.basis])
+        """Basis rows as a read-only (dim x 4) complex array."""
+        return self._rows
 
     def contains(self, q: PauliQuartet, tol: float = 1e-8) -> bool:
         vec = q.as_array()
@@ -279,7 +296,7 @@ def _row_reduce(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def sl2_act_space(g: SL2, space: CSpace) -> CSpace:
     """Image of a subspace under the action; re-checked and canonicalized."""
-    return CSpace([sl2_act(g, q) for q in space.basis],
+    return CSpace(space.coefficient_matrix() @ _action_matrix(g),
                   rank_tol=space.rank_tol)
 
 

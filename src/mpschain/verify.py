@@ -24,7 +24,7 @@ from .classify import CanonicalForm, canonical_space
 from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
                           FamilyParams, build_family, chain_entries,
                           local_from_espace)
-from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
+from .pauli import _TO_FLAT, SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import ground_state_catalogue, transform_state
 
 # Eigenvalues at or below KERNEL_TOL times the spectral scale count as
@@ -318,7 +318,7 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     space = canonical_space(form)
     if not space.basis:
         raise ValueError("the empty space has no constraints to report on")
-    rows = np.array([q.flat() for q in space.basis])
+    rows = space.coefficient_matrix() @ _TO_FLAT
     if lam is None:
         lam = np.eye(rows.shape[0])
     sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)

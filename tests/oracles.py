@@ -9,17 +9,23 @@ route the library does not take, so agreement is evidence.
 - kron_chain: the open chain sum_i 1 x ... x h_{i,i+1} x ... x 1 by
   explicit Kronecker products instead of basis-index bit arithmetic.
 - check_zero_member: the dense residual |H psi| / (|psi| max(1, |H|_F)).
+- conjugate_local: the congruence (g x g)^dagger h (g x g) by an explicit
+  Kronecker product, instead of pushing the constraint rows through g.
 - covariance_check: that residual for a site-wise transformed state
   against the congruence-transformed chain.
-- random_sl2: seeded draws of unit-determinant 2x2 matrices.
+- quartet_action: the unimodular action by recomposing the 2x2 matrix,
+  multiplying out g^T C g and decomposing it again, instead of the 4x4
+  map on coefficient rows.
+- random_sl2, sl2_with_condition: seeded draws of unit-determinant 2x2
+  matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mpschain.hamiltonian import FamilyId, FamilyParams
-from mpschain.pauli import SL2
+from mpschain.hamiltonian import FamilyId, FamilyParams, LocalHamiltonian
+from mpschain.pauli import SL2, PauliQuartet, quartet_from_matrix
 from mpschain.states import StateVector, transform_state
 
 _I2 = np.eye(2, dtype=complex)
@@ -180,6 +186,18 @@ def check_zero_member(chain: np.ndarray, psi: StateVector) -> float:
     return float(np.linalg.norm(chain @ psi.amplitudes) / (norm * hnorm))
 
 
+def conjugate_local(local: LocalHamiltonian, g: SL2) -> LocalHamiltonian:
+    """Congruence transform (g x g)^dagger h (g x g).
+
+    This is how a pair energy responds when every constraint row is pushed
+    through the unimodular action; positivity and the kernel dimension
+    survive, the spectrum only for unitary g.
+    """
+    gg = np.kron(g.matrix, g.matrix)
+    h = gg.conj().T @ local.matrix @ gg
+    return LocalHamiltonian((h + h.conj().T) / 2.0)
+
+
 def covariance_check(h: np.ndarray, psi: StateVector, g: SL2,
                      n_sites: int) -> float:
     """Residual of the transformed state against the conjugated chain.
@@ -210,3 +228,16 @@ def random_sl2(rng: np.random.Generator, max_cond: float | None = None) -> SL2:
         s = np.linalg.svd(g.matrix, compute_uv=False)
         if s[0] / s[-1] <= max_cond:
             return g
+
+
+def sl2_with_condition(rng: np.random.Generator, cond: float) -> SL2:
+    """Draw u diag(s, 1/s) v, u and v unitary, with condition s^2 = cond."""
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    s = np.sqrt(cond)
+    return SL2.unit_normalized(u @ np.diag([s, 1.0 / s]) @ v)
+
+
+def quartet_action(g: SL2, q: PauliQuartet) -> PauliQuartet:
+    """Quartet of g^T C g, by way of the recomposed 2x2 matrix."""
+    return quartet_from_matrix(g.matrix.T @ q.matrix() @ g.matrix)

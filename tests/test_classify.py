@@ -141,14 +141,14 @@ def test_normalize_null_postcondition():
         # null vectors satisfy v0^2 = v1^2 + v2^2
         v = np.array([np.sqrt(a[0] ** 2 + a[1] ** 2), a[0], a[1]])
         q = quartet_from_array(np.concatenate([v, [0.0]]))
-        g = normalize_null(q)
+        g = normalize_null(v)
         img = sl2_act(g, q)
         arr = img.as_array()
         assert abs(arr[0] - arr[1]) <= 1e-9 * max(1.0, abs(arr[0]))
         assert abs(arr[2]) <= 1e-9 * max(1.0, abs(arr[0]))
         assert abs(arr[0]) > 1e-6  # lands on the ray, not at zero
     with pytest.raises(ValueError):
-        normalize_null(T2)  # not null
+        normalize_null([0, 0, 1])  # tau2 is not null
 
 
 def test_normalize_nonnull_postcondition():
@@ -160,17 +160,17 @@ def test_normalize_nonnull_postcondition():
             continue
         count += 1
         q = quartet_from_array(np.concatenate([v, [0.0]]))
-        g = normalize_nonnull(q)
+        g = normalize_nonnull(v)
         img = sl2_act(g, q)
         arr = img.as_array()
         assert abs(arr[0]) <= 1e-9 * abs(arr[2])
         assert abs(arr[1]) <= 1e-9 * abs(arr[2])
     with pytest.raises(ValueError):
-        normalize_nonnull(T0 + T1)  # null
+        normalize_nonnull([1, 1, 0])  # tau0 + tau1 is null
 
 
 def test_normalize_nonnull_diagonal_free_input():
-    g = normalize_nonnull(T2)
+    g = normalize_nonnull([0, 0, 1])
     img = sl2_act(g, T2)
     assert_allclose(img.as_array(), T2.as_array(), atol=1e-14)
 
@@ -218,3 +218,18 @@ def test_witness_has_unit_determinant():
             continue
         det = np.linalg.det(res.gamma.matrix)
         assert det == pytest.approx(1.0, abs=1e-10)
+
+
+def test_witness_ignores_the_last_bits_of_the_input():
+    # scaling the rows by 1 + 2^-50 moves the input by rounding only, so
+    # the witness must not move more, not even by an overall sign
+    rng = np.random.default_rng(25)
+    for case_id, _, basis in CANONICAL_INPUTS:
+        if not basis:
+            continue
+        for _ in range(50):
+            rows = sl2_act_space(random_sl2(rng, max_cond=20.0),
+                                 CSpace(basis)).coefficient_matrix()
+            first = classify(CSpace(rows)).gamma.matrix
+            again = classify(CSpace(rows * (1.0 + 2.0 ** -50))).gamma.matrix
+            assert_allclose(again, first, atol=1e-9, err_msg=case_id.value)

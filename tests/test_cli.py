@@ -76,6 +76,21 @@ def test_classify_exit_codes():
     assert proc.returncode == 2
 
 
+def test_classify_refuses_nan_coefficients():
+    proc = run_cli("classify", "--space", "-", stdin_text=(
+        '{"basis": [{"v0": NaN, "v1": 0, "v2": 0, "u": 0}]}'))
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite complex value" in proc.stderr
+
+
+def test_verify_refuses_a_small_indefinite_weight():
+    proc = run_cli("verify", "--family", "antialigned", "--params",
+                   '{"g1": 1e-6, "g2": 1e-6, "g3": 1.4e-6}', "--n-sites", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert ("error: weight matrix [[g1, g3], [conj(g3), g2]] is not "
+            "positive semidefinite") in proc.stderr
+
+
 def test_build_h_json_matches_library():
     proc = run_cli("build-h", "--family", "exchange", "--params",
                    EXCHANGE_M2, "--n-sites", "2")

@@ -3,15 +3,18 @@ chain embedding."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
                                   LocalHamiltonian, ParameterError,
-                                  build_family, conjugate_local, family_space,
+                                  build_family, family_espace, family_space,
                                   full_chain, local_from_espace, max_sites,
                                   params_from_mapping)
-from mpschain.pauli import PauliQuartet
-from oracles import kron_chain, operator_sum, random_sl2
+from mpschain.pauli import (CSpace, PauliQuartet, quartet_from_matrix,
+                            sl2_act_space, span_equal)
+from oracles import (conjugate_local, kron_chain, operator_sum, random_sl2,
+                     sl2_with_condition)
 
 
 def _random_params(family, rng):
@@ -106,6 +109,13 @@ def test_param_validation():
                                             "g3": 0.0, "bogus": 1.0})
     p = params_from_mapping("hardcore", {"g": 2.0})
     assert p.family is FamilyId.HARDCORE and p.g == 2.0
+
+
+def test_small_indefinite_weight_is_refused():
+    # eigenvalues -4e-7 and 2.4e-6: indefinite, however small the entries
+    with pytest.raises(ParameterError, match=r"weight matrix \[\[g1, g3\], "
+                       r"\[conj\(g3\), g2\]\] is not positive semidefinite"):
+        FamilyParams(FamilyId.ANTIALIGNED, g1=1e-6, g2=1e-6, g3=1.4e-6)
 
 
 def test_psd_boundary_accepted():
@@ -206,3 +216,25 @@ def test_family_space_links_to_quartets():
     assert sp.contains(PauliQuartet(0, 0, 0, 1))
     p = FamilyParams(FamilyId.PINNED, lambda3=np.eye(3))
     assert family_space(p).dim == 3
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, 3.0))
+def test_row_action_is_the_pair_congruence(family, seed, log_cond):
+    # pushing every constraint row through g (R -> R (g x g)) is the
+    # congruence (g x g)^dagger h (g x g) of the pair energy, and in
+    # quartet coordinates it is the unimodular action on the space
+    rng = np.random.default_rng(seed)
+    params = _random_params(family, rng)
+    g = sl2_with_condition(rng, 10.0 ** log_cond)
+    rows, lam = family_espace(params)
+    moved_rows = rows @ np.kron(g.matrix, g.matrix)
+    want = conjugate_local(local_from_espace(rows, lam), g).matrix
+    got = local_from_espace(moved_rows, lam).matrix
+    scale = np.linalg.norm(g.matrix, 2) ** 4 * max(
+        1.0, float(np.max(np.abs(build_family(params).matrix))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    moved_space = CSpace([quartet_from_matrix(r.reshape(2, 2))
+                          for r in moved_rows])
+    assert span_equal(sl2_act_space(g, family_space(params)), moved_space)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
@@ -9,7 +10,7 @@ from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
                             minkowski, minkowski_vec, quartet_from_array,
                             quartet_from_matrix, sl2_act, sl2_act_space,
                             span_equal, trace_form)
-from oracles import random_sl2
+from oracles import quartet_action, random_sl2, sl2_with_condition
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -202,3 +203,71 @@ def test_random_sl2_properties():
         assert det == pytest.approx(1.0, abs=1e-10)
         s = np.linalg.svd(g.matrix, compute_uv=False)
         assert s[0] / s[-1] <= 20.0
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# condition numbers of g from 1 to 1e3, log-uniform
+LOG_CONDS = st.floats(0.0, 3.0)
+COEFFS = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                            allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=SEEDS, log_cond=LOG_CONDS,
+       q=st.tuples(COEFFS, COEFFS, COEFFS, COEFFS).map(
+           lambda c: PauliQuartet(*c)))
+def test_action_matches_recomposition(seed, log_cond, q):
+    g = sl2_with_condition(np.random.default_rng(seed), 10.0 ** log_cond)
+    got = sl2_act(g, q)
+    want = quartet_action(g, q)
+    # rounding grows with |g|^2 |C|; for det g = 1, |g|_2^2 is cond(g)
+    scale = np.linalg.norm(g.matrix, 2) ** 2 * max(
+        1.0, float(np.linalg.norm(q.as_array())))
+    assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-12 * scale
+    assert got.u == q.u
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=SEEDS, log_cond=LOG_CONDS, dim=st.integers(1, 4))
+def test_space_action_matches_recomposition(seed, log_cond, dim):
+    rng = np.random.default_rng(seed)
+    g = sl2_with_condition(rng, 10.0 ** log_cond)
+    space = CSpace(rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4)))
+    image = sl2_act_space(g, space)
+    oracle = CSpace([quartet_action(g, q) for q in space.basis])
+    got, want = image.coefficient_matrix(), oracle.coefficient_matrix()
+    scale = np.linalg.norm(g.matrix, 2) ** 2 * max(
+        1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_cspace_from_rows_matches_quartets():
+    rng = np.random.default_rng(16)
+    for dim in range(5):
+        rows = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        a = CSpace(rows)
+        b = CSpace([quartet_from_array(r) for r in rows])
+        assert a.coefficient_matrix().shape == (dim, 4)
+        assert a.coefficient_matrix().tobytes() == \
+            b.coefficient_matrix().tobytes()
+        assert a.basis == b.basis
+        assert all(isinstance(q, PauliQuartet) for q in a.basis)
+    with pytest.raises(ValueError, match="expected rows of 4 coefficients"):
+        CSpace(np.ones((2, 3)))
+
+
+def test_cspace_rows_are_read_only():
+    sp = CSpace([T0, T2 + 0.3 * SG])
+    rows = sp.coefficient_matrix()
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 5.0
+    assert not CSpace([]).coefficient_matrix().flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_cspace_refuses_non_finite_rows(bad):
+    rows = np.eye(4, dtype=complex)[:2]
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite complex value"):
+        CSpace(rows)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mpschain.classify import CanonicalForm, CaseId
 from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
-                                  chain_entries, conjugate_local)
+                                  chain_entries)
 from mpschain.pauli import SL2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
@@ -20,8 +20,8 @@ from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
                              _spectrum_report, family_report,
                              no_mps_case_report, spectrum, stacked_state_rank,
                              symmetry_frame)
-from oracles import (check_zero_member, covariance_check, kron_chain,
-                     operator_sum, random_sl2)
+from oracles import (check_zero_member, conjugate_local, covariance_check,
+                     kron_chain, operator_sum, random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
