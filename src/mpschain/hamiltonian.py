@@ -271,8 +271,8 @@ def chain_entries(local: LocalHamiltonian, n_sites: int):
     Returns (rows, cols, values), sorted by row then column, with
     duplicate positions summed and exact zeros dropped.  The pair on bond
     i of basis index x is (x >> (n-2-i)) & 3, and each nonzero h[a, b]
-    links every x whose pair is a to the same x with pair b.  Bonds are
-    summed in order, as a dense accumulation would.
+    links every x whose pair is a, in ascending order, to the same x with
+    pair b.  Bonds are summed in order, as a dense accumulation would.
     """
     limit = max_sites()
     if not 2 <= n_sites <= limit:
@@ -282,16 +282,30 @@ def chain_entries(local: LocalHamiltonian, n_sites: int):
     h = local.matrix
     a, b = np.nonzero(h)
     flip, hab = a ^ b, h[a, b]
-    x = np.arange(dim)
     rows, cols, vals = [], [], []
     for shift in range(n_sites - 2, -1, -1):
-        entry, xs = np.nonzero(((x >> shift) & 3) == a[:, None])
+        # every index with pair 0 on this bond, ascending
+        base = ((np.arange(dim >> (shift + 2))[:, None] << (shift + 2))
+                | np.arange(1 << shift)).ravel()
+        xs = (base | (a[:, None] << shift)).ravel()
         rows.append(xs)
-        cols.append(xs ^ (flip[entry] << shift))
-        vals.append(hab[entry])
-    keys, slot = np.unique(np.concatenate(rows) * dim + np.concatenate(cols),
-                           return_inverse=True)
-    vals = np.concatenate(vals)
+        cols.append(xs ^ np.repeat(flip << shift, base.size))
+        vals.append(np.repeat(hab, base.size))
+    return _summed_entries(dim, np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate(vals))
+
+
+def _summed_entries(dim: int, rows, cols, vals):
+    """The entries (rows, cols, vals) of a dim x dim matrix sorted by row
+    then column, with duplicate positions summed in the order given and
+    exact zeros dropped."""
+    keys = rows * dim + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
     total = (np.bincount(slot, weights=vals.real, minlength=keys.size)
              + 1j * np.bincount(slot, weights=vals.imag, minlength=keys.size))
     keep = total != 0

@@ -82,11 +82,6 @@ class PauliQuartet:
         return (self.v0 * TAU0 + self.v1 * TAU1
                 + self.v2 * TAU2 + self.u * SIGMA)
 
-    def flat(self) -> np.ndarray:
-        """Entries (C00, C01, C10, C11) as a covector on the pair basis."""
-        m = self.matrix()
-        return np.array([m[0, 0], m[0, 1], m[1, 0], m[1, 1]], dtype=complex)
-
     def __add__(self, other: "PauliQuartet") -> "PauliQuartet":
         return PauliQuartet(self.v0 + other.v0, self.v1 + other.v1,
                             self.v2 + other.v2, self.u + other.u)

@@ -10,8 +10,12 @@ bond term keeps the number or parity of ones onto z, and makes the bond
 term real where a site phase can.  A unitary frame leaves the spectrum
 unchanged, and it lets a hidden local symmetry split the chain; the
 chain is built from exactly the framed bond term the frame was scored
-on.  The checks stay unambiguous: a state either sits in the numerical
-kernel of the chain or it does not.
+on.  Where no axis keeps either, the frame instead brings the axis of a
+reversal symmetry T = reverse o v^{x n} (v a pi rotation) onto z.  When
+the framed chain commutes with site reversal times a diagonal site sign,
+each sector splits further into T's even and odd states.  The checks
+stay unambiguous: a state either sits in the numerical kernel of the
+chain or it does not.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import numpy as np
 
 from .classify import CanonicalForm, canonical_space
 from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
-                          FamilyParams, build_family, chain_entries,
-                          local_from_espace)
+                          FamilyParams, _summed_entries, build_family,
+                          chain_entries, local_from_espace)
 from .pauli import _TO_FLAT, SIGMA, SL2, TAU0, TAU1, TAU2
-from .states import ground_state_catalogue, transform_state
+from .states import ground_state_catalogue
 
 # Eigenvalues at or below KERNEL_TOL times the spectral scale count as
 # kernel members.
@@ -43,6 +47,11 @@ MEMBER_TOL = 1e-9
 _PAULI = np.array([TAU0, TAU2, -1j * SIGMA, TAU1])
 _PAIR_PAULI = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 _PAIR_ONES = np.array([0, 1, 1, 2])
+
+# The pair states in the order the site swap gives them, and the sign
+# Z x Z gives each.
+_SWAPPED = np.array([0, 2, 1, 3])
+_PAIR_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,24 @@ def _axis_frame(axis: np.ndarray) -> np.ndarray:
                      [phase * np.sin(half), np.cos(half)]])
 
 
+def _reversal_sign(h: np.ndarray) -> int | None:
+    """d in (1, -1) for which the chain of h is symmetric under site
+    reversal times diag(1, d) on every site, or None if neither is.
+
+    Reversal swaps the two sites of every bond, so the condition is
+    (v x v) SWAP h SWAP (v x v) = h with v = diag(1, d), every real and
+    imaginary part compared to the snapping cut HERMITICITY_TOL * max|h|.
+    """
+    cut = HERMITICITY_TOL * np.max(np.abs(h))
+    swapped = h[np.ix_(_SWAPPED, _SWAPPED)]
+    for d, moved in ((1, swapped),
+                     (-1, swapped * np.outer(_PAIR_SIGN, _PAIR_SIGN))):
+        diff = moved - h
+        if max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))) <= cut:
+            return d
+    return None
+
+
 def symmetry_frame(local: LocalHamiltonian) -> SL2:
     """One-site unitary frame u in which the chain splits best.
 
@@ -155,15 +182,30 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     direction of a one-site field c[0, 1:] or c[1:, 0].  Each candidate
     axis is rotated onto z, and the frame whose rotated h keeps the most
     wins: number beats parity, parity beats nothing, and the identity
-    stays unless another frame is strictly better.  Then, if a site phase
-    diag(1, e^{i theta}) makes the rotated h real, it is folded in; theta
-    is read off the largest entry that changes the number.
+    stays unless another frame is strictly better.
+
+    Where no axis keeps either, the frame looks for a reversal symmetry
+    T = reverse o v^{x n}, v = m . sigma a pi rotation about a unit axis
+    m.  v turns Pauli vectors by R = 2 m m^T - 1 and reversal swaps the
+    sites, so T commutes with the chain exactly when R K^T R = K and R
+    swaps the fields c[1:, 0] and c[0, 1:]: m lies along their sum and is
+    an eigenvector of (K + K^T) / 2.  Unless T with v = 1 or Z already
+    holds, the first such candidate m for which it holds once m is
+    rotated onto z gives the frame.  An axis that keeps the number or
+    parity is never given up for T.
+
+    Then, if a site phase diag(1, e^{i theta}) makes the rotated h real,
+    it is folded in; theta is read off the largest entry that changes the
+    number.  A phase commutes with Z, so it keeps T.
 
     A unitary frame leaves the chain spectrum unchanged.  Entries are
     compared after snapping to zero every real or imaginary part at or
     below HERMITICITY_TOL * max|h|, which removes the rotation's rounding
     residue; a bond term whose snapped mass is `dropped` shifts every
-    chain eigenvalue by at most (n - 1) * |dropped|_2.
+    chain eigenvalue by at most (n - 1) * |dropped|_2.  Likewise T is
+    accepted when h' and T h' T differ by no more than that cut in any
+    part, so the even and odd blocks shift every eigenvalue by at most
+    (n - 1) * |h' - T h' T|_2.
     """
     h = local.matrix
     frame = np.eye(2, dtype=complex)
@@ -184,6 +226,15 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
             if score > best:
                 best, frame = score, u
                 if best == 2:
+                    break
+        if best == 0 and _reversal_sign(h) is None:
+            k_sym, field = (k + k.T) / 2.0, c[1:, 0] + c[0, 1:]
+            for axis in [field, *np.linalg.eigh(k_sym)[1].T]:
+                if np.max(np.abs(axis)) <= cut:
+                    continue
+                u = _axis_frame(axis)
+                if _reversal_sign(_rotated(h, u)) is not None:
+                    frame = u
                     break
     moved = _rotated(h, frame)
     a, b = np.nonzero(moved)
@@ -244,18 +295,63 @@ def spectrum(chain: FullHamiltonian, k: int = 8,
     return _spectrum_report(chain.n_sites, sectors, k, kernel_tol)
 
 
+def _reversal_entries(n_sites: int, sign: int, rows, cols, vals):
+    """Nonzero entries of a chain H in the even and odd states of
+    T = reverse o diag(1, sign)^{x n}, from H's entries (rows, cols, vals)
+    in the basis; T must commute with H.
+
+    T|s> = phi_s |rev s> with phi_s = sign^(ones in s).  The orbit
+    {r, rev r}, r the smaller, gives the normalized states of (1 + T)|r>
+    and (1 - T)|r>, indexed by r and rev r; a palindrome r gives only the
+    one that does not vanish, indexed by r.  As T commutes with H, the
+    entry between the parity-p states of r and s is
+    sqrt(o_r / o_s) (H[r, s] + p phi_s H[r, rev s]), o the orbit sizes
+    and the second term absent for a palindrome s: only rows at orbit
+    representatives are read, and no entry between the parities is made.
+    """
+    dim = 2 ** n_sites
+    x = np.arange(dim)
+    # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
+    rev, ones = np.zeros(1, dtype=x.dtype), np.zeros(1, dtype=x.dtype)
+    for _ in range(n_sites):
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+        ones = np.concatenate((ones, ones + 1))
+    phi = np.where(ones % 2, sign, 1)
+    rep = np.minimum(x, rev)
+    orbit = np.where(rev == x, 1.0, 2.0)
+    at_rep = rows == rep[rows]
+    r, y = rows[at_rep], cols[at_rep]
+    s = rep[y]
+    h = vals[at_rep] * np.sqrt(orbit[r] / orbit[s])
+    parts = []
+    for parity, index in ((1, x), (-1, rev)):
+        live = (orbit == 2) | (phi == parity)
+        keep = live[r] & live[s]
+        turn = np.where(y == s, 1, parity * phi[s])
+        parts.append((index[r[keep]], index[s[keep]], (turn * h)[keep]))
+    return _summed_entries(dim, *(np.concatenate(p) for p in zip(*parts)))
+
+
 def _framed_sectors(local: LocalHamiltonian, n_sites: int):
-    """Sector blocks and nonzero entries of the chain of local, built on
-    the bond term exactly as symmetry_frame scored it in its frame, and
-    the frame (None, with the bond term untouched, when the frame is the
-    identity)."""
+    """Sector blocks of the chain of local, built on the bond term exactly
+    as symmetry_frame scored it in its frame; the chain's nonzero entries
+    (rows, cols, vals) in that frame; and the frame (None, with the bond
+    term untouched, when the frame is the identity).
+
+    When the framed bond term passes _reversal_sign, the blocks are those
+    of the reversal-even and -odd states (_reversal_entries), and their
+    members are the indices those states are given.
+    """
     u = symmetry_frame(local)
     if np.array_equal(u.matrix, np.eye(2)):
         u = None
     else:
         local = LocalHamiltonian(_rotated(local.matrix, u.matrix))
-    rows, cols, vals = chain_entries(local, n_sites)
-    return _sector_blocks(2 ** n_sites, rows, cols, vals), vals, u
+    entries = chain_entries(local, n_sites)
+    sign = _reversal_sign(local.matrix)
+    adapted = (entries if sign is None
+               else _reversal_entries(n_sites, sign, *entries))
+    return _sector_blocks(2 ** n_sites, *adapted), entries, u
 
 
 def family_report(params: FamilyParams, n_sites: int, k: int = 8,
@@ -264,33 +360,31 @@ def family_report(params: FamilyParams, n_sites: int, k: int = 8,
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
     assembling the dense chain.
 
-    The chain is built in the bond term's symmetry frame u; a unitary
-    frame keeps the spectrum, |H|_F and |psi|, and H psi is measured as
-    H' psi' with psi' = transform_state(psi, u).
+    The spectrum comes from the chain built in the bond term's symmetry
+    frame; H psi comes from the chain's entries in the caller's basis,
+    one sparse product for all catalogued states.
     """
-    sectors, vals, u = _framed_sectors(build_family(params), n_sites)
+    local = build_family(params)
+    sectors, entries, u = _framed_sectors(local, n_sites)
     report = _spectrum_report(n_sites, sectors, k, kernel_tol)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:
         return report
-    psi = np.array([(ns.state if u is None
-                     else transform_state(ns.state, u)).amplitudes
-                    for ns in catalogue])
+    rows, cols, vals = entries if u is None else chain_entries(local, n_sites)
+    psi = np.array([ns.state.amplitudes for ns in catalogue])
     norms = np.linalg.norm(psi, axis=1)
     if not np.all(norms):
         raise ValueError("zero vector cannot witness a ground state")
-    if not np.iscomplexobj(sectors[0][1]):
-        # real blocks act on the real and imaginary parts apart, so they
-        # are never cast to complex copies
-        psi = (np.concatenate([psi.real, psi.imag]) if np.any(psi.imag)
-               else psi.real)
-    hpsi_sq = np.zeros(psi.shape[0])
-    for members, blocks in sectors:
-        hpsi = blocks @ psi[:, members].transpose(1, 2, 0)
-        hpsi_sq += np.sum(np.abs(hpsi) ** 2, axis=(0, 1))
-    hpsi_sq = hpsi_sq.reshape(-1, len(catalogue)).sum(axis=0)
     hnorm = max(1.0, float(np.linalg.norm(vals)))
-    residuals = np.sqrt(hpsi_sq) / (norms * hnorm)
+    if not np.any(vals.imag) and not np.any(psi.imag):
+        vals, psi = vals.real, psi.real
+    hpsi = vals * psi[:, cols]
+    # rows are sorted, so each run of one row sums to one entry of H psi;
+    # a chain with one entry per row (a diagonal one) needs no sums
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    if starts.size < rows.size:
+        hpsi = np.add.reduceat(hpsi, starts, axis=1)
+    residuals = np.linalg.norm(hpsi, axis=1) / (norms * hnorm)
     return replace(report, residuals={
         ns.label: float(r) for ns, r in zip(catalogue, residuals)})
 

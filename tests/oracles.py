@@ -18,6 +18,10 @@ route the library does not take, so agreement is evidence.
   map on coefficient rows.
 - random_sl2, sl2_with_condition: seeded draws of unit-determinant 2x2
   matrices.
+
+One helper is shared test plumbing rather than a reference: flat gives
+a quartet's entries (C00, C01, C10, C11) through the library's own
+`_TO_FLAT`, which test_pauli checks against the recomposed matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from mpschain.hamiltonian import FamilyId, FamilyParams, LocalHamiltonian
-from mpschain.pauli import SL2, PauliQuartet, quartet_from_matrix
+from mpschain.pauli import _TO_FLAT, SL2, PauliQuartet, quartet_from_matrix
 from mpschain.states import StateVector, transform_state
 
 _I2 = np.eye(2, dtype=complex)
@@ -241,3 +245,8 @@ def sl2_with_condition(rng: np.random.Generator, cond: float) -> SL2:
 def quartet_action(g: SL2, q: PauliQuartet) -> PauliQuartet:
     """Quartet of g^T C g, by way of the recomposed 2x2 matrix."""
     return quartet_from_matrix(g.matrix.T @ q.matrix() @ g.matrix)
+
+
+def flat(q: PauliQuartet) -> np.ndarray:
+    """Entries (C00, C01, C10, C11) of q's 2x2 matrix, row-major."""
+    return q.as_array() @ _TO_FLAT

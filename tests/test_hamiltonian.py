@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
                                   LocalHamiltonian, ParameterError,
-                                  build_family, family_espace, family_space,
-                                  full_chain, local_from_espace, max_sites,
-                                  params_from_mapping)
+                                  build_family, chain_entries, family_espace,
+                                  family_space, full_chain, local_from_espace,
+                                  max_sites, params_from_mapping)
 from mpschain.pauli import (CSpace, PauliQuartet, quartet_from_matrix,
                             sl2_act_space, span_equal)
 from oracles import (conjugate_local, kron_chain, operator_sum, random_sl2,
@@ -143,6 +143,9 @@ def test_full_chain_matches_kron_sum(family):
     for n in range(2, 8):
         assert_allclose(full_chain(h, n).matrix, kron_chain(h.matrix, n),
                         rtol=0, atol=1e-14)
+        # sorted by row then column, each position once
+        rows, cols, _ = chain_entries(h, n)
+        assert np.all(np.diff(rows * 2 ** n + cols) > 0)
 
 
 def test_hardcore_chain_diagonal_rule():

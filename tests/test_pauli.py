@@ -10,7 +10,7 @@ from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
                             minkowski, minkowski_vec, quartet_from_array,
                             quartet_from_matrix, sl2_act, sl2_act_space,
                             span_equal, trace_form)
-from oracles import quartet_action, random_sl2, sl2_with_condition
+from oracles import flat, quartet_action, random_sl2, sl2_with_condition
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -50,8 +50,8 @@ def test_matrix_round_trip():
 def test_flat_is_row_major_entries():
     q = PauliQuartet(1.0, 2.0, 3.0, 4.0)
     # C00 = v0+v1, C01 = v2+u, C10 = v2-u, C11 = v0-v1
-    assert_allclose(q.flat(), [3.0, 7.0, -1.0, -1.0])
-    assert_allclose(q.flat(), q.matrix().ravel())
+    assert_allclose(flat(q), [3.0, 7.0, -1.0, -1.0])
+    assert_allclose(flat(q), q.matrix().ravel())
 
 
 def test_permute_and_projectors():

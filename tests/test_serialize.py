@@ -13,6 +13,7 @@ from mpschain.serialize import (FormatError, decode_complex, decode_matrix,
                                 dumps, encode_complex, encode_matrix,
                                 encode_quartet, encode_space, encode_vector,
                                 format_float, pack_chain, unpack_chain)
+from oracles import flat
 
 
 def test_format_float_round_trips_doubles():
@@ -86,8 +87,8 @@ def test_quartet_and_space_round_trip():
     space = CSpace([PauliQuartet(1, 0, 0, 0), PauliQuartet(0, 0, 1, 0.4)])
     again = decode_space(encode_space(space))
     assert again.dim == 2
-    assert np.array_equal(np.array([r.flat() for r in again.basis]),
-                          np.array([r.flat() for r in space.basis]))
+    assert np.array_equal(np.array([flat(r) for r in again.basis]),
+                          np.array([flat(r) for r in space.basis]))
 
 
 def test_quartet_decode_validates_keys():

@@ -270,18 +270,17 @@ def test_hardcore_singlet_blocks_are_real_in_its_frame():
 def test_framed_chain_is_built_from_the_scored_bond_term():
     rng = np.random.default_rng(965)
     for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
-                  "hardcore-singlet") * 4:
+                  "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
         scored = verify._rotated(local.matrix, symmetry_frame(local).matrix)
-        _, vals, u = _framed_sectors(local, 2)
+        _, (_, _, vals), u = _framed_sectors(local, 2)
         assert u is not None
         assert np.array_equal(vals, scored[np.nonzero(scored)])
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
                                    "antialigned", "hardcore-mixed",
-                                   "hardcore-exchange", "mixed-singlet",
-                                   "pinned"])
+                                   "hardcore-exchange", "pinned"])
 def test_frame_is_the_identity_without_a_hidden_symmetry(label):
     rng = np.random.default_rng(962)
     for _ in range(3):
@@ -289,6 +288,56 @@ def test_frame_is_the_identity_without_a_hidden_symmetry(label):
         assert np.array_equal(symmetry_frame(local).matrix, np.eye(2))
         _, _, u = _framed_sectors(local, 4)
         assert u is None
+
+
+def _reversal_bound(n_sites):
+    """States of one parity of a site reversal: half the orbits that are
+    not palindromes, plus every palindrome."""
+    return (2 ** n_sites + 2 ** ((n_sites + 1) // 2)) // 2
+
+
+REVERSAL_CASES = ["mixed-singlet", "hardcore-mixed", "hardcore-singlet"]
+
+
+@pytest.mark.parametrize("label", REVERSAL_CASES)
+def test_reversal_splits_one_block_families(label):
+    rng = np.random.default_rng(966)
+    for _ in range(3):
+        local = build_family(_seeded_params(label, rng))
+        u = symmetry_frame(local).matrix
+        assert verify._reversal_sign(verify._rotated(local.matrix, u)) == -1
+        for n in range(2, 9):
+            sizes = _framed_sizes(local, n)
+            assert sum(sizes) == 2 ** n
+            assert max(sizes) <= _reversal_bound(n)
+            _assert_matches_dense(_framed_report(local, n),
+                                  *_dense_evals(local, n))
+
+
+@pytest.mark.parametrize("label", ["hardcore-exchange", "pinned"])
+def test_reversal_is_refused_without_the_symmetry(label):
+    rng = np.random.default_rng(967)
+    for _ in range(3):
+        local = build_family(_seeded_params(label, rng))
+        assert verify._reversal_sign(local.matrix) is None
+        for n in range(2, 9):
+            # |1...1> is alone; every other state is one block
+            assert _framed_sizes(local, n) == [1, 2 ** n - 1]
+
+
+def test_reversal_keeps_a_small_symmetry_breaking_term():
+    rng = np.random.default_rng(968)
+    u = _random_special_unitary(rng)
+    mixed = build_family(_seeded_params("mixed-singlet", rng)).matrix
+    # |01><01| alone is not mapped onto itself by the site swap
+    breaking = np.zeros((4, 4))
+    breaking[1, 1] = 1.0
+    local = conjugate_local(LocalHamiltonian(mixed + 1e-6 * breaking), u)
+    for n in range(2, 9):
+        # turned by u, no state is alone any more
+        assert _framed_sizes(local, n) == [2 ** n]
+        _assert_matches_dense(_framed_report(local, n),
+                              *_dense_evals(local, n))
 
 
 @pytest.mark.parametrize("label,sizes", [
@@ -320,6 +369,8 @@ def test_frame_keeps_spectra_of_rotated_families(label, seed, n):
     local = conjugate_local(build_family(_seeded_params(label, rng)),
                             _random_special_unitary(rng))
     _assert_matches_dense(_framed_report(local, n), *_dense_evals(local, n))
+    if label in REVERSAL_CASES:
+        assert max(_framed_sizes(local, n)) <= _reversal_bound(n)
 
 
 def test_frame_keeps_a_small_symmetry_breaking_term():
@@ -350,6 +401,20 @@ def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
     assert rep.kernel_dim == 377
     assert len(rep.residuals) == 377
     assert max(rep.residuals.values()) <= 1e-9
+
+
+def test_mixed_singlet_report_at_10_sites_never_builds_a_full_block():
+    params = _seeded_params("mixed-singlet", np.random.default_rng(969))
+    tracemalloc.start()
+    try:
+        rep = family_report(params, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a complex 1024 x 1024 block alone would take 16 * 4**10 bytes
+    assert peak < 16 * 4 ** 10
+    assert rep.kernel_dim == 2
+    assert rep.residuals["psi1"] == 0.0
 
 
 def test_check_zero_member_rejects_zero_vector():
