@@ -137,8 +137,7 @@ def _rotation(theta: float) -> SL2:
     return SL2(np.array([[c, s], [-s, c]], dtype=complex))
 
 
-# tau1 <-> tau2 exchanges (fix tau0 and the antisymmetric part)
-_R_T1_TO_T2 = _rotation(math.pi / 4.0)
+# tau2 -> tau1 exchange (fixes tau0 and the antisymmetric part)
 _R_T2_TO_T1 = _rotation(-math.pi / 4.0)
 
 # negates v1 and v2
@@ -192,7 +191,7 @@ def _symmetric_matrix(v) -> np.ndarray:
     return np.array([[v0 + v1, v2], [v2, v0 - v1]])
 
 
-def normalize_null(v, tol: float = ZERO_TOL) -> SL2:
+def normalize_null(v) -> SL2:
     """Witness carrying a nonzero null symmetric tensor, given by its
     coefficients (v0, v1, v2), onto the tau0+tau1 ray.
 
@@ -204,7 +203,7 @@ def normalize_null(v, tol: float = ZERO_TOL) -> SL2:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(v, v)) > tol * scale ** 2:
+    if abs(minkowski_vec(v, v)) > ZERO_TOL * scale ** 2:
         raise ValueError("input is not null")
     i = 0 if abs(m[0, 0]) >= abs(m[1, 1]) else 1
     if abs(m[i, i]) <= 1e-14 * scale:
@@ -220,7 +219,7 @@ def normalize_null(v, tol: float = ZERO_TOL) -> SL2:
     return SL2(gamma)
 
 
-def normalize_nonnull(v, tol: float = ZERO_TOL) -> SL2:
+def normalize_nonnull(v) -> SL2:
     """Witness carrying a non-null symmetric tensor, given by its
     coefficients (v0, v1, v2), onto the tau2 ray.
 
@@ -233,27 +232,22 @@ def normalize_nonnull(v, tol: float = ZERO_TOL) -> SL2:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(v, v)) <= tol * scale ** 2:
+    if abs(minkowski_vec(v, v)) <= ZERO_TOL * scale ** 2:
         raise ValueError("input is null")
     a, b, c = m[0, 0], m[0, 1], m[1, 1]
     if max(abs(a), abs(c)) <= 1e-14 * scale:
         return SL2.identity()  # already off-diagonal
     disc = np.sqrt(b * b - a * c)
-    if abs(c) >= abs(a):
-        # zero directions (1, t) of c t^2 + 2 b t + a
-        u1 = -(b + disc) if abs(b + disc) >= abs(b - disc) else -(b - disc)
-        t1 = u1 / c
-        t2 = (a / c) / t1
-        n1 = np.array([1.0, t1], dtype=complex)
-        n2 = np.array([1.0, t2], dtype=complex)
-    else:
-        u1 = -(b + disc) if abs(b + disc) >= abs(b - disc) else -(b - disc)
-        t1 = u1 / a
-        t2 = (c / a) / t1
-        n1 = np.array([t1, 1.0], dtype=complex)
-        n2 = np.array([t2, 1.0], dtype=complex)
-    raw = np.column_stack([n1, n2])
-    return SL2.unit_normalized(raw)
+    # divide by the larger diagonal entry: swapping a and c turns the
+    # zero directions (1, t) of c t^2 + 2 b t + a into (t, 1)
+    swapped = abs(c) < abs(a)
+    if swapped:
+        a, c = c, a
+    u1 = -(b + disc) if abs(b + disc) >= abs(b - disc) else -(b - disc)
+    t1 = u1 / c
+    t2 = (a / c) / t1
+    raw = np.array([[1.0, 1.0], [t1, t2]], dtype=complex)
+    return SL2.unit_normalized(raw[::-1] if swapped else raw)
 
 
 def normal_complement(vplus_rows: np.ndarray) -> np.ndarray:
@@ -342,7 +336,7 @@ def _component(v: np.ndarray, target: np.ndarray) -> complex:
     return complex(np.vdot(target, v) / np.vdot(target, target))
 
 
-def classify(space: CSpace, *, tol: float = ZERO_TOL) -> ClassificationResult:
+def classify(space: CSpace) -> ClassificationResult:
     """Reduce a constraint space to its canonical form.
 
     Returns the case label, the surviving modulus where the case has one,
@@ -362,30 +356,30 @@ def classify(space: CSpace, *, tol: float = ZERO_TOL) -> ClassificationResult:
     if p == 0:
         form = CanonicalForm(CaseId.ANTISYMMETRIC_LINE)
     elif p == 1:
-        form = _classify_line(pipe, vh[0], sigma_in, tol)
+        form = _classify_line(pipe, vh[0], sigma_in)
     elif p == 2:
-        form = _classify_plane(pipe, vh[:2], sigma_in, tol)
+        form = _classify_plane(pipe, vh[:2], sigma_in)
     else:
-        form = _classify_full(pipe, sigma_in, tol)
+        form = _classify_full(pipe, sigma_in)
     return _finish(space, pipe, form)
 
 
-def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool,
-                   tol: float):
+def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
     """s: unit vector spanning the (rank-one) symmetric row space."""
-    is_null = abs(minkowski_vec(s, s)) <= tol * float(np.vdot(s, s).real)
+    is_null = (abs(minkowski_vec(s, s))
+               <= ZERO_TOL * float(np.vdot(s, s).real))
     if is_null:
-        pipe.apply(normalize_null(s, tol))
+        pipe.apply(normalize_null(s))
         if sigma_in:
             return CanonicalForm(CaseId.NULL_LINE_SIGMA)
         row = pipe.rows[0]
         c = (row[0] + row[1]) / 2.0
         mu = row[3] / c
-        if abs(mu) <= tol:
+        if abs(mu) <= ZERO_TOL:
             return CanonicalForm(CaseId.NULL_LINE)
         pipe.apply(_scale(np.sqrt(mu)))
         return CanonicalForm(CaseId.NULL_LINE_TILTED)
-    pipe.apply(normalize_nonnull(s, tol))
+    pipe.apply(normalize_nonnull(s))
     if sigma_in:
         return CanonicalForm(CaseId.NONNULL_LINE_SIGMA)
     row = pipe.rows[0]
@@ -396,16 +390,15 @@ def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool,
     return CanonicalForm(CaseId.NONNULL_LINE, mu)
 
 
-def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
-                    tol: float):
+def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
     """vp: two rows spanning the (rank-two) symmetric row space."""
     w_dir = normal_complement(vp)
     w_null = abs(minkowski_vec(w_dir, w_dir)) \
-        <= tol * float(np.vdot(w_dir, w_dir).real)
+        <= ZERO_TOL * float(np.vdot(w_dir, w_dir).real)
 
     if not w_null:
         # symmetric part equivalent to span{tau0, tau2}
-        pipe.apply(normalize_nonnull(w_dir, tol))
+        pipe.apply(normalize_nonnull(w_dir))
         pipe.apply(_R_T2_TO_T1)
         if sigma_in:
             raise UncataloguedSpaceError(
@@ -414,12 +407,12 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
                 "normal form")
         targets = np.array([[1, 0, 0], [0, 0, 1]], dtype=complex)
         u0, u1 = _solve_functional(pipe.rows, targets)
-        if max(abs(u0), abs(u1)) <= tol:
+        if max(abs(u0), abs(u1)) <= ZERO_TOL:
             return CanonicalForm(CaseId.REGULAR_PLANE, 0.0)
         # w restricted to the plane: (w0, w2) = (-u0, u1)
         w0, w2 = -u0, u1
         rho2 = -w0 * w0 + w2 * w2
-        if abs(rho2) <= tol * max(abs(w0), abs(w2)) ** 2:
+        if abs(rho2) <= ZERO_TOL * max(abs(w0), abs(w2)) ** 2:
             # null w: carry it onto the v2 - v0 direction
             if abs(w2 - w0) <= abs(w2 + w0):
                 pipe.apply(_SWAP)
@@ -437,13 +430,13 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool,
         return CanonicalForm(CaseId.REGULAR_PLANE, mu)
 
     # null complement: symmetric part equivalent to span{tau0+tau1, tau2}
-    pipe.apply(normalize_null(w_dir, tol))
+    pipe.apply(normalize_null(w_dir))
     if sigma_in:
         return CanonicalForm(CaseId.DEGENERATE_PLANE_SIGMA)
     targets = np.array([[1, 1, 0], [0, 0, 1]], dtype=complex)
     u0, u1 = _solve_functional(pipe.rows, targets)
     beta, gamma_c = u0 / 2.0, u1
-    if abs(beta) <= tol * max(1.0, abs(gamma_c)):
+    if abs(beta) <= ZERO_TOL * max(1.0, abs(gamma_c)):
         # the modulus here admits no further reduction: the stabilizer of
         # the null ray is triangular and fixes the tau2 coefficient
         return CanonicalForm(CaseId.DEGENERATE_PLANE, gamma_c)
@@ -457,15 +450,15 @@ def _solve_w(rows: np.ndarray) -> np.ndarray:
     return np.linalg.solve(vpart @ MINKOWSKI_METRIC, rows[:, 3])
 
 
-def _classify_full(pipe: _Pipeline, sigma_in: bool, tol: float):
+def _classify_full(pipe: _Pipeline, sigma_in: bool):
     if sigma_in:
         return CanonicalForm(CaseId.FULL_SPACE)
     w = _solve_w(pipe.rows)
     wnorm = float(np.linalg.norm(w))
-    if wnorm <= tol:
+    if wnorm <= ZERO_TOL:
         return CanonicalForm(CaseId.FULL_SYMMETRIC, 0.0)
-    if abs(minkowski_vec(w, w)) <= tol * wnorm ** 2:
-        pipe.apply(normalize_null(w, tol))
+    if abs(minkowski_vec(w, w)) <= ZERO_TOL * wnorm ** 2:
+        pipe.apply(normalize_null(w))
         pipe.apply(_SWAP)
         w2 = _solve_w(pipe.rows)
         c = (w2[0] - w2[1]) / 2.0  # coefficient on the v0 - v1 ray
@@ -474,7 +467,7 @@ def _classify_full(pipe: _Pipeline, sigma_in: bool, tol: float):
         # sign of gamma; i sqrt(c) is the same action with a fixed sign.
         pipe.apply(_scale(1j * np.sqrt(c)))
         return CanonicalForm(CaseId.FULL_SYMMETRIC_TILTED)
-    pipe.apply(normalize_nonnull(w, tol))
+    pipe.apply(normalize_nonnull(w))
     mu = _solve_w(pipe.rows)[2]
     if _needs_sign_flip(mu):
         pipe.apply(_FLIP)

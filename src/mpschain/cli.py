@@ -56,11 +56,20 @@ def _emit_text(text: str, path: str | None) -> None:
                 fh.write("\n")
 
 
-def _decode_params(family: str, mapping) -> FamilyParams:
-    """JSON parameter object to FamilyParams; [re, im] pairs become
-    complex, everything else must be a plain number."""
+def _params_mapping(args) -> dict:
+    """The --params JSON object, undecoded."""
+    try:
+        mapping = json.loads(args.params)
+    except json.JSONDecodeError as exc:
+        raise serialize.FormatError(f"--params is not valid JSON: {exc}")
     if not isinstance(mapping, dict):
         raise serialize.FormatError("--params must be a JSON object")
+    return mapping
+
+
+def _decode_params(family: str, mapping: dict) -> FamilyParams:
+    """JSON parameter object to FamilyParams; [re, im] pairs become
+    complex, everything else must be a plain number."""
     converted = {}
     for key, value in mapping.items():
         if key == "lambda3":
@@ -76,11 +85,7 @@ def _decode_params(family: str, mapping) -> FamilyParams:
 
 
 def _parse_params_arg(args) -> FamilyParams:
-    try:
-        mapping = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise serialize.FormatError(f"--params is not valid JSON: {exc}")
-    return _decode_params(args.family, mapping)
+    return _decode_params(args.family, _params_mapping(args))
 
 
 def _report_payload(report) -> dict:
@@ -180,12 +185,7 @@ def _cmd_sweep(args) -> int:
         raise serialize.FormatError("--grid count must be at least 1")
     values = np.linspace(float(match.group("lo")),
                          float(match.group("hi")), count)
-    try:
-        base = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise serialize.FormatError(f"--params is not valid JSON: {exc}")
-    if not isinstance(base, dict):
-        raise serialize.FormatError("--params must be a JSON object")
+    base = _params_mapping(args)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

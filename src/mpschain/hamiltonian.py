@@ -18,7 +18,7 @@ embedding H = sum_i h_{i,i+1}.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -114,7 +114,7 @@ class FamilyParams:
         for name in required:
             if getattr(self, name) is None:
                 raise ParameterError(f"{fam.value} requires parameter {name}")
-        for name in ("g", "g1", "g2", "g3", "nu", "nu_prime", "lambda3"):
+        for name in _PARAM_NAMES:
             if name not in required and getattr(self, name) is not None:
                 raise ParameterError(
                     f"{fam.value} does not take parameter {name}")
@@ -149,11 +149,15 @@ class FamilyParams:
             object.__setattr__(self, "lambda3", lam)
 
 
+# the coupling constants of FamilyParams, in declaration order
+_PARAM_NAMES = tuple(f.name for f in fields(FamilyParams)
+                     if f.name != "family")
+
+
 def params_from_mapping(family, mapping) -> FamilyParams:
     """Build FamilyParams from a plain dict (CLI/JSON friendly)."""
     fam = FamilyId(family)
-    known = {"g", "g1", "g2", "g3", "nu", "nu_prime", "lambda3"}
-    extra = set(mapping) - known
+    extra = set(mapping) - set(_PARAM_NAMES)
     if extra:
         raise ParameterError(f"unknown parameters: {sorted(extra)}")
     return FamilyParams(family=fam, **dict(mapping))
@@ -175,8 +179,6 @@ class LocalHamiltonian:
     """A 4x4 Hermitian positive-semidefinite pair energy."""
 
     matrix: np.ndarray
-    family: FamilyId | None = None
-    params: FamilyParams | None = None
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -198,7 +200,7 @@ class FullHamiltonian:
 # ---------------------------------------------------------------------------
 # pair energies: h = R^dagger Lambda R
 
-def local_from_espace(rows, lam, family=None, params=None) -> LocalHamiltonian:
+def local_from_espace(rows, lam) -> LocalHamiltonian:
     """Pair energy from constraint rows and a Hermitian PSD weight.
 
     rows: (k, 4) coefficient rows in the (|00>, |01>, |10>, |11>) basis.
@@ -214,7 +216,7 @@ def local_from_espace(rows, lam, family=None, params=None) -> LocalHamiltonian:
     _check_hermitian_psd(lam, "weight matrix", ParameterError)
     h = r.conj().T @ lam @ r
     h = (h + h.conj().T) / 2.0  # symmetrize away rounding
-    return LocalHamiltonian(h, family=family, params=params)
+    return LocalHamiltonian(h)
 
 
 def family_espace(params: FamilyParams):
@@ -258,8 +260,7 @@ def family_space(params: FamilyParams) -> CSpace:
 
 def build_family(params: FamilyParams) -> LocalHamiltonian:
     """Pair energy of a named family from its constraint rows."""
-    return local_from_espace(*family_espace(params), family=params.family,
-                             params=params)
+    return local_from_espace(*family_espace(params))
 
 
 # ---------------------------------------------------------------------------

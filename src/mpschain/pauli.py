@@ -44,13 +44,15 @@ _FROM_FLAT = _TO_FLAT.T / 2.0
 
 
 class LinearDependenceError(ValueError):
-    """The supplied basis vectors are linearly dependent at rank_tol."""
+    """The supplied basis vectors are linearly dependent at DEFAULT_RANK_TOL
+    (the rank_tol of the message)."""
 
 
 class AmbiguousRankError(ValueError):
     """Independence cannot be decided: the smallest singular value falls in
-    the band (rank_tol, 10*rank_tol].  Classification is discontinuous, so
-    such inputs are rejected instead of silently reduced."""
+    the band (rank_tol, 10*rank_tol], rank_tol = DEFAULT_RANK_TOL.
+    Classification is discontinuous, so such inputs are rejected instead
+    of silently reduced."""
 
 
 def _as_complex(z) -> complex:
@@ -207,20 +209,18 @@ class CSpace:
     to rounding.
     """
 
-    def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray,
-                 rank_tol: float = DEFAULT_RANK_TOL):
+    def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray):
         coeff = np.array([q.as_array() if isinstance(q, PauliQuartet) else q
                           for q in basis] or np.zeros((0, 4)), dtype=complex)
         if coeff.ndim != 2 or coeff.shape[1] != 4:
             raise ValueError("expected rows of 4 coefficients")
         if not np.all(np.isfinite(coeff)):
             raise ValueError("non-finite complex value")
-        self.rank_tol = float(rank_tol)
         if coeff.shape[0] > 4:
             raise LinearDependenceError("more than 4 basis vectors")
         if coeff.shape[0]:
             self._check_independence(coeff)
-            reduced = _row_reduce(coeff, self.rank_tol)
+            reduced = _row_reduce(coeff)
             if reduced.shape[0] != coeff.shape[0]:
                 # row reduction lost a vector the SVD band check let through
                 raise LinearDependenceError("basis is not independent")
@@ -235,11 +235,11 @@ class CSpace:
         if s[0] == 0.0:
             raise LinearDependenceError("zero basis vector")
         ratio = s[-1] / s[0]
-        if ratio <= self.rank_tol:
+        if ratio <= DEFAULT_RANK_TOL:
             raise LinearDependenceError(
                 f"smallest/largest singular value ratio {ratio:.3e} "
-                f"below rank_tol {self.rank_tol:.1e}")
-        if ratio <= 10.0 * self.rank_tol:
+                f"below rank_tol {DEFAULT_RANK_TOL:.1e}")
+        if ratio <= 10.0 * DEFAULT_RANK_TOL:
             raise AmbiguousRankError(
                 f"singular value ratio {ratio:.3e} falls in the ambiguous "
                 f"band (rank_tol, 10*rank_tol]; refusing to guess")
@@ -266,13 +266,13 @@ class CSpace:
         return f"CSpace(dim={self.dim})"
 
 
-def _row_reduce(rows: np.ndarray, tol: float) -> np.ndarray:
+def _row_reduce(rows: np.ndarray) -> np.ndarray:
     """Reduced row-echelon form over C; returns the nonzero rows."""
     m = np.array(rows, dtype=complex)
     if m.size == 0:
         return m
     scale = max(1.0, float(np.max(np.abs(m))))
-    thresh = tol * scale
+    thresh = DEFAULT_RANK_TOL * scale
     r = 0
     for col in range(m.shape[1]):
         if r >= m.shape[0]:
@@ -291,8 +291,7 @@ def _row_reduce(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def sl2_act_space(g: SL2, space: CSpace) -> CSpace:
     """Image of a subspace under the action; re-checked and canonicalized."""
-    return CSpace(space.coefficient_matrix() @ _action_matrix(g),
-                  rank_tol=space.rank_tol)
+    return CSpace(space.coefficient_matrix() @ _action_matrix(g))
 
 
 def span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:

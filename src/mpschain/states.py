@@ -29,6 +29,10 @@ DEFAULT_MAX_STATE_SITES = 24
 # Tolerance on |ratio^M - 1| when a construction requires a root of unity.
 ROOT_TOL = 1e-9
 
+# mps_contract calls a state zero when its squared norm z falls below
+# this fraction of the bound (|A0|_F^2 + |A1|_F^2)^N.
+MPS_ZERO_TOL = 1e-24
+
 # Largest cyclic order searched for when turning a modulus into a
 # finite-dimensional bond representation.
 MAX_ROOT_ORDER = 24
@@ -106,16 +110,15 @@ def product_state(symbol: str, n_sites: int) -> StateVector:
     return StateVector(n_sites, amps)
 
 
-def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER,
-                       tol: float = ROOT_TOL):
-    """Smallest M <= max_order with z^M = 1, or None."""
+def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER):
+    """Smallest M <= max_order with |z^M - 1| <= ROOT_TOL, or None."""
     z = complex(z)
-    if abs(abs(z) - 1.0) > tol:
+    if abs(abs(z) - 1.0) > ROOT_TOL:
         return None
     w = 1.0 + 0.0j
     for m in range(1, max_order + 1):
         w *= z
-        if abs(w - 1.0) <= tol:
+        if abs(w - 1.0) <= ROOT_TOL:
             return m
     return None
 
@@ -288,12 +291,12 @@ def _half_products(spec: MPSSpec, n_bits: int, prepend: bool) -> np.ndarray:
     return out
 
 
-def mps_contract(spec: MPSSpec, n_sites: int,
-                 zero_tol: float = 1e-24) -> MPSResult:
+def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     """Evaluate all trace amplitudes of the N-site bond-matrix state.
 
     Meets in the middle: amplitudes factor as tr(P S) over prefix and
-    suffix products, which is a single flat matrix product.
+    suffix products, which is a single flat matrix product.  The state is
+    zero when z < MPS_ZERO_TOL (|A0|_F^2 + |A1|_F^2)^N.
     """
     _check_sites(n_sites)
     # Work with the bond matrices times 2**-f, their largest real or
@@ -322,7 +325,7 @@ def mps_contract(spec: MPSSpec, n_sites: int,
     if s == 0.0 or tr <= 0.0:
         is_zero = True
     else:
-        is_zero = np.log(tr) < n_sites * np.log(s) + np.log(zero_tol)
+        is_zero = np.log(tr) < n_sites * np.log(s) + np.log(MPS_ZERO_TOL)
     # amps carry the factor 2**-(fN) too, so their squared sum is about tr
     # and in range whenever the state is not zero
     normalized = None if is_zero else StateVector(

@@ -31,6 +31,9 @@ from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
 from .pauli import _TO_FLAT, SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import ground_state_catalogue
 
+# Reports list the lowest LOWEST_K eigenvalues.
+LOWEST_K = 8
+
 # Eigenvalues at or below KERNEL_TOL times the spectral scale count as
 # kernel members.
 KERNEL_TOL = 1e-9
@@ -41,6 +44,9 @@ GAP_FACTOR = 1e3
 
 # Default pass tolerance for zero-membership residuals.
 MEMBER_TOL = 1e-9
+
+# Relative singular-value cut of stacked_state_rank.
+STATE_RANK_TOL = 1e-8
 
 # One-site Pauli matrices I, X, Y, Z, their pair products P_a x P_b
 # indexed [a, b], and the number of ones in |00>, |01>, |10>, |11>.
@@ -253,16 +259,15 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     return SL2(frame)
 
 
-def _spectrum_report(n_sites: int, sectors: list, k: int,
-                     kernel_tol: float) -> SpectrumReport:
-    """Lowest k eigenvalues (ascending) and the kernel count of the
-    sorted union of the sector spectra."""
+def _spectrum_report(n_sites: int, sectors: list) -> SpectrumReport:
+    """Lowest LOWEST_K eigenvalues (ascending) and the kernel count of
+    the sorted union of the sector spectra."""
     evals = np.sort(np.concatenate([
         np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
         else blocks[:, 0, 0].real
         for _, blocks in sectors], axis=None))
     scale = max(1.0, float(np.max(np.abs(evals))))
-    cut = kernel_tol * scale
+    cut = KERNEL_TOL * scale
     kernel_dim = int(np.sum(evals <= cut))
     warning = None
     if 0 < kernel_dim < evals.shape[0]:
@@ -275,15 +280,14 @@ def _spectrum_report(n_sites: int, sectors: list, k: int,
         n_sites=n_sites,
         ground_energy=float(evals[0]),
         kernel_dim=kernel_dim,
-        lowest_k_eigenvalues=tuple(float(v) for v in evals[:k]),
+        lowest_k_eigenvalues=tuple(float(v) for v in evals[:LOWEST_K]),
         residuals={},
         warning=warning,
     )
 
 
-def spectrum(chain: FullHamiltonian, k: int = 8,
-             kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
-    """Lowest k eigenvalues (ascending) and the kernel count.
+def spectrum(chain: FullHamiltonian) -> SpectrumReport:
+    """Lowest LOWEST_K eigenvalues (ascending) and the kernel count.
 
     The kernel count uses a relative threshold; when the first excluded
     eigenvalue sits within GAP_FACTOR of that threshold the separation
@@ -292,7 +296,7 @@ def spectrum(chain: FullHamiltonian, k: int = 8,
     rows, cols = np.nonzero(chain.matrix)
     sectors = _sector_blocks(chain.matrix.shape[0], rows, cols,
                              chain.matrix[rows, cols])
-    return _spectrum_report(chain.n_sites, sectors, k, kernel_tol)
+    return _spectrum_report(chain.n_sites, sectors)
 
 
 def _reversal_entries(n_sites: int, sign: int, rows, cols, vals):
@@ -338,9 +342,10 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     (rows, cols, vals) in that frame; and the frame (None, with the bond
     term untouched, when the frame is the identity).
 
-    When the framed bond term passes _reversal_sign, the blocks are those
-    of the reversal-even and -odd states (_reversal_entries), and their
-    members are the indices those states are given.
+    When the framed bond term has an off-diagonal entry and passes
+    _reversal_sign, the blocks are those of the reversal-even and -odd
+    states (_reversal_entries), and their members are the indices those
+    states are given.
     """
     u = symmetry_frame(local)
     if np.array_equal(u.matrix, np.eye(2)):
@@ -348,14 +353,15 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     else:
         local = LocalHamiltonian(_rotated(local.matrix, u.matrix))
     entries = chain_entries(local, n_sites)
-    sign = _reversal_sign(local.matrix)
+    h = local.matrix
+    # a diagonal chain has one-state sectors, which reversal cannot split
+    sign = _reversal_sign(h) if np.any(h - np.diag(np.diag(h))) else None
     adapted = (entries if sign is None
                else _reversal_entries(n_sites, sign, *entries))
     return _sector_blocks(2 ** n_sites, *adapted), entries, u
 
 
-def family_report(params: FamilyParams, n_sites: int, k: int = 8,
-                  kernel_tol: float = KERNEL_TOL) -> SpectrumReport:
+def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     """Spectrum of one family chain plus residuals of its catalogued
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
     assembling the dense chain.
@@ -366,7 +372,7 @@ def family_report(params: FamilyParams, n_sites: int, k: int = 8,
     """
     local = build_family(params)
     sectors, entries, u = _framed_sectors(local, n_sites)
-    report = _spectrum_report(n_sites, sectors, k, kernel_tol)
+    report = _spectrum_report(n_sites, sectors)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:
         return report
@@ -389,18 +395,18 @@ def family_report(params: FamilyParams, n_sites: int, k: int = 8,
         ns.label: float(r) for ns, r in zip(catalogue, residuals)})
 
 
-def stacked_state_rank(states, tol: float = 1e-8) -> int:
+def stacked_state_rank(states) -> int:
     """Rank of the stacked (normalized) state matrix: how many of the
     catalogued states are actually independent."""
     if not states:
         return 0
     rows = np.array([s.normalized().amplitudes for s in states])
     sv = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > STATE_RANK_TOL * sv[0]))
 
 
 def no_mps_case_report(form: CanonicalForm, n_sites: int,
-                       lam=None, k: int = 8) -> SpectrumReport:
+                       lam=None) -> SpectrumReport:
     """Informational spectrum for a canonical space with no catalogued
     bond representation: constraint rows are the canonical basis itself,
     weighted by lam (identity when omitted).
@@ -416,4 +422,4 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     if lam is None:
         lam = np.eye(rows.shape[0])
     sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
-    return _spectrum_report(n_sites, sectors, k, KERNEL_TOL)
+    return _spectrum_report(n_sites, sectors)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -45,9 +46,10 @@ def test_spectrum_zero_chain():
 
 def test_spectrum_orders_eigenvalues_and_counts_kernel():
     diag = np.diag([3.0, 0.0, 1.0, 0.0, 2.0, 5.0, 4.0, 6.0])
-    rep = spectrum(FullHamiltonian(3, diag.astype(complex)), k=5)
+    rep = spectrum(FullHamiltonian(3, diag.astype(complex)))
     assert rep.kernel_dim == 2
-    assert rep.lowest_k_eigenvalues == (0.0, 0.0, 1.0, 2.0, 3.0)
+    assert rep.lowest_k_eigenvalues == (0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0,
+                                        6.0)
     assert rep.ground_energy == 0.0
     assert rep.warning is None
 
@@ -227,7 +229,7 @@ def _framed_sizes(local, n_sites):
 
 def _framed_report(local, n_sites):
     sectors, _, _ = _framed_sectors(local, n_sites)
-    return _spectrum_report(n_sites, sectors, 8, KERNEL_TOL)
+    return _spectrum_report(n_sites, sectors)
 
 
 def _dense_evals(local, n_sites):
@@ -323,6 +325,30 @@ def test_reversal_is_refused_without_the_symmetry(label):
         for n in range(2, 9):
             # |1...1> is alone; every other state is one block
             assert _framed_sizes(local, n) == [1, 2 ** n - 1]
+
+
+def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
+    params = _seeded_params("hardcore", np.random.default_rng(970))
+    local = build_family(params)
+    sign = verify._reversal_sign(local.matrix)
+    assert sign == 1
+    # what the reversal-parity states would give
+    expected = {}
+    for n in (4, 7, 10):
+        sectors = _sector_blocks(2 ** n, *verify._reversal_entries(
+            n, sign, *chain_entries(local, n)))
+        expected[n] = (sorted(members.shape[1] for members, _ in sectors
+                              for _ in range(members.shape[0])),
+                       _spectrum_report(n, sectors))
+
+    def refuse(*args):
+        raise AssertionError("_reversal_entries called on a diagonal chain")
+
+    monkeypatch.setattr(verify, "_reversal_entries", refuse)
+    for n, (sizes, rep) in expected.items():
+        assert _framed_sizes(local, n) == sizes == [1] * 2 ** n
+        assert _framed_report(local, n) == rep
+        assert replace(family_report(params, n), residuals={}) == rep
 
 
 def test_reversal_keeps_a_small_symmetry_breaking_term():
