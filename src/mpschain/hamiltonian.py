@@ -17,6 +17,7 @@ embedding H = sum_i h_{i,i+1}.
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -101,8 +102,14 @@ class FamilyParams:
     nu_prime: complex | None = None
     lambda3: np.ndarray | None = None
 
-    def _real(self, name: str) -> float:
+    def _number(self, name: str) -> complex:
         c = complex(getattr(self, name))
+        if not cmath.isfinite(c):
+            raise ParameterError(f"{name} must be finite")
+        return c
+
+    def _real(self, name: str) -> float:
+        c = self._number(name)
         if c.imag != 0.0:
             raise ParameterError(f"{name} must be real")
         return float(c.real)
@@ -125,7 +132,7 @@ class FamilyParams:
             object.__setattr__(self, "g", g)
         if "g1" in required:
             g1, g2 = self._real("g1"), self._real("g2")
-            g3 = complex(self.g3)
+            g3 = self._number("g3")
             if g1 < 0.0 or g2 < 0.0:
                 raise ParameterError("g1 and g2 must be nonnegative")
             _check_hermitian_psd(
@@ -135,7 +142,7 @@ class FamilyParams:
             object.__setattr__(self, "g2", g2)
             object.__setattr__(self, "g3", g3)
         if "nu" in required:
-            nu, nup = complex(self.nu), complex(self.nu_prime)
+            nu, nup = self._number("nu"), self._number("nu_prime")
             if max(abs(nu), abs(nup)) == 0.0:
                 raise ParameterError("nu and nu_prime cannot both vanish")
             object.__setattr__(self, "nu", nu)
@@ -144,6 +151,8 @@ class FamilyParams:
             lam = np.array(self.lambda3, dtype=complex)
             if lam.shape != (3, 3):
                 raise ParameterError("lambda3 must be a 3x3 matrix")
+            if not np.all(np.isfinite(lam)):
+                raise ParameterError("lambda3 must be finite")
             _check_hermitian_psd(lam, "weight matrix", ParameterError)
             lam.flags.writeable = False
             object.__setattr__(self, "lambda3", lam)
@@ -214,8 +223,11 @@ def local_from_espace(rows, lam) -> LocalHamiltonian:
     if lam.shape != (k, k):
         raise ValueError("weight matrix shape does not match the row count")
     _check_hermitian_psd(lam, "weight matrix", ParameterError)
-    h = r.conj().T @ lam @ r
-    h = (h + h.conj().T) / 2.0  # symmetrize away rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = r.conj().T @ lam @ r
+        h = (h + h.conj().T) / 2.0  # symmetrize away rounding
+    if not np.all(np.isfinite(h)):
+        raise ParameterError("pair energy is not finite")
     return LocalHamiltonian(h)
 
 

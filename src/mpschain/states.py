@@ -7,12 +7,17 @@ Conventions shared by everything here:
    bit string is just its value as a binary number;
  - states are returned UNNORMALIZED (their components are exact small
    integers or powers of a ratio); call .normalized() when needed;
+ - a product basis state (product_state, hardcore_states) carries only
+   its basis index and builds its dense amplitudes on each read;
+ - the weighted sums read one table of zero counts and zeta exponents,
+   computed once per chain length;
  - bond-matrix (MPS) states assign amplitude tr(A^{s1} ... A^{sN}) to
    the string s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,38 +47,74 @@ class NoRepresentationError(RuntimeError):
     """The catalogue has no bond-matrix representation for this case."""
 
 
-@dataclass(frozen=True)
 class StateVector:
-    """Unnormalized amplitudes over the 2^N product basis."""
+    """Unnormalized amplitudes over the 2^N product basis.
 
-    n_sites: int
-    amplitudes: np.ndarray
+    A product basis state (product_state, hardcore_states) keeps only its
+    basis index: its norm is 1, it is its own normalization, and every
+    read of .amplitudes builds a fresh read-only dense vector that is kept
+    nowhere, so a list of such states holds no 2^N array.
+    """
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).ravel()
-        if self.n_sites < 1:
+    __slots__ = ("n_sites", "_amplitudes", "_index")
+
+    def __init__(self, n_sites: int, amplitudes):
+        amps = np.array(amplitudes, dtype=complex).ravel()
+        if n_sites < 1:
             raise ValueError("n_sites must be at least 1")
-        if amps.shape != (2 ** self.n_sites,):
+        if amps.shape != (2 ** n_sites,):
             raise ValueError("amplitude count must be 2**n_sites")
         if not np.all(np.isfinite(amps)):
             raise ValueError("non-finite amplitudes")
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(n_sites, amps, None)
+
+    @classmethod
+    def _basis(cls, n_sites: int, index: int) -> "StateVector":
+        """The product basis state with amplitude 1 at index."""
+        state = object.__new__(cls)
+        state._set(n_sites, None, index)
+        return state
+
+    def _set(self, n_sites, amplitudes, index) -> None:
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "_amplitudes", amplitudes)
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StateVector is immutable")
+
+    def __repr__(self) -> str:
+        return (f"StateVector(n_sites={self.n_sites}, "
+                f"amplitudes={self.amplitudes!r})")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._index is None:
+            return self._amplitudes
+        amps = np.zeros(2 ** self.n_sites, dtype=complex)
+        amps[self._index] = 1.0
+        amps.flags.writeable = False
+        return amps
 
     def _scaled(self):
         """(amplitudes * 2**-f, f), f the binary exponent of their largest
         real or imaginary part: exact, and safe to square."""
-        f = math.frexp(np.abs(self.amplitudes.view(float)).max())[1]
-        return _times_power_of_two(self.amplitudes, -f), f
+        f = math.frexp(np.abs(self._amplitudes.view(float)).max())[1]
+        return _times_power_of_two(self._amplitudes, -f), f
 
     def norm(self) -> float:
         """Euclidean norm, inf only when the norm itself is out of range;
         the power-of-two scaling leaves in-range results bit for bit."""
+        if self._index is not None:
+            return 1.0
         scaled, f = self._scaled()
         with np.errstate(over="ignore"):
             return float(np.ldexp(np.linalg.norm(scaled), f))
 
     def normalized(self) -> "StateVector":
+        if self._index is not None:
+            return self
         scaled, _ = self._scaled()
         n = np.linalg.norm(scaled)
         if n == 0.0:
@@ -105,9 +146,8 @@ def product_state(symbol: str, n_sites: int) -> StateVector:
     _check_sites(n_sites)
     if symbol not in ("0", "1"):
         raise ValueError("symbol must be '0' or '1'")
-    amps = np.zeros(2 ** n_sites, dtype=complex)
-    amps[0 if symbol == "0" else 2 ** n_sites - 1] = 1.0
-    return StateVector(n_sites, amps)
+    index = 0 if symbol == "0" else 2 ** n_sites - 1
+    return StateVector._basis(n_sites, index)
 
 
 def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER):
@@ -123,21 +163,31 @@ def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER):
     return None
 
 
+@functools.lru_cache(maxsize=1)
 def _zero_counts(n_sites: int):
-    """Zero count Z and zeta exponent of every basis index.
+    """Zero count Z and zeta exponent of every basis index, read-only.
 
     The exponent is the sum of the 1-based zero positions minus Z(Z+1)/2:
     it counts how far the Z zeros sit to the right of the fully
-    left-packed string, so it is 0 when all zeros are leading.
+    left-packed string, so it is 0 when all zeros are leading.  Equally,
+    it counts the (one, zero) pairs with the one to the left.
+
+    The table grows by one leading site per step: a leading zero adds one
+    to Z and leaves the exponent, a leading one adds Z to the exponent.
+    The last table is kept, since a catalogue reads it once per state.
     """
-    x = np.arange(2 ** n_sites)
-    zeros = np.zeros_like(x)
-    position_sum = np.zeros_like(x)
-    for pos in range(1, n_sites + 1):
-        is_zero = 1 - ((x >> (n_sites - pos)) & 1)
-        zeros += is_zero
-        position_sum += pos * is_zero
-    return zeros, position_sum - zeros * (zeros + 1) // 2
+    size = 2 ** n_sites
+    zeros = np.zeros(size, dtype=np.min_scalar_type(n_sites))
+    exponent = np.zeros(size, dtype=np.min_scalar_type(n_sites ** 2 // 4))
+    half = 1
+    while half < size:
+        exponent[half:2 * half] = exponent[:half] + zeros[:half]
+        zeros[half:2 * half] = zeros[:half]
+        zeros[:half] += 1
+        half *= 2
+    zeros.flags.writeable = False
+    exponent.flags.writeable = False
+    return zeros, exponent
 
 
 def _signed_powers(ratio, max_exponent: int) -> np.ndarray:
@@ -214,14 +264,10 @@ def hardcore_states(n_sites: int) -> list:
     """The no-adjacent-zeros product basis states, lex order by string."""
     _check_sites(n_sites)
     z = ~np.arange(2 ** n_sites) & (2 ** n_sites - 1)
-    states = []
     # ascending index is lexicographic order of the strings
-    for idx in np.flatnonzero(z & (z >> 1) == 0).tolist():
-        amps = np.zeros(2 ** n_sites, dtype=complex)
-        amps[idx] = 1.0
-        states.append(NamedState(format(idx, f"0{n_sites}b"),
-                                 StateVector(n_sites, amps)))
-    return states
+    return [NamedState(format(idx, f"0{n_sites}b"),
+                       StateVector._basis(n_sites, idx))
+            for idx in np.flatnonzero(z & (z >> 1) == 0).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ route the library does not take, so agreement is evidence.
   map on coefficient rows.
 - random_sl2, sl2_with_condition: seeded draws of unit-determinant 2x2
   matrices.
+- zero_counts: every basis index's zero count and zeta exponent by a loop
+  over the sites, instead of the library's table grown one leading site
+  at a time.
 
 One helper is shared test plumbing rather than a reference: flat gives
 a quartet's entries (C00, C01, C10, C11) through the library's own
@@ -174,6 +177,19 @@ def kron_chain(h: np.ndarray, n_sites: int) -> np.ndarray:
         right = np.eye(2 ** (n_sites - 2 - i), dtype=complex)
         total += np.kron(np.kron(left, h), right)
     return total
+
+
+def zero_counts(n_sites: int):
+    """Zero count Z and zeta exponent (sum of the 1-based zero positions
+    minus Z(Z+1)/2) of every basis index, site 1 most significant."""
+    x = np.arange(2 ** n_sites)
+    zeros = np.zeros_like(x)
+    position_sum = np.zeros_like(x)
+    for pos in range(1, n_sites + 1):
+        is_zero = 1 - ((x >> (n_sites - pos)) & 1)
+        zeros += is_zero
+        position_sum += pos * is_zero
+    return zeros, position_sum - zeros * (zeros + 1) // 2
 
 
 def check_zero_member(chain: np.ndarray, psi: StateVector) -> float:

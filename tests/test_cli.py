@@ -10,7 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from mpschain.serialize import decode_matrix, decode_vector, unpack_chain
+from mpschain import verify
+from mpschain.cli import _report_payload
+from mpschain.hamiltonian import FamilyId, FamilyParams
+from mpschain.serialize import (decode_matrix, decode_vector, dumps,
+                                encode_vector, unpack_chain)
+from mpschain.states import NamedState, StateVector
 
 SIGMA_SPACE = '{"basis": [{"v0": [0,0], "v1": [0,0], "v2": [0,0], "u": [1,0]}]}'
 UNCATALOGUED = ('{"basis": ['
@@ -91,6 +96,33 @@ def test_verify_refuses_a_small_indefinite_weight():
             "positive semidefinite") in proc.stderr
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("ground-states", "--family", "hardcore", "--params", '{"g": NaN}'),
+     "error: g must be finite"),
+    (("verify", "--family", "hardcore", "--params", '{"g": NaN}'),
+     "error: g must be finite"),
+    (("verify", "--family", "exchange", "--params",
+      '{"g": 1, "nu": 1, "nu_prime": Infinity}'),
+     "error: nu_prime must be finite"),
+    (("verify", "--family", "antialigned", "--params",
+      '{"g1": 1, "g2": 1, "g3": [0, NaN]}'),
+     "error: g3 must be finite"),
+    (("verify", "--family", "pinned", "--params",
+      '{"lambda3": [[1, 0, 0], [0, 1, 0], [0, 0, -Infinity]]}'),
+     "error: lambda3 must be finite"),
+    # finite parameters whose pair energy overflows
+    (("verify", "--family", "exchange", "--params",
+      '{"g": 1, "nu": 1, "nu_prime": 1e308}'),
+     "error: pair energy is not finite"),
+])
+def test_non_finite_parameters_are_refused(argv, line):
+    proc = run_cli(*argv, "--n-sites", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == line + "\n"
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_build_h_json_matches_library():
     proc = run_cli("build-h", "--family", "exchange", "--params",
                    EXCHANGE_M2, "--n-sites", "2")
@@ -154,6 +186,52 @@ def test_ground_states_lists_labelled_vectors():
         vec = decode_vector(entry["amplitudes"])
         assert vec.shape == (8,)
         assert vec[int(entry["label"], 2)] == 1
+
+
+def dense_catalogue(n_sites, labels):
+    """Basis-vector catalogue entries built as dense vectors: a label is
+    a bit string, or psi1 for the all-ones state."""
+    named = []
+    for label in labels:
+        amps = np.zeros(2 ** n_sites, dtype=complex)
+        amps[2 ** n_sites - 1 if label == "psi1" else int(label, 2)] = 1.0
+        named.append(NamedState(label, StateVector(n_sites, amps)))
+    return named
+
+
+def hardcore_labels(n_sites):
+    strings = (format(i, f"0{n_sites}b") for i in range(2 ** n_sites))
+    return [s for s in strings if "00" not in s]
+
+
+def emitted(payload) -> bytes:
+    return (dumps(payload) + "\n").encode()
+
+
+@pytest.mark.parametrize("family, params, n, labels", [
+    ("hardcore", '{"g": 1.0}', 6, hardcore_labels(6)),
+    ("pinned", '{"lambda3": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}', 5,
+     ["psi1"]),
+])
+def test_ground_states_bytes_match_dense_vectors(family, params, n, labels):
+    proc = run_cli_bytes("ground-states", "--family", family, "--params",
+                         params, "--n-sites", str(n))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == emitted(
+        [{"label": ns.label, "amplitudes": encode_vector(ns.state.amplitudes)}
+         for ns in dense_catalogue(n, labels)])
+
+
+def test_verify_bytes_match_dense_vectors(monkeypatch):
+    n = 8
+    dense = dense_catalogue(n, hardcore_labels(n))
+    monkeypatch.setattr(verify, "ground_state_catalogue",
+                        lambda params, n_sites: dense)
+    report = verify.family_report(FamilyParams(FamilyId.HARDCORE, g=1.0), n)
+    proc = run_cli_bytes("verify", "--family", "hardcore", "--params",
+                         '{"g": 1.0}', "--n-sites", str(n))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == emitted(_report_payload(report))
 
 
 def test_mps_uniform_and_bond_dim_two():

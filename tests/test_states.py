@@ -1,5 +1,6 @@
 """State constructions: weighted sums, bond-matrix traces, catalogues."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              psi_k, psi_parity, psi_prime,
                              representation_for_case, transfer_matrix,
                              transform_state)
-from oracles import random_sl2
+from oracles import random_sl2, zero_counts
 
 
 def chain_residual(params: FamilyParams, state: StateVector) -> float:
@@ -41,6 +42,66 @@ def test_zeta_weight_examples():
     for bits, z, e in [("0011", 2, 0), ("0101", 2, 1), ("1100", 2, 4),
                        ("1111", 0, 0)]:
         assert (zeros[int(bits, 2)], exponent[int(bits, 2)]) == (z, e)
+
+
+def test_zero_counts_match_the_site_loop():
+    for n in range(1, 17):
+        zeros, exponent = _zero_counts(n)
+        want_zeros, want_exponent = zero_counts(n)
+        assert np.array_equal(zeros, want_zeros), n
+        assert np.array_equal(exponent, want_exponent), n
+
+
+def test_zero_counts_table_is_cached_read_only_and_fits_24_sites():
+    zeros, exponent = _zero_counts(6)
+    assert _zero_counts(6)[0] is zeros
+    for table in (zeros, exponent):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    zeros, exponent = _zero_counts(24)
+    assert zeros.nbytes + exponent.nbytes == 2 * 2 ** 24
+    # the largest entries: all 24 zeros, and 12 ones left of 12 zeros
+    assert zeros[0] == 24 and zeros.max() == 24
+    assert exponent.max() == exponent[int("1" * 12 + "0" * 12, 2)] == 144
+
+
+def dense_basis(n_sites, index):
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
+def test_basis_states_read_as_dense_basis_vectors():
+    for n in range(1, 11):
+        named = hardcore_states(n)
+        states = [ns.state for ns in named] + [product_state("0", n),
+                                               product_state("1", n)]
+        indices = [int(ns.label, 2) for ns in named] + [0, 2 ** n - 1]
+        for state, index in zip(states, indices):
+            want = dense_basis(n, index).tobytes()
+            assert state.amplitudes.tobytes() == want
+            assert state.norm() == 1.0
+            assert state.normalized().amplitudes.tobytes() == want
+            assert not state.amplitudes.flags.writeable
+            # rebuilt on every read, never kept
+            assert state.amplitudes is not state.amplitudes
+
+
+def test_basis_states_hold_no_dense_vector():
+    params = FamilyParams(FamilyId.HARDCORE, g=1.0)
+    tracemalloc.start()
+    try:
+        named = ground_state_catalogue(params, 14)
+        catalogue_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        state = product_state("1", 24)
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(named) == 987
+    assert catalogue_peak < 2 * 2 ** 20
+    assert product_peak < 2 ** 20
+    assert state.norm() == 1.0
 
 
 def definition_amplitudes(n_sites, weight):
