@@ -8,13 +8,12 @@ from .hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
                           FullHamiltonian, LocalHamiltonian, ParameterError,
                           build_family, family_space, full_chain,
                           local_from_espace, params_from_mapping)
-from .pauli import (CSpace, PauliQuartet, SL2, minkowski, quartet_from_matrix,
-                    sl2_act, sl2_act_space, span_equal, trace_form)
+from .pauli import (CSpace, PauliQuartet, SL2, quartet_from_matrix, sl2_act,
+                    sl2_act_space, span_equal)
 from .states import (CaseRepresentation, MPSResult, MPSSpec, NamedState,
                      NoRepresentationError, StateVector, constraint_residual,
                      ground_state_catalogue, hardcore_states, mps_contract,
-                     psi_k, psi_parity, psi_prime, representation_for_case,
-                     transform_state)
+                     psi_k, psi_parity, psi_prime, representation_for_case)
 from .verify import (SpectrumReport, family_report, no_mps_case_report,
                      spectrum)
 
@@ -29,8 +28,8 @@ __all__ = [
     "UncataloguedSpaceError", "build_family", "canonical_space", "classify",
     "constraint_residual", "family_report", "family_space",
     "full_chain", "ground_state_catalogue", "hardcore_states",
-    "invariant_signature", "local_from_espace", "minkowski", "mps_contract",
+    "invariant_signature", "local_from_espace", "mps_contract",
     "no_mps_case_report", "params_from_mapping", "psi_k", "psi_parity",
     "psi_prime", "quartet_from_matrix", "representation_for_case", "sl2_act",
-    "sl2_act_space", "span_equal", "spectrum", "trace_form", "transform_state",
+    "sl2_act_space", "span_equal", "spectrum",
 ]

@@ -104,6 +104,12 @@ _T1 = (0, 1, 0, 0)
 _T2 = (0, 0, 1, 0)
 _SG = (0, 0, 0, 1)
 
+# The other rows of a mu form are orthogonal to t2+mu*s and of norm 1 or
+# sqrt 2, so up to this |mu| the singular value ratio stays above 1e-8,
+# clear of CSpace's refusal band, and every unit pivot stays above its
+# row reduction threshold DEFAULT_RANK_TOL * |mu|.
+_LITERAL_MU_MAX = 1e8
+
 _CANONICAL_BASES = {
     CaseId.EMPTY: [],
     CaseId.ANTISYMMETRIC_LINE: [_SG],
@@ -124,9 +130,21 @@ _CANONICAL_BASES = {
 
 
 def canonical_space(form: CanonicalForm) -> CSpace:
-    """The literal canonical basis for a form, mu substituted where used."""
-    return CSpace([(0, 0, 1, form.mu) if entry == "t2+mu*s" else entry
-                   for entry in _CANONICAL_BASES[form.case_id]])
+    """The literal canonical basis for a form, mu substituted where used.
+
+    For |mu| <= _LITERAL_MU_MAX the literal rows are already the reduced
+    rows a CSpace stores, unit pivots first, so they skip the checks and
+    the reduction.  Its one step that still acts on them, the division by
+    the pivot 1, can turn a negative zero in mu positive; it is kept, so
+    the rows are CSpace's bit for bit.  Any other mu (huge, inf or nan)
+    goes through CSpace, with its refusals.
+    """
+    rows = np.array([(0, 0, 1, form.mu) if entry == "t2+mu*s" else entry
+                     for entry in _CANONICAL_BASES[form.case_id]],
+                    dtype=complex).reshape(-1, 4)
+    if form.mu is not None and not abs(form.mu) <= _LITERAL_MU_MAX:
+        return CSpace(rows)
+    return CSpace._reduced(rows / 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +209,15 @@ def _symmetric_matrix(v) -> np.ndarray:
     return np.array([[v0 + v1, v2], [v2, v0 - v1]])
 
 
+def _is_null(v) -> bool:
+    """Whether a symmetric tensor, given by its coefficients (v0, v1, v2),
+    counts as null: |<v, v>| <= ZERO_TOL s^2, s the largest entry of its
+    2x2 matrix.  Branch decisions and the normalizers share this test, so
+    a branch never hands a normalizer an input it refuses."""
+    scale = float(np.max(np.abs(_symmetric_matrix(v))))
+    return abs(minkowski_vec(v, v)) <= ZERO_TOL * scale ** 2
+
+
 def normalize_null(v) -> SL2:
     """Witness carrying a nonzero null symmetric tensor, given by its
     coefficients (v0, v1, v2), onto the tau0+tau1 ray.
@@ -203,7 +230,7 @@ def normalize_null(v) -> SL2:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(v, v)) > ZERO_TOL * scale ** 2:
+    if not _is_null(v):
         raise ValueError("input is not null")
     i = 0 if abs(m[0, 0]) >= abs(m[1, 1]) else 1
     if abs(m[i, i]) <= 1e-14 * scale:
@@ -232,7 +259,7 @@ def normalize_nonnull(v) -> SL2:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         raise ValueError("zero input")
-    if abs(minkowski_vec(v, v)) <= ZERO_TOL * scale ** 2:
+    if _is_null(v):
         raise ValueError("input is null")
     a, b, c = m[0, 0], m[0, 1], m[1, 1]
     if max(abs(a), abs(c)) <= 1e-14 * scale:
@@ -366,9 +393,7 @@ def classify(space: CSpace) -> ClassificationResult:
 
 def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
     """s: unit vector spanning the (rank-one) symmetric row space."""
-    is_null = (abs(minkowski_vec(s, s))
-               <= ZERO_TOL * float(np.vdot(s, s).real))
-    if is_null:
+    if _is_null(s):
         pipe.apply(normalize_null(s))
         if sigma_in:
             return CanonicalForm(CaseId.NULL_LINE_SIGMA)
@@ -393,10 +418,7 @@ def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
 def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
     """vp: two rows spanning the (rank-two) symmetric row space."""
     w_dir = normal_complement(vp)
-    w_null = abs(minkowski_vec(w_dir, w_dir)) \
-        <= ZERO_TOL * float(np.vdot(w_dir, w_dir).real)
-
-    if not w_null:
+    if not _is_null(w_dir):
         # symmetric part equivalent to span{tau0, tau2}
         pipe.apply(normalize_nonnull(w_dir))
         pipe.apply(_R_T2_TO_T1)
@@ -457,7 +479,7 @@ def _classify_full(pipe: _Pipeline, sigma_in: bool):
     wnorm = float(np.linalg.norm(w))
     if wnorm <= ZERO_TOL:
         return CanonicalForm(CaseId.FULL_SYMMETRIC, 0.0)
-    if abs(minkowski_vec(w, w)) <= ZERO_TOL * wnorm ** 2:
+    if _is_null(w):
         pipe.apply(normalize_null(w))
         pipe.apply(_SWAP)
         w2 = _solve_w(pipe.rows)

@@ -9,9 +9,8 @@ A list of k tensors is a (k, 4) array of such rows; that array is the
 working format of this module and of the classifier.  The unimodular group
 action Op_g C = g^T C g is one fixed linear map on it: rows @ M(g), where
 M(g) is g x g written in quartet coordinates.  The module also provides
-the signature (-,+,+) bilinear product on the symmetric coefficients, the
-invariant trace pairing, and a canonicalized subspace container (CSpace)
-that stores its reduced rows.
+the signature (-,+,+) bilinear product on the symmetric coefficients and
+a canonicalized subspace container (CSpace) that stores its reduced rows.
 """
 
 from __future__ import annotations
@@ -115,25 +114,16 @@ def quartet_from_array(a) -> PauliQuartet:
     return PauliQuartet(a[0], a[1], a[2], a[3])
 
 
-def minkowski(a: PauliQuartet, b: PauliQuartet) -> complex:
-    """Bilinear product -v0*w0 + v1*w1 + v2*w2 on the symmetric parts.
+def minkowski_vec(a, b) -> complex:
+    """Bilinear product -v0*w0 + v1*w1 + v2*w2 on length-3 symmetric
+    coefficient vectors.
 
     No complex conjugation: this is the invariant of the unimodular
     action, not a Hermitian inner product.
     """
-    return -a.v0 * b.v0 + a.v1 * b.v1 + a.v2 * b.v2
-
-
-def minkowski_vec(a, b) -> complex:
-    """Same product on bare length-3 coefficient vectors."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return complex(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def trace_form(a: PauliQuartet, b: PauliQuartet) -> complex:
-    """Invariant pairing tr(C1 sigma^-1 C2^T sigma^-1) in closed form."""
-    return 2.0 * (-a.u * b.u + minkowski(a, b))
 
 
 @dataclass(frozen=True)
@@ -184,11 +174,14 @@ class SL2:
 def _action_matrix(g: SL2) -> np.ndarray:
     """The 4x4 map M(g) with rows @ M(g) the quartet rows of g^T C g.
 
-    flat(g^T C g) = flat(C) (g x g), taken into quartet coordinates.  The
+    flat(g^T C g) = flat(C) (g x g), taken into quartet coordinates; g x g
+    is the broadcast outer product, entry for entry np.kron(g, g).  The
     antisymmetric part scales with det g = 1, so the u row and column are
     set to e3: u passes through bit-exact and never leaks into v.
     """
-    m = _TO_FLAT @ np.kron(g.matrix, g.matrix) @ _FROM_FLAT
+    u = g.matrix
+    gg = (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
+    m = _TO_FLAT @ gg @ _FROM_FLAT
     m[3] = m[:, 3] = (0, 0, 0, 1)
     return m
 
@@ -206,7 +199,8 @@ class CSpace:
     array) is independence-checked and canonicalized on construction by
     row reduction (columns scanned left to right, partial pivoting on row
     magnitude), so that two equal spans produce the same stored basis up
-    to rounding.
+    to rounding.  The reduced rows are the stored form; .basis gives them
+    as quartets, built on first read.
     """
 
     def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray):
@@ -226,9 +220,7 @@ class CSpace:
                 raise LinearDependenceError("basis is not independent")
         else:
             reduced = coeff
-        reduced.flags.writeable = False
-        self._rows = reduced
-        self.basis = tuple(quartet_from_array(r) for r in reduced)
+        self._set_rows(reduced)
 
     def _check_independence(self, coeff: np.ndarray) -> None:
         s = np.linalg.svd(coeff, compute_uv=False)
@@ -244,23 +236,39 @@ class CSpace:
                 f"singular value ratio {ratio:.3e} falls in the ambiguous "
                 f"band (rank_tol, 10*rank_tol]; refusing to guess")
 
+    @classmethod
+    def _reduced(cls, rows: np.ndarray) -> "CSpace":
+        """The space of rows that are already what construction stores:
+        reduced, independent and finite.  Taken as they are, unchecked."""
+        space = object.__new__(cls)
+        space._set_rows(rows)
+        return space
+
+    def _set_rows(self, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        self._rows = rows
+        self._basis = None
+
+    @property
+    def basis(self) -> tuple:
+        """The stored rows as PauliQuartets."""
+        if self._basis is None:
+            self._basis = tuple(quartet_from_array(r) for r in self._rows)
+        return self._basis
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._rows.shape[0]
 
     def coefficient_matrix(self) -> np.ndarray:
         """Basis rows as a read-only (dim x 4) complex array."""
         return self._rows
 
     def contains(self, q: PauliQuartet, tol: float = 1e-8) -> bool:
-        vec = q.as_array()
-        scale = max(1.0, float(np.linalg.norm(vec)))
-        if self.dim == 0:
-            return float(np.linalg.norm(vec)) <= tol * scale
-        b = self.coefficient_matrix()
-        coef, *_ = np.linalg.lstsq(b.T, vec, rcond=None)
-        resid = np.linalg.norm(b.T @ coef - vec)
-        return float(resid) <= tol * scale
+        """q lies within tol * max(1, |q|) of the span."""
+        vh = (_row_spaces(self._rows)[1] if self.dim
+              else np.zeros((0, 4), dtype=complex))
+        return _within(q.as_array()[None], vh, tol)
 
     def __repr__(self):
         return f"CSpace(dim={self.dim})"
@@ -281,10 +289,10 @@ def _row_reduce(rows: np.ndarray) -> np.ndarray:
         if abs(m[piv, col]) <= thresh:
             continue
         m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] / m[r, col]
-        for i in range(m.shape[0]):
-            if i != r:
-                m[i] = m[i] - m[i, col] * m[r]
+        pivot = m[r] / m[r, col]
+        # one rank-1 update clears the column; the pivot row is put back
+        m -= m[:, col, None] * pivot
+        m[r] = pivot
         r += 1
     return m[:r]
 
@@ -294,11 +302,35 @@ def sl2_act_space(g: SL2, space: CSpace) -> CSpace:
     return CSpace(space.coefficient_matrix() @ _action_matrix(g))
 
 
+# lstsq's default cut: singular values at or below eps * max(4, k), k <= 4
+# rows, times the largest are taken as zero
+_RCOND = 4 * np.finfo(float).eps
+
+
+def _row_spaces(rows: np.ndarray):
+    """Singular values of each (k, 4) block of rows, and right singular
+    vectors spanning its rows, those at or below the lstsq cut zeroed."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return s, vh * (s > _RCOND * s[..., :1])[..., None]
+
+
+def _within(x: np.ndarray, vh: np.ndarray, tol: float) -> bool:
+    """Every row of x lies within tol * max(1, |row|) of the span of the
+    rows of vh (orthonormal or zero); blocks of x pair with blocks of vh."""
+    resid = np.linalg.norm(x - x @ vh.conj().swapaxes(-1, -2) @ vh, axis=-1)
+    return bool(np.all(
+        resid <= tol * np.maximum(1.0, np.linalg.norm(x, axis=-1))))
+
+
 def span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
     """True iff the two spans agree: equal dimension and every basis vector
-    of one lies within tol (relative) of the span of the other."""
+    of one lies within tol (relative) of the span of the other.
+
+    Decided from one SVD of the stacked (2, k, 4) pair of basis rows."""
     if a.dim != b.dim:
         return False
-    return all(b.contains(q, tol) for q in a.basis) and \
-        all(a.contains(q, tol) for q in b.basis)
+    if a.dim == 0:
+        return True
+    pair = np.stack([a.coefficient_matrix(), b.coefficient_matrix()])
+    return _within(pair, _row_spaces(pair)[1][::-1], tol)
 

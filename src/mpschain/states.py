@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import CanonicalForm, CaseId, canonical_space
 from .hamiltonian import (FamilyId, FamilyParams, max_sites)
-from .pauli import CSpace, PauliQuartet, SL2
+from .pauli import _TO_FLAT, CSpace, PauliQuartet
 
 # Site guard for explicit state vectors (2^N amplitudes), overridable
 # through MPS_MAX_SITES.
@@ -76,6 +76,16 @@ class StateVector:
         state._set(n_sites, None, index)
         return state
 
+    @classmethod
+    def _owning(cls, n_sites: int, amplitudes: np.ndarray) -> "StateVector":
+        """The state of a fresh finite complex vector of 2^n_sites entries
+        that no one else holds: taken as it is, made read-only, neither
+        copied nor checked."""
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        state._set(n_sites, amplitudes, None)
+        return state
+
     def _set(self, n_sites, amplitudes, index) -> None:
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "_amplitudes", amplitudes)
@@ -119,7 +129,7 @@ class StateVector:
         n = np.linalg.norm(scaled)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n_sites, scaled / n)
+        return StateVector._owning(self.n_sites, scaled / n)
 
 
 def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
@@ -219,7 +229,7 @@ def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
     e = exponent[sel]
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[sel] = _signed_powers(ratio, int(e.max()))[0, e]
-    return StateVector(n_sites, amps)
+    return StateVector._owning(n_sites, amps)
 
 
 def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
@@ -236,7 +246,7 @@ def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
     e = exponent[even]
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[even] = _signed_powers(ratio, int(e.max()))[zeros[even] // 2 % 2, e]
-    return StateVector(n_sites, amps)
+    return StateVector._owning(n_sites, amps)
 
 
 def psi_parity(n_sites: int, parity: str,
@@ -257,7 +267,7 @@ def psi_parity(n_sites: int, parity: str,
     sel = (zeros % 2 == fewest % 2) & (zeros >= fewest)
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[sel] = np.where(zeros[sel] // 2 % 2 == 0, 1.0, -1.0)
-    return StateVector(n_sites, amps)
+    return StateVector._owning(n_sites, amps)
 
 
 def hardcore_states(n_sites: int) -> list:
@@ -315,25 +325,42 @@ class MPSResult:
 def transfer_matrix(spec: MPSSpec) -> np.ndarray:
     """kron(conj(a0), a0) + kron(conj(a1), a1); its N-th power traces to
     the squared norm of the N-site state."""
-    return (np.kron(np.conj(spec.a0), spec.a0)
-            + np.kron(np.conj(spec.a1), spec.a1))
+    return _transfer(spec.a0, spec.a1)
 
 
-def _half_products(spec: MPSSpec, n_bits: int, prepend: bool) -> np.ndarray:
+def _transfer(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """transfer_matrix of the pair (a0, a1), the Kronecker products taken
+    as broadcast outer products (entry for entry np.kron)."""
+    d = a0.shape[0]
+    a = np.stack([a0, a1])
+    t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
+    t = t.reshape(2, d * d, d * d)
+    return t[0] + t[1]
+
+
+def _half_products(a0: np.ndarray, a1: np.ndarray, n_bits: int,
+                   prepend: bool) -> np.ndarray:
     """All 2^n_bits ordered products of bond matrices, bits most
     significant first.  With prepend=False bit b extends products on the
-    right (prefixes); with prepend=True on the left (suffixes)."""
-    d = spec.bond_dim
-    out = np.broadcast_to(np.eye(d, dtype=complex), (1, d, d)).copy()
-    for _ in range(n_bits):
-        nxt = np.empty((2 * out.shape[0], d, d), dtype=complex)
-        if prepend:
-            nxt[:out.shape[0]] = spec.a0 @ out
-            nxt[out.shape[0]:] = spec.a1 @ out
-        else:
-            nxt[0::2] = out @ spec.a0
-            nxt[1::2] = out @ spec.a1
-        out = nxt
+    right (prefixes); with prepend=True on the left (suffixes).
+
+    Each bit is one matrix product against both bond matrices side by
+    side: [a0 a1] on the right, or [a0; a1] on the left.
+    """
+    d = a0.shape[0]
+    out = np.eye(d, dtype=complex)[None]
+    if prepend:
+        both = np.concatenate([a0, a1])
+        for _ in range(n_bits):
+            out = both @ out.transpose(1, 0, 2).reshape(d, -1)
+            out = out.reshape(2, d, -1, d).transpose(0, 2, 1, 3)
+            out = out.reshape(-1, d, d)
+    else:
+        both = np.concatenate([a0, a1], axis=1)
+        for _ in range(n_bits):
+            out = out.reshape(-1, d) @ both
+            out = out.reshape(-1, d, 2, d).transpose(0, 2, 1, 3)
+            out = out.reshape(-1, d, d)
     return out
 
 
@@ -353,28 +380,28 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     # the normalized state stay right.
     f = math.frexp(max(np.abs(spec.a0.view(float)).max(),
                        np.abs(spec.a1.view(float)).max()))[1]
-    scaled = MPSSpec(_times_power_of_two(spec.a0, -f),
-                     _times_power_of_two(spec.a1, -f))
+    a0 = _times_power_of_two(spec.a0, -f)
+    a1 = _times_power_of_two(spec.a1, -f)
     d = spec.bond_dim
     m1 = n_sites // 2
     m2 = n_sites - m1
-    pref = _half_products(scaled, m1, prepend=False).reshape(2 ** m1, d * d)
-    suff = _half_products(scaled, m2, prepend=True)
+    pref = _half_products(a0, a1, m1, prepend=False).reshape(2 ** m1, d * d)
+    suff = _half_products(a0, a1, m2, prepend=True)
     suff = suff.transpose(0, 2, 1).reshape(2 ** m2, d * d)
     amps = (pref @ suff.T).ravel()
 
-    t = transfer_matrix(scaled)
+    t = _transfer(a0, a1)
     tr = float(np.real(np.trace(np.linalg.matrix_power(t, n_sites))))
     # scale bound: z can never exceed (|a0|_F^2 + |a1|_F^2)^N; both sides
     # carry the same factor 2**(2fN), so the scaled values compare alike
-    s = np.linalg.norm(scaled.a0) ** 2 + np.linalg.norm(scaled.a1) ** 2
+    s = np.linalg.norm(a0) ** 2 + np.linalg.norm(a1) ** 2
     if s == 0.0 or tr <= 0.0:
         is_zero = True
     else:
         is_zero = np.log(tr) < n_sites * np.log(s) + np.log(MPS_ZERO_TOL)
     # amps carry the factor 2**-(fN) too, so their squared sum is about tr
     # and in range whenever the state is not zero
-    normalized = None if is_zero else StateVector(
+    normalized = None if is_zero else StateVector._owning(
         n_sites, amps / np.linalg.norm(amps))
     # the raw state last, so at most four 2^N arrays are alive at once;
     # out of range, z reads inf and the raw amplitudes are refused
@@ -384,9 +411,8 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"contracted amplitudes exceed the float range "
                          f"at n_sites={n_sites}")
-    state = StateVector(n_sites, amps)
-    return MPSResult(state=state, z=max(z, 0.0), is_zero=is_zero,
-                     normalized=normalized)
+    return MPSResult(state=StateVector._owning(n_sites, amps),
+                     z=max(z, 0.0), is_zero=is_zero, normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +429,13 @@ class CaseRepresentation:
 def constraint_residual(space: CSpace, spec: MPSSpec) -> float:
     """max over basis constraints of |C00 A0A0 + C01 A0A1 + C10 A1A0 +
     C11 A1A1|_F, relative to the bond matrix scale."""
-    a = (spec.a0, spec.a1)
-    scale = max(1.0, float(np.linalg.norm(a[0]) * np.linalg.norm(a[1])))
-    worst = 0.0
-    for q in space.basis:
-        c = q.matrix()
-        acc = np.zeros_like(a[0])
-        for i in (0, 1):
-            for j in (0, 1):
-                acc = acc + c[i, j] * (a[i] @ a[j])
-        worst = max(worst, float(np.linalg.norm(acc)) / scale)
-    return worst
+    a0, a1 = spec.a0, spec.a1
+    scale = max(1.0, float(np.linalg.norm(a0) * np.linalg.norm(a1)))
+    # (C00, C01, C10, C11) of every constraint against the four products
+    # A0A0, A0A1, A1A0, A1A1, each flattened
+    products = np.stack([a0 @ a0, a0 @ a1, a1 @ a0, a1 @ a1]).reshape(4, -1)
+    acc = space.coefficient_matrix() @ _TO_FLAT @ products
+    return float(np.max(np.linalg.norm(acc, axis=1), initial=0.0)) / scale
 
 
 def _shift_matrix(m: int) -> np.ndarray:
@@ -502,16 +524,6 @@ def representation_for_case(form: CanonicalForm,
         return CaseRepresentation(MPSSpec(e01, e22), canonical_space(form))
     raise NoRepresentationError(
         f"no catalogued bond representation for {case.value}")
-
-
-def transform_state(state: StateVector, g: SL2) -> StateVector:
-    """Push a chain state through the inverse one-site action on every
-    site: the companion of the pair-energy congruence transform."""
-    m = g.inverse().matrix
-    t = state.amplitudes.reshape((2,) * state.n_sites)
-    for axis in range(state.n_sites):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-    return StateVector(state.n_sites, t.ravel())
 
 
 # ---------------------------------------------------------------------------

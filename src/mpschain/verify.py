@@ -20,6 +20,7 @@ chain or it does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
                           FamilyParams, _summed_entries, build_family,
                           chain_entries, local_from_espace)
 from .pauli import _TO_FLAT, SIGMA, SL2, TAU0, TAU1, TAU2
-from .states import ground_state_catalogue
+from .states import _times_power_of_two, ground_state_catalogue
 
 # Reports list the lowest LOWEST_K eigenvalues.
 LOWEST_K = 8
@@ -381,7 +382,13 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     norms = np.linalg.norm(psi, axis=1)
     if not np.all(norms):
         raise ValueError("zero vector cannot witness a ground state")
-    hnorm = max(1.0, float(np.linalg.norm(vals)))
+    # Work with the entries times 2**-f, their largest real or imaginary
+    # part brought into [0.5, 1), so |H|_F and H psi cannot overflow.
+    # Scaling by a power of two is exact: in-range residuals come out bit
+    # for bit as from the raw entries.
+    f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
+    vals = _times_power_of_two(vals, -f)
+    hnorm = float(np.linalg.norm(vals))
     if not np.any(vals.imag) and not np.any(psi.imag):
         vals, psi = vals.real, psi.real
     hpsi = vals * psi[:, cols]
@@ -390,7 +397,12 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     if starts.size < rows.size:
         hpsi = np.add.reduceat(hpsi, starts, axis=1)
-    residuals = np.linalg.norm(hpsi, axis=1) / (norms * hnorm)
+    # the divisor max(1, |H|_F) is |H|_F = hnorm * 2**f exactly when the
+    # exponent of hnorm plus f is at least 1
+    if math.frexp(hnorm)[1] + f >= 1:
+        residuals = np.linalg.norm(hpsi, axis=1) / (norms * hnorm)
+    else:
+        residuals = np.ldexp(np.linalg.norm(hpsi, axis=1) / norms, f)
     return replace(report, residuals={
         ns.label: float(r) for ns, r in zip(catalogue, residuals)})
 

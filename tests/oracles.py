@@ -21,6 +21,15 @@ route the library does not take, so agreement is evidence.
 - zero_counts: every basis index's zero count and zeta exponent by a loop
   over the sites, instead of the library's table grown one leading site
   at a time.
+- transform_state: a chain state pushed through the inverse one-site
+  action, one tensordot per site.
+- minkowski, trace_form: the (-,+,+) product and the invariant pairing
+  tr(C1 sigma^-1 C2^T sigma^-1) of two quartets, in closed form.
+- The loop versions of the algebra layer's batched kernels, kept as
+  their definitions: kron_action_matrix and kron_transfer (np.kron),
+  loop_row_reduce (one row update at a time), lstsq_contains and
+  lstsq_span_equal (one least-squares solve per basis vector) and
+  loop_half_products (one batched product per bond matrix and bit).
 
 One helper is shared test plumbing rather than a reference: flat gives
 a quartet's entries (C00, C01, C10, C11) through the library's own
@@ -32,8 +41,9 @@ from __future__ import annotations
 import numpy as np
 
 from mpschain.hamiltonian import FamilyId, FamilyParams, LocalHamiltonian
-from mpschain.pauli import _TO_FLAT, SL2, PauliQuartet, quartet_from_matrix
-from mpschain.states import StateVector, transform_state
+from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL, SL2,
+                            CSpace, PauliQuartet, quartet_from_matrix)
+from mpschain.states import StateVector
 
 _I2 = np.eye(2, dtype=complex)
 _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -266,3 +276,98 @@ def quartet_action(g: SL2, q: PauliQuartet) -> PauliQuartet:
 def flat(q: PauliQuartet) -> np.ndarray:
     """Entries (C00, C01, C10, C11) of q's 2x2 matrix, row-major."""
     return q.as_array() @ _TO_FLAT
+
+
+def transform_state(state: StateVector, g: SL2) -> StateVector:
+    """Push a chain state through the inverse one-site action on every
+    site: the companion of the pair-energy congruence transform."""
+    m = g.inverse().matrix
+    t = state.amplitudes.reshape((2,) * state.n_sites)
+    for axis in range(state.n_sites):
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
+    return StateVector(state.n_sites, t.ravel())
+
+
+def minkowski(a: PauliQuartet, b: PauliQuartet) -> complex:
+    """Bilinear product -v0*w0 + v1*w1 + v2*w2 on the symmetric parts."""
+    return -a.v0 * b.v0 + a.v1 * b.v1 + a.v2 * b.v2
+
+
+def trace_form(a: PauliQuartet, b: PauliQuartet) -> complex:
+    """Invariant pairing tr(C1 sigma^-1 C2^T sigma^-1) in closed form."""
+    return 2.0 * (-a.u * b.u + minkowski(a, b))
+
+
+def kron_action_matrix(g: SL2) -> np.ndarray:
+    """The 4x4 quartet action M(g) with g x g taken by np.kron."""
+    m = _TO_FLAT @ np.kron(g.matrix, g.matrix) @ _FROM_FLAT
+    m[3] = m[:, 3] = (0, 0, 0, 1)
+    return m
+
+
+def kron_transfer(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """kron(conj(a0), a0) + kron(conj(a1), a1) by np.kron."""
+    return np.kron(np.conj(a0), a0) + np.kron(np.conj(a1), a1)
+
+
+def loop_row_reduce(rows: np.ndarray) -> np.ndarray:
+    """Reduced row-echelon form over C, clearing each pivot column one row
+    at a time; returns the nonzero rows."""
+    m = np.array(rows, dtype=complex)
+    if m.size == 0:
+        return m
+    scale = max(1.0, float(np.max(np.abs(m))))
+    thresh = DEFAULT_RANK_TOL * scale
+    r = 0
+    for col in range(m.shape[1]):
+        if r >= m.shape[0]:
+            break
+        piv = r + int(np.argmax(np.abs(m[r:, col])))
+        if abs(m[piv, col]) <= thresh:
+            continue
+        m[[r, piv]] = m[[piv, r]]
+        m[r] = m[r] / m[r, col]
+        for i in range(m.shape[0]):
+            if i != r:
+                m[i] = m[i] - m[i, col] * m[r]
+        r += 1
+    return m[:r]
+
+
+def lstsq_contains(space: CSpace, q: PauliQuartet, tol: float = 1e-8) -> bool:
+    """q within tol * max(1, |q|) of the span, by one least-squares solve."""
+    vec = q.as_array()
+    scale = max(1.0, float(np.linalg.norm(vec)))
+    if space.dim == 0:
+        return float(np.linalg.norm(vec)) <= tol * scale
+    b = space.coefficient_matrix()
+    coef, *_ = np.linalg.lstsq(b.T, vec, rcond=None)
+    return float(np.linalg.norm(b.T @ coef - vec)) <= tol * scale
+
+
+def lstsq_span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
+    """Equal dimension and every basis vector of each in the other's span,
+    one lstsq_contains per vector."""
+    if a.dim != b.dim:
+        return False
+    return all(lstsq_contains(b, q, tol) for q in a.basis) and \
+        all(lstsq_contains(a, q, tol) for q in b.basis)
+
+
+def loop_half_products(a0: np.ndarray, a1: np.ndarray, n_bits: int,
+                       prepend: bool) -> np.ndarray:
+    """All 2^n_bits ordered products of a0 and a1, bits most significant
+    first, one batched product per bond matrix and bit: extended on the
+    right (prefixes) or, with prepend, on the left (suffixes)."""
+    d = a0.shape[0]
+    out = np.eye(d, dtype=complex)[None]
+    for _ in range(n_bits):
+        nxt = np.empty((2 * out.shape[0], d, d), dtype=complex)
+        if prepend:
+            nxt[:out.shape[0]] = a0 @ out
+            nxt[out.shape[0]:] = a1 @ out
+        else:
+            nxt[0::2] = out @ a0
+            nxt[1::2] = out @ a1
+        out = nxt
+    return out

@@ -19,15 +19,14 @@ import pytest
 from mpschain.classify import (CanonicalForm, CaseId, MU_CASES,
                                canonical_space, classify)
 from mpschain.hamiltonian import FamilyId, FamilyParams, build_family
-from mpschain.pauli import (PauliQuartet, minkowski, sl2_act, sl2_act_space,
-                            span_equal, trace_form)
+from mpschain.pauli import PauliQuartet, sl2_act, sl2_act_space, span_equal
 from mpschain.states import (MPSSpec, constraint_residual,
                              ground_state_catalogue, mps_contract,
                              product_state, psi_k, psi_parity,
                              representation_for_case)
 from mpschain.verify import family_report
 from oracles import (check_zero_member, covariance_check, kron_chain,
-                     operator_sum, random_sl2)
+                     minkowski, operator_sum, random_sl2, trace_form)
 
 MU_SAMPLES = (0.0, 1.0, 0.37 + 0.2j)
 

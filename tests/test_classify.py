@@ -4,17 +4,19 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mpschain.classify import (CanonicalForm, CaseId, ClassificationError,
-                               UncataloguedSpaceError, canonical_space,
-                               classify, invariant_signature,
+from mpschain.classify import (_CANONICAL_BASES, CanonicalForm, CaseId,
+                               ClassificationError, MU_CASES,
+                               UncataloguedSpaceError, ZERO_TOL,
+                               canonical_space, classify, invariant_signature,
                                normal_complement, normalize_nonnull,
                                normalize_null)
-from mpschain.pauli import (CSpace, PauliQuartet, minkowski_vec,
-                            quartet_from_array, sl2_act, sl2_act_space,
-                            span_equal)
-from oracles import random_sl2
+from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
+                            PauliQuartet, minkowski_vec, quartet_from_array,
+                            sl2_act, sl2_act_space, span_equal)
+from oracles import lstsq_span_equal, quartet_action, random_sl2
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -233,3 +235,183 @@ def test_witness_ignores_the_last_bits_of_the_input():
             first = classify(CSpace(rows)).gamma.matrix
             again = classify(CSpace(rows * (1.0 + 2.0 ** -50))).gamma.matrix
             assert_allclose(again, first, atol=1e-9, err_msg=case_id.value)
+
+
+
+def test_canonical_rows_are_those_of_cspace():
+    # canonical_space skips construction, so its rows must be exactly what
+    # construction stores from the literal basis, negative zeros in mu too
+    rng = np.random.default_rng(31)
+    signed = [complex(a, b) for a in (0.0, -0.0, 0.5, -0.5)
+              for b in (0.0, -0.0, 0.25, -0.25)]
+    for case in CaseId:
+        mus = ([None] if case not in MU_CASES else
+               signed + list(rng.normal(size=10) + 1j * rng.normal(size=10)))
+        for mu in mus:
+            form = CanonicalForm(case, mu)
+            got = canonical_space(form).coefficient_matrix()
+            rows = [(0, 0, 1, form.mu) if r == "t2+mu*s" else r
+                    for r in _CANONICAL_BASES[case]]
+            want = CSpace(np.array(rows, dtype=complex).reshape(-1, 4))
+            assert got.tobytes() == want.coefficient_matrix().tobytes(), \
+                (case.value, mu)
+            assert not got.flags.writeable
+
+
+
+def _literal_rows(form):
+    rows = [(0, 0, 1, form.mu) if r == "t2+mu*s" else r
+            for r in _CANONICAL_BASES[form.case_id]]
+    return np.array(rows, dtype=complex).reshape(-1, 4)
+
+
+def _outcome(build):
+    try:
+        return build().coefficient_matrix().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mu", [0.99e8, 1e8, -1e8j, 1.01e8, 3e9 - 1e9j,
+                                1e12, 1e20])
+def test_canonical_space_with_large_mu_is_that_of_cspace(mu):
+    # up to |mu| = 1e8 the literal rows are taken as they are; beyond it
+    # canonical_space refuses, or reduces, exactly as construction does
+    for case in MU_CASES:
+        form = CanonicalForm(case, mu)
+        want = _outcome(lambda: CSpace(_literal_rows(form)))
+        assert _outcome(lambda: canonical_space(form)) == want, case.value
+    assert isinstance(_outcome(lambda: canonical_space(
+        CanonicalForm(CaseId.REGULAR_PLANE, 1e12))), tuple)
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"),
+                                complex(0.0, -float("inf")),
+                                complex(float("nan"), 1.0)])
+def test_canonical_space_refuses_non_finite_mu(mu):
+    for case in MU_CASES:
+        with pytest.raises(ValueError, match="^non-finite complex value$"):
+            canonical_space(CanonicalForm(case, mu))
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, 3.5])
+def test_line_between_the_null_cuts_is_refused_as_classification(k):
+    # the unit row s of tau0 + tau1 + eps tau2 has <s, s> = eps^2/(2+eps^2)
+    # and largest matrix entry 2/sqrt(2+eps^2): the null test on the matrix
+    # scale (the normalizers' own) holds up to eps^2 = 4 ZERO_TOL.  The
+    # branch decision takes the same test, so a line with eps^2 between
+    # 2 and 4 ZERO_TOL goes to normalize_null, not to normalize_nonnull,
+    # which refused it with a bare ValueError("input is null").  Its
+    # witness then misses the null line by more than WITNESS_TOL.
+    eps = np.sqrt(k * ZERO_TOL)
+    with pytest.raises(ClassificationError,
+                       match="witness validation failed for null_line"):
+        classify(CSpace([PauliQuartet(1, 1, eps, 0)]))
+
+# Property tests near the classifier's decision boundaries.  Near a cut
+# the branch taken may depend on the orbit point, so each asserts the
+# contract rather than one outcome: classify either returns a witness
+# that independently carries the input onto its canonical basis, with the
+# canonical basis a fixed point of classify, or it refuses with a
+# documented error; the validation refusals come from the end of
+# classify, where the witness image is checked.
+
+REFUSALS = (ClassificationError, LinearDependenceError, AmbiguousRankError)
+REFUSAL_NAMES = {cls.__name__ for cls in REFUSALS}
+
+
+def _round_trip(basis, g=None):
+    """classify of the span of basis, moved by g first, checked against
+    the oracles; the refusal's type name when construction or classify
+    refuses."""
+    if g is not None:
+        basis = [quartet_action(g, q) for q in basis]
+    try:
+        space = CSpace(basis)
+        res = classify(space)
+    except REFUSALS as exc:
+        event(type(exc).__name__)
+        return type(exc).__name__
+    event(res.form.case_id.value)
+    image = CSpace([quartet_action(res.gamma, q) for q in space.basis])
+    assert lstsq_span_equal(image, res.canonical, 1e-6)
+    again = classify(res.canonical)
+    assert again.form.case_id is res.form.case_id
+    if res.form.mu is not None:
+        assert abs(again.form.mu - res.form.mu) <= 1e-9 * max(
+            1.0, abs(res.form.mu))
+    return res.form.case_id
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_eps=st.floats(-10.0, -1.0),
+       tilt=st.sampled_from([0.0, 0.6]))
+def test_null_cut_orbit_round_trip(seed, log_eps, tilt):
+    # tau0 + tau1 + eps tau2 has (-,+,+) square eps^2: null below the
+    # ZERO_TOL cut, non-null above it
+    eps = 10.0 ** log_eps
+    g = random_sl2(np.random.default_rng(seed), 20.0)
+    got = _round_trip([T0 + T1 + eps * T2 + tilt * SG], g)
+    lines = {CaseId.NULL_LINE, CaseId.NULL_LINE_TILTED, CaseId.NONNULL_LINE}
+    assert got in lines or got == "ClassificationError"
+    if eps >= 1e-2:
+        assert got is CaseId.NONNULL_LINE
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_delta=st.floats(-13.0, -6.0),
+       w=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+def test_symmetric_rank_cut_orbit_round_trip(seed, log_delta, w):
+    # span{tau0 + w sigma, tau0 + delta tau1}: its symmetric part has rank
+    # two, with a second singular value about delta / sqrt(2) that crosses
+    # the 1e-10 cut of the symmetric rank
+    g = random_sl2(np.random.default_rng(seed), 20.0)
+    got = _round_trip([T0 + w * SG, T0 + 10.0 ** log_delta * T1], g)
+    assert got in REFUSAL_NAMES or canonical_space(
+        CanonicalForm(got, 0.0 if got in MU_CASES else None)).dim == 2
+
+
+def _near_band_plane(ratio: float, theta: float, phi: float) -> np.ndarray:
+    """Reduced rows e0 + t z, e1 + t z (z a unit vector on the v2, u
+    coordinates) whose singular value ratio is 1 / sqrt(1 + 2 t^2)."""
+    t = np.sqrt((1.0 / ratio ** 2 - 1.0) / 2.0)
+    rows = np.zeros((2, 4), dtype=complex)
+    rows[0, 0] = rows[1, 1] = 1.0
+    rows[:, 2:] = t * np.array([np.cos(theta),
+                                np.sin(theta) * np.exp(1j * phi)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(log_ratio=st.floats(-10.5, -7.5), theta=st.floats(0.05, 1.5),
+       phi=st.floats(0.0, 6.2))
+def test_rank_band_round_trip(log_ratio, theta, phi):
+    # bases whose singular value ratio runs from below rank_tol, through
+    # the ambiguous band (rank_tol, 10 rank_tol], to above it
+    rows = _near_band_plane(10.0 ** log_ratio, theta, phi)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    try:
+        space = CSpace(rows)
+    except (LinearDependenceError, AmbiguousRankError) as exc:
+        banded = 1e-10 < ratio <= 1e-9
+        assert isinstance(exc, AmbiguousRankError) == banded
+        assert ratio <= 1.01e-9
+        return
+    assert ratio > 0.99e-9
+    got = _round_trip(space.basis)
+    assert got in REFUSAL_NAMES or got in CaseId
+
+
+@pytest.mark.parametrize("ratio, theta, phi, refusal", [
+    (1.05e-9, 0.3, 0.0, AmbiguousRankError),
+    (1.05e-9, 1.2, 0.0, LinearDependenceError),
+])
+def test_witness_image_in_the_rank_band_is_refused(ratio, theta, phi,
+                                                   refusal):
+    # the input passes construction, but its basis pushed through the
+    # witness falls into (or below) the ambiguous band: classify refuses
+    # with the construction error instead of validating a guess
+    space = CSpace(_near_band_plane(ratio, theta, phi))
+    with pytest.raises(refusal):
+        classify(space)

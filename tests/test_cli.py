@@ -269,6 +269,24 @@ def test_verify_passes_and_reports_kernel():
     assert all(r <= 1e-9 for r in out["residuals"].values())
 
 
+@pytest.mark.parametrize("family, params, kernel", [
+    ("hardcore", '{"g": 1e300}', 8),
+    ("antialigned", '{"g1": 1e300, "g2": 1e300, "g3": 0}', 2),
+])
+def test_verify_huge_weights_neither_overflow_nor_warn(family, params,
+                                                       kernel):
+    # finite weights whose |H|_F squares overflow: the residuals are taken
+    # on power-of-two scaled entries, so they stay exact and quiet
+    proc = run_cli("verify", "--family", family, "--params", params,
+                   "--n-sites", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["kernel_dim"] == kernel
+    assert len(out["residuals"]) == kernel
+    assert all(r == 0 for r in out["residuals"].values())
+
+
 def test_verify_claim_failure_exit_code():
     proc = run_cli("verify", "--family", "exchange", "--params",
                    EXCHANGE_M3, "--n-sites", "6", "--tol", "1e-30")

@@ -7,10 +7,13 @@ from numpy.testing import assert_allclose
 
 from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
                             PauliQuartet, SL2, SIGMA, TAU0, TAU1, TAU2,
-                            minkowski, minkowski_vec, quartet_from_array,
-                            quartet_from_matrix, sl2_act, sl2_act_space,
-                            span_equal, trace_form)
-from oracles import flat, quartet_action, random_sl2, sl2_with_condition
+                            _action_matrix, _row_reduce, minkowski_vec,
+                            quartet_from_array, quartet_from_matrix, sl2_act,
+                            sl2_act_space, span_equal)
+from oracles import (flat, kron_action_matrix, loop_row_reduce,
+                     lstsq_contains, lstsq_span_equal, minkowski,
+                     quartet_action, random_sl2, sl2_with_condition,
+                     trace_form)
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -271,3 +274,80 @@ def test_cspace_refuses_non_finite_rows(bad):
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite complex value"):
         CSpace(rows)
+
+
+# The batched kernels against their loop versions in oracles.py.
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=SEEDS, log_cond=LOG_CONDS)
+def test_action_matrix_is_the_kron_one(seed, log_cond):
+    g = sl2_with_condition(np.random.default_rng(seed), 10.0 ** log_cond)
+    assert _action_matrix(g).tobytes() == kron_action_matrix(g).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=SEEDS, dim=st.integers(1, 4), rank=st.integers(0, 4),
+       log_scale=st.floats(-6.0, 6.0))
+def test_row_reduce_is_the_loop_one(seed, dim, rank, log_scale):
+    # rank-deficient stacks too: dependent rows are where pivots get skipped
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    basis = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+    mix = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rows = 10.0 ** log_scale * (mix @ basis)
+    rows[rng.random(size=rows.shape) < 0.2] = 0.0
+    assert _row_reduce(rows).tobytes() == loop_row_reduce(rows).tobytes()
+
+
+def _residual_ratio(x: np.ndarray, space: CSpace) -> float:
+    """Largest lstsq residual of the rows of x off the span, each over
+    max(1, |row|): the quantity the span tests compare with tol."""
+    b = space.coefficient_matrix()
+    coef, *_ = np.linalg.lstsq(b.T, x.T, rcond=None)
+    resid = np.linalg.norm(b.T @ coef - x.T, axis=0)
+    return float(np.max(resid / np.maximum(1.0, np.linalg.norm(x, axis=1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=SEEDS, dim=st.integers(1, 3), log_off=st.floats(-12.0, -1.0),
+       side=st.sampled_from([0.99, 1.01]))
+def test_span_tests_decide_as_the_lstsq_oracle(seed, dim, log_off, side):
+    # a: combinations of b's rows pushed off its span by about 10**log_off;
+    # tol is then placed 1% below or above the worst residual ratio
+    rng = np.random.default_rng(seed)
+    b = CSpace(rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4)))
+    mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    off = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    try:
+        a = CSpace(mix @ b.coefficient_matrix() + 10.0 ** log_off * off)
+    except (LinearDependenceError, AmbiguousRankError):
+        return
+    ra = _residual_ratio(a.coefficient_matrix(), b)
+    rb = _residual_ratio(b.coefficient_matrix(), a)
+    tol = side * max(ra, rb)
+    assert span_equal(a, b, tol) == lstsq_span_equal(a, b, tol) == (side > 1)
+    for q in a.basis:
+        assert b.contains(q, tol) == lstsq_contains(b, q, tol)
+    for q in b.basis:
+        assert a.contains(q, tol) == lstsq_contains(a, q, tol)
+
+
+def test_span_tests_on_empty_and_full_spaces():
+    full = CSpace([T0, T1, T2, SG])
+    empty = CSpace([])
+    assert span_equal(empty, CSpace(np.zeros((0, 4))))
+    assert span_equal(full, CSpace([T0 + T1, T0 + (-1.0) * T1, T2 + SG, SG]))
+    assert not span_equal(empty, full)
+    for q in (T0, 1e-9 * T2, PauliQuartet(0, 0, 0, 0)):
+        for space in (empty, full):
+            assert space.contains(q) == lstsq_contains(space, q)
+
+
+def test_basis_is_built_on_first_read():
+    sp = CSpace([T0 + T1, T2 + 0.3 * SG])
+    assert sp._basis is None
+    assert sp.dim == 2 and sp._basis is None
+    basis = sp.basis
+    assert basis == tuple(quartet_from_array(r)
+                          for r in sp.coefficient_matrix())
+    assert sp.basis is basis

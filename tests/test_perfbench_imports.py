@@ -157,3 +157,28 @@ def test_perfbench_calls_bind_to_signatures(path):
         except TypeError as exc:
             unbound.append(f"line {line}: {dotted}{sig}: {exc}")
     assert not unbound, f"{path.name}: " + "; ".join(unbound)
+
+
+# Functions the benchmark times by name, per layer.
+TIMED = {
+    "pauli": ("sl2_act", "sl2_act_space", "span_equal"),
+    "classify": ("classify", "canonical_space", "invariant_signature"),
+    "states": ("representation_for_case", "constraint_residual",
+               "mps_contract", "ground_state_catalogue", "psi_k",
+               "psi_prime", "psi_parity", "hardcore_states"),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(TIMED))
+def test_public_functions_stay_plain_functions(layer):
+    """The benchmark's tracer wraps the public names of a layer that pass
+    inspect.isfunction.  A public function turned into anything else, an
+    lru_cache wrapper say, would silently lose its per-layer spans."""
+    mod = importlib.import_module(f"mpschain.{layer}")
+    own = {name: obj for name, obj in vars(mod).items()
+           if not name.startswith("_") and callable(obj)
+           and not inspect.isclass(obj)
+           and getattr(obj, "__module__", None) == mod.__name__}
+    assert set(TIMED[layer]) <= set(own)
+    assert [name for name, obj in own.items()
+            if not inspect.isfunction(obj)] == []

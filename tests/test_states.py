@@ -14,13 +14,13 @@ from mpschain.hamiltonian import FamilyId, FamilyParams, build_family, \
 from mpschain.pauli import PauliQuartet
 from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              NoRepresentationError, StateVector,
-                             _zero_counts, constraint_residual,
+                             _half_products, _zero_counts, constraint_residual,
                              ground_state_catalogue, hardcore_states,
                              mps_contract, order_of_unit_root, product_state,
                              psi_k, psi_parity, psi_prime,
-                             representation_for_case, transfer_matrix,
-                             transform_state)
-from oracles import random_sl2, zero_counts
+                             representation_for_case, transfer_matrix)
+from oracles import (kron_transfer, loop_half_products, random_sl2,
+                     transform_state, zero_counts)
 
 
 def chain_residual(params: FamilyParams, state: StateVector) -> float:
@@ -325,6 +325,42 @@ def test_transfer_matrix_traces_norm():
         res = mps_contract(spec, n)
         z = np.real(np.trace(np.linalg.matrix_power(t, n)))
         assert res.state.norm() ** 2 == pytest.approx(z, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+       n_bits=st.integers(0, 8), prepend=st.booleans())
+def test_half_products_match_the_loop(seed, d, n_bits, prepend):
+    rng = np.random.default_rng(seed)
+    a0, a1 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+              for _ in range(2))
+    got = _half_products(a0, a1, n_bits, prepend)
+    want = loop_half_products(a0, a1, n_bits, prepend)
+    assert got.shape == want.shape == (2 ** n_bits, d, d)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_transfer_matrix_is_the_kron_one():
+    rng = np.random.default_rng(46)
+    for d in range(1, 5):
+        spec = MPSSpec(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+                       rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        assert transfer_matrix(spec).tobytes() == \
+            kron_transfer(spec.a0, spec.a1).tobytes()
+
+
+def test_built_states_are_read_only_and_public_ones_copied():
+    amps = np.arange(4, dtype=complex)
+    public = StateVector(2, amps)
+    amps[0] = 7.0
+    assert public.amplitudes[0] == 0.0
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        StateVector(2, [np.nan, 0, 0, 0])
+    res = mps_contract(MPSSpec(np.eye(2), np.diag([1.0, -1.0])), 4)
+    for state in (psi_k(4, 2, 1, -1.0), psi_prime(4), psi_parity(4, "odd"),
+                  public.normalized(), res.state, res.normalized):
+        assert not state.amplitudes.flags.writeable
+        assert np.all(np.isfinite(state.amplitudes))
 
 
 CASES_WITH_REPRESENTATION = [

@@ -180,6 +180,28 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
         assert min(rep.residuals["probe0"], rep.residuals["probe1"]) > 1e-3
 
 
+@pytest.mark.parametrize("log2_g", [996, -996])
+def test_residuals_keep_their_value_beyond_the_float_range(log2_g,
+                                                          monkeypatch):
+    # |0...0> costs 4g on every bond, so its residual is far from zero.
+    # At g = 2**996 the squares behind |H|_F overflow, and at g = 2**-996
+    # max(1, |H|_F) is 1; both must give the exact scaled residual of g = 1,
+    # not 0 and not a warning.
+    n = 4
+    monkeypatch.setattr(verify, "ground_state_catalogue", lambda p, n_sites: [
+        NamedState("psi0", StateVector(n_sites, np.eye(2 ** n_sites)[0]))])
+    unit = FamilyParams(FamilyId.HARDCORE, g=1.0)
+    base = family_report(unit, n).residuals["psi0"]
+    hnorm = np.linalg.norm(kron_chain(operator_sum(unit), n))
+    assert base > 0.1 and hnorm > 1.0
+    got = family_report(FamilyParams(FamilyId.HARDCORE, g=2.0 ** log2_g),
+                        n).residuals["psi0"]
+    if log2_g > 0:
+        assert got == base
+    else:
+        assert got == pytest.approx(2.0 ** log2_g * base * hnorm, rel=1e-14)
+
+
 PSI1_CASES = ["hardcore-mixed", "hardcore-singlet", "hardcore-exchange",
               "mixed-singlet", "pinned"]
 
