@@ -9,6 +9,7 @@ claim check did not meet tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import serialize
 from .classify import ClassificationError, classify, invariant_signature
-from .hamiltonian import (FamilyParams, build_family, full_chain,
-                          params_from_mapping)
+from .hamiltonian import (FamilyParams, build_family, chain_entries,
+                          chain_row_blocks, params_from_mapping)
 from .states import (MPSSpec, NoRepresentationError, ground_state_catalogue,
                      mps_contract)
 from .verify import MEMBER_TOL, family_report
@@ -44,16 +45,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit_text(text: str, path: str | None) -> None:
+def _text_sink(path: str | None):
+    """A context giving stdout for no path or "-", else the file opened
+    for writing."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _emit_text(text: str, path: str | None) -> None:
+    with _text_sink(path) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write("\n")
 
 
 def _params_mapping(args) -> dict:
@@ -113,7 +117,7 @@ def _cmd_classify(args) -> int:
     payload = {
         "case_id": result.form.case_id.value,
         "mu": serialize.encode_complex(mu) if mu is not None else None,
-        "gamma": serialize.encode_matrix(result.gamma.matrix),
+        "gamma": result.gamma.matrix,
         "canonical_basis": serialize.encode_space(result.canonical),
         "signature": {
             "dim": sig.dim,
@@ -127,19 +131,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build_h(args) -> int:
+    if args.binary and args.out in (None, "-"):
+        raise serialize.FormatError("--binary requires --out FILE")
     params = _parse_params_arg(args)
-    chain = full_chain(build_family(params), args.n_sites)
+    # every refusal (site guard, bad parameters, a non-finite entry in
+    # JSON) comes before the output is opened; the dense chain is then
+    # written one row block at a time
+    entries = chain_entries(build_family(params), args.n_sites)
+    blocks = chain_row_blocks(args.n_sites, entries)
     if args.binary:
-        if args.out is None or args.out == "-":
-            raise serialize.FormatError("--binary requires --out FILE")
         with open(args.out, "wb") as fh:
-            fh.write(serialize.pack_chain(chain.n_sites, chain.matrix))
+            serialize.write_chain(fh, args.n_sites, blocks)
         return EXIT_OK
-    payload = {
-        "n_sites": chain.n_sites,
-        "matrix": serialize.encode_matrix(chain.matrix),
-    }
-    _emit_text(serialize.dumps(payload), args.out)
+    serialize.check_finite(entries[2])
+    with _text_sink(args.out) as fh:
+        fh.write(f'{{"n_sites": {args.n_sites}, "matrix": [')
+        for i, block in enumerate(blocks):
+            fh.write((", " if i else "")
+                     + ", ".join(map(serialize.dumps, block)))
+        fh.write("]}\n")
     return EXIT_OK
 
 
@@ -147,7 +157,7 @@ def _cmd_ground_states(args) -> int:
     params = _parse_params_arg(args)
     states = ground_state_catalogue(params, args.n_sites)
     payload = [{"label": ns.label,
-                "amplitudes": serialize.encode_vector(ns.state.amplitudes)}
+                "amplitudes": ns.state.amplitudes}
                for ns in states]
     _emit_text(serialize.dumps(payload), args.out)
     return EXIT_OK
@@ -159,7 +169,7 @@ def _cmd_mps(args) -> int:
     result = mps_contract(MPSSpec(a0, a1), args.n_sites)
     payload = {
         "n_sites": args.n_sites,
-        "amplitudes": serialize.encode_vector(result.state.amplitudes),
+        "amplitudes": result.state.amplitudes,
         "z": result.z,
         "is_zero": result.is_zero,
     }

@@ -36,6 +36,10 @@ PSD_TOL = 1e-10
 # this site count unless the MPS_MAX_SITES environment variable raises it.
 DEFAULT_MAX_SITES = 14
 
+# chain_row_blocks fills this many bytes of dense rows at a time (one
+# whole row when a row is larger).
+ROW_BLOCK_BYTES = 1 << 20
+
 
 class ParameterError(ValueError):
     """A family parameter set is incomplete or out of range."""
@@ -326,10 +330,38 @@ def _summed_entries(dim: int, rows, cols, vals):
     return keys // dim, keys % dim, total[keep]
 
 
-def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
-    """H = sum_i 1 x ... x h_{i,i+1} x ... x 1 on the open chain, dense."""
-    rows, cols, vals = chain_entries(local, n_sites)
+def chain_row_blocks(n_sites: int, entries):
+    """The dense chain whose chain_entries are given, as consecutive
+    blocks of whole rows of about ROW_BLOCK_BYTES each.
+
+    Every block is the same reused buffer, overwritten when the next is
+    drawn, so a caller that keeps one must copy it.
+    """
     dim = 2 ** n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    total[rows, cols] = vals
-    return FullHamiltonian(n_sites=n_sites, matrix=total)
+    return _dense_rows(dim, entries, min(dim, max(1, ROW_BLOCK_BYTES
+                                                 // (16 * dim))))
+
+
+def _dense_rows(dim: int, entries, block_rows: int):
+    """Scatter row-sorted entries of a dim x dim matrix into one zero
+    buffer of block_rows rows, yield it, and clear what was written."""
+    rows, cols, vals = entries
+    buf = np.zeros((block_rows, dim), dtype=complex)
+    ends = np.searchsorted(rows, np.arange(block_rows, dim + block_rows,
+                                           block_rows))
+    lo = 0
+    for start, hi in zip(range(0, dim, block_rows), ends):
+        at = (rows[lo:hi] - start, cols[lo:hi])
+        buf[at] = vals[lo:hi]
+        yield buf
+        buf[at] = 0
+        lo = hi
+
+
+def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
+    """H = sum_i 1 x ... x h_{i,i+1} x ... x 1 on the open chain, dense:
+    the one-block case of chain_row_blocks."""
+    entries = chain_entries(local, n_sites)
+    dim = 2 ** n_sites
+    return FullHamiltonian(n_sites=n_sites,
+                           matrix=next(_dense_rows(dim, entries, dim)))

@@ -4,12 +4,19 @@ The JSON writer here exists because repeated runs must produce
 byte-identical output: floats are always rendered with 17 significant
 digits (enough to round-trip IEEE doubles), negative zero is folded
 into zero, and non-finite values are rejected outright.  Complex
-numbers are always a two-element [re, im] array.
+numbers are always a two-element [re, im] array.  A complex ndarray of
+any shape is written in one pass as nested lists of such pairs: its
+parts are checked and formatted in bulk rather than value by value.
+
+The binary chain dump is written either from one dense matrix
+(pack_chain) or streamed from consecutive row blocks (write_chain);
+both give the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -35,12 +42,22 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
+def check_finite(values) -> None:
+    """Raise the FormatError format_float gives for the first non-finite
+    real or imaginary part of a complex array, in row-major order."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    bad = ~np.isfinite(parts)
+    if np.any(bad):
+        format_float(parts[bad][0])
+
+
 def dumps(obj) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Accepts dicts (string keys, insertion order kept), lists/tuples,
     strings, bools, None, ints, floats, and complex values (emitted as
-    [re, im]).  numpy scalars and arrays are coerced.
+    [re, im]).  numpy scalars and arrays are coerced; a complex array
+    becomes nested lists of [re, im] pairs.
     """
     pieces: list[str] = []
     _write(obj, pieces)
@@ -78,10 +95,27 @@ def _write(obj, out: list) -> None:
                 out.append(", ")
             _write(value, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        out.append(_complex_array(obj))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out)
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+
+def _complex_array(arr: np.ndarray) -> str:
+    """Nested lists of [re, im] pairs, one list level per axis."""
+    check_finite(arr)
+    # + 0.0 folds -0.0 into +0.0, as format_float does
+    parts = (np.ascontiguousarray(arr, dtype=complex).view(float)
+             + 0.0).ravel().tolist()
+    items = list(map("[{:.17g}, {:.17g}]".format, parts[0::2], parts[1::2]))
+    shape = arr.shape
+    for axis in range(len(shape) - 1, -1, -1):
+        size = shape[axis]
+        items = ["[" + ", ".join(items[i * size:(i + 1) * size]) + "]"
+                 for i in range(math.prod(shape[:axis]))]
+    return items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +133,10 @@ def decode_complex(value) -> complex:
     raise FormatError(f"expected a number or [re, im] pair, got {value!r}")
 
 
-def encode_vector(vec) -> list:
-    return [encode_complex(z) for z in np.asarray(vec, dtype=complex).ravel()]
-
-
 def decode_vector(value) -> np.ndarray:
     if not isinstance(value, list):
         raise FormatError("expected a JSON array of [re, im] pairs")
     return np.array([decode_complex(v) for v in value], dtype=complex)
-
-
-def encode_matrix(mat) -> list:
-    m = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [[encode_complex(z) for z in row] for row in m]
 
 
 def decode_matrix(value) -> np.ndarray:
@@ -171,13 +196,26 @@ def decode_space(value):
 # binary matrix dump: b"MPSH" | u32 n_sites LE | row-major complex128 LE
 
 
+def _chain_header(n_sites: int) -> bytes:
+    return MAGIC + struct.pack("<I", n_sites)
+
+
 def pack_chain(n_sites: int, matrix: np.ndarray) -> bytes:
     m = np.asarray(matrix, dtype="<c16")
     dim = 2 ** n_sites
     if m.shape != (dim, dim):
         raise FormatError(
             f"matrix shape {m.shape} does not match n_sites={n_sites}")
-    return MAGIC + struct.pack("<I", n_sites) + m.tobytes(order="C")
+    return _chain_header(n_sites) + m.tobytes(order="C")
+
+
+def write_chain(fh, n_sites: int, blocks) -> None:
+    """Write the dump of the chain whose consecutive row blocks the
+    iterable gives to the binary file fh, without joining them; the
+    bytes are pack_chain's for the stacked blocks."""
+    fh.write(_chain_header(n_sites))
+    for block in blocks:
+        fh.write(np.ascontiguousarray(block, dtype="<c16").data)
 
 
 def unpack_chain(data: bytes) -> tuple[int, np.ndarray]:

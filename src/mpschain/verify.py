@@ -35,8 +35,8 @@ from .states import _times_power_of_two, ground_state_catalogue
 # Reports list the lowest LOWEST_K eigenvalues.
 LOWEST_K = 8
 
-# Eigenvalues at or below KERNEL_TOL times the spectral scale count as
-# kernel members.
+# Eigenvalues at or below KERNEL_TOL times the largest eigenvalue modulus
+# count as kernel members (all of them when the chain is zero).
 KERNEL_TOL = 1e-9
 
 # A clean kernel needs the first excluded eigenvalue to clear the
@@ -155,6 +155,9 @@ def _conserved(h: np.ndarray) -> int:
 def _axis_frame(axis: np.ndarray) -> np.ndarray:
     """Special unitary u with u^dagger (n . sigma) u = Z for the unit
     vector n along axis: its columns are the +1 and -1 eigenvectors."""
+    # an exact power-of-two rescale first, so the norm's squares neither
+    # overflow nor underflow for a bond term of any finite scale
+    axis = np.ldexp(axis, -np.frexp(np.max(np.abs(axis)))[1])
     x, y, z = axis / np.linalg.norm(axis)
     half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
     phase = np.exp(1j * np.arctan2(y, x))
@@ -267,8 +270,7 @@ def _spectrum_report(n_sites: int, sectors: list) -> SpectrumReport:
         np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
         else blocks[:, 0, 0].real
         for _, blocks in sectors], axis=None))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    cut = KERNEL_TOL * scale
+    cut = KERNEL_TOL * float(np.max(np.abs(evals)))
     kernel_dim = int(np.sum(evals <= cut))
     warning = None
     if 0 < kernel_dim < evals.shape[0]:

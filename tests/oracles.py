@@ -30,19 +30,30 @@ route the library does not take, so agreement is evidence.
   loop_row_reduce (one row update at a time), lstsq_contains and
   lstsq_span_equal (one least-squares solve per basis vector) and
   loop_half_products (one batched product per bond matrix and bit).
+- value_dumps, encode_vector, encode_matrix: the JSON writer that walks
+  nested lists and formats one float at a time, and the encoders that
+  turn complex arrays into lists of [re, im] pairs for it; the
+  library's writer formats a complex array's parts in bulk and must
+  give the same text.
 
-One helper is shared test plumbing rather than a reference: flat gives
+Two helpers are shared test plumbing rather than references: flat gives
 a quartet's entries (C00, C01, C10, C11) through the library's own
-`_TO_FLAT`, which test_pauli checks against the recomposed matrix.
+`_TO_FLAT`, which test_pauli checks against the recomposed matrix, and
+benchmark_specs draws one parameter set per benchmark label, as the
+benchmark's family_specs does.
 """
 
 from __future__ import annotations
+
+import cmath
+import json
 
 import numpy as np
 
 from mpschain.hamiltonian import FamilyId, FamilyParams, LocalHamiltonian
 from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL, SL2,
                             CSpace, PauliQuartet, quartet_from_matrix)
+from mpschain.serialize import FormatError
 from mpschain.states import StateVector
 
 _I2 = np.eye(2, dtype=complex)
@@ -371,3 +382,116 @@ def loop_half_products(a0: np.ndarray, a1: np.ndarray, n_bits: int,
             nxt[1::2] = out @ a1
         out = nxt
     return out
+
+
+def _format_float(x: float) -> str:
+    x = float(x)
+    if not np.isfinite(x):
+        raise FormatError(f"non-finite value {x!r} cannot be serialized")
+    return format(x + 0.0, ".17g")
+
+
+def value_dumps(obj) -> str:
+    """JSON text of obj, one value at a time: numpy arrays become lists,
+    complex values [re, im] lists, and every float is formatted alone."""
+    pieces: list[str] = []
+    _write(obj, pieces)
+    return "".join(pieces)
+
+
+def _write(obj, out: list) -> None:
+    if isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        _write([z.real, z.imag], out)
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise FormatError("JSON object keys must be strings")
+            if i:
+                out.append(", ")
+            out.append(json.dumps(key))
+            out.append(": ")
+            _write(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(", ")
+            _write(value, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), out)
+    else:
+        raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+
+def encode_vector(vec) -> list:
+    return [[z.real, z.imag]
+            for z in map(complex, np.asarray(vec, dtype=complex).ravel())]
+
+
+def encode_matrix(mat) -> list:
+    m = np.atleast_2d(np.asarray(mat, dtype=complex))
+    return [encode_vector(row) for row in m]
+
+
+def _phase(rng) -> complex:
+    return cmath.exp(2j * cmath.pi * rng.uniform())
+
+
+def _g(rng) -> float:
+    return float(rng.uniform(0.5, 2.0))
+
+
+def _nu(rng) -> complex:
+    return complex(rng.uniform(0.5, 1.5) * _phase(rng))
+
+
+def _weights(rng) -> dict:
+    g1, g2 = (float(x) for x in rng.uniform(0.5, 2.0, size=2))
+    g3 = complex(rng.uniform(0.1, 0.9) * np.sqrt(g1 * g2) * _phase(rng))
+    return {"g1": g1, "g2": g2, "g3": g3}
+
+
+def benchmark_specs(rng) -> dict:
+    """label -> (family, parameter mapping) for the benchmark's eleven
+    family and branch labels, drawn in the benchmark's order."""
+    w = _weights(rng)
+    nu = _nu(rng)
+    nu_x, nu_y = _nu(rng), _nu(rng)
+    g_m1, g_w3 = _g(rng), _g(rng)
+    g_hc, g_hm = _g(rng), _g(rng)
+    antialigned, singlet = _weights(rng), _weights(rng)
+    exchange_w = _weights(rng)
+    mixed = _weights(rng)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return {
+        "exchange/-1": ("exchange", {"g": g_m1, "nu": nu, "nu_prime": -nu}),
+        "exchange/omega3": ("exchange", {
+            "g": g_w3, "nu": nu, "nu_prime": cmath.exp(2j * cmath.pi / 3)
+            * nu}),
+        "hardcore": ("hardcore", {"g": g_hc}),
+        "hardcore-mixed": ("hardcore-mixed", {"g": g_hm}),
+        "antialigned": ("antialigned", antialigned),
+        "hardcore-singlet": ("hardcore-singlet", singlet),
+        "pairsum-exchange/prime": ("pairsum-exchange",
+                                   dict(w, nu=nu_x, nu_prime=-nu_x)),
+        "pairsum-exchange/parity": ("pairsum-exchange",
+                                    dict(w, nu=nu_x, nu_prime=nu_x)),
+        "hardcore-exchange": ("hardcore-exchange",
+                              dict(exchange_w, nu=nu_x, nu_prime=nu_y)),
+        "mixed-singlet": ("mixed-singlet", mixed),
+        "pinned": ("pinned", {"lambda3": a.conj().T @ a + 0.1 * np.eye(3)}),
+    }

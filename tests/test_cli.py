@@ -6,16 +6,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mpschain import verify
+from mpschain import cli, verify
+from mpschain.classify import classify, invariant_signature
 from mpschain.cli import _report_payload
-from mpschain.hamiltonian import FamilyId, FamilyParams
-from mpschain.serialize import (decode_matrix, decode_vector, dumps,
-                                encode_vector, unpack_chain)
-from mpschain.states import NamedState, StateVector
+from mpschain.hamiltonian import (FamilyId, FamilyParams, build_family,
+                                  family_space, full_chain,
+                                  params_from_mapping)
+from mpschain.serialize import (decode_matrix, decode_space, decode_vector,
+                                dumps, encode_complex, encode_space,
+                                pack_chain, unpack_chain)
+from mpschain.states import (MPSSpec, NamedState, StateVector,
+                             ground_state_catalogue, mps_contract)
+from oracles import benchmark_specs, encode_matrix, encode_vector, value_dumps
 
 SIGMA_SPACE = '{"basis": [{"v0": [0,0], "v1": [0,0], "v2": [0,0], "u": [1,0]}]}'
 UNCATALOGUED = ('{"basis": ['
@@ -205,7 +212,7 @@ def hardcore_labels(n_sites):
 
 
 def emitted(payload) -> bytes:
-    return (dumps(payload) + "\n").encode()
+    return (value_dumps(payload) + "\n").encode()
 
 
 @pytest.mark.parametrize("family, params, n, labels", [
@@ -327,3 +334,176 @@ def test_reruns_are_byte_identical(argv):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_verify_kernel_count_ignores_a_tiny_weight_scale():
+    for g in ("1e-300", "1"):
+        proc = run_cli("verify", "--family", "hardcore", "--params",
+                       f'{{"g": {g}}}', "--n-sites", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kernel_dim"] == 8
+
+
+# ---------------------------------------------------------------------------
+# byte pins: CLI output against the per-value oracle writer applied to the
+# in-process library results, on the benchmark's eleven labels
+
+BENCH_SPECS = benchmark_specs(np.random.default_rng(1001))
+
+
+def _params_json(mapping) -> str:
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return [plain(x) for x in v]
+        if isinstance(v, complex):
+            return [v.real, v.imag]
+        return v
+    return json.dumps({k: plain(v) for k, v in mapping.items()})
+
+
+def _family_argv(label, n):
+    fam, mapping = BENCH_SPECS[label]
+    return (["--family", fam, "--params", _params_json(mapping),
+             "--n-sites", str(n)], params_from_mapping(fam, mapping))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_family_commands_match_the_oracle_writer(label, n, tmp_path, capsys):
+    argv, params = _family_argv(label, n)
+    chain = full_chain(build_family(params), n).matrix
+    path = tmp_path / "chain.mpsh"
+    capsys.readouterr()
+    assert cli.main(["build-h", *argv, "--binary", "--out", str(path)]) == 0
+    assert path.read_bytes() == pack_chain(n, chain)
+    assert cli.main(["build-h", *argv]) == 0
+    assert capsys.readouterr().out == value_dumps(
+        {"n_sites": n, "matrix": encode_matrix(chain)}) + "\n"
+    assert cli.main(["ground-states", *argv]) == 0
+    assert capsys.readouterr().out == value_dumps(
+        [{"label": ns.label, "amplitudes": encode_vector(ns.state.amplitudes)}
+         for ns in ground_state_catalogue(params, n)]) + "\n"
+
+
+def test_json_build_h_joins_row_blocks(capsys):
+    # at 9 sites the chain is written in four blocks of 128 rows
+    argv, params = _family_argv("hardcore-exchange", 9)
+    capsys.readouterr()
+    assert cli.main(["build-h", *argv]) == 0
+    assert capsys.readouterr().out == dumps({
+        "n_sites": 9,
+        "matrix": full_chain(build_family(params), 9).matrix}) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mps_matches_the_oracle_writer(n, capsys):
+    rng = np.random.default_rng(1000 + n)
+    a0, a1 = (0.6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+              for _ in range(2))
+    result = mps_contract(MPSSpec(a0, a1), n)
+    capsys.readouterr()
+    assert cli.main(["mps", "--a0", value_dumps(encode_matrix(a0)),
+                     "--a1", value_dumps(encode_matrix(a1)),
+                     "--n-sites", str(n)]) == 0
+    assert capsys.readouterr().out == value_dumps({
+        "n_sites": n, "amplitudes": encode_vector(result.state.amplitudes),
+        "z": result.z, "is_zero": result.is_zero}) + "\n"
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_classify_matches_the_oracle_writer(label, tmp_path, capsys):
+    _, params = _family_argv(label, 2)
+    path = tmp_path / "space.json"
+    path.write_text(dumps(encode_space(family_space(params))))
+    space = decode_space(json.loads(path.read_text()))
+    result, sig = classify(space), invariant_signature(space)
+    mu = result.form.mu
+    capsys.readouterr()
+    assert cli.main(["classify", "--space", str(path)]) == 0
+    assert capsys.readouterr().out == value_dumps({
+        "case_id": result.form.case_id.value,
+        "mu": encode_complex(mu) if mu is not None else None,
+        "gamma": encode_matrix(result.gamma.matrix),
+        "canonical_basis": encode_space(result.canonical),
+        "signature": {"dim": sig.dim, "dim_plus": sig.dim_plus,
+                      "gram_rank": sig.gram_rank,
+                      "sigma_in": sig.sigma_in}}) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# build-h refuses before it builds or opens anything
+
+def test_build_h_binary_without_out_builds_nothing(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a chain was built")
+    monkeypatch.setattr(cli, "build_family", never)
+    capsys.readouterr()
+    for extra in ((), ("--out", "-")):
+        assert cli.main(["build-h", "--family", "hardcore", "--params",
+                         '{"g": 1.0}', "--n-sites", "4", "--binary",
+                         *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --binary requires --out FILE\n"
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("params, n, env", [
+    ('{"g": 1.0}', 40, None),
+    ('{"g": 1.0}', -1, None),
+    ('{"g": 1.0}', 4, "3"),
+    ('{"g": -1.0}', 3, None),
+    ('{"g": 1.0, "bogus": 2}', 3, None),
+    ('{"g": NaN}', 3, None),
+    ('{"g": 1.0', 3, None),
+])
+def test_build_h_refuses_before_opening_the_output(params, n, env, binary,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    if env is not None:
+        monkeypatch.setenv("MPS_MAX_SITES", env)
+    path = tmp_path / "chain.out"
+    capsys.readouterr()
+    assert cli.main(["build-h", "--family", "hardcore", "--params", params,
+                     "--n-sites", str(n), "--out", str(path),
+                     *(("--binary",) if binary else ())]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_build_h_json_refuses_a_non_finite_chain_entry(tmp_path, capsys):
+    # each bond term is finite; their sum on |0000> overflows to inf
+    argv = ["build-h", "--family", "hardcore", "--params", '{"g": 2e307}',
+            "--n-sites", "4"]
+    path = tmp_path / "chain.json"
+    capsys.readouterr()
+    for extra in ((), ("--out", str(path))):
+        assert cli.main([*argv, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: non-finite value inf cannot be serialized\n"
+    assert not path.exists()
+    # the binary dump carries the entry as it is
+    chain = full_chain(build_family(FamilyParams(FamilyId.HARDCORE, g=2e307)),
+                       4).matrix
+    assert np.isinf(chain[0, 0])
+    assert cli.main([*argv, "--binary", "--out", str(path)]) == 0
+    assert path.read_bytes() == pack_chain(4, chain)
+
+
+def test_binary_build_h_at_10_sites_streams_the_chain(tmp_path):
+    argv, params = _family_argv("mixed-singlet", 10)
+    path = tmp_path / "chain.mpsh"
+    tracemalloc.start()
+    try:
+        code = cli.main(["build-h", *argv, "--binary", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one dense 1024 x 1024 complex copy alone would take 16 MiB
+    assert peak < 4 * 2 ** 20
+    assert path.read_bytes() == pack_chain(
+        10, full_chain(build_family(params), 10).matrix)

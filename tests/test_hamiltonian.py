@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
-                                  LocalHamiltonian, ParameterError,
-                                  build_family, chain_entries, family_espace,
+from mpschain.hamiltonian import (ROW_BLOCK_BYTES, ChainSizeError, FamilyId,
+                                  FamilyParams, LocalHamiltonian,
+                                  ParameterError, build_family, chain_entries,
+                                  chain_row_blocks, family_espace,
                                   family_space, full_chain, local_from_espace,
                                   max_sites, params_from_mapping)
 from mpschain.pauli import (CSpace, PauliQuartet, quartet_from_matrix,
@@ -146,6 +147,18 @@ def test_full_chain_matches_kron_sum(family):
         # sorted by row then column, each position once
         rows, cols, _ = chain_entries(h, n)
         assert np.all(np.diff(rows * 2 ** n + cols) > 0)
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 10])
+def test_row_blocks_stack_to_the_full_chain(n):
+    rng = np.random.default_rng(710)
+    h = build_family(_random_params(FamilyId.HARDCORE_EXCHANGE, rng))
+    dim = 2 ** n
+    # copies: every block is the one reused buffer
+    blocks = [b.copy() for b in chain_row_blocks(n, chain_entries(h, n))]
+    assert {b.shape for b in blocks} == {
+        (min(dim, ROW_BLOCK_BYTES // (16 * dim)), dim)}
+    assert np.array_equal(np.vstack(blocks), full_chain(h, n).matrix)
 
 
 def test_hardcore_chain_diagonal_rule():

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpschain.pauli import CSpace, PauliQuartet
 from mpschain.serialize import (FormatError, decode_complex, decode_matrix,
                                 decode_quartet, decode_space, decode_vector,
-                                dumps, encode_complex, encode_matrix,
-                                encode_quartet, encode_space, encode_vector,
-                                format_float, pack_chain, unpack_chain)
-from oracles import flat
+                                dumps, encode_complex, encode_quartet,
+                                encode_space, format_float, pack_chain,
+                                unpack_chain, write_chain)
+from oracles import encode_matrix, encode_vector, flat, value_dumps
 
 
 def test_format_float_round_trips_doubles():
@@ -66,9 +68,9 @@ def test_complex_codec():
 def test_vector_and_matrix_round_trip():
     rng = np.random.default_rng(12)
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.array_equal(decode_vector(encode_vector(vec)), vec)
+    assert np.array_equal(decode_vector(json.loads(dumps(vec))), vec)
     mat = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    assert np.array_equal(decode_matrix(encode_matrix(mat)), mat)
+    assert np.array_equal(decode_matrix(json.loads(dumps(mat))), mat)
 
 
 def test_matrix_decode_rejects_ragged_and_empty():
@@ -121,3 +123,84 @@ def test_binary_chain_validates():
     blob = pack_chain(2, np.zeros((4, 4), dtype=complex))
     with pytest.raises(FormatError):
         unpack_chain(blob[:-1])
+
+
+# Doubles the writer must render exactly as the per-value oracle does:
+# signed zeros, subnormals, the ends of the range, integral values and
+# every other finite double.
+EDGE_DOUBLES = [0.0, -0.0, 1e-310, -1e-310, 5e-324, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 1.0, -2.0, 3e15,
+                2.0 ** 53, 0.1, -123456789.0]
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+shapes = st.one_of(st.just((0,)), st.tuples(st.integers(1, 12)),
+                   st.tuples(st.integers(1, 5), st.integers(0, 6)))
+
+
+@st.composite
+def complex_arrays(draw, shape=shapes):
+    shape = draw(shape)
+    size = int(np.prod(shape))
+    parts = draw(st.lists(doubles, min_size=2 * size, max_size=2 * size))
+    return np.array(parts, dtype=float).view(complex).reshape(shape)
+
+
+def _oracle_text(arr):
+    encoded = encode_vector(arr) if arr.ndim == 1 else encode_matrix(arr)
+    return value_dumps(encoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_arrays())
+def test_bulk_writer_matches_the_per_value_oracle(arr):
+    text = dumps(arr)
+    assert text == _oracle_text(arr) == value_dumps(arr)
+    assert dumps({"n": 1, "a": arr}) == value_dumps({"n": 1, "a": arr})
+    back = json.loads(text)
+    decoded = (decode_vector(back) if arr.ndim == 1 or arr.shape[0] == 0
+               else decode_matrix(back))
+    # bit for bit, apart from -0.0 read back as 0.0
+    assert decoded.shape == arr.shape
+    assert np.array_equal(decoded.view(np.uint64),
+                          (arr.view(float) + 0.0).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_arrays(shape=st.one_of(
+           st.tuples(st.integers(1, 12)),
+           st.tuples(st.integers(1, 5), st.integers(1, 6)))),
+       st.data())
+def test_bulk_writer_refuses_non_finite_as_the_oracle_does(arr, data):
+    parts = arr.reshape(-1).view(float)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, parts.size - 1))
+        parts[at] = data.draw(st.sampled_from(
+            [float("nan"), float("inf"), float("-inf")]))
+    with pytest.raises(FormatError) as oracle:
+        _oracle_text(arr)
+    with pytest.raises(FormatError) as bulk:
+        dumps(arr)
+    assert str(bulk.value) == str(oracle.value)
+    assert str(bulk.value).startswith("non-finite value ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_binary_chain_round_trips_exactly(n_sites, data):
+    dim = 2 ** n_sites
+    pool = st.one_of(doubles, st.sampled_from(
+        [float("nan"), float("inf"), float("-inf")]))
+    parts = data.draw(st.lists(pool, min_size=2 * dim * dim,
+                               max_size=2 * dim * dim))
+    mat = np.array(parts).view(complex).reshape(dim, dim)
+    blob = pack_chain(n_sites, mat)
+    n, back = unpack_chain(blob)
+    assert n == n_sites
+    # bit for bit, signed zeros and NaN payloads included
+    assert np.array_equal(back.view(np.uint64), mat.view(np.uint64))
+    # the streamed writer gives the same bytes from any row split
+    step = data.draw(st.sampled_from([d for d in (1, 2, 4, 8)
+                                      if d <= dim]))
+    out = io.BytesIO()
+    write_chain(out, n_sites, (mat[i:i + step] for i in range(0, dim, step)))
+    assert out.getvalue() == blob

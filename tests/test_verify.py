@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mpschain.classify import CanonicalForm, CaseId
 from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
-                                  chain_entries)
+                                  chain_entries, params_from_mapping)
 from mpschain.pauli import SL2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
@@ -21,8 +21,8 @@ from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
                              _spectrum_report, family_report,
                              no_mps_case_report, spectrum, stacked_state_rank,
                              symmetry_frame)
-from oracles import (check_zero_member, conjugate_local, covariance_check,
-                     kron_chain, operator_sum, random_sl2)
+from oracles import (benchmark_specs, check_zero_member, conjugate_local,
+                     covariance_check, kron_chain, operator_sum, random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -168,7 +168,8 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
         chain = kron_chain(operator_sum(params), n)
         evals = np.linalg.eigvalsh(chain)
         scale = max(1.0, float(np.max(np.abs(evals))))
-        assert rep.kernel_dim == int(np.sum(evals <= KERNEL_TOL * scale))
+        assert rep.kernel_dim == int(np.sum(
+            evals <= KERNEL_TOL * np.max(np.abs(evals))))
         k = len(rep.lowest_k_eigenvalues)
         assert k == min(8, 2 ** n)
         assert np.max(np.abs(np.array(rep.lowest_k_eigenvalues)
@@ -260,7 +261,8 @@ def _dense_evals(local, n_sites):
 
 
 def _assert_matches_dense(rep, evals, scale):
-    assert rep.kernel_dim == int(np.sum(evals <= KERNEL_TOL * scale))
+    assert rep.kernel_dim == int(np.sum(
+        evals <= KERNEL_TOL * np.max(np.abs(evals))))
     k = len(rep.lowest_k_eigenvalues)
     assert np.max(np.abs(np.array(rep.lowest_k_eigenvalues)
                          - evals[:k])) <= 1e-10 * scale
@@ -449,6 +451,26 @@ def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
     assert rep.kernel_dim == 377
     assert len(rep.residuals) == 377
     assert max(rep.residuals.values()) <= 1e-9
+
+
+BENCH_SPECS = benchmark_specs(np.random.default_rng(1001))
+WEIGHT_NAMES = ("g", "g1", "g2", "g3", "lambda3")
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_kernel_count_is_unchanged_when_the_weights_are_scaled(label):
+    # the cut is relative to the largest eigenvalue, so scaling every
+    # weight by 2^k leaves the count alone, even where the whole spectrum
+    # lies below KERNEL_TOL (k = -996)
+    fam, mapping = BENCH_SPECS[label]
+    for n in (4, 7):
+        dims = []
+        for k in (-996, 0, 996):
+            scaled = {key: value * 2.0 ** k if key in WEIGHT_NAMES else value
+                      for key, value in mapping.items()}
+            dims.append(family_report(params_from_mapping(fam, scaled),
+                                      n).kernel_dim)
+        assert dims[0] == dims[1] == dims[2], (n, dims)
 
 
 def test_mixed_singlet_report_at_10_sites_never_builds_a_full_block():
