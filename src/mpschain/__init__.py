@@ -14,8 +14,7 @@ from .states import (CaseRepresentation, MPSResult, MPSSpec, NamedState,
                      NoRepresentationError, StateVector, constraint_residual,
                      ground_state_catalogue, hardcore_states, mps_contract,
                      psi_k, psi_parity, psi_prime, representation_for_case)
-from .verify import (SpectrumReport, family_report, no_mps_case_report,
-                     spectrum)
+from .verify import SpectrumReport, family_report, spectrum
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "constraint_residual", "family_report", "family_space",
     "full_chain", "ground_state_catalogue", "hardcore_states",
     "invariant_signature", "local_from_espace", "mps_contract",
-    "no_mps_case_report", "params_from_mapping", "psi_k", "psi_parity",
-    "psi_prime", "quartet_from_matrix", "representation_for_case", "sl2_act",
+    "params_from_mapping", "psi_k", "psi_parity", "psi_prime",
+    "quartet_from_matrix", "representation_for_case", "sl2_act",
     "sl2_act_space", "span_equal", "spectrum",
 ]

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -60,10 +61,19 @@ def _emit_text(text: str, path: str | None) -> None:
             fh.write("\n")
 
 
+def _loads(text: str, what: str):
+    """json.loads, with input nested beyond the parser's recursion limit
+    refused as malformed rather than raised."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise serialize.FormatError(f"{what} is nested too deeply") from None
+
+
 def _params_mapping(args) -> dict:
     """The --params JSON object, undecoded."""
     try:
-        mapping = json.loads(args.params)
+        mapping = _loads(args.params, "--params")
     except json.JSONDecodeError as exc:
         raise serialize.FormatError(f"--params is not valid JSON: {exc}")
     if not isinstance(mapping, dict):
@@ -109,7 +119,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    data = json.loads(_read_text(args.space))
+    data = _loads(_read_text(args.space), "--space")
     space = serialize.decode_space(data)
     result = classify(space)
     sig = invariant_signature(space)
@@ -164,8 +174,8 @@ def _cmd_ground_states(args) -> int:
 
 
 def _cmd_mps(args) -> int:
-    a0 = serialize.decode_matrix(json.loads(args.a0))
-    a1 = serialize.decode_matrix(json.loads(args.a1))
+    a0 = serialize.decode_matrix(_loads(args.a0, "--a0"))
+    a1 = serialize.decode_matrix(_loads(args.a1, "--a1"))
     result = mps_contract(MPSSpec(a0, a1), args.n_sites)
     payload = {
         "n_sites": args.n_sites,
@@ -193,8 +203,12 @@ def _cmd_sweep(args) -> int:
     count = int(match.group("count"))
     if count < 1:
         raise serialize.FormatError("--grid count must be at least 1")
-    values = np.linspace(float(match.group("lo")),
-                         float(match.group("hi")), count)
+    lo, hi = float(match.group("lo")), float(match.group("hi"))
+    if not math.isfinite(hi - lo):
+        raise serialize.FormatError(
+            f"--grid bounds must be finite and their difference too, "
+            f"got {args.grid!r}")
+    values = np.linspace(lo, hi, count)
     base = _params_mapping(args)
 
     buf = io.StringIO()

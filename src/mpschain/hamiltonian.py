@@ -107,7 +107,10 @@ class FamilyParams:
     lambda3: np.ndarray | None = None
 
     def _number(self, name: str) -> complex:
-        c = complex(getattr(self, name))
+        try:
+            c = complex(getattr(self, name))
+        except OverflowError:  # an integer beyond the float range
+            raise ParameterError(f"{name} must be finite") from None
         if not cmath.isfinite(c):
             raise ParameterError(f"{name} must be finite")
         return c

@@ -124,12 +124,15 @@ def _complex_array(arr: np.ndarray) -> str:
 
 def decode_complex(value) -> complex:
     """Accept a real number or a two-element [re, im] array."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return complex(value)
+        if (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(isinstance(v, (int, float))
+                        and not isinstance(v, bool) for v in value)):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise FormatError("integer beyond the float range") from None
     raise FormatError(f"expected a number or [re, im] pair, got {value!r}")
 
 

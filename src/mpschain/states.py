@@ -323,16 +323,11 @@ class MPSResult:
 
 
 def transfer_matrix(spec: MPSSpec) -> np.ndarray:
-    """kron(conj(a0), a0) + kron(conj(a1), a1); its N-th power traces to
-    the squared norm of the N-site state."""
-    return _transfer(spec.a0, spec.a1)
-
-
-def _transfer(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """transfer_matrix of the pair (a0, a1), the Kronecker products taken
-    as broadcast outer products (entry for entry np.kron)."""
-    d = a0.shape[0]
-    a = np.stack([a0, a1])
+    """kron(conj(a0), a0) + kron(conj(a1), a1), the Kronecker products
+    taken as broadcast outer products (entry for entry np.kron); its N-th
+    power traces to the squared norm of the N-site state."""
+    d = spec.bond_dim
+    a = np.stack([spec.a0, spec.a1])
     t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
     t = t.reshape(2, d * d, d * d)
     return t[0] + t[1]
@@ -390,29 +385,27 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     suff = suff.transpose(0, 2, 1).reshape(2 ** m2, d * d)
     amps = (pref @ suff.T).ravel()
 
-    t = _transfer(a0, a1)
-    tr = float(np.real(np.trace(np.linalg.matrix_power(t, n_sites))))
+    # the squared sum of the scaled amplitudes themselves, as
+    # np.linalg.norm forms it: an exact zero state keeps only the
+    # rounding of its own amplitudes, far below the scale bound
+    zs = float(amps.real @ amps.real + amps.imag @ amps.imag)
     # scale bound: z can never exceed (|a0|_F^2 + |a1|_F^2)^N; both sides
     # carry the same factor 2**(2fN), so the scaled values compare alike
     s = np.linalg.norm(a0) ** 2 + np.linalg.norm(a1) ** 2
-    if s == 0.0 or tr <= 0.0:
-        is_zero = True
-    else:
-        is_zero = np.log(tr) < n_sites * np.log(s) + np.log(MPS_ZERO_TOL)
-    # amps carry the factor 2**-(fN) too, so their squared sum is about tr
-    # and in range whenever the state is not zero
+    is_zero = bool(zs == 0.0 or np.log(zs) < n_sites * np.log(s)
+                   + np.log(MPS_ZERO_TOL))
     normalized = None if is_zero else StateVector._owning(
-        n_sites, amps / np.linalg.norm(amps))
+        n_sites, amps / math.sqrt(zs))
     # the raw state last, so at most four 2^N arrays are alive at once;
     # out of range, z reads inf and the raw amplitudes are refused
     with np.errstate(over="ignore"):
-        z = float(np.ldexp(tr, 2 * f * n_sites))
+        z = float(np.ldexp(zs, 2 * f * n_sites))
         amps = _times_power_of_two(amps, f * n_sites)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"contracted amplitudes exceed the float range "
                          f"at n_sites={n_sites}")
     return MPSResult(state=StateVector._owning(n_sites, amps),
-                     z=max(z, 0.0), is_zero=is_zero, normalized=normalized)
+                     z=z, is_zero=is_zero, normalized=normalized)
 
 
 # ---------------------------------------------------------------------------

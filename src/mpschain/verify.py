@@ -12,10 +12,16 @@ unchanged, and it lets a hidden local symmetry split the chain; the
 chain is built from exactly the framed bond term the frame was scored
 on.  Where no axis keeps either, the frame instead brings the axis of a
 reversal symmetry T = reverse o v^{x n} (v a pi rotation) onto z.  When
-the framed chain commutes with site reversal times a diagonal site sign,
-each sector splits further into T's even and odd states.  The checks
-stay unambiguous: a state either sits in the numerical kernel of the
-chain or it does not.
+the framed bond term keeps the number of ones but its hopping entry t is
+complex (exchange at a complex ratio, antialigned, pairsum-exchange at
+nu' = nu), the phase of t is gauged away: on an open chain the site
+phase exp(i theta k) on the k-th one turns every hopping entry into |t|
+exactly, so those sectors are real blocks with the same spectrum.  When
+the (gauged) framed chain commutes with site reversal times a diagonal
+site sign, each sector splits further into T's even and odd states;
+gauged, exchange at |nu'| = |nu| splits this way too.  The checks stay
+unambiguous: a state either sits in the numerical kernel of the chain
+or it does not.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import CanonicalForm, canonical_space
 from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
                           FamilyParams, _summed_entries, build_family,
-                          chain_entries, local_from_espace)
-from .pauli import _TO_FLAT, SIGMA, SL2, TAU0, TAU1, TAU2
+                          chain_entries)
+from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import _times_power_of_two, ground_state_catalogue
 
 # Reports list the lowest LOWEST_K eigenvalues.
@@ -345,7 +350,16 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     (rows, cols, vals) in that frame; and the frame (None, with the bond
     term untouched, when the frame is the identity).
 
-    When the framed bond term has an off-diagonal entry and passes
+    When the framed bond term h' keeps the number of ones and has an
+    imaginary part, the blocks are built from the chain conjugated by
+    the diagonal unitary D = diag(exp(i theta sum_k k x_k)), theta = arg
+    t for the hopping entry t = h'[|01>, |10>]: every off-diagonal chain
+    entry comes from one bond and is t or conj(t), so D turns it into |t|
+    and the diagonal into its real part, with no tolerance involved.
+    The spectrum and the sectors are unchanged; the returned entries
+    stay the ungauged ones.
+
+    When the (gauged) bond term has an off-diagonal entry and passes
     _reversal_sign, the blocks are those of the reversal-even and -odd
     states (_reversal_entries), and their members are the indices those
     states are given.
@@ -357,11 +371,32 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
         local = LocalHamiltonian(_rotated(local.matrix, u.matrix))
     entries = chain_entries(local, n_sites)
     h = local.matrix
+    gauged = entries
+    if np.any(h.imag) and _conserved(h) == 2:
+        # gauge the hopping phase away, exactly (see above)
+        h = np.where(np.eye(4, dtype=bool), h.real, np.abs(h))
+        rows, cols, vals = entries
+        gauged = rows, cols, np.where(rows == cols, vals.real, np.abs(vals))
     # a diagonal chain has one-state sectors, which reversal cannot split
     sign = _reversal_sign(h) if np.any(h - np.diag(np.diag(h))) else None
-    adapted = (entries if sign is None
-               else _reversal_entries(n_sites, sign, *entries))
+    adapted = (gauged if sign is None
+               else _reversal_entries(n_sites, sign, *gauged))
     return _sector_blocks(2 ** n_sites, *adapted), entries, u
+
+
+def _column_norms(dim: int, index, cols, vals) -> np.ndarray:
+    """|H e_x| for every basis index x in index, from H's entries (cols,
+    vals): H e_x is column x, so only the entries in those columns are
+    read."""
+    index, inverse = np.unique(index, return_inverse=True)
+    slot = np.full(dim, -1)
+    slot[index] = np.arange(index.size)
+    at = slot[cols]
+    hit = at >= 0
+    v = vals[hit]
+    squares = np.bincount(at[hit], weights=(v.conj() * v).real,
+                          minlength=index.size)
+    return np.sqrt(squares)[inverse]
 
 
 def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
@@ -370,8 +405,9 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     assembling the dense chain.
 
     The spectrum comes from the chain built in the bond term's symmetry
-    frame; H psi comes from the chain's entries in the caller's basis,
-    one sparse product for all catalogued states.
+    frame; H psi comes from the chain's entries in the caller's basis:
+    a basis state's is its column of entries, and the states that hold
+    amplitudes share one sparse product.
     """
     local = build_family(params)
     sectors, entries, u = _framed_sectors(local, n_sites)
@@ -380,10 +416,6 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     if not catalogue:
         return report
     rows, cols, vals = entries if u is None else chain_entries(local, n_sites)
-    psi = np.array([ns.state.amplitudes for ns in catalogue])
-    norms = np.linalg.norm(psi, axis=1)
-    if not np.all(norms):
-        raise ValueError("zero vector cannot witness a ground state")
     # Work with the entries times 2**-f, their largest real or imaginary
     # part brought into [0.5, 1), so |H|_F and H psi cannot overflow.
     # Scaling by a power of two is exact: in-range residuals come out bit
@@ -391,20 +423,36 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
     vals = _times_power_of_two(vals, -f)
     hnorm = float(np.linalg.norm(vals))
-    if not np.any(vals.imag) and not np.any(psi.imag):
-        vals, psi = vals.real, psi.real
-    hpsi = vals * psi[:, cols]
-    # rows are sorted, so each run of one row sums to one entry of H psi;
-    # a chain with one entry per row (a diagonal one) needs no sums
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    if starts.size < rows.size:
-        hpsi = np.add.reduceat(hpsi, starts, axis=1)
+    norms = np.ones(len(catalogue))
+    hpsi_norms = np.empty(len(catalogue))
+    basis = [i for i, ns in enumerate(catalogue)
+             if ns.state._index is not None]
+    dense = [i for i, ns in enumerate(catalogue) if ns.state._index is None]
+    if basis:
+        hpsi_norms[basis] = _column_norms(
+            2 ** n_sites, [catalogue[i].state._index for i in basis],
+            cols, vals)
+    if dense:
+        psi = np.array([catalogue[i].state.amplitudes for i in dense])
+        norms[dense] = np.linalg.norm(psi, axis=1)
+        if not np.all(norms):
+            raise ValueError("zero vector cannot witness a ground state")
+        if not np.any(vals.imag) and not np.any(psi.imag):
+            vals, psi = vals.real, psi.real
+        hpsi = vals * psi[:, cols]
+        # rows are sorted, so each run of one row sums to one entry of
+        # H psi; a chain with one entry per row (a diagonal one) needs no
+        # sums
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        if starts.size < rows.size:
+            hpsi = np.add.reduceat(hpsi, starts, axis=1)
+        hpsi_norms[dense] = np.linalg.norm(hpsi, axis=1)
     # the divisor max(1, |H|_F) is |H|_F = hnorm * 2**f exactly when the
     # exponent of hnorm plus f is at least 1
     if math.frexp(hnorm)[1] + f >= 1:
-        residuals = np.linalg.norm(hpsi, axis=1) / (norms * hnorm)
+        residuals = hpsi_norms / (norms * hnorm)
     else:
-        residuals = np.ldexp(np.linalg.norm(hpsi, axis=1) / norms, f)
+        residuals = np.ldexp(hpsi_norms / norms, f)
     return replace(report, residuals={
         ns.label: float(r) for ns, r in zip(catalogue, residuals)})
 
@@ -417,23 +465,3 @@ def stacked_state_rank(states) -> int:
     rows = np.array([s.normalized().amplitudes for s in states])
     sv = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(sv > STATE_RANK_TOL * sv[0]))
-
-
-def no_mps_case_report(form: CanonicalForm, n_sites: int,
-                       lam=None) -> SpectrumReport:
-    """Informational spectrum for a canonical space with no catalogued
-    bond representation: constraint rows are the canonical basis itself,
-    weighted by lam (identity when omitted).
-
-    Reports what the ground energy and kernel look like; asserts nothing.
-    """
-    if not 2 <= n_sites <= 10:
-        raise ValueError("informational reports are capped at 10 sites")
-    space = canonical_space(form)
-    if not space.basis:
-        raise ValueError("the empty space has no constraints to report on")
-    rows = space.coefficient_matrix() @ _TO_FLAT
-    if lam is None:
-        lam = np.eye(rows.shape[0])
-    sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
-    return _spectrum_report(n_sites, sectors)

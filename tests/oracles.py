@@ -9,6 +9,9 @@ route the library does not take, so agreement is evidence.
 - kron_chain: the open chain sum_i 1 x ... x h_{i,i+1} x ... x 1 by
   explicit Kronecker products instead of basis-index bit arithmetic.
 - check_zero_member: the dense residual |H psi| / (|psi| max(1, |H|_F)).
+- no_mps_case_report: an informational spectrum of the chain whose
+  constraint rows are a canonical space's own basis, for the cases with
+  no catalogued bond representation; it asserts nothing.
 - conjugate_local: the congruence (g x g)^dagger h (g x g) by an explicit
   Kronecker product, instead of pushing the constraint rows through g.
 - covariance_check: that residual for a site-wise transformed state
@@ -50,11 +53,14 @@ import json
 
 import numpy as np
 
-from mpschain.hamiltonian import FamilyId, FamilyParams, LocalHamiltonian
+from mpschain.classify import CanonicalForm, canonical_space
+from mpschain.hamiltonian import (FamilyId, FamilyParams, LocalHamiltonian,
+                                  local_from_espace)
 from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL, SL2,
                             CSpace, PauliQuartet, quartet_from_matrix)
 from mpschain.serialize import FormatError
 from mpschain.states import StateVector
+from mpschain.verify import SpectrumReport, _framed_sectors, _spectrum_report
 
 _I2 = np.eye(2, dtype=complex)
 _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -225,6 +231,26 @@ def check_zero_member(chain: np.ndarray, psi: StateVector) -> float:
         raise ValueError("zero vector cannot witness a ground state")
     hnorm = max(1.0, float(np.linalg.norm(chain)))
     return float(np.linalg.norm(chain @ psi.amplitudes) / (norm * hnorm))
+
+
+def no_mps_case_report(form: CanonicalForm, n_sites: int,
+                       lam=None) -> SpectrumReport:
+    """Informational spectrum for a canonical space with no catalogued
+    bond representation: constraint rows are the canonical basis itself,
+    weighted by lam (identity when omitted).
+
+    Reports what the ground energy and kernel look like; asserts nothing.
+    """
+    if not 2 <= n_sites <= 10:
+        raise ValueError("informational reports are capped at 10 sites")
+    space = canonical_space(form)
+    if not space.basis:
+        raise ValueError("the empty space has no constraints to report on")
+    rows = space.coefficient_matrix() @ _TO_FLAT
+    if lam is None:
+        lam = np.eye(rows.shape[0])
+    sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
+    return _spectrum_report(n_sites, sectors)
 
 
 def conjugate_local(local: LocalHamiltonian, g: SL2) -> LocalHamiltonian:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,12 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpschain import cli, verify
 from mpschain.classify import classify, invariant_signature
 from mpschain.cli import _report_payload
-from mpschain.hamiltonian import (FamilyId, FamilyParams, build_family,
-                                  family_space, full_chain,
+from mpschain.hamiltonian import (_PARAM_NAMES, FamilyId, FamilyParams,
+                                  build_family, family_space, full_chain,
                                   params_from_mapping)
 from mpschain.serialize import (decode_matrix, decode_space, decode_vector,
                                 dumps, encode_complex, encode_space,
@@ -121,6 +124,12 @@ def test_verify_refuses_a_small_indefinite_weight():
     (("verify", "--family", "exchange", "--params",
       '{"g": 1, "nu": 1, "nu_prime": 1e308}'),
      "error: pair energy is not finite"),
+    # JSON integers beyond the float range
+    (("verify", "--family", "hardcore", "--params", f'{{"g": {10 ** 400}}}'),
+     "error: g must be finite"),
+    (("verify", "--family", "pinned", "--params",
+      f'{{"lambda3": [[{10 ** 400}]]}}'),
+     "error: integer beyond the float range"),
 ])
 def test_non_finite_parameters_are_refused(argv, line):
     proc = run_cli(*argv, "--n-sites", "4")
@@ -507,3 +516,122 @@ def test_binary_build_h_at_10_sites_streams_the_chain(tmp_path):
     assert peak < 4 * 2 ** 20
     assert path.read_bytes() == pack_chain(
         10, full_chain(build_family(params), 10).matrix)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in an exit code, never in a traceback
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "hardcore", "--params", "[" * 10 ** 5,
+     "--n-sites", "3"],
+    ["mps", "--a0", "[" * 10 ** 5, "--a1", "[[1]]", "--n-sites", "3"],
+])
+def test_deeply_nested_json_is_refused(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "is nested too deeply" in capsys.readouterr().err
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from([10 ** 400, -10 ** 400, 1e308, 0.0, 1.0, -1.0]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(
+                      [*_PARAM_NAMES, "v0", "v1", "v2", "u", "basis", "x"]),
+                      kids, max_size=4)),
+    max_leaves=12)
+VALID_PARAMS = st.sampled_from(list(BENCH_SPECS)).map(
+    lambda label: (BENCH_SPECS[label][0], _params_json(BENCH_SPECS[label][1])))
+VALID_MATRICES = st.sampled_from(
+    ["[[1]]", "[[0, 1], [1, 0]]", "[[[0, 1], 0], [0, [0.5, -0.5]]]",
+     "[[0, 1], [0, 0]]", "[[1e200]]"])
+
+
+def _json_text(valid=st.nothing()):
+    """Valid text, any JSON value (NaN and Infinity included), a prefix of
+    one, or arbitrary text."""
+    return st.one_of(valid, JSON_VALUES.map(json.dumps),
+                     st.tuples(JSON_VALUES.map(json.dumps), st.integers(0, 8))
+                     .map(lambda t: t[0][:t[1]]),
+                     st.text(max_size=12))
+
+
+FAMILIES = st.sampled_from([f.value for f in FamilyId] + ["bogus", ""])
+# ground-states and mps keep their own 24-site state guard; 15 sites of
+# dense ground states would be a large but legal request, so ground-states
+# is fuzzed below it
+SITES = [-5, 0, 1, 15, 25, 10 ** 6, 2, 3, 4]
+GRID_NAMES = st.sampled_from(["lambda3", "g", "g1", "g3", "nu", "nu_prime",
+                              "bogus", "x_y"])
+GRID_BOUNDS = st.sampled_from(["0", "1", "-1", "0.5", "1e400", "-1e400",
+                               "1e308", "-1e308", "2e-308", "3"])
+
+
+@st.composite
+def _family_command(draw, command):
+    family_params = draw(st.one_of(
+        VALID_PARAMS, st.tuples(FAMILIES, _json_text())))
+    sites = SITES if command != "ground-states" else [
+        n for n in SITES if n != 15]
+    argv = [command, "--family", family_params[0],
+            "--params", family_params[1],
+            f"--n-sites={draw(st.sampled_from(sites))}"]
+    if command == "build-h" and draw(st.booleans()):
+        argv.append("--binary")
+    return argv, None
+
+
+@st.composite
+def _sweep_command(draw):
+    family, params = draw(st.one_of(
+        VALID_PARAMS, st.tuples(FAMILIES, _json_text())))
+    grid = draw(st.one_of(
+        st.builds("{}:{}..{}:{}".format, GRID_NAMES, GRID_BOUNDS,
+                  GRID_BOUNDS, st.integers(0, 2)),
+        st.text(max_size=12)))
+    return (["sweep", "--family", family, "--params", params,
+             "--grid", grid, f"--n-sites={draw(st.sampled_from(SITES))}"],
+            None)
+
+
+@st.composite
+def _mps_command(draw):
+    a0, a1 = draw(st.one_of(
+        st.tuples(VALID_MATRICES, VALID_MATRICES),
+        st.tuples(_json_text(VALID_MATRICES), _json_text(VALID_MATRICES))))
+    return (["mps", "--a0", a0, "--a1", a1,
+             f"--n-sites={draw(st.sampled_from(SITES))}"], None)
+
+
+@st.composite
+def _classify_command(draw):
+    space = draw(_json_text(st.sampled_from([SIGMA_SPACE, UNCATALOGUED])))
+    return ["classify", "--space", "-"], space
+
+
+COMMANDS = st.one_of(
+    _family_command("verify"), _family_command("build-h"),
+    _family_command("ground-states"), _sweep_command(), _mps_command(),
+    _classify_command(),
+    st.just((["classify", "--space", "/nonexistent/space.json"], None)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=COMMANDS)
+def test_fuzzed_commands_end_in_an_exit_code(command):
+    argv, stdin_text = command
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -317,6 +317,52 @@ def test_mps_contract_across_scales(d, n, exponent, data):
         assert abs(res.normalized.norm() - 1.0) <= 1e-12
 
 
+def _brute_force_amplitudes(a0, a1, n_sites):
+    return np.trace(loop_half_products(a0, a1, n_sites, False),
+                    axis1=1, axis2=2)
+
+
+def _clock_shift(m, k):
+    """The catalogued nonnull_line pair whose commutation factor is
+    exp(2 pi i k / m)."""
+    omega = np.exp(2j * np.pi * k / m)
+    form = CanonicalForm(CaseId.NONNULL_LINE, mu=(1 + omega) / (omega - 1))
+    return representation_for_case(form).spec
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_clock_shift_pairs_are_zero_off_their_order(m):
+    # tr(V^a C^b) vanishes unless m divides a and b, so every amplitude
+    # is exactly zero when m does not divide n; tr(E^n) kept a rounding
+    # residue of eps |E|^n that read as a nonzero state
+    for k in (j for j in range(1, m) if np.gcd(j, m) == 1):
+        spec = _clock_shift(m, k)
+        assert spec.bond_dim == m
+        for n in range(2, 17):
+            res = mps_contract(spec, n)
+            if n % m:
+                assert res.is_zero and res.normalized is None, (k, n, res.z)
+                continue
+            assert not res.is_zero
+            amps = _brute_force_amplitudes(spec.a0, spec.a1, n)
+            z = float(np.sum(np.abs(amps) ** 2))
+            assert abs(res.z - z) <= 1e-12 * z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+       n=st.integers(1, 10), exponent=st.integers(-20, 20))
+def test_mps_z_is_the_squared_sum_of_the_amplitudes(seed, d, n, exponent):
+    rng = np.random.default_rng(seed)
+    a0, a1 = (2.0 ** exponent * (rng.normal(size=(d, d))
+                                 + 1j * rng.normal(size=(d, d)))
+              for _ in range(2))
+    res = mps_contract(MPSSpec(a0, a1), n)
+    z = float(np.sum(np.abs(_brute_force_amplitudes(a0, a1, n)) ** 2))
+    assert not res.is_zero
+    assert abs(res.z - z) <= 1e-12 * z
+
+
 def test_transfer_matrix_traces_norm():
     rng = np.random.default_rng(43)
     spec = MPSSpec(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))

@@ -18,11 +18,11 @@ from mpschain.pauli import SL2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
 from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
-                             _spectrum_report, family_report,
-                             no_mps_case_report, spectrum, stacked_state_rank,
-                             symmetry_frame)
+                             _spectrum_report, family_report, spectrum,
+                             stacked_state_rank, symmetry_frame)
 from oracles import (benchmark_specs, check_zero_member, conjugate_local,
-                     covariance_check, kron_chain, operator_sum, random_sl2)
+                     covariance_check, kron_chain, no_mps_case_report,
+                     operator_sum, random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -140,6 +140,7 @@ ORACLE_CASES = ["hardcore", "hardcore-mixed", "exchange/-1", "exchange",
                 "antialigned", "hardcore-singlet", "pairsum-exchange/prime",
                 "pairsum-exchange/parity", "hardcore-exchange",
                 "mixed-singlet", "pinned"]
+BENCH_SPECS = benchmark_specs(np.random.default_rng(1001))
 
 
 @pytest.mark.parametrize("label", ORACLE_CASES)
@@ -440,6 +441,144 @@ def test_frame_keeps_a_small_symmetry_breaking_term():
                               *_dense_evals(local, n))
 
 
+GAUGED_CASES = ["exchange", "antialigned", "pairsum-exchange/parity"]
+
+
+def _framed_term(local):
+    """The bond term the chain is built from in its symmetry frame."""
+    u = symmetry_frame(local).matrix
+    if np.array_equal(u, np.eye(2)):
+        return local.matrix
+    return verify._rotated(local.matrix, u)
+
+
+@pytest.mark.parametrize("label", GAUGED_CASES)
+def test_gauged_chains_have_real_blocks_and_match_dense_ed(label):
+    rng = np.random.default_rng(972)
+    for _ in range(3):
+        local = build_family(_seeded_params(label, rng))
+        h = _framed_term(local)
+        # a complex hopping that keeps the number of ones
+        assert verify._conserved(h) == 2 and np.any(h[1, 2].imag)
+        for n in range(2, 9):
+            sectors, _, _ = _framed_sectors(local, n)
+            assert all(blocks.dtype == np.float64 for _, blocks in sectors)
+            _assert_matches_dense(_spectrum_report(n, sectors),
+                                  *_dense_evals(local, n))
+
+
+def test_exchange_at_equal_moduli_splits_by_reversal():
+    # nu' = omega nu: once the hopping phase is gauged away, the bond term
+    # is unchanged by the site swap, so each number sector splits in two
+    local = build_family(params_from_mapping(*BENCH_SPECS["exchange/omega3"]))
+    assert verify._reversal_sign(local.matrix) is None
+    for n in range(2, 10):
+        sizes = _framed_sizes(local, n)
+        assert sum(sizes) == 2 ** n
+        assert max(sizes) < comb(n, n // 2)
+        if n <= 8:
+            _assert_matches_dense(_framed_report(local, n),
+                                  *_dense_evals(local, n))
+    # C(9, 4) = 126 states with four ones, 6 of them palindromes
+    assert sorted(_framed_sizes(local, 9))[-2:] == [66, 66]
+    assert 60 in _framed_sizes(local, 9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7))
+def test_rotated_number_conserving_terms_get_real_blocks(seed, n):
+    rng = np.random.default_rng(seed)
+    a, d = rng.uniform(0.0, 2.0, size=2)
+    b, c = rng.uniform(0.5, 2.0, size=2)
+    h = np.diag([a, b, c, d]).astype(complex)
+    h[1, 2] = (np.sqrt(b * c) * rng.uniform(0.1, 0.9)
+               * np.exp(2j * np.pi * rng.uniform()))
+    h[2, 1] = np.conj(h[1, 2])
+    local = conjugate_local(LocalHamiltonian(h), _random_special_unitary(rng))
+    sectors, _, _ = _framed_sectors(local, n)
+    assert all(blocks.dtype == np.float64 for _, blocks in sectors)
+    _assert_matches_dense(_spectrum_report(n, sectors),
+                          *_dense_evals(local, n))
+
+
+def test_a_small_number_breaking_term_is_not_gauged():
+    rng = np.random.default_rng(973)
+    antialigned = build_family(_seeded_params("antialigned", rng)).matrix
+    # (|00> + |11>)/sqrt(2) keeps the parity of ones but not their number
+    bell = np.zeros(4)
+    bell[[0, 3]] = 2 ** -0.5
+    local = LocalHamiltonian(antialigned + 1e-6 * np.outer(bell, bell))
+    assert verify._conserved(_framed_term(local)) == 1
+    for n in range(2, 9):
+        sectors, _, _ = _framed_sectors(local, n)
+        assert max(sectors, key=lambda s: s[0].shape[1])[1].dtype \
+            == np.complex128
+        _assert_matches_dense(_spectrum_report(n, sectors),
+                              *_dense_evals(local, n))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_hardcore_residuals_are_pinned(n):
+    # every catalogued hardcore string avoids |00>, so its column of the
+    # diagonal chain is exactly zero
+    rep = family_report(FamilyParams(FamilyId.HARDCORE, g=1.7), n)
+    fib = [1, 2]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    assert len(rep.residuals) == rep.kernel_dim == fib[n]
+    assert {r.hex() for r in rep.residuals.values()} == {"0x0.0p+0"}
+
+
+@pytest.mark.parametrize("seed", [1001, 2001, 4242])
+def test_pinned_residuals_are_pinned(seed):
+    fam, mapping = benchmark_specs(np.random.default_rng(seed))["pinned"]
+    params = params_from_mapping(fam, mapping)
+    for n in range(2, 11):
+        assert {k: r.hex() for k, r in family_report(
+            params, n).residuals.items()} == {"psi1": "0x0.0p+0"}
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_basis_state_residuals_read_their_column(label, monkeypatch):
+    # each basis state, once as an index and once as a dense vector
+    params = params_from_mapping(*BENCH_SPECS[label])
+    for n in (2, 5, 7):
+        def catalogue(p, n_sites, dense):
+            return [NamedState(f"e{x}", StateVector(n_sites, np.eye(
+                2 ** n_sites)[x]) if dense else StateVector._basis(n_sites, x))
+                for x in range(2 ** n_sites)]
+        got = {}
+        for dense in (False, True):
+            monkeypatch.setattr(verify, "ground_state_catalogue",
+                                lambda p, n_sites: catalogue(p, n_sites,
+                                                             dense))
+            got[dense] = family_report(params, n).residuals
+        chain = kron_chain(build_family(params).matrix, n)
+        for x in range(2 ** n):
+            key = f"e{x}"
+            want = check_zero_member(chain, StateVector(n, np.eye(2 ** n)[x]))
+            assert abs(got[False][key] - want) <= 1e-14
+            # the same sum of squares, bit for bit when the column has one
+            # entry (the diagonal chains)
+            assert got[False][key] == pytest.approx(got[True][key],
+                                                    rel=1e-14)
+            if label == "hardcore":
+                assert got[False][key].hex() == got[True][key].hex()
+
+
+def test_hardcore_report_at_11_sites_stacks_no_dense_states():
+    params = FamilyParams(family=FamilyId.HARDCORE, g=1.0)
+    tracemalloc.start()
+    try:
+        rep = family_report(params, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 233 dense states alone would take 233 * 16 * 2**11 bytes (7.3 MiB)
+    assert peak < 2 * 2 ** 20
+    assert len(rep.residuals) == rep.kernel_dim == 233
+
+
 def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
     tracemalloc.start()
     try:
@@ -453,7 +592,6 @@ def test_hardcore_report_at_12_sites_never_builds_the_dense_chain():
     assert max(rep.residuals.values()) <= 1e-9
 
 
-BENCH_SPECS = benchmark_specs(np.random.default_rng(1001))
 WEIGHT_NAMES = ("g", "g1", "g2", "g3", "lambda3")
 
 
