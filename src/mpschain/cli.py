@@ -166,10 +166,14 @@ def _cmd_build_h(args) -> int:
 def _cmd_ground_states(args) -> int:
     params = _parse_params_arg(args)
     states = ground_state_catalogue(params, args.n_sites)
-    payload = [{"label": ns.label,
-                "amplitudes": ns.state.amplitudes}
-               for ns in states]
-    _emit_text(serialize.dumps(payload), args.out)
+    # the JSON list written one state at a time, so only one state's
+    # vector and text are alive at once
+    with _text_sink(args.out) as fh:
+        fh.write("[")
+        for i, ns in enumerate(states):
+            fh.write((", " if i else "") + serialize.dumps(
+                {"label": ns.label, "amplitudes": ns.state.amplitudes}))
+        fh.write("]\n")
     return EXIT_OK
 
 

@@ -7,8 +7,10 @@ Conventions shared by everything here:
    bit string is just its value as a binary number;
  - states are returned UNNORMALIZED (their components are exact small
    integers or powers of a ratio); call .normalized() when needed;
- - a product basis state (product_state, hardcore_states) carries only
-   its basis index and builds its dense amplitudes on each read;
+ - the catalogue's states (product_state, hardcore_states, psi_k,
+   psi_prime, psi_parity) keep a recipe, not a vector: each read of
+   .amplitudes builds a fresh read-only vector that is kept nowhere,
+   while bad arguments are refused when the state is made;
  - the weighted sums read one table of zero counts and zeta exponents,
    computed once per chain length;
  - bond-matrix (MPS) states assign amplitude tr(A^{s1} ... A^{sN}) to
@@ -50,13 +52,17 @@ class NoRepresentationError(RuntimeError):
 class StateVector:
     """Unnormalized amplitudes over the 2^N product basis.
 
-    A product basis state (product_state, hardcore_states) keeps only its
-    basis index: its norm is 1, it is its own normalization, and every
-    read of .amplitudes builds a fresh read-only dense vector that is kept
-    nowhere, so a list of such states holds no 2^N array.
+    A state holds either its dense read-only vector (StateVector(n,
+    amplitudes), mps_contract results, normalized copies) or a recipe:
+    a functools.partial of a module-level builder that returns a fresh
+    vector.  Every read of .amplitudes on a recipe state builds a new
+    read-only vector that is kept nowhere, so a list of such states holds
+    no 2^N array.  The product basis states (product_state,
+    hardcore_states) are one-hot recipes that also keep their basis
+    index: their norm is 1 and they are their own normalization.
     """
 
-    __slots__ = ("n_sites", "_amplitudes", "_index")
+    __slots__ = ("n_sites", "_held", "_index")
 
     def __init__(self, n_sites: int, amplitudes):
         amps = np.array(amplitudes, dtype=complex).ravel()
@@ -73,7 +79,15 @@ class StateVector:
     def _basis(cls, n_sites: int, index: int) -> "StateVector":
         """The product basis state with amplitude 1 at index."""
         state = object.__new__(cls)
-        state._set(n_sites, None, index)
+        state._set(n_sites, functools.partial(_one_hot, n_sites, index), index)
+        return state
+
+    @classmethod
+    def _built(cls, builder, n_sites: int, *args) -> "StateVector":
+        """The state whose amplitudes builder(n_sites, *args) builds afresh
+        on each read, as a finite complex vector of 2^n_sites entries."""
+        state = object.__new__(cls)
+        state._set(n_sites, functools.partial(builder, n_sites, *args), None)
         return state
 
     @classmethod
@@ -86,32 +100,40 @@ class StateVector:
         state._set(n_sites, amplitudes, None)
         return state
 
-    def _set(self, n_sites, amplitudes, index) -> None:
+    def _set(self, n_sites, held, index) -> None:
+        """held is the read-only vector or the recipe; index is kept for
+        a basis state only."""
         object.__setattr__(self, "n_sites", n_sites)
-        object.__setattr__(self, "_amplitudes", amplitudes)
+        object.__setattr__(self, "_held", held)
         object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
     def __repr__(self) -> str:
-        return (f"StateVector(n_sites={self.n_sites}, "
-                f"amplitudes={self.amplitudes!r})")
+        if self._index is not None:
+            held = f"index={self._index}"
+        elif isinstance(self._held, np.ndarray):
+            held = f"amplitudes={self._held!r}"
+        else:
+            args = ", ".join(map(repr, self._held.args))
+            held = f"recipe={self._held.func.__name__}({args})"
+        return f"StateVector(n_sites={self.n_sites}, {held})"
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self._index is None:
-            return self._amplitudes
-        amps = np.zeros(2 ** self.n_sites, dtype=complex)
-        amps[self._index] = 1.0
+        if isinstance(self._held, np.ndarray):
+            return self._held
+        amps = self._held()
         amps.flags.writeable = False
         return amps
 
     def _scaled(self):
         """(amplitudes * 2**-f, f), f the binary exponent of their largest
         real or imaginary part: exact, and safe to square."""
-        f = math.frexp(np.abs(self._amplitudes.view(float)).max())[1]
-        return _times_power_of_two(self._amplitudes, -f), f
+        amps = self.amplitudes
+        f = math.frexp(np.abs(amps.view(float)).max())[1]
+        return _times_power_of_two(amps, -f), f
 
     def norm(self) -> float:
         """Euclidean norm, inf only when the norm itself is out of range;
@@ -130,6 +152,12 @@ class StateVector:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return StateVector._owning(self.n_sites, scaled / n)
+
+
+def _one_hot(n_sites: int, index: int) -> np.ndarray:
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
@@ -212,7 +240,8 @@ def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
 
     The weight of a string is ratio ** (its zeta exponent, see
     _zero_counts), and ratio must be a primitive root of unity of order
-    exactly m_period.
+    exactly m_period.  The arguments are checked here; the amplitudes are
+    built on each read.
     """
     _check_sites(n_sites)
     if m_period < 1:
@@ -224,34 +253,44 @@ def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
     if order_of_unit_root(ratio, max_order=max(m_period, 1)) != m_period:
         raise ValueError(
             f"ratio must be a primitive root of unity of order {m_period}")
+    return StateVector._built(_psi_k_amplitudes, n_sites, k * m_period,
+                              ratio)
+
+
+def _psi_k_amplitudes(n_sites: int, n_zeros: int, ratio) -> np.ndarray:
     zeros, exponent = _zero_counts(n_sites)
-    sel = zeros == k * m_period
+    sel = zeros == n_zeros
     e = exponent[sel]
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[sel] = _signed_powers(ratio, int(e.max()))[0, e]
-    return StateVector._owning(n_sites, amps)
+    return amps
 
 
 def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
     """Alternating-sign sum over even-zero-count strings, weight
     ratio ** (zeta exponent) * (-1)^(half the zero count).  Defined for
-    even chains and ratio -1."""
+    even chains and ratio -1; built on each read."""
     _check_sites(n_sites)
     if n_sites % 2 != 0:
         raise ValueError("n_sites must be even")
     if abs(complex(ratio) + 1.0) > ROOT_TOL:
         raise ValueError("ratio must be -1")
+    return StateVector._built(_psi_prime_amplitudes, n_sites, ratio)
+
+
+def _psi_prime_amplitudes(n_sites: int, ratio) -> np.ndarray:
     zeros, exponent = _zero_counts(n_sites)
     even = zeros % 2 == 0
     e = exponent[even]
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[even] = _signed_powers(ratio, int(e.max()))[zeros[even] // 2 % 2, e]
-    return StateVector._owning(n_sites, amps)
+    return amps
 
 
 def psi_parity(n_sites: int, parity: str,
                literal_bounds: bool = False) -> StateVector:
-    """Alternating-sign sums over fixed-parity zero counts.
+    """Alternating-sign sums over fixed-parity zero counts, built on each
+    read.
 
     parity 'even': amplitude (-1)^k on strings with 2k zeros, k from 0.
     parity 'odd':  amplitude (-1)^k on strings with 2k+1 zeros, k from 0.
@@ -263,11 +302,15 @@ def psi_parity(n_sites: int, parity: str,
     fewest = {"even": 0, "odd": 3 if literal_bounds else 1}.get(parity)
     if fewest is None:
         raise ValueError("parity must be 'even' or 'odd'")
+    return StateVector._built(_psi_parity_amplitudes, n_sites, fewest)
+
+
+def _psi_parity_amplitudes(n_sites: int, fewest: int) -> np.ndarray:
     zeros, _ = _zero_counts(n_sites)
     sel = (zeros % 2 == fewest % 2) & (zeros >= fewest)
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[sel] = np.where(zeros[sel] // 2 % 2 == 0, 1.0, -1.0)
-    return StateVector._owning(n_sites, amps)
+    return amps
 
 
 def hardcore_states(n_sites: int) -> list:
@@ -526,7 +569,8 @@ def ground_state_catalogue(params: FamilyParams,
                            n_sites: int) -> list:
     """The catalogued zero-energy states of a family on n_sites sites.
 
-    Returns NamedState entries, unnormalized.  The list is exactly what
+    Returns NamedState entries, unnormalized, each state holding its
+    recipe rather than its vector.  The list is exactly what
     the catalogue pairs with the family; it is not always a full kernel
     basis, and for the pair-sum exchange family away from nu_prime =
     +/- nu it is empty.

@@ -406,8 +406,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
 
     The spectrum comes from the chain built in the bond term's symmetry
     frame; H psi comes from the chain's entries in the caller's basis:
-    a basis state's is its column of entries, and the states that hold
-    amplitudes share one sparse product.
+    a basis state's is its column of entries, and the other states'
+    amplitudes, each read once, share one sparse product.
     """
     local = build_family(params)
     sectors, entries, u = _framed_sectors(local, n_sites)

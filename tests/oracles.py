@@ -24,6 +24,10 @@ route the library does not take, so agreement is evidence.
 - zero_counts: every basis index's zero count and zeta exponent by a loop
   over the sites, instead of the library's table grown one leading site
   at a time.
+- eager_psi_k, eager_psi_prime, eager_psi_parity: the string-sum
+  states' amplitudes built at once from the loop table of zero_counts,
+  as the library built them before its states kept a recipe; each power
+  of the ratio is taken in Python.
 - transform_state: a chain state pushed through the inverse one-site
   action, one tensordot per site.
 - minkowski, trace_form: the (-,+,+) product and the invariant pairing
@@ -39,17 +43,20 @@ route the library does not take, so agreement is evidence.
   library's writer formats a complex array's parts in bulk and must
   give the same text.
 
-Two helpers are shared test plumbing rather than references: flat gives
-a quartet's entries (C00, C01, C10, C11) through the library's own
-`_TO_FLAT`, which test_pauli checks against the recomposed matrix, and
+Three helpers are shared test plumbing rather than references: flat
+gives a quartet's entries (C00, C01, C10, C11) through the library's own
+`_TO_FLAT`, which test_pauli checks against the recomposed matrix,
 benchmark_specs draws one parameter set per benchmark label, as the
-benchmark's family_specs does.
+benchmark's family_specs does, and child_env is the environment for a
+`python -m mpschain` child process.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -217,6 +224,45 @@ def zero_counts(n_sites: int):
         zeros += is_zero
         position_sum += pos * is_zero
     return zeros, position_sum - zeros * (zeros + 1) // 2
+
+
+def _powers(ratio, exponent: np.ndarray) -> np.ndarray:
+    """complex(ratio) ** e for each entry e, each power taken in Python."""
+    table = np.array([complex(ratio) ** e
+                      for e in range(int(exponent.max(initial=0)) + 1)])
+    return table[exponent]
+
+
+def eager_psi_k(n_sites: int, m_period: int, k: int, ratio) -> np.ndarray:
+    """ratio ** (zeta exponent) on the strings with k*m_period zeros."""
+    zeros, exponent = zero_counts(n_sites)
+    sel = zeros == k * m_period
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[sel] = _powers(ratio, exponent[sel])
+    return amps
+
+
+def eager_psi_prime(n_sites: int, ratio=-1.0) -> np.ndarray:
+    """(-1)^(Z/2) ratio ** (zeta exponent) on the strings with an even
+    zero count Z."""
+    zeros, exponent = zero_counts(n_sites)
+    even = zeros % 2 == 0
+    powers = _powers(ratio, exponent[even])
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[even] = np.where(zeros[even] // 2 % 2 == 0, powers, -powers)
+    return amps
+
+
+def eager_psi_parity(n_sites: int, parity: str,
+                     literal_bounds: bool = False) -> np.ndarray:
+    """(-1)^(Z // 2) on the strings whose zero count Z has the parity and
+    is at least 0 (even), 1 (odd) or 3 (odd, literal bounds)."""
+    fewest = {"even": 0, "odd": 3 if literal_bounds else 1}[parity]
+    zeros, _ = zero_counts(n_sites)
+    sel = (zeros % 2 == fewest % 2) & (zeros >= fewest)
+    amps = np.zeros(2 ** n_sites, dtype=complex)
+    amps[sel] = np.where(zeros[sel] // 2 % 2 == 0, 1.0, -1.0)
+    return amps
 
 
 def check_zero_member(chain: np.ndarray, psi: StateVector) -> float:
@@ -521,3 +567,16 @@ def benchmark_specs(rng) -> dict:
         "mixed-singlet": ("mixed-singlet", mixed),
         "pinned": ("pinned", {"lambda3": a.conj().T @ a + 0.1 * np.eye(3)}),
     }
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(overrides: dict | None = None) -> dict:
+    """The caller's environment with this checkout's src first on
+    PYTHONPATH and the overrides laid over the rest, so a child process
+    imports the package under test without an installed copy."""
+    env = {**os.environ, **(overrides or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env

@@ -25,8 +25,9 @@ from mpschain.states import (MPSSpec, constraint_residual,
                              product_state, psi_k, psi_parity,
                              representation_for_case)
 from mpschain.verify import family_report
-from oracles import (check_zero_member, covariance_check, kron_chain,
-                     minkowski, operator_sum, random_sl2, trace_form)
+from oracles import (check_zero_member, child_env, covariance_check,
+                     kron_chain, minkowski, operator_sum, random_sl2,
+                     trace_form)
 
 MU_SAMPLES = (0.0, 1.0, 0.37 + 0.2j)
 
@@ -364,7 +365,8 @@ def test_criterion_8_invariance_suite():
 ], ids=["verify", "sweep"])
 def test_criterion_9_byte_identical_reruns(argv):
     runs = [subprocess.run([sys.executable, "-m", "mpschain", *argv],
-                           capture_output=True) for _ in range(2)]
+                           capture_output=True, env=child_env())
+            for _ in range(2)]
     ok = (runs[0].stdout == runs[1].stdout and bool(runs[0].stdout)
           and runs[0].returncode == runs[1].returncode)
     _line("9", ok, f"{argv[0]} rerun produced {len(runs[0].stdout)} "

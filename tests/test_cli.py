@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +24,8 @@ from mpschain.serialize import (decode_matrix, decode_space, decode_vector,
                                 pack_chain, unpack_chain)
 from mpschain.states import (MPSSpec, NamedState, StateVector,
                              ground_state_catalogue, mps_contract)
-from oracles import benchmark_specs, encode_matrix, encode_vector, value_dumps
+from oracles import (benchmark_specs, child_env, encode_matrix,
+                     encode_vector, value_dumps)
 
 SIGMA_SPACE = '{"basis": [{"v0": [0,0], "v1": [0,0], "v2": [0,0], "u": [1,0]}]}'
 UNCATALOGUED = ('{"basis": ['
@@ -41,17 +41,15 @@ EXCHANGE_M3 = ('{"g": 1.0, "nu": [1.0, 0.0], '
 
 def run_cli(*argv, stdin_text=None, env=None):
     """Run the CLI in a child process; ``env`` entries are laid over the
-    caller's environment, so the child keeps ``PYTHONPATH`` and the rest."""
-    if env is not None:
-        env = {**os.environ, **env}
+    caller's environment, and the checkout's src leads ``PYTHONPATH``."""
     return subprocess.run([sys.executable, "-m", "mpschain", *argv],
                           capture_output=True, text=True, input=stdin_text,
-                          env=env)
+                          env=child_env(env))
 
 
 def run_cli_bytes(*argv):
     return subprocess.run([sys.executable, "-m", "mpschain", *argv],
-                          capture_output=True)
+                          capture_output=True, env=child_env())
 
 
 def test_classify_stdin_antisymmetric_line():
@@ -388,10 +386,40 @@ def test_family_commands_match_the_oracle_writer(label, n, tmp_path, capsys):
     assert cli.main(["build-h", *argv]) == 0
     assert capsys.readouterr().out == value_dumps(
         {"n_sites": n, "matrix": encode_matrix(chain)}) + "\n"
-    assert cli.main(["ground-states", *argv]) == 0
-    assert capsys.readouterr().out == value_dumps(
+    states = value_dumps(
         [{"label": ns.label, "amplitudes": encode_vector(ns.state.amplitudes)}
          for ns in ground_state_catalogue(params, n)]) + "\n"
+    assert cli.main(["ground-states", *argv]) == 0
+    assert capsys.readouterr().out == states
+    path = tmp_path / "states.json"
+    assert cli.main(["ground-states", *argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == states.encode()
+
+
+_PEAK_RSS_SCRIPT = """
+import sys
+from mpschain import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(line.split()[1]) for line in fh
+               if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_ground_states_streams_one_state_at_a_time(tmp_path):
+    # hardcore at 13 sites lists 610 basis states of 2^13 amplitudes:
+    # 80 MiB as vectors and several times that as text, all at once
+    path = tmp_path / "states.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, "ground-states",
+         "--family", "hardcore", "--params", '{"g": 1.0}',
+         "--n-sites", "13", "--out", str(path)],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(path.read_text())) == 610
+    peak_kb = int(proc.stdout)
+    assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb} kB"
 
 
 def test_json_build_h_joins_row_blocks(capsys):

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from mpschain.classify import CanonicalForm, CaseId, classify
 from mpschain.hamiltonian import FamilyId, FamilyParams, build_family, \
     full_chain
+from mpschain import states
 from mpschain.pauli import PauliQuartet
 from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              NoRepresentationError, StateVector,
@@ -19,7 +20,8 @@ from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              mps_contract, order_of_unit_root, product_state,
                              psi_k, psi_parity, psi_prime,
                              representation_for_case, transfer_matrix)
-from oracles import (kron_transfer, loop_half_products, random_sl2,
+from oracles import (eager_psi_k, eager_psi_parity, eager_psi_prime,
+                     kron_transfer, loop_half_products, random_sl2,
                      transform_state, zero_counts)
 
 
@@ -150,6 +152,84 @@ def test_builders_match_per_string_definition(n):
         expected = np.zeros(2 ** n, dtype=complex)
         expected[strings.index(ns.label)] = 1.0
         assert ns.state.amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_recipe_states_match_the_eager_oracle(n):
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        ratios = {1: [1.0], 2: [-1.0]}.get(
+            m, [np.exp(2j * np.pi / m), np.exp(-2j * np.pi / m)])
+        for ratio in ratios:
+            for k in range(n // m + 1):
+                assert np.array_equal(psi_k(n, m, k, ratio).amplitudes,
+                                      eager_psi_k(n, m, k, ratio)), (m, k)
+    if n % 2 == 0:
+        assert np.array_equal(psi_prime(n).amplitudes, eager_psi_prime(n))
+    for parity, literal in [("even", False), ("odd", False), ("odd", True)]:
+        assert np.array_equal(
+            psi_parity(n, parity, literal_bounds=literal).amplitudes,
+            eager_psi_parity(n, parity, literal)), (parity, literal)
+
+
+def test_recipe_states_read_as_fresh_read_only_arrays():
+    for state in (psi_k(6, 3, 1, np.exp(2j * np.pi / 3)), psi_prime(6),
+                  psi_parity(6, "odd")):
+        first, second = state.amplitudes, state.amplitudes
+        assert first is not second and not np.shares_memory(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert np.array_equal(first, second)
+
+
+def test_recipe_states_check_arguments_when_made(monkeypatch):
+    def unread(n_sites):
+        raise AssertionError("the zero-count table was read")
+    monkeypatch.setattr(states, "_zero_counts", unread)
+    # valid arguments build nothing until a read
+    psi_k(4, 2, 1, -1.0)
+    psi_prime(4)
+    psi_parity(4, "odd", literal_bounds=True)
+    for make in (lambda: psi_k(4, 2, 3, -1.0), lambda: psi_k(4, 2, 1, 0.9),
+                 lambda: psi_prime(3), lambda: psi_prime(4, ratio=1.0),
+                 lambda: psi_parity(4, "both"),
+                 lambda: psi_parity(40, "even")):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_catalogue_of_recipe_states_holds_no_dense_vector():
+    params = FamilyParams(FamilyId.EXCHANGE, g=1.0, nu=1.0, nu_prime=-1.0)
+    _zero_counts(18)
+    tracemalloc.start()
+    try:
+        named = ground_state_catalogue(params, 18)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # psi0, psi1 and psi_k1..psi_k8; eight dense vectors took 32 MiB
+    assert len(named) == 10
+    assert held < 64 * 2 ** 10
+
+
+def test_repr_shows_how_a_state_is_held_without_building_it():
+    tracemalloc.start()
+    try:
+        texts = [repr(product_state("1", 20)),
+                 repr(psi_k(20, 2, 3, -1.0)),
+                 repr(psi_prime(20)),
+                 repr(psi_parity(20, "odd", literal_bounds=True))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert texts == [
+        "StateVector(n_sites=20, index=1048575)",
+        "StateVector(n_sites=20, recipe=_psi_k_amplitudes(20, 6, -1.0))",
+        "StateVector(n_sites=20, recipe=_psi_prime_amplitudes(20, -1.0))",
+        "StateVector(n_sites=20, recipe=_psi_parity_amplitudes(20, 3))"]
+    assert peak < 2 ** 20
+    assert repr(StateVector(1, [1.0, 0.5j])) == \
+        "StateVector(n_sites=1, amplitudes=array([1.+0.j , 0.+0.5j]))"
 
 
 def test_order_of_unit_root():
