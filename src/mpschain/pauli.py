@@ -23,6 +23,10 @@ import numpy as np
 # Relative rank threshold for independence and row-reduction decisions.
 DEFAULT_RANK_TOL = 1e-10
 
+# Row reduction passes over a pivot at or below this share of the rows'
+# singular value ratio times the largest entry left to reduce.
+PIVOT_SHARE = 1e-3
+
 # Determinant slack accepted for unimodular matrices.
 DET_TOL = 1e-12
 
@@ -213,8 +217,7 @@ class CSpace:
         if coeff.shape[0] > 4:
             raise LinearDependenceError("more than 4 basis vectors")
         if coeff.shape[0]:
-            self._check_independence(coeff)
-            reduced = _row_reduce(coeff)
+            reduced = _row_reduce(coeff, self._check_independence(coeff))
             if reduced.shape[0] != coeff.shape[0]:
                 # row reduction lost a vector the SVD band check let through
                 raise LinearDependenceError("basis is not independent")
@@ -222,7 +225,9 @@ class CSpace:
             reduced = coeff
         self._set_rows(reduced)
 
-    def _check_independence(self, coeff: np.ndarray) -> None:
+    def _check_independence(self, coeff: np.ndarray) -> float:
+        """The rows' smallest over largest singular value, refused when
+        it is at or below DEFAULT_RANK_TOL or in the band above it."""
         s = np.linalg.svd(coeff, compute_uv=False)
         if s[0] == 0.0:
             raise LinearDependenceError("zero basis vector")
@@ -235,6 +240,7 @@ class CSpace:
             raise AmbiguousRankError(
                 f"singular value ratio {ratio:.3e} falls in the ambiguous "
                 f"band (rank_tol, 10*rank_tol]; refusing to guess")
+        return float(ratio)
 
     @classmethod
     def _reduced(cls, rows: np.ndarray) -> "CSpace":
@@ -274,19 +280,34 @@ class CSpace:
         return f"CSpace(dim={self.dim})"
 
 
-def _row_reduce(rows: np.ndarray) -> np.ndarray:
-    """Reduced row-echelon form over C; returns the nonzero rows."""
+def _row_reduce(rows: np.ndarray, ratio: float = 0.0) -> np.ndarray:
+    """Reduced row-echelon form over C; returns the nonzero rows.
+
+    A column's largest entry p left below the reduced rows becomes its
+    pivot unless p <= DEFAULT_RANK_TOL * scale, scale = max(1, max|rows|),
+    or, for two rows or more whose singular value ratio is `ratio`, p is
+    at most PIVOT_SHARE * ratio times both scale and the largest entry
+    left to reduce.  A column passed over keeps its small entries, so no
+    step divides a row by a pivot much smaller than the rest of it: the
+    stored rows are not much worse conditioned than the rows given.  A
+    ratio of 0 (the default, and rank-deficient rows) keeps only the
+    first cut.
+    """
     m = np.array(rows, dtype=complex)
     if m.size == 0:
         return m
     scale = max(1.0, float(np.max(np.abs(m))))
     thresh = DEFAULT_RANK_TOL * scale
+    # one row is as well conditioned scaled as given
+    share = PIVOT_SHARE * ratio if m.shape[0] > 1 else 0.0
     r = 0
     for col in range(m.shape[1]):
         if r >= m.shape[0]:
             break
         piv = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[piv, col]) <= thresh:
+        p = abs(m[piv, col])
+        if p <= thresh or (p <= share * scale and p <= share * float(
+                np.max(np.abs(m[r:, col:])))):
             continue
         m[[r, piv]] = m[[piv, r]]
         pivot = m[r] / m[r, col]

@@ -16,23 +16,32 @@ the framed bond term keeps the number of ones but its hopping entry t is
 complex (exchange at a complex ratio, antialigned, pairsum-exchange at
 nu' = nu), the phase of t is gauged away: on an open chain the site
 phase exp(i theta k) on the k-th one turns every hopping entry into |t|
-exactly, so those sectors are real blocks with the same spectrum.  When
-the (gauged) framed chain commutes with site reversal times a diagonal
-site sign, each sector splits further into T's even and odd states;
-gauged, exchange at |nu'| = |nu| splits this way too.  The checks stay
-unambiguous: a state either sits in the numerical kernel of the chain
-or it does not.
+exactly, so those sectors are real blocks with the same spectrum.
+
+The (gauged) framed chain is then tested against the basis-permuting
+involutions T = R o v^{x n}, R site reversal or nothing and v one of
+1, Z, X.  T maps each sector onto a sector whose block differs by a
+signed permutation only, so of two sectors T swaps one is solved and
+its spectrum counted twice, and a sector T maps onto itself splits into
+T's even and odd states.  Exchange at a general ratio, antialigned and
+pairsum-exchange at nu' = nu gain reverse o X^{x n}, which pairs k ones
+with n - k; pairsum-exchange at nu' = -nu pairs its sectors by reversal;
+exchange at |nu'| = |nu| splits each number sector by reversal.  Before
+any block is allocated, the largest stack to be solved is held against
+the memory available.  The checks stay unambiguous: a state either
+sits in the numerical kernel of the chain or it does not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
-                          FamilyParams, _summed_entries, build_family,
+from .hamiltonian import (HERMITICITY_TOL, ChainSizeError, FullHamiltonian,
+                          LocalHamiltonian, FamilyParams, build_family,
                           chain_entries)
 from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import _times_power_of_two, ground_state_catalogue
@@ -61,9 +70,17 @@ _PAIR_PAULI = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 _PAIR_ONES = np.array([0, 1, 1, 2])
 
 # The pair states in the order the site swap gives them, and the sign
-# Z x Z gives each.
+# Z x Z gives each pair of them.
 _SWAPPED = np.array([0, 2, 1, 3])
-_PAIR_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_PAIR_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+
+# The basis-permuting involutions T = R o v^{x n} that may join the
+# sectors in pairs or split them, as (reverse, flip, sign): R is site
+# reversal when reverse, and v is X when flip, else diag(1, sign).  The
+# identity and plain parity, which the sectors already resolve, are not
+# among them; of equally good ones the first wins.
+_INVOLUTIONS = ((True, False, 1), (True, False, -1), (False, True, 1),
+                (True, True, 1))
 
 
 @dataclass(frozen=True)
@@ -102,34 +119,78 @@ def _sector_roots(dim: int, rows, cols) -> np.ndarray:
             root = jumped
 
 
-def _sector_blocks(dim: int, rows, cols, vals) -> list:
-    """Split H, given by its nonzero entries, into sector blocks.
-
-    Returns a list of (members, blocks) with one item per sector size k:
-    members (s, k) holds the basis indices of the s sectors of that size,
-    ascending within each sector, and blocks (s, k, k) holds H restricted
-    to each of them, real when no entry has an imaginary part.
-    """
-    if np.iscomplexobj(vals) and not np.any(vals.imag):
-        vals = vals.real
-    off = rows != cols
-    _, sector, sizes = np.unique(_sector_roots(dim, rows[off], cols[off]),
-                                 return_inverse=True, return_counts=True)
+def _sector_members(root: np.ndarray, states: np.ndarray) -> list:
+    """The basis states `states` (ascending) grouped into sectors by
+    their root, one (s, k) array per sector size k: the s sectors of
+    that size in order of their root, members ascending."""
+    _, sector, sizes = np.unique(root[states], return_inverse=True,
+                                 return_counts=True)
     size = sizes[sector]
     order = np.lexsort((sector, size))
+    ks, counts = np.unique(size, return_counts=True)
+    return [states[o].reshape(-1, k)
+            for k, o in zip(ks, np.split(order, np.cumsum(counts)[:-1]))]
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be
+    read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _sector_blocks(dim: int, parts: list) -> list:
+    """H restricted to sectors of dim basis states.
+
+    Each part is (members, (rows, cols, vals), sigma): a list of (s, k)
+    member arrays from _sector_members, H's nonzero entries, of which
+    those in rows of the members are read, and None or an involution of
+    the basis that maps each of these sectors onto a twin with the same
+    spectrum.  Returns a list of (members, blocks), one per item of each
+    part's list: blocks (s, k, k) holds H restricted to each sector, real
+    when no entry of the part has an imaginary part, and members lists
+    the sectors each block stands for, its twins (sorted) after it.
+
+    Refuses (ChainSizeError), before any block is allocated, when a stack
+    to be eigensolved and eigvalsh's copy of it need more bytes than
+    MemAvailable; where that cannot be read, only the site guard holds.
+    """
+    parts = [(members, (rows, cols, vals.real if np.iscomplexobj(vals)
+                        and not np.any(vals.imag) else vals), sigma)
+             for members, (rows, cols, vals), sigma in parts]
+    need = 2 * max((m.shape[0] * m.shape[1] ** 2 * entries[2].itemsize
+                    for members, entries, _ in parts for m in members
+                    if m.shape[1] > 1), default=0)
+    available = _available_bytes() if need else None
+    if available is not None and need > available:
+        raise ChainSizeError(
+            f"the largest sector blocks need {need} bytes with eigvalsh's "
+            f"copy, but {available} bytes are available")
+    size = np.zeros(dim, dtype=np.intp)
     block = np.empty(dim, dtype=np.intp)
     pos = np.empty(dim, dtype=np.intp)
     out = []
-    ks, counts = np.unique(size, return_counts=True)
-    for k, members in zip(ks, np.split(order, np.cumsum(counts)[:-1])):
-        members = members.reshape(-1, k)
-        block[members] = np.arange(members.shape[0])[:, None]
-        pos[members] = np.arange(k)
-        sel = size[rows] == k
-        r, c = rows[sel], cols[sel]
-        blocks = np.zeros((members.shape[0], k, k), dtype=vals.dtype)
-        blocks[block[r], pos[r], pos[c]] = vals[sel]
-        out.append((members, blocks))
+    for members, (rows, cols, vals), sigma in parts:
+        size[:] = 0
+        for m in members:
+            size[m] = m.shape[1]
+        for m in members:
+            s, k = m.shape
+            block[m] = np.arange(s)[:, None]
+            pos[m] = np.arange(k)
+            sel = size[rows] == k
+            r, c = rows[sel], cols[sel]
+            blocks = np.zeros((s, k, k), dtype=vals.dtype)
+            blocks[block[r], pos[r], pos[c]] = vals[sel]
+            if sigma is not None:
+                m = np.concatenate((m, np.sort(sigma[m], axis=1)))
+            out.append((m, blocks))
     return out
 
 
@@ -170,20 +231,26 @@ def _axis_frame(axis: np.ndarray) -> np.ndarray:
                      [phase * np.sin(half), np.cos(half)]])
 
 
-def _reversal_sign(h: np.ndarray) -> int | None:
-    """d in (1, -1) for which the chain of h is symmetric under site
-    reversal times diag(1, d) on every site, or None if neither is.
+def _commutes(h: np.ndarray, reverse: bool, flip: bool, sign: int) -> bool:
+    """Whether the chain of h commutes with T = (reverse, flip, sign) of
+    _INVOLUTIONS.
 
     Reversal swaps the two sites of every bond, so the condition is
-    (v x v) SWAP h SWAP (v x v) = h with v = diag(1, d), every real and
-    imaginary part compared to the snapping cut HERMITICITY_TOL * max|h|.
+    (v x v) [SWAP] h [SWAP] (v x v) = h, every real and imaginary part
+    compared to the snapping cut HERMITICITY_TOL * max|h|.
     """
+    perm = _SWAPPED if reverse else np.arange(4)
+    moved = h[np.ix_(perm ^ 3, perm ^ 3) if flip else np.ix_(perm, perm)]
+    diff = (moved if sign > 0 else moved * _PAIR_SIGNS) - h
     cut = HERMITICITY_TOL * np.max(np.abs(h))
-    swapped = h[np.ix_(_SWAPPED, _SWAPPED)]
-    for d, moved in ((1, swapped),
-                     (-1, swapped * np.outer(_PAIR_SIGN, _PAIR_SIGN))):
-        diff = moved - h
-        if max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))) <= cut:
+    return max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))) <= cut
+
+
+def _reversal_sign(h: np.ndarray) -> int | None:
+    """d in (1, -1) for which the chain of h is symmetric under site
+    reversal times diag(1, d) on every site, or None if neither is."""
+    for d in (1, -1):
+        if _commutes(h, True, False, d):
             return d
     return None
 
@@ -270,11 +337,13 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
 
 def _spectrum_report(n_sites: int, sectors: list) -> SpectrumReport:
     """Lowest LOWEST_K eigenvalues (ascending) and the kernel count of
-    the sorted union of the sector spectra."""
+    the sorted union of the sector spectra, each block's spectrum counted
+    once for every sector it stands for."""
     evals = np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
-        else blocks[:, 0, 0].real
-        for _, blocks in sectors], axis=None))
+        np.tile(np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
+                else blocks[:, 0, 0].real,
+                members.shape[0] // blocks.shape[0])
+        for members, blocks in sectors], axis=None))
     cut = KERNEL_TOL * float(np.max(np.abs(evals)))
     kernel_dim = int(np.sum(evals <= cut))
     warning = None
@@ -301,47 +370,125 @@ def spectrum(chain: FullHamiltonian) -> SpectrumReport:
     eigenvalue sits within GAP_FACTOR of that threshold the separation
     is ambiguous and the report says so instead of pretending.
     """
+    dim = chain.matrix.shape[0]
     rows, cols = np.nonzero(chain.matrix)
-    sectors = _sector_blocks(chain.matrix.shape[0], rows, cols,
-                             chain.matrix[rows, cols])
-    return _spectrum_report(chain.n_sites, sectors)
+    off = rows != cols
+    members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
+                              np.arange(dim))
+    return _spectrum_report(chain.n_sites, _sector_blocks(dim, [
+        (members, (rows, cols, chain.matrix[rows, cols]), None)]))
 
 
-def _reversal_entries(n_sites: int, sign: int, rows, cols, vals):
-    """Nonzero entries of a chain H in the even and odd states of
-    T = reverse o diag(1, sign)^{x n}, from H's entries (rows, cols, vals)
-    in the basis; T must commute with H.
+def _involutions(n_sites: int, h: np.ndarray):
+    """(sigma, phi) with T|x> = phi[x] |sigma[x]> on every basis index x,
+    for each T = (reverse, flip, sign) of _INVOLUTIONS that commutes with
+    the chain of h, in order: sigma[x] is x, reversed when reverse and
+    with every bit flipped when flip, and phi[x] is sign to the number of
+    ones in x.
 
-    T|s> = phi_s |rev s> with phi_s = sign^(ones in s).  The orbit
-    {r, rev r}, r the smaller, gives the normalized states of (1 + T)|r>
-    and (1 - T)|r>, indexed by r and rev r; a palindrome r gives only the
-    one that does not vanish, indexed by r.  As T commutes with H, the
-    entry between the parity-p states of r and s is
-    sqrt(o_r / o_s) (H[r, s] + p phi_s H[r, rev s]), o the orbit sizes
-    and the second term absent for a palindrome s: only rows at orbit
-    representatives are read, and no entry between the parities is made.
+    A T that differs from an earlier one only in its sign is left out:
+    both holding, the chain keeps parity, so every sector has one and the
+    two split it alike.
     """
-    dim = 2 ** n_sites
-    x = np.arange(dim)
+    seen = set()
+    for reverse, flip, sign in _INVOLUTIONS:
+        if (reverse, flip) not in seen and _commutes(h, reverse, flip, sign):
+            seen.add((reverse, flip))
+            x, rev, odd = _site_maps(n_sites)
+            yield ((rev if reverse else x) ^ (x[-1] if flip else 0),
+                   np.where(odd, sign, 1))
+
+
+@functools.lru_cache(maxsize=4)
+def _site_maps(n_sites: int):
+    """Every basis index, its bit reversal, and whether it has an odd
+    number of ones; read-only, kept for the last few n."""
     # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
-    rev, ones = np.zeros(1, dtype=x.dtype), np.zeros(1, dtype=x.dtype)
+    rev, odd = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
     for _ in range(n_sites):
         rev = np.concatenate((2 * rev, 2 * rev + 1))
-        ones = np.concatenate((ones, ones + 1))
-    phi = np.where(ones % 2, sign, 1)
-    rep = np.minimum(x, rev)
-    orbit = np.where(rev == x, 1.0, 2.0)
+        odd = np.concatenate((odd, ~odd))
+    maps = np.arange(2 ** n_sites), rev, odd
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
+    """The cost sum k^3 over the blocks left to solve once T = (sigma,
+    phi) is applied to the sectors named by root, and the sector roots
+    it is applied to.
+
+    T maps every sector onto one when it commutes with H exactly; in
+    case it does so only up to the snapping cut, sectors whose images
+    meet are first merged (to those of the pattern and its image
+    together).  Then one of each pair of sectors T swaps is solved, and a
+    sector of k states that T maps onto itself splits into T-even and
+    T-odd halves: (k - p) / 2 states each, plus its p fixed points of
+    sigma, each in the half of its phi.
+    """
+    image, moved = root[sigma], root[sigma[root]]
+    if not np.array_equal(image, moved):
+        root = root[_sector_roots(root.size, image, moved)]
+    k = np.bincount(root, minlength=root.size)
+    heads = np.flatnonzero(k)
+    k = k[heads]
+    twin = root[sigma[heads]]
+    points = np.flatnonzero(sigma == np.arange(root.size))
+    even, odd = (np.bincount(root[points], weights=phi[points] == p,
+                             minlength=root.size)[heads] for p in (1, -1))
+    pairs = (k - even - odd) / 2
+    cost = np.where(heads < twin, k ** 3.0, 0.0) + np.where(
+        heads == twin, (pairs + even) ** 3 + (pairs + odd) ** 3, 0.0)
+    return float(np.sum(cost)), root
+
+
+def _parity_entries(sigma: np.ndarray, phi: np.ndarray, rows, cols, vals):
+    """Nonzero entries of H in the even and odd states of the involution
+    T|x> = phi[x] |sigma[x]> (phi = +-1), from H's entries (rows, cols,
+    vals) in the basis; T must commute with H.
+
+    The orbit {r, sigma r}, r the smaller, gives the normalized states of
+    (1 + T)|r> and (1 - T)|r>, indexed by r and sigma r; a fixed point r
+    gives only the one that does not vanish, indexed by r.  As T commutes
+    with H, the entry between the parity-p states of r and s is
+    sqrt(o_r / o_s) (H[r, s] + p phi_s H[r, sigma s]), o the orbit sizes
+    and the second term absent for a fixed point s: only rows at orbit
+    representatives are read, and no entry between the parities is made.
+    """
+    x = np.arange(sigma.size)
+    rep = np.minimum(x, sigma)
+    orbit = np.where(sigma == x, 1.0, 2.0)
     at_rep = rows == rep[rows]
     r, y = rows[at_rep], cols[at_rep]
     s = rep[y]
     h = vals[at_rep] * np.sqrt(orbit[r] / orbit[s])
     parts = []
-    for parity, index in ((1, x), (-1, rev)):
+    for parity, index in ((1, x), (-1, sigma)):
         live = (orbit == 2) | (phi == parity)
         keep = live[r] & live[s]
         turn = np.where(y == s, 1, parity * phi[s])
         parts.append((index[r[keep]], index[s[keep]], (turn * h)[keep]))
-    return _summed_entries(dim, *(np.concatenate(p) for p in zip(*parts)))
+    return _summed_entries(sigma.size,
+                           *(np.concatenate(p) for p in zip(*parts)))
+
+
+def _summed_entries(dim: int, rows, cols, vals):
+    """The entries (rows, cols, vals) of a dim x dim matrix sorted by row
+    then column, with duplicate positions summed in the order given and
+    exact zeros dropped."""
+    keys = rows * dim + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    total = (np.bincount(slot, weights=vals.real, minlength=keys.size)
+             + 1j * np.bincount(slot, weights=vals.imag, minlength=keys.size))
+    keep = total != 0
+    keys = keys[keep]
+    return keys // dim, keys % dim, total[keep]
 
 
 def _framed_sectors(local: LocalHamiltonian, n_sites: int):
@@ -359,10 +506,13 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     The spectrum and the sectors are unchanged; the returned entries
     stay the ungauged ones.
 
-    When the (gauged) bond term has an off-diagonal entry and passes
-    _reversal_sign, the blocks are those of the reversal-even and -odd
-    states (_reversal_entries), and their members are the indices those
-    states are given.
+    When the (gauged) bond term has an off-diagonal entry and commutes
+    with involutions T of _INVOLUTIONS, the one whose blocks cost least
+    (_orbit_cost) is applied, if it costs less than none: of two sectors
+    T swaps only the one with the smaller root is solved, and its block
+    stands for both; a sector T maps onto itself gives the blocks of its
+    T-even and T-odd states (_parity_entries), whose members are the
+    indices those states are given.
     """
     u = symmetry_frame(local)
     if np.array_equal(u.matrix, np.eye(2)):
@@ -377,11 +527,32 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
         h = np.where(np.eye(4, dtype=bool), h.real, np.abs(h))
         rows, cols, vals = entries
         gauged = rows, cols, np.where(rows == cols, vals.real, np.abs(vals))
-    # a diagonal chain has one-state sectors, which reversal cannot split
-    sign = _reversal_sign(h) if np.any(h - np.diag(np.diag(h))) else None
-    adapted = (gauged if sign is None
-               else _reversal_entries(n_sites, sign, *gauged))
-    return _sector_blocks(2 ** n_sites, *adapted), entries, u
+    rows, cols, vals = gauged
+    dim = 2 ** n_sites
+    off = rows != cols
+    root = _sector_roots(dim, rows[off], cols[off])
+    best = float(np.sum(np.bincount(root).astype(float) ** 3)), root, None
+    # a diagonal chain has one-state sectors, which T cannot split
+    for sigma, phi in _involutions(n_sites, h) if np.any(off) else ():
+        cost, merged = _orbit_cost(root, sigma, phi)
+        if cost < best[0]:
+            best = cost, merged, (sigma, phi)
+    _, root, t = best
+    if t is None:
+        parts = [(_sector_members(root, np.arange(dim)), gauged, None)]
+    else:
+        sigma, phi = t
+        twin = root[sigma]
+        fixed = root == twin
+        sel = fixed[rows]
+        split = _parity_entries(sigma, phi, rows[sel], cols[sel], vals[sel])
+        off = split[0] != split[1]
+        parts = [(_sector_members(root, np.flatnonzero(root < twin)),
+                  gauged, sigma),
+                 (_sector_members(_sector_roots(dim, split[0][off],
+                                                split[1][off]),
+                                  np.flatnonzero(fixed)), split, None)]
+    return _sector_blocks(dim, parts), entries, u
 
 
 def _column_norms(dim: int, index, cols, vals) -> np.ndarray:

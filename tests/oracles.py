@@ -8,6 +8,10 @@ route the library does not take, so agreement is evidence.
   constraint rows.
 - kron_chain: the open chain sum_i 1 x ... x h_{i,i+1} x ... x 1 by
   explicit Kronecker products instead of basis-index bit arithmetic.
+- sorted_chain_entries: the chain's nonzero entries as the library built
+  them before it ordered each row by its flip masks: every bond's raw
+  entries, put in (row, column) order by one global argsort, duplicates
+  summed by bincount.
 - check_zero_member: the dense residual |H psi| / (|psi| max(1, |H|_F)).
 - no_mps_case_report: an informational spectrum of the chain whose
   constraint rows are a canonical space's own basis, for the cases with
@@ -63,8 +67,9 @@ import numpy as np
 from mpschain.classify import CanonicalForm, canonical_space
 from mpschain.hamiltonian import (FamilyId, FamilyParams, LocalHamiltonian,
                                   local_from_espace)
-from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL, SL2,
-                            CSpace, PauliQuartet, quartet_from_matrix)
+from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
+                            PIVOT_SHARE, SL2, CSpace, PauliQuartet,
+                            quartet_from_matrix)
 from mpschain.serialize import FormatError
 from mpschain.states import StateVector
 from mpschain.verify import SpectrumReport, _framed_sectors, _spectrum_report
@@ -211,6 +216,38 @@ def kron_chain(h: np.ndarray, n_sites: int) -> np.ndarray:
         right = np.eye(2 ** (n_sites - 2 - i), dtype=complex)
         total += np.kron(np.kron(left, h), right)
     return total
+
+
+def sorted_chain_entries(h: np.ndarray, n_sites: int):
+    """(rows, cols, values) of the open chain of h, sorted by row then
+    column, with duplicate positions summed in bond order and exact zeros
+    dropped, from one argsort of every bond's raw entries."""
+    dim = 2 ** n_sites
+    a, b = np.nonzero(h)
+    flip, hab = a ^ b, h[a, b]
+    rows, cols, vals = [], [], []
+    for shift in range(n_sites - 2, -1, -1):
+        # every index with pair 0 on this bond, ascending
+        base = ((np.arange(dim >> (shift + 2))[:, None] << (shift + 2))
+                | np.arange(1 << shift)).ravel()
+        xs = (base | (a[:, None] << shift)).ravel()
+        rows.append(xs)
+        cols.append(xs ^ np.repeat(flip << shift, base.size))
+        vals.append(np.repeat(hab, base.size))
+    rows, cols, vals = (np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals))
+    keys = rows * dim + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    total = (np.bincount(slot, weights=vals.real, minlength=keys.size)
+             + 1j * np.bincount(slot, weights=vals.imag, minlength=keys.size))
+    keep = total != 0
+    keys = keys[keep]
+    return keys // dim, keys % dim, total[keep]
 
 
 def zero_counts(n_sites: int):
@@ -393,9 +430,12 @@ def kron_transfer(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.kron(np.conj(a0), a0) + np.kron(np.conj(a1), a1)
 
 
-def loop_row_reduce(rows: np.ndarray) -> np.ndarray:
+def loop_row_reduce(rows: np.ndarray, ratio: float = 0.0) -> np.ndarray:
     """Reduced row-echelon form over C, clearing each pivot column one row
-    at a time; returns the nonzero rows."""
+    at a time; returns the nonzero rows.  A pivot is passed over at or
+    below the rank cut, or, given two rows or more, when it is at most
+    PIVOT_SHARE * ratio times both the rows' scale and the largest entry
+    left to reduce."""
     m = np.array(rows, dtype=complex)
     if m.size == 0:
         return m
@@ -406,7 +446,10 @@ def loop_row_reduce(rows: np.ndarray) -> np.ndarray:
         if r >= m.shape[0]:
             break
         piv = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[piv, col]) <= thresh:
+        p = abs(m[piv, col])
+        left = max(abs(v) for row in m[r:] for v in row[col:])
+        share = PIVOT_SHARE * ratio if len(m) > 1 else 0.0
+        if p <= thresh or p <= share * min(scale, left):
             continue
         m[[r, piv]] = m[[piv, r]]
         m[r] = m[r] / m[r, col]

@@ -510,6 +510,22 @@ def test_build_h_refuses_before_opening_the_output(params, n, env, binary,
     assert not path.exists()
 
 
+def test_verify_refuses_blocks_beyond_available_memory(monkeypatch,
+                                                       capsys):
+    # pinned at 14 sites leaves one complex 16383-state block: 4.3 GB, and
+    # eigvalsh's copy, against 7 GiB available
+    available = 7 * 2 ** 30
+    monkeypatch.setattr(verify, "_available_bytes", lambda: available)
+    argv, _ = _family_argv("pinned", 14)
+    capsys.readouterr()
+    assert cli.main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the largest sector blocks need "
+                   f"{2 * 16 * 16383 ** 2} bytes with eigvalsh's copy, but "
+                   f"{available} bytes are available\n")
+
+
 def test_build_h_json_refuses_a_non_finite_chain_entry(tmp_path, capsys):
     # each bond term is finite; their sum on |0000> overflows to inf
     argv = ["build-h", "--family", "hardcore", "--params", '{"g": 2e307}',

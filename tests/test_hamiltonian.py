@@ -15,7 +15,7 @@ from mpschain.hamiltonian import (ROW_BLOCK_BYTES, ChainSizeError, FamilyId,
 from mpschain.pauli import (CSpace, PauliQuartet, quartet_from_matrix,
                             sl2_act_space, span_equal)
 from oracles import (conjugate_local, kron_chain, operator_sum, random_sl2,
-                     sl2_with_condition)
+                     sl2_with_condition, sorted_chain_entries)
 
 
 def _random_params(family, rng):
@@ -147,6 +147,53 @@ def test_full_chain_matches_kron_sum(family):
         # sorted by row then column, each position once
         rows, cols, _ = chain_entries(h, n)
         assert np.all(np.diff(rows * 2 ** n + cols) > 0)
+
+
+def _sparse_term(rng) -> np.ndarray:
+    """A 4x4 Hermitian PSD term with a random pattern of zero entries:
+    some pair states drop out with their row and column, the others get a
+    random Hermitian part on a random symmetric pattern, shifted to PSD."""
+    live = rng.random(4) < 0.8
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (h + h.conj().T) * np.triu(rng.random((4, 4)) < 0.6, 1)
+    h = h + h.conj().T
+    h += np.diag(rng.uniform(0.0, 1.0, 4) + np.abs(h).sum(axis=1))
+    h[~live] = 0.0
+    h[:, ~live] = 0.0
+    if rng.random() < 0.3:
+        h = h.real + 0j
+    return h
+
+
+def _assert_entries_bitwise(entries, h, n_sites):
+    rows, cols, vals = entries
+    want = sorted_chain_entries(h, n_sites)
+    for got, ref in zip(entries, want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    dense = kron_chain(h, n_sites)
+    assert np.array_equal(np.flatnonzero(dense), rows * 2 ** n_sites + cols)
+    assert dense[rows, cols].tobytes() == vals.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9))
+def test_chain_entries_are_the_sorted_and_kron_ones(seed, n):
+    # bit for bit: values summed bond by bond, columns ordered per row
+    h = _sparse_term(np.random.default_rng(seed))
+    _assert_entries_bitwise(chain_entries(LocalHamiltonian(h), n), h, n)
+
+
+def test_chain_entries_drop_contributions_that_cancel():
+    # h = v v^dagger, v = (1, 1, -1, 0): flipping a site between two 0s
+    # gives h[00, 01] = 1 from its left bond and h[00, 10] = -1 from its
+    # right one, an exact zero, which is no entry
+    v = np.array([1.0, 1.0, -1.0, 0.0])
+    h = np.outer(v, v) + 0j
+    for n in range(3, 10):
+        rows, cols, vals = chain_entries(LocalHamiltonian(h), n)
+        assert np.all(vals != 0)
+        assert not np.any((rows == 0) & (cols == 1 << (n - 2)))
+        _assert_entries_bitwise((rows, cols, vals), h, n)
 
 
 @pytest.mark.parametrize("n", [2, 8, 9, 10])

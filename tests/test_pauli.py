@@ -182,6 +182,23 @@ def test_cspace_ambiguous_band():
         CSpace([T0, T0 + 3e-10 * T1])
 
 
+def test_near_coordinate_plane_is_stored_well_conditioned():
+    # span{T0 + SG, T0 + 3e-10 T1} has singular value ratio 0.38; a pivot
+    # on the 3e-10 entry would store it with ratio 3e-10, and its image
+    # under any g would then fall in the ambiguous band
+    rows = np.array([(T0 + SG).as_array(), (T0 + 3e-10 * T1).as_array()])
+    given_sv = np.linalg.svd(rows, compute_uv=False)
+    space = CSpace(rows)
+    sv = np.linalg.svd(space.coefficient_matrix(), compute_uv=False)
+    assert sv[-1] / sv[0] >= given_sv[-1] / given_sv[0]
+    assert lstsq_span_equal(space, CSpace([T0 + SG, T0 + 3e-10 * T1]))
+    for g in (SL2.identity(), SL2(np.array([[1.0, 0.5], [0.0, 1.0]])),
+              random_sl2(np.random.default_rng(7), 5.0)):
+        image = sl2_act_space(g, space)
+        assert image.dim == 2
+        assert all(image.contains(sl2_act(g, q)) for q in space.basis)
+
+
 def test_span_equal_discriminates():
     assert not span_equal(CSpace([T0]), CSpace([T0, T1]))
     assert not span_equal(CSpace([T0]), CSpace([T1]))
@@ -297,6 +314,23 @@ def test_row_reduce_is_the_loop_one(seed, dim, rank, log_scale):
     rows = 10.0 ** log_scale * (mix @ basis)
     rows[rng.random(size=rows.shape) < 0.2] = 0.0
     assert _row_reduce(rows).tobytes() == loop_row_reduce(rows).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=SEEDS, dim=st.integers(1, 3), log_small=st.floats(-14.0, -1.0))
+def test_pivot_share_rule_is_the_loop_one(seed, dim, log_small):
+    # rows with small entries in one column: a pivot there would divide by
+    # them, unless the rows are themselves that badly conditioned
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    rows[:, rng.integers(4)] *= 10.0 ** log_small
+    sv = np.linalg.svd(rows, compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    reduced = _row_reduce(rows, ratio)
+    assert reduced.tobytes() == loop_row_reduce(rows, ratio).tobytes()
+    assert reduced.shape[0] == dim
+    stored = np.linalg.svd(reduced, compute_uv=False)
+    assert stored[-1] / stored[0] >= 1e-3 * ratio
 
 
 def _residual_ratio(x: np.ndarray, space: CSpace) -> float:

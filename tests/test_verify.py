@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpschain.classify import CanonicalForm, CaseId
-from mpschain.hamiltonian import (FamilyId, FamilyParams, FullHamiltonian,
+from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
+                                  FullHamiltonian,
                                   LocalHamiltonian, build_family,
                                   chain_entries, params_from_mapping)
 from mpschain.pauli import SL2
 from mpschain import verify
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
 from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
+                             _sector_members, _sector_roots,
                              _spectrum_report, family_report, spectrum,
                              stacked_state_rank, symmetry_frame)
 from oracles import (benchmark_specs, check_zero_member, conjugate_local,
@@ -222,11 +224,18 @@ def test_psi1_is_an_exact_zero_mode(label):
             assert family_report(params, n).residuals["psi1"] == 0.0
 
 
+def _plain_sectors(n_sites, rows, cols, vals):
+    """The sector blocks of a chain's entries, no frame or involution."""
+    dim = 2 ** n_sites
+    off = rows != cols
+    members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
+                              np.arange(dim))
+    return _sector_blocks(dim, [(members, (rows, cols, vals), None)])
+
+
 def _sector_sizes(params, n_sites):
-    rows, cols, vals = chain_entries(build_family(params), n_sites)
-    return sorted(members.shape[1]
-                  for members, _ in _sector_blocks(2 ** n_sites, rows, cols,
-                                                   vals)
+    return sorted(members.shape[1] for members, _ in _plain_sectors(
+        n_sites, *chain_entries(build_family(params), n_sites))
                   for _ in range(members.shape[0]))
 
 
@@ -360,16 +369,17 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     # what the reversal-parity states would give
     expected = {}
     for n in (4, 7, 10):
-        sectors = _sector_blocks(2 ** n, *verify._reversal_entries(
-            n, sign, *chain_entries(local, n)))
+        sectors = _plain_sectors(n, *verify._parity_entries(
+            *next(verify._involutions(n, local.matrix)),
+            *chain_entries(local, n)))
         expected[n] = (sorted(members.shape[1] for members, _ in sectors
                               for _ in range(members.shape[0])),
                        _spectrum_report(n, sectors))
 
     def refuse(*args):
-        raise AssertionError("_reversal_entries called on a diagonal chain")
+        raise AssertionError("_parity_entries called on a diagonal chain")
 
-    monkeypatch.setattr(verify, "_reversal_entries", refuse)
+    monkeypatch.setattr(verify, "_parity_entries", refuse)
     for n, (sizes, rep) in expected.items():
         assert _framed_sizes(local, n) == sizes == [1] * 2 ** n
         assert _framed_report(local, n) == rep
@@ -391,8 +401,21 @@ def test_reversal_keeps_a_small_symmetry_breaking_term():
                               *_dense_evals(local, n))
 
 
+def _exchange_sizes(n_sites):
+    """Sectors of an exchange chain: the number sectors, of which
+    reverse o X^{x n} swaps k with n - k ones and splits the middle one;
+    its 2^(n/2) fixed points, x with rev(x) = not x, are all even."""
+    sizes = [comb(n_sites, k) for k in range(n_sites + 1)
+             if 2 * k != n_sites]
+    if n_sites % 2 == 0:
+        middle, fixed = comb(n_sites, n_sites // 2), 2 ** (n_sites // 2)
+        sizes += [half for half in ((middle + fixed) // 2,
+                                    (middle - fixed) // 2) if half]
+    return sorted(sizes)
+
+
 @pytest.mark.parametrize("label,sizes", [
-    ("exchange", lambda n: sorted(comb(n, k) for k in range(n + 1))),
+    ("exchange", lambda n: _exchange_sizes(n)),
     ("hardcore", lambda n: [1] * 2 ** n),
 ])
 def test_frame_undoes_a_site_rotation(label, sizes):
@@ -515,6 +538,160 @@ def test_a_small_number_breaking_term_is_not_gauged():
             == np.complex128
         _assert_matches_dense(_spectrum_report(n, sectors),
                               *_dense_evals(local, n))
+
+
+def _sector_spectrum(sectors):
+    """Every eigenvalue of the chain, each block's counted once for every
+    sector its members list."""
+    return np.sort(np.concatenate([
+        np.tile(np.linalg.eigvalsh(blocks), members.shape[0]
+                // blocks.shape[0]) for members, blocks in sectors],
+        axis=None))
+
+
+def _solved_states(sectors) -> int:
+    return sum(blocks.shape[0] * blocks.shape[1] for _, blocks in sectors)
+
+
+def _solved_sizes(local, n_sites):
+    """Sizes of the blocks the framed chain eigensolves, largest first."""
+    sectors, _, _ = _framed_sectors(local, n_sites)
+    return sorted((blocks.shape[1] for _, blocks in sectors
+                   for _ in range(blocks.shape[0]) if blocks.shape[1] > 1),
+                  reverse=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9),
+       flip=st.booleans())
+def test_involutions_pair_and_split_sectors_as_dense_ed(seed, n, flip):
+    # number-keeping terms with h[00] = h[11] commute with
+    # reverse o X^{x n}; with h[01] = h[10] too, also with X^{x n} (and,
+    # the hopping gauged real, with reversal); then turned by a random u
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(0.0, 2.0, size=3)
+    if flip:
+        c = b
+    h = np.diag([a, b, c, a]).astype(complex)
+    h[1, 2] = (np.sqrt(b * c) * rng.uniform(0.1, 0.9)
+               * np.exp(2j * np.pi * rng.uniform()))
+    h[2, 1] = np.conj(h[1, 2])
+    local = conjugate_local(LocalHamiltonian(h), _random_special_unitary(rng))
+    sectors, _, _ = _framed_sectors(local, n)
+    evals = np.linalg.eigvalsh(kron_chain(local.matrix, n))
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    assert np.max(np.abs(_sector_spectrum(sectors) - evals)) <= 1e-12 * scale
+    assert _spectrum_report(n, sectors).kernel_dim == int(np.sum(
+        evals <= KERNEL_TOL * np.max(np.abs(evals))))
+    if not flip:
+        # reverse o X^{x n} alone: sector k and sector n - k solved once
+        assert _solved_states(sectors) < 2 ** n
+
+
+def test_a_small_term_breaking_reverse_flip_is_refused():
+    rng = np.random.default_rng(974)
+    antialigned = build_family(_seeded_params("antialigned", rng)).matrix
+    # |00><00| alone is not mapped onto itself by reverse o X^{x n}
+    breaking = np.zeros((4, 4))
+    breaking[0, 0] = 1.0
+    local = LocalHamiltonian(antialigned + 1e-6 * breaking)
+    plain = LocalHamiltonian(antialigned)
+    assert verify._commutes(_framed_term(plain), True, True, 1)
+    assert not verify._commutes(_framed_term(local), True, True, 1)
+    for n in range(2, 9):
+        binomial = sorted((comb(n, k) for k in range(n + 1)), reverse=True)
+        assert _solved_sizes(local, n) == [k for k in binomial if k > 1]
+        assert _solved_states(_framed_sectors(plain, n)[0]) < 2 ** n
+        sectors, _, _ = _framed_sectors(local, n)
+        assert _solved_states(sectors) == 2 ** n
+        evals = np.linalg.eigvalsh(kron_chain(local.matrix, n))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert np.max(np.abs(_sector_spectrum(sectors) - evals)) \
+            <= 1e-12 * scale
+        _assert_matches_dense(_spectrum_report(n, sectors), evals, scale)
+
+
+def test_a_pattern_broken_below_the_cut_merges_sectors():
+    # a 1e-13 hop |00> <-> |01> passes the snapping cut, so
+    # reverse o X^{x n} is accepted, but its images of the sectors no
+    # longer are sectors: they are merged first
+    rng = np.random.default_rng(975)
+    hop = np.zeros((4, 4))
+    hop[0, 1] = hop[1, 0] = 1.0
+    h = build_family(_seeded_params("antialigned", rng)).matrix + 1e-13 * hop
+    local = LocalHamiltonian(h)
+    assert symmetry_frame(local).matrix.tolist() == np.eye(2).tolist()
+    for n in range(3, 9):
+        rows, cols, _ = chain_entries(local, n)
+        off = rows != cols
+        root = _sector_roots(2 ** n, rows[off], cols[off])
+        (sigma, _), = verify._involutions(n, h)
+        assert not np.array_equal(root[sigma], root[sigma[root]])
+        sectors, _, _ = _framed_sectors(local, n)
+        evals = np.linalg.eigvalsh(kron_chain(h, n))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert np.max(np.abs(_sector_spectrum(sectors) - evals)) \
+            <= 1e-12 * scale
+
+
+# Blocks eigensolved per benchmark label at n = 10 (seed 1001 draw): one of
+# each pair of sectors an involution swaps, and the halves of those it
+# maps onto themselves.
+SOLVED_AT_10 = {
+    "exchange/-1": [126, 126, 110, 110, 100, 100, 60, 60, 60, 60, 25, 25,
+                    20, 20, 5, 5, 5, 5],
+    "exchange/omega3": [126, 126, 110, 110, 100, 100, 60, 60, 60, 60, 25,
+                        25, 20, 20, 5, 5, 5, 5],
+    "hardcore": [],
+    "hardcore-mixed": [527, 496],
+    "antialigned": [210, 142, 120, 110, 45, 10],
+    "hardcore-singlet": [527, 496],
+    "pairsum-exchange/prime": [210, 142, 120, 110, 45, 10],
+    "pairsum-exchange/parity": [210, 142, 120, 110, 45, 10],
+    "hardcore-exchange": [1023],
+    "mixed-singlet": [528, 496],
+    "pinned": [1023],
+}
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_solved_block_sizes_are_pinned(label):
+    local = build_family(params_from_mapping(*BENCH_SPECS[label]))
+    assert _solved_sizes(local, 10) == SOLVED_AT_10[label]
+
+
+def test_family_report_refuses_blocks_beyond_available_memory(monkeypatch):
+    params = params_from_mapping(*BENCH_SPECS["pinned"])
+    # one complex 1023-state block, and eigvalsh's copy of it
+    need = 2 * 16 * 1023 ** 2
+    monkeypatch.setattr(verify, "_available_bytes", lambda: need - 1)
+    with pytest.raises(ChainSizeError,
+                       match=f"need {need} bytes .* {need - 1} bytes"):
+        family_report(params, 10)
+    for available in (need, None):
+        # enough, or MemAvailable unreadable: only the site guard holds
+        monkeypatch.setattr(verify, "_available_bytes", lambda: available)
+        assert family_report(params, 10).residuals == {"psi1": 0.0}
+
+
+def test_pinned_at_14_sites_is_refused_before_any_block(monkeypatch):
+    # 16 * 16383^2 bytes (4.3 GB) and its copy do not fit in 7 GiB
+    monkeypatch.setattr(verify, "_available_bytes", lambda: 7 * 2 ** 30)
+    params = params_from_mapping(*BENCH_SPECS["pinned"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainSizeError,
+                           match=f"need {2 * 16 * 16383 ** 2} bytes"):
+            family_report(params, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 28
+
+
+def test_available_bytes_reads_meminfo():
+    available = verify._available_bytes()
+    assert available is None or available > 0
 
 
 @pytest.mark.parametrize("n", range(2, 12))
