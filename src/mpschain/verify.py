@@ -34,7 +34,6 @@ sits in the numerical kernel of the chain or it does not.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -145,25 +144,25 @@ def _available_bytes() -> int | None:
     return None
 
 
-def _sector_blocks(dim: int, parts: list) -> list:
-    """H restricted to sectors of dim basis states.
+def _sector_blocks(dim: int, parts: list):
+    """H restricted to sectors of dim basis states, one stack at a time.
 
-    Each part is (members, (rows, cols, vals), sigma): a list of (s, k)
+    Each part is (members, (rows, cols, vals), count): a list of (s, k)
     member arrays from _sector_members, H's nonzero entries, of which
-    those in rows of the members are read, and None or an involution of
-    the basis that maps each of these sectors onto a twin with the same
-    spectrum.  Returns a list of (members, blocks), one per item of each
-    part's list: blocks (s, k, k) holds H restricted to each sector, real
-    when no entry of the part has an imaginary part, and members lists
-    the sectors each block stands for, its twins (sorted) after it.
-
-    Refuses (ChainSizeError), before any block is allocated, when a stack
-    to be eigensolved and eigvalsh's copy of it need more bytes than
-    MemAvailable; where that cannot be read, only the site guard holds.
+    those in rows of the members are read, and the number of sectors
+    (1, or 2 where each stands for a twin with the same spectrum) each of
+    these sectors stands for.  Refuses (ChainSizeError), before any block
+    is allocated, when a stack to be eigensolved and eigvalsh's copy of
+    it need more bytes than MemAvailable; where that cannot be read, only
+    the site guard holds.  Then yields (count, blocks) for each member
+    array in turn: blocks (s, k, k) holds H restricted to each sector,
+    real when no entry of the part has an imaginary part.  A stack is
+    built only when the one before it has been drawn and dropped, so a
+    caller that solves each as it comes holds one at a time.
     """
     parts = [(members, (rows, cols, vals.real if np.iscomplexobj(vals)
-                        and not np.any(vals.imag) else vals), sigma)
-             for members, (rows, cols, vals), sigma in parts]
+                        and not np.any(vals.imag) else vals), count)
+             for members, (rows, cols, vals), count in parts]
     need = 2 * max((m.shape[0] * m.shape[1] ** 2 * entries[2].itemsize
                     for members, entries, _ in parts for m in members
                     if m.shape[1] > 1), default=0)
@@ -172,11 +171,15 @@ def _sector_blocks(dim: int, parts: list) -> list:
         raise ChainSizeError(
             f"the largest sector blocks need {need} bytes with eigvalsh's "
             f"copy, but {available} bytes are available")
+    return _built_blocks(dim, parts)
+
+
+def _built_blocks(dim: int, parts: list):
+    """The stacks of _sector_blocks, built one per draw."""
     size = np.zeros(dim, dtype=np.intp)
     block = np.empty(dim, dtype=np.intp)
     pos = np.empty(dim, dtype=np.intp)
-    out = []
-    for members, (rows, cols, vals), sigma in parts:
+    for members, (rows, cols, vals), count in parts:
         size[:] = 0
         for m in members:
             size[m] = m.shape[1]
@@ -188,10 +191,9 @@ def _sector_blocks(dim: int, parts: list) -> list:
             r, c = rows[sel], cols[sel]
             blocks = np.zeros((s, k, k), dtype=vals.dtype)
             blocks[block[r], pos[r], pos[c]] = vals[sel]
-            if sigma is not None:
-                m = np.concatenate((m, np.sort(sigma[m], axis=1)))
-            out.append((m, blocks))
-    return out
+            yield count, blocks
+            # drop this stack before the next one is built
+            del blocks
 
 
 def _snapped(h: np.ndarray) -> np.ndarray:
@@ -335,15 +337,18 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     return SL2(frame)
 
 
-def _spectrum_report(n_sites: int, sectors: list) -> SpectrumReport:
+def _spectrum_report(n_sites: int, sectors) -> SpectrumReport:
     """Lowest LOWEST_K eigenvalues (ascending) and the kernel count of
-    the sorted union of the sector spectra, each block's spectrum counted
-    once for every sector it stands for."""
-    evals = np.sort(np.concatenate([
-        np.tile(np.linalg.eigvalsh(blocks) if blocks.shape[1] > 1
-                else blocks[:, 0, 0].real,
-                members.shape[0] // blocks.shape[0])
-        for members, blocks in sectors], axis=None))
+    the sorted union of the spectra of the (count, blocks) stacks in
+    sectors, each block's counted count times; each stack is solved as
+    it is drawn and only its eigenvalues are kept."""
+    spectra = []
+    for count, blocks in sectors:
+        spectra.append(np.tile(np.linalg.eigvalsh(blocks) if blocks.shape[1]
+                               > 1 else blocks[:, 0, 0].real, count))
+        # drop this stack before the next one is drawn
+        del blocks
+    evals = np.sort(np.concatenate(spectra, axis=None))
     cut = KERNEL_TOL * float(np.max(np.abs(evals)))
     kernel_dim = int(np.sum(evals <= cut))
     warning = None
@@ -376,10 +381,10 @@ def spectrum(chain: FullHamiltonian) -> SpectrumReport:
     members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
                               np.arange(dim))
     return _spectrum_report(chain.n_sites, _sector_blocks(dim, [
-        (members, (rows, cols, chain.matrix[rows, cols]), None)]))
+        (members, (rows, cols, chain.matrix[rows, cols]), 1)]))
 
 
-def _involutions(n_sites: int, h: np.ndarray):
+def _involutions(n_sites: int, h: np.ndarray) -> list:
     """(sigma, phi) with T|x> = phi[x] |sigma[x]> on every basis index x,
     for each T = (reverse, flip, sign) of _INVOLUTIONS that commutes with
     the chain of h, in order: sigma[x] is x, reversed when reverse and
@@ -390,28 +395,21 @@ def _involutions(n_sites: int, h: np.ndarray):
     both holding, the chain keeps parity, so every sector has one and the
     two split it alike.
     """
-    seen = set()
+    held = {}
     for reverse, flip, sign in _INVOLUTIONS:
-        if (reverse, flip) not in seen and _commutes(h, reverse, flip, sign):
-            seen.add((reverse, flip))
-            x, rev, odd = _site_maps(n_sites)
-            yield ((rev if reverse else x) ^ (x[-1] if flip else 0),
-                   np.where(odd, sign, 1))
-
-
-@functools.lru_cache(maxsize=4)
-def _site_maps(n_sites: int):
-    """Every basis index, its bit reversal, and whether it has an odd
-    number of ones; read-only, kept for the last few n."""
+        if (reverse, flip) not in held and _commutes(h, reverse, flip, sign):
+            held[reverse, flip] = sign
+    if not held:
+        return []
     # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
     rev, odd = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
     for _ in range(n_sites):
         rev = np.concatenate((2 * rev, 2 * rev + 1))
         odd = np.concatenate((odd, ~odd))
-    maps = np.arange(2 ** n_sites), rev, odd
-    for a in maps:
-        a.flags.writeable = False
-    return maps
+    x = np.arange(2 ** n_sites)
+    return [((rev if reverse else x) ^ (x[-1] if flip else 0),
+             np.where(odd, sign, 1))
+            for (reverse, flip), sign in held.items()]
 
 
 def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
@@ -420,16 +418,21 @@ def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
     it is applied to.
 
     T maps every sector onto one when it commutes with H exactly; in
-    case it does so only up to the snapping cut, sectors whose images
-    meet are first merged (to those of the pattern and its image
-    together).  Then one of each pair of sectors T swaps is solved, and a
+    case it does so only up to the snapping cut, the sectors are first
+    merged until it does: two sectors that the states of one sector are
+    mapped into become one, and this repeats until T maps every merged
+    sector onto one (the sectors of the pattern and its image together).
+    Then one of each pair of sectors T swaps is solved, and a
     sector of k states that T maps onto itself splits into T-even and
     T-odd halves: (k - p) / 2 states each, plus its p fixed points of
     sigma, each in the half of its phi.
     """
     image, moved = root[sigma], root[sigma[root]]
-    if not np.array_equal(image, moved):
-        root = root[_sector_roots(root.size, image, moved)]
+    while not np.array_equal(image, moved):
+        # image and moved hold roots only: join those roots, then send
+        # every state to the joined root of its sector
+        root = _sector_roots(root.size, image, moved)[root]
+        image, moved = root[sigma], root[sigma[root]]
     k = np.bincount(root, minlength=root.size)
     heads = np.flatnonzero(k)
     k = k[heads]
@@ -492,10 +495,11 @@ def _summed_entries(dim: int, rows, cols, vals):
 
 
 def _framed_sectors(local: LocalHamiltonian, n_sites: int):
-    """Sector blocks of the chain of local, built on the bond term exactly
-    as symmetry_frame scored it in its frame; the chain's nonzero entries
-    (rows, cols, vals) in that frame; and the frame (None, with the bond
-    term untouched, when the frame is the identity).
+    """The (count, blocks) stacks of _sector_blocks for the chain of local,
+    built on the bond term exactly as symmetry_frame scored it in its
+    frame; the chain's nonzero entries (rows, cols, vals) in that frame;
+    and the frame (None, with the bond term untouched, when the frame is
+    the identity).
 
     When the framed bond term h' keeps the number of ones and has an
     imaginary part, the blocks are built from the chain conjugated by
@@ -510,9 +514,8 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     with involutions T of _INVOLUTIONS, the one whose blocks cost least
     (_orbit_cost) is applied, if it costs less than none: of two sectors
     T swaps only the one with the smaller root is solved, and its block
-    stands for both; a sector T maps onto itself gives the blocks of its
-    T-even and T-odd states (_parity_entries), whose members are the
-    indices those states are given.
+    counts twice; a sector T maps onto itself gives the blocks of its
+    T-even and T-odd states (_parity_entries).
     """
     u = symmetry_frame(local)
     if np.array_equal(u.matrix, np.eye(2)):
@@ -539,7 +542,7 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
             best = cost, merged, (sigma, phi)
     _, root, t = best
     if t is None:
-        parts = [(_sector_members(root, np.arange(dim)), gauged, None)]
+        parts = [(_sector_members(root, np.arange(dim)), gauged, 1)]
     else:
         sigma, phi = t
         twin = root[sigma]
@@ -548,10 +551,10 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
         split = _parity_entries(sigma, phi, rows[sel], cols[sel], vals[sel])
         off = split[0] != split[1]
         parts = [(_sector_members(root, np.flatnonzero(root < twin)),
-                  gauged, sigma),
+                  gauged, 2),
                  (_sector_members(_sector_roots(dim, split[0][off],
                                                 split[1][off]),
-                                  np.flatnonzero(fixed)), split, None)]
+                                  np.flatnonzero(fixed)), split, 1)]
     return _sector_blocks(dim, parts), entries, u
 
 

@@ -230,13 +230,19 @@ def _plain_sectors(n_sites, rows, cols, vals):
     off = rows != cols
     members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
                               np.arange(dim))
-    return _sector_blocks(dim, [(members, (rows, cols, vals), None)])
+    return list(_sector_blocks(dim, [(members, (rows, cols, vals), 1)]))
+
+
+def _sizes(sectors):
+    """Sizes of every sector, a block counted once for each it stands
+    for."""
+    return sorted(blocks.shape[1] for count, blocks in sectors
+                  for _ in range(count * blocks.shape[0]))
 
 
 def _sector_sizes(params, n_sites):
-    return sorted(members.shape[1] for members, _ in _plain_sectors(
-        n_sites, *chain_entries(build_family(params), n_sites))
-                  for _ in range(members.shape[0]))
+    return _sizes(_plain_sectors(
+        n_sites, *chain_entries(build_family(params), n_sites)))
 
 
 def test_sector_sizes_follow_bond_connectivity():
@@ -254,15 +260,17 @@ def test_sector_sizes_follow_bond_connectivity():
         assert _sector_sizes(pairsum, n) == [2 ** n]
 
 
+def _framed_stacks(local, n_sites):
+    """The framed chain's (count, blocks) stacks, all built."""
+    return list(_framed_sectors(local, n_sites)[0])
+
+
 def _framed_sizes(local, n_sites):
-    sectors, _, _ = _framed_sectors(local, n_sites)
-    return sorted(members.shape[1] for members, _ in sectors
-                  for _ in range(members.shape[0]))
+    return _sizes(_framed_stacks(local, n_sites))
 
 
 def _framed_report(local, n_sites):
-    sectors, _, _ = _framed_sectors(local, n_sites)
-    return _spectrum_report(n_sites, sectors)
+    return _spectrum_report(n_sites, _framed_stacks(local, n_sites))
 
 
 def _dense_evals(local, n_sites):
@@ -370,11 +378,9 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     expected = {}
     for n in (4, 7, 10):
         sectors = _plain_sectors(n, *verify._parity_entries(
-            *next(verify._involutions(n, local.matrix)),
+            *verify._involutions(n, local.matrix)[0],
             *chain_entries(local, n)))
-        expected[n] = (sorted(members.shape[1] for members, _ in sectors
-                              for _ in range(members.shape[0])),
-                       _spectrum_report(n, sectors))
+        expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
     def refuse(*args):
         raise AssertionError("_parity_entries called on a diagonal chain")
@@ -484,7 +490,7 @@ def test_gauged_chains_have_real_blocks_and_match_dense_ed(label):
         # a complex hopping that keeps the number of ones
         assert verify._conserved(h) == 2 and np.any(h[1, 2].imag)
         for n in range(2, 9):
-            sectors, _, _ = _framed_sectors(local, n)
+            sectors = _framed_stacks(local, n)
             assert all(blocks.dtype == np.float64 for _, blocks in sectors)
             _assert_matches_dense(_spectrum_report(n, sectors),
                                   *_dense_evals(local, n))
@@ -518,7 +524,7 @@ def test_rotated_number_conserving_terms_get_real_blocks(seed, n):
                * np.exp(2j * np.pi * rng.uniform()))
     h[2, 1] = np.conj(h[1, 2])
     local = conjugate_local(LocalHamiltonian(h), _random_special_unitary(rng))
-    sectors, _, _ = _framed_sectors(local, n)
+    sectors = _framed_stacks(local, n)
     assert all(blocks.dtype == np.float64 for _, blocks in sectors)
     _assert_matches_dense(_spectrum_report(n, sectors),
                           *_dense_evals(local, n))
@@ -533,19 +539,18 @@ def test_a_small_number_breaking_term_is_not_gauged():
     local = LocalHamiltonian(antialigned + 1e-6 * np.outer(bell, bell))
     assert verify._conserved(_framed_term(local)) == 1
     for n in range(2, 9):
-        sectors, _, _ = _framed_sectors(local, n)
-        assert max(sectors, key=lambda s: s[0].shape[1])[1].dtype \
+        sectors = _framed_stacks(local, n)
+        assert max(sectors, key=lambda s: s[1].shape[1])[1].dtype \
             == np.complex128
         _assert_matches_dense(_spectrum_report(n, sectors),
                               *_dense_evals(local, n))
 
 
 def _sector_spectrum(sectors):
-    """Every eigenvalue of the chain, each block's counted once for every
-    sector its members list."""
+    """Every eigenvalue of the chain, each block's counted count times."""
     return np.sort(np.concatenate([
-        np.tile(np.linalg.eigvalsh(blocks), members.shape[0]
-                // blocks.shape[0]) for members, blocks in sectors],
+        np.tile(np.linalg.eigvalsh(blocks), count)
+        for count, blocks in sectors],
         axis=None))
 
 
@@ -555,7 +560,7 @@ def _solved_states(sectors) -> int:
 
 def _solved_sizes(local, n_sites):
     """Sizes of the blocks the framed chain eigensolves, largest first."""
-    sectors, _, _ = _framed_sectors(local, n_sites)
+    sectors = _framed_stacks(local, n_sites)
     return sorted((blocks.shape[1] for _, blocks in sectors
                    for _ in range(blocks.shape[0]) if blocks.shape[1] > 1),
                   reverse=True)
@@ -577,7 +582,7 @@ def test_involutions_pair_and_split_sectors_as_dense_ed(seed, n, flip):
                * np.exp(2j * np.pi * rng.uniform()))
     h[2, 1] = np.conj(h[1, 2])
     local = conjugate_local(LocalHamiltonian(h), _random_special_unitary(rng))
-    sectors, _, _ = _framed_sectors(local, n)
+    sectors = _framed_stacks(local, n)
     evals = np.linalg.eigvalsh(kron_chain(local.matrix, n))
     scale = max(1.0, float(np.max(np.abs(evals))))
     assert np.max(np.abs(_sector_spectrum(sectors) - evals)) <= 1e-12 * scale
@@ -601,8 +606,8 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
     for n in range(2, 9):
         binomial = sorted((comb(n, k) for k in range(n + 1)), reverse=True)
         assert _solved_sizes(local, n) == [k for k in binomial if k > 1]
-        assert _solved_states(_framed_sectors(plain, n)[0]) < 2 ** n
-        sectors, _, _ = _framed_sectors(local, n)
+        assert _solved_states(_framed_stacks(plain, n)) < 2 ** n
+        sectors = _framed_stacks(local, n)
         assert _solved_states(sectors) == 2 ** n
         evals = np.linalg.eigvalsh(kron_chain(local.matrix, n))
         scale = max(1.0, float(np.max(np.abs(evals))))
@@ -611,13 +616,16 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
         _assert_matches_dense(_spectrum_report(n, sectors), evals, scale)
 
 
-def test_a_pattern_broken_below_the_cut_merges_sectors():
-    # a 1e-13 hop |00> <-> |01> passes the snapping cut, so
+@pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 3)])
+def test_a_pattern_broken_below_the_cut_merges_sectors(pair):
+    # a 1e-13 hop between two pair states passes the snapping cut, so
     # reverse o X^{x n} is accepted, but its images of the sectors no
-    # longer are sectors: they are merged first
+    # longer are sectors: they are merged first, until T maps every
+    # merged sector onto one; |01> <-> |11> and |10> <-> |11> merge
+    # sectors of many states
     rng = np.random.default_rng(975)
     hop = np.zeros((4, 4))
-    hop[0, 1] = hop[1, 0] = 1.0
+    hop[pair] = hop[pair[::-1]] = 1.0
     h = build_family(_seeded_params("antialigned", rng)).matrix + 1e-13 * hop
     local = LocalHamiltonian(h)
     assert symmetry_frame(local).matrix.tolist() == np.eye(2).tolist()
@@ -625,13 +633,18 @@ def test_a_pattern_broken_below_the_cut_merges_sectors():
         rows, cols, _ = chain_entries(local, n)
         off = rows != cols
         root = _sector_roots(2 ** n, rows[off], cols[off])
-        (sigma, _), = verify._involutions(n, h)
+        (sigma, phi), = verify._involutions(n, h)
         assert not np.array_equal(root[sigma], root[sigma[root]])
-        sectors, _, _ = _framed_sectors(local, n)
+        _, merged = verify._orbit_cost(root, sigma, phi)
+        assert np.array_equal(merged[sigma], merged[sigma[merged]])
+        if pair != (0, 1):
+            assert np.max(np.bincount(merged[merged != root])) > 1
+        sectors = _framed_stacks(local, n)
         evals = np.linalg.eigvalsh(kron_chain(h, n))
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert np.max(np.abs(_sector_spectrum(sectors) - evals)) \
             <= 1e-12 * scale
+        _assert_matches_dense(_spectrum_report(n, sectors), evals, scale)
 
 
 # Blocks eigensolved per benchmark label at n = 10 (seed 1001 draw): one of
@@ -687,6 +700,40 @@ def test_pinned_at_14_sites_is_refused_before_any_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 28
+
+
+def test_stacks_are_solved_one_at_a_time(monkeypatch):
+    # two real stacks: paths of k and k - 1 states.  The guard admits
+    # twice the largest, and each stack is solved and dropped before the
+    # next is built, so both are never held together
+    k = 400
+    x = np.arange(2 * k - 1)
+    edge = np.flatnonzero(x[:-1] != k - 1)
+    rows = np.concatenate((x, edge, edge + 1))
+    cols = np.concatenate((x, edge + 1, edge))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    vals = np.where(rows == cols, 2.0, -1.0)
+    off = rows != cols
+    members = _sector_members(_sector_roots(x.size, rows[off], cols[off]), x)
+    assert [m.shape for m in members] == [(1, k - 1), (1, k)]
+    stack = 8 * k * k
+    parts = [(members, (rows, cols, vals), 1)]
+    monkeypatch.setattr(verify, "_available_bytes", lambda: 2 * stack - 1)
+    with pytest.raises(ChainSizeError, match=f"need {2 * stack} bytes"):
+        _sector_blocks(x.size, parts)
+    monkeypatch.setattr(verify, "_available_bytes", lambda: 2 * stack)
+    tracemalloc.start()
+    try:
+        rep = _spectrum_report(1, _sector_blocks(x.size, parts))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack
+    dense = np.zeros((x.size, x.size))
+    dense[rows, cols] = vals
+    assert rep.lowest_k_eigenvalues == pytest.approx(
+        np.linalg.eigvalsh(dense)[:8], abs=1e-12)
 
 
 def test_available_bytes_reads_meminfo():
