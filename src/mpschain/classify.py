@@ -33,6 +33,10 @@ ZERO_TOL = 1e-8
 # Tolerance of the final witness validation.
 WITNESS_TOL = 1e-8
 
+# Half-width, as a factor either side of ZERO_TOL, of the band of
+# |<v, v>| / s^2 that _is_null refuses (AmbiguousNullError).
+NULL_BAND = 4.0
+
 
 class ClassificationError(RuntimeError):
     """The reduction pipeline failed internal validation."""
@@ -40,6 +44,16 @@ class ClassificationError(RuntimeError):
 
 class UncataloguedSpaceError(ClassificationError):
     """The input's invariants match no catalogued normal form."""
+
+
+class AmbiguousNullError(ClassificationError):
+    """A symmetric tensor is too close to null for either normal form.
+
+    Mapped onto the null ray, it leaves |<v, v>| / s^2 behind in the
+    image; mapped onto tau2, rounding grows like s^2 / |<v, v>|.  In the
+    band (ZERO_TOL / NULL_BAND, ZERO_TOL * NULL_BAND] of that ratio
+    neither image is within WITNESS_TOL of its canonical span, so such
+    inputs are refused instead of failing validation."""
 
 
 class CaseId(str, Enum):
@@ -210,12 +224,21 @@ def _symmetric_matrix(v) -> np.ndarray:
 
 
 def _is_null(v) -> bool:
-    """Whether a symmetric tensor, given by its coefficients (v0, v1, v2),
-    counts as null: |<v, v>| <= ZERO_TOL s^2, s the largest entry of its
-    2x2 matrix.  Branch decisions and the normalizers share this test, so
-    a branch never hands a normalizer an input it refuses."""
-    scale = float(np.max(np.abs(_symmetric_matrix(v))))
-    return abs(minkowski_vec(v, v)) <= ZERO_TOL * scale ** 2
+    """Whether a nonzero symmetric tensor, given by its coefficients (v0,
+    v1, v2), counts as null: |<v, v>| <= ZERO_TOL s^2 / NULL_BAND, s the
+    largest entry of its 2x2 matrix, and not above ZERO_TOL s^2 NULL_BAND;
+    in between it raises AmbiguousNullError.  Branch decisions and the
+    normalizers share this test, so a branch never hands a normalizer an
+    input it refuses."""
+    square = abs(minkowski_vec(v, v))
+    cut = ZERO_TOL * float(np.max(np.abs(_symmetric_matrix(v)))) ** 2
+    if square <= cut / NULL_BAND:
+        return True
+    if square > cut * NULL_BAND:
+        return False
+    raise AmbiguousNullError(
+        f"|<v, v>| = {square:.3e} is within {NULL_BAND:g}x of the null cut "
+        f"{cut:.3e}; neither normal form's witness would validate")
 
 
 def normalize_null(v) -> SL2:

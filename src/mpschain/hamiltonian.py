@@ -285,8 +285,8 @@ def build_family(params: FamilyParams) -> LocalHamiltonian:
 # ---------------------------------------------------------------------------
 # chain embedding
 
-# h[a, a ^ f] for every pair state a and flip f of the bond's sites (bit 1
-# the second site, bit 2 the first)
+# indices of h[a, a ^ f] at [f, a] for every pair state a and flip f of
+# the bond's sites (bit 1 the second site, bit 2 the first)
 _FOUR = np.arange(4)
 _FLIPPED = _FOUR[:, None] ^ _FOUR
 
@@ -294,24 +294,18 @@ _FLIPPED = _FOUR[:, None] ^ _FOUR
 def chain_entries(local: LocalHamiltonian, n_sites: int):
     """Nonzero entries of H = sum_i h_{i,i+1} on the open chain.
 
-    Returns (rows, cols, values), sorted by row then column, with
-    duplicate positions summed and exact zeros dropped.  The pair on the
-    bond at shift s (bond n-2-s from the left) of basis index x is
-    (x >> s) & 3, and h[a, a ^ f] links x to x ^ (f << s).  So every
-    entry of row x sits at x ^ m for one of 2n flip masks m: 0 (the
-    diagonal), one site (1 << b), or two adjacent sites (3 << (b-1)).
-    The values of one mask over all rows are one vector, summed bond by
-    bond from the left as a dense accumulation would; masks of a kind h
-    has no entry for are skipped.
+    Returns (rows, cols, values) with duplicate positions summed and
+    exact zeros dropped.  The pair on the bond at shift s (bond n-2-s
+    from the left) of basis index x is (x >> s) & 3, and h[a, a ^ f]
+    links x to x ^ (f << s).  So every entry of row x sits at x ^ m for
+    one of 2n flip masks m: 0 (the diagonal), one site (1 << b), or two
+    adjacent sites (3 << (b-1)).  The values of one mask over all rows
+    are one vector, summed bond by bond from the left as a dense
+    accumulation would; masks of a kind h has no entry for are skipped.
 
-    No sort orders the columns of a row.  With b the top bit of m,
-    x ^ m < x exactly when bit b of x is set, and of two masks the one
-    with the higher top bit decides.  So row x lists the columns below x
-    by descending top bit, then x, then those above x by ascending top
-    bit; a one-site and a two-site flip with the same top bit b follow
-    bit b-1 of x.  Each mask's number goes into that slot of a
-    (2^n, 4n+1) table, and the nonzero slots, read in order, are the
-    entries.
+    Rows come ascending, each row's entries together and in mask order:
+    the diagonal, the one-site flips by bit, then the two-site flips by
+    top bit.  Columns within a row are not sorted.
     """
     limit = max_sites()
     if not 2 <= n_sites <= limit:
@@ -319,56 +313,34 @@ def chain_entries(local: LocalHamiltonian, n_sites: int):
             f"n_sites must be between 2 and {limit} (got {n_sites})")
     dim = 2 ** n_sites
     x = np.arange(dim)
-    hf = local.matrix[_FOUR[:, None], _FLIPPED]
-    has = np.any(hf, axis=0)
+    # one contiguous row per flip: indexing it is far cheaper than a
+    # column of a 2-D array
+    hf = local.matrix[_FOUR, _FLIPPED]
+    has = np.any(hf, axis=1)
     one, two = bool(has[1] or has[2]), bool(has[3])
-    shift = np.arange(n_sites)[:, None]
-    pair = (x >> shift[:-1]) & 3
+    shift = np.arange(n_sites)
+    pair = (x >> shift[:-1, None]) & 3
     # the values over all rows, summed from 0 in bond order, of the
     # diagonal, then (if h has them) the one-site flips at bits 0..n-1,
     # then the two-site flips with top bits 1..n-1; site b is the second
     # site of the bond at shift b and the first of the bond at shift b - 1
-    vals = np.zeros((1 + one * n_sites + two * (n_sites - 1), dim),
-                    dtype=complex)
+    masks = np.concatenate([[0], 1 << shift[:one * n_sites],
+                            3 << shift[:two * (n_sites - 1)]])
+    vals = np.zeros((masks.size, dim), dtype=complex)
     # a sum that overflows stays inf, for the caller to refuse
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(n_sites - 2, -1, -1):
-            vals[0] += hf[pair[s], 0]
+            vals[0] += hf[0][pair[s]]
         if has[1]:
-            vals[1:n_sites] += hf[pair, 1]
+            vals[1:n_sites] += hf[1][pair]
         if has[2]:
-            vals[2:n_sites + 1] += hf[pair, 2]
+            vals[2:n_sites + 1] += hf[2][pair]
         if two:
-            vals[1 + one * n_sites:] += hf[pair, 3]
-    if not (one or two):
-        # one entry per row at most: nothing to order
-        rows = np.flatnonzero(vals[0])
-        return rows, rows.copy(), vals[0, rows]
-    # a mask's slot in row x: the centre -/+ its rank by top bit b, below
-    # when bit b of x is set; a one- and a two-site flip with top bit b
-    # trade ranks when bits b and b - 1 of x differ
-    bits = (x >> shift) & 1
-    away = 1 - 2 * bits
-    turn = np.zeros_like(bits)
-    turn[1:] = bits[1:] ^ bits[:-1]
-    centre = 2 * n_sites
-    masks, slots = [[0]], [np.full((1, dim), centre)]
-    if one:
-        masks.append(1 << shift[:, 0])
-        slots.append(centre + away * (2 * shift + 1 + turn))
-    if two:
-        masks.append(3 << shift[:-1, 0])
-        slots.append(centre + away[1:] * (2 * shift[1:] + 2 - turn[1:]))
-    masks = np.concatenate(masks)
-    width = 2 * centre + 1
-    table = np.zeros((dim, width), dtype=np.min_scalar_type(masks.size))
-    number = np.arange(1, masks.size + 1, dtype=table.dtype)[:, None]
-    table.ravel()[x * width + np.concatenate(slots)] = np.where(
-        vals != 0, number, 0)
-    at = np.flatnonzero(table)
-    rows = at // width
-    k = table.ravel()[at].astype(np.intp) - 1
-    return rows, rows ^ masks[k], vals.ravel()[k * dim + rows]
+            vals[1 + one * n_sites:] += hf[3][pair]
+    # row-major over (row, mask); np.nonzero reads a boolean copy faster
+    # than the strided complex table
+    rows, k = np.nonzero(vals.T != 0)
+    return rows, rows ^ masks[k], vals[k, rows]
 
 
 def chain_row_blocks(n_sites: int, entries):

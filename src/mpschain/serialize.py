@@ -119,7 +119,7 @@ def _complex_array(arr: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# complex scalars, vectors, matrices
+# complex scalars and matrices
 
 
 def decode_complex(value) -> complex:
@@ -134,12 +134,6 @@ def decode_complex(value) -> complex:
     except OverflowError:
         raise FormatError("integer beyond the float range") from None
     raise FormatError(f"expected a number or [re, im] pair, got {value!r}")
-
-
-def decode_vector(value) -> np.ndarray:
-    if not isinstance(value, list):
-        raise FormatError("expected a JSON array of [re, im] pairs")
-    return np.array([decode_complex(v) for v in value], dtype=complex)
 
 
 def decode_matrix(value) -> np.ndarray:

@@ -228,11 +228,10 @@ def _zero_counts(n_sites: int):
     return zeros, exponent
 
 
-def _signed_powers(ratio, max_exponent: int) -> np.ndarray:
-    """Table t[s, e] = (-1.0)**s * complex(ratio)**e, each entry taken in
-    Python: numpy's elementwise complex power may round differently."""
-    powers = [complex(ratio) ** e for e in range(max_exponent + 1)]
-    return np.array([[sign * w for w in powers] for sign in (1.0, -1.0)])
+def _powers(ratio, max_exponent: int) -> np.ndarray:
+    """Table t[e] = complex(ratio)**e, each entry taken in Python: numpy's
+    elementwise complex power may round differently."""
+    return np.array([complex(ratio) ** e for e in range(max_exponent + 1)])
 
 
 def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
@@ -262,28 +261,25 @@ def _psi_k_amplitudes(n_sites: int, n_zeros: int, ratio) -> np.ndarray:
     sel = zeros == n_zeros
     e = exponent[sel]
     amps = np.zeros(2 ** n_sites, dtype=complex)
-    amps[sel] = _signed_powers(ratio, int(e.max()))[0, e]
+    amps[sel] = _powers(ratio, int(e.max()))[e]
     return amps
 
 
-def psi_prime(n_sites: int, ratio=-1.0) -> StateVector:
+def psi_prime(n_sites: int) -> StateVector:
     """Alternating-sign sum over even-zero-count strings, weight
-    ratio ** (zeta exponent) * (-1)^(half the zero count).  Defined for
-    even chains and ratio -1; built on each read."""
+    (-1)^(zeta exponent + half the zero count).  Defined for even chains;
+    built on each read."""
     _check_sites(n_sites)
     if n_sites % 2 != 0:
         raise ValueError("n_sites must be even")
-    if abs(complex(ratio) + 1.0) > ROOT_TOL:
-        raise ValueError("ratio must be -1")
-    return StateVector._built(_psi_prime_amplitudes, n_sites, ratio)
+    return StateVector._built(_psi_prime_amplitudes, n_sites)
 
 
-def _psi_prime_amplitudes(n_sites: int, ratio) -> np.ndarray:
+def _psi_prime_amplitudes(n_sites: int) -> np.ndarray:
     zeros, exponent = _zero_counts(n_sites)
     even = zeros % 2 == 0
-    e = exponent[even]
     amps = np.zeros(2 ** n_sites, dtype=complex)
-    amps[even] = _signed_powers(ratio, int(e.max()))[zeros[even] // 2 % 2, e]
+    amps[even] = np.where((exponent[even] + zeros[even] // 2) % 2, -1.0, 1.0)
     return amps
 
 

@@ -558,30 +558,17 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     return _sector_blocks(dim, parts), entries, u
 
 
-def _column_norms(dim: int, index, cols, vals) -> np.ndarray:
-    """|H e_x| for every basis index x in index, from H's entries (cols,
-    vals): H e_x is column x, so only the entries in those columns are
-    read."""
-    index, inverse = np.unique(index, return_inverse=True)
-    slot = np.full(dim, -1)
-    slot[index] = np.arange(index.size)
-    at = slot[cols]
-    hit = at >= 0
-    v = vals[hit]
-    squares = np.bincount(at[hit], weights=(v.conj() * v).real,
-                          minlength=index.size)
-    return np.sqrt(squares)[inverse]
-
-
 def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     """Spectrum of one family chain plus residuals of its catalogued
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
     assembling the dense chain.
 
     The spectrum comes from the chain built in the bond term's symmetry
-    frame; H psi comes from the chain's entries in the caller's basis:
-    a basis state's is its column of entries, and the other states'
-    amplitudes, each read once, share one sparse product.
+    frame; H psi comes from the chain's entries in the caller's basis.
+    A basis state's |H e_x| is the norm of column x, which is that of row
+    x because H is Hermitian bit for bit (local_from_espace symmetrizes
+    every bond term), so one pass over the entries gives them all; the
+    other states' amplitudes, each read once, share one sparse product.
     """
     local = build_family(params)
     sectors, entries, u = _framed_sectors(local, n_sites)
@@ -603,9 +590,10 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
              if ns.state._index is not None]
     dense = [i for i, ns in enumerate(catalogue) if ns.state._index is None]
     if basis:
-        hpsi_norms[basis] = _column_norms(
-            2 ** n_sites, [catalogue[i].state._index for i in basis],
-            cols, vals)
+        squares = np.bincount(rows, weights=(vals.conj() * vals).real,
+                              minlength=2 ** n_sites)
+        hpsi_norms[basis] = np.sqrt(
+            squares[[catalogue[i].state._index for i in basis]])
     if dense:
         psi = np.array([catalogue[i].state.amplitudes for i in dense])
         norms[dense] = np.linalg.norm(psi, axis=1)
@@ -614,9 +602,9 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
         if not np.any(vals.imag) and not np.any(psi.imag):
             vals, psi = vals.real, psi.real
         hpsi = vals * psi[:, cols]
-        # rows are sorted, so each run of one row sums to one entry of
-        # H psi; a chain with one entry per row (a diagonal one) needs no
-        # sums
+        # each row's entries are together, so each run of one row sums to
+        # one entry of H psi; a chain with one entry per row (a diagonal
+        # one) needs no sums
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         if starts.size < rows.size:
             hpsi = np.add.reduceat(hpsi, starts, axis=1)

@@ -8,10 +8,10 @@ route the library does not take, so agreement is evidence.
   constraint rows.
 - kron_chain: the open chain sum_i 1 x ... x h_{i,i+1} x ... x 1 by
   explicit Kronecker products instead of basis-index bit arithmetic.
-- sorted_chain_entries: the chain's nonzero entries as the library built
-  them before it ordered each row by its flip masks: every bond's raw
-  entries, put in (row, column) order by one global argsort, duplicates
-  summed by bincount.
+- sorted_chain_entries: the chain's nonzero entries from every bond's
+  raw entries, put in (row, column) order by one global argsort,
+  duplicates summed by bincount, instead of one vector per flip mask
+  listed row by row in mask order.
 - check_zero_member: the dense residual |H psi| / (|psi| max(1, |H|_F)).
 - no_mps_case_report: an informational spectrum of the chain whose
   constraint rows are a canonical space's own basis, for the cases with
@@ -221,7 +221,9 @@ def kron_chain(h: np.ndarray, n_sites: int) -> np.ndarray:
 def sorted_chain_entries(h: np.ndarray, n_sites: int):
     """(rows, cols, values) of the open chain of h, sorted by row then
     column, with duplicate positions summed in bond order and exact zeros
-    dropped, from one argsort of every bond's raw entries."""
+    dropped, from one argsort of every bond's raw entries.  The library
+    lists each row's columns in flip-mask order instead, so a test sorts
+    its entries the same way before comparing them with these."""
     dim = 2 ** n_sites
     a, b = np.nonzero(h)
     flip, hab = a ^ b, h[a, b]
@@ -279,12 +281,12 @@ def eager_psi_k(n_sites: int, m_period: int, k: int, ratio) -> np.ndarray:
     return amps
 
 
-def eager_psi_prime(n_sites: int, ratio=-1.0) -> np.ndarray:
-    """(-1)^(Z/2) ratio ** (zeta exponent) on the strings with an even
-    zero count Z."""
+def eager_psi_prime(n_sites: int) -> np.ndarray:
+    """(-1)^(Z/2) (-1) ** (zeta exponent) on the strings with an even zero
+    count Z."""
     zeros, exponent = zero_counts(n_sites)
     even = zeros % 2 == 0
-    powers = _powers(ratio, exponent[even])
+    powers = _powers(-1.0, exponent[even])
     amps = np.zeros(2 ** n_sites, dtype=complex)
     amps[even] = np.where(zeros[even] // 2 % 2 == 0, powers, -powers)
     return amps

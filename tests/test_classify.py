@@ -7,9 +7,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mpschain.classify import (_CANONICAL_BASES, CanonicalForm, CaseId,
-                               ClassificationError, MU_CASES,
-                               UncataloguedSpaceError, ZERO_TOL,
+from mpschain.classify import (_CANONICAL_BASES, AmbiguousNullError,
+                               CanonicalForm, CaseId, ClassificationError,
+                               MU_CASES, UncataloguedSpaceError, ZERO_TOL,
                                canonical_space, classify, invariant_signature,
                                normal_complement, normalize_nonnull,
                                normalize_null)
@@ -297,16 +297,29 @@ def test_canonical_space_refuses_non_finite_mu(mu):
 @pytest.mark.parametrize("k", [2.5, 3.0, 3.5])
 def test_line_between_the_null_cuts_is_refused_as_classification(k):
     # the unit row s of tau0 + tau1 + eps tau2 has <s, s> = eps^2/(2+eps^2)
-    # and largest matrix entry 2/sqrt(2+eps^2): the null test on the matrix
-    # scale (the normalizers' own) holds up to eps^2 = 4 ZERO_TOL.  The
-    # branch decision takes the same test, so a line with eps^2 between
-    # 2 and 4 ZERO_TOL goes to normalize_null, not to normalize_nonnull,
-    # which refused it with a bare ValueError("input is null").  Its
-    # witness then misses the null line by more than WITNESS_TOL.
+    # and largest matrix entry 2/sqrt(2+eps^2), so |<s, s>| / s^2 is
+    # eps^2 / 4.  normalize_null's witness leaves that much of <s, s>
+    # behind, more than WITNESS_TOL from eps^2 = 2.25 ZERO_TOL on, and
+    # normalize_nonnull's loses as much to rounding near the cut: the band
+    # is refused by name, before either normalizer runs.
     eps = np.sqrt(k * ZERO_TOL)
-    with pytest.raises(ClassificationError,
-                       match="witness validation failed for null_line"):
+    with pytest.raises(AmbiguousNullError, match="null cut"):
         classify(CSpace([PauliQuartet(1, 1, eps, 0)]))
+
+
+def test_null_band_scan_ends_in_a_form_or_a_named_refusal():
+    outcomes = []
+    for k in np.arange(1, 17) * 0.25:
+        try:
+            form = classify(CSpace([PauliQuartet(
+                1, 1, np.sqrt(k * ZERO_TOL), 0)])).form.case_id
+        except AmbiguousNullError:
+            form = None
+        outcomes.append(form)
+    # |<s, s>| / s^2 = eps^2 / 4 is at most ZERO_TOL / 4 up to eps^2 =
+    # 0.75 ZERO_TOL (1.0 lands just above it by rounding); every point
+    # above is refused by name, and none fails witness validation
+    assert outcomes == [CaseId.NULL_LINE] * 3 + [None] * 13
 
 # Property tests near the classifier's decision boundaries.  Near a cut
 # the branch taken may depend on the orbit point, so each asserts the
@@ -316,7 +329,8 @@ def test_line_between_the_null_cuts_is_refused_as_classification(k):
 # documented error; the validation refusals come from the end of
 # classify, where the witness image is checked.
 
-REFUSALS = (ClassificationError, LinearDependenceError, AmbiguousRankError)
+REFUSALS = (ClassificationError, AmbiguousNullError, LinearDependenceError,
+            AmbiguousRankError)
 REFUSAL_NAMES = {cls.__name__ for cls in REFUSALS}
 
 
@@ -353,7 +367,8 @@ def test_null_cut_orbit_round_trip(seed, log_eps, tilt):
     g = random_sl2(np.random.default_rng(seed), 20.0)
     got = _round_trip([T0 + T1 + eps * T2 + tilt * SG], g)
     lines = {CaseId.NULL_LINE, CaseId.NULL_LINE_TILTED, CaseId.NONNULL_LINE}
-    assert got in lines or got == "ClassificationError"
+    assert got in lines or got in ("ClassificationError",
+                                   "AmbiguousNullError")
     if eps >= 1e-2:
         assert got is CaseId.NONNULL_LINE
 

@@ -19,9 +19,9 @@ from mpschain.cli import _report_payload
 from mpschain.hamiltonian import (_PARAM_NAMES, FamilyId, FamilyParams,
                                   build_family, family_space, full_chain,
                                   params_from_mapping)
-from mpschain.serialize import (decode_matrix, decode_space, decode_vector,
-                                dumps, encode_complex, encode_space,
-                                pack_chain, unpack_chain)
+from mpschain.serialize import (decode_matrix, decode_space, dumps,
+                                encode_complex, encode_space, pack_chain,
+                                unpack_chain)
 from mpschain.states import (MPSSpec, NamedState, StateVector,
                              ground_state_catalogue, mps_contract)
 from oracles import (benchmark_specs, child_env, encode_matrix,
@@ -197,7 +197,7 @@ def test_ground_states_lists_labelled_vectors():
     assert [entry["label"] for entry in out] == ["010", "011", "101",
                                                  "110", "111"]
     for entry in out:
-        vec = decode_vector(entry["amplitudes"])
+        vec = decode_matrix([entry["amplitudes"]])[0]
         assert vec.shape == (8,)
         assert vec[int(entry["label"], 2)] == 1
 
@@ -253,13 +253,13 @@ def test_mps_uniform_and_bond_dim_two():
                    "--n-sites", "3")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert decode_vector(out["amplitudes"]).tolist() == [1] * 8
+    assert decode_matrix([out["amplitudes"]])[0].tolist() == [1] * 8
     assert out["z"] == 8
     assert out["is_zero"] is False
     proc = run_cli("mps", "--a0", "[[[1,0],[0,0]],[[0,0],[-1,0]]]",
                    "--a1", "[[[0,0],[0,1]],[[0,1],[0,0]]]", "--n-sites", "2")
     out = json.loads(proc.stdout)
-    assert decode_vector(out["amplitudes"]).tolist() == [2, 0, 0, -2]
+    assert decode_matrix([out["amplitudes"]])[0].tolist() == [2, 0, 0, -2]
 
 
 def test_mps_refuses_amplitudes_beyond_the_float_range():

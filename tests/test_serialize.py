@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from mpschain.pauli import CSpace, PauliQuartet
 from mpschain.serialize import (FormatError, decode_complex, decode_matrix,
-                                decode_quartet, decode_space, decode_vector,
-                                dumps, encode_complex, encode_quartet,
-                                encode_space, format_float, pack_chain,
-                                unpack_chain, write_chain)
+                                decode_quartet, decode_space, dumps,
+                                encode_complex, encode_quartet, encode_space,
+                                format_float, pack_chain, unpack_chain,
+                                write_chain)
 from oracles import encode_matrix, encode_vector, flat, value_dumps
 
 
@@ -68,7 +68,7 @@ def test_complex_codec():
 def test_vector_and_matrix_round_trip():
     rng = np.random.default_rng(12)
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.array_equal(decode_vector(json.loads(dumps(vec))), vec)
+    assert np.array_equal(decode_matrix([json.loads(dumps(vec))])[0], vec)
     mat = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     assert np.array_equal(decode_matrix(json.loads(dumps(mat))), mat)
 
@@ -157,8 +157,8 @@ def test_bulk_writer_matches_the_per_value_oracle(arr):
     assert text == _oracle_text(arr) == value_dumps(arr)
     assert dumps({"n": 1, "a": arr}) == value_dumps({"n": 1, "a": arr})
     back = json.loads(text)
-    decoded = (decode_vector(back) if arr.ndim == 1 or arr.shape[0] == 0
-               else decode_matrix(back))
+    decoded = (decode_matrix([back])[0]
+               if arr.ndim == 1 or arr.shape[0] == 0 else decode_matrix(back))
     # bit for bit, apart from -0.0 read back as 0.0
     assert decoded.shape == arr.shape
     assert np.array_equal(decoded.view(np.uint64),

@@ -133,8 +133,7 @@ def test_builders_match_per_string_definition(n):
                 expected.tobytes(), (m, k)
     if n % 2 == 0:
         expected = definition_amplitudes(
-            n, lambda z, e: ((-1.0) ** (z // 2) * complex(-1.0) ** e
-                             if z % 2 == 0 else None))
+            n, lambda z, e: (-1.0) ** (e + z // 2) if z % 2 == 0 else None)
         assert psi_prime(n).amplitudes.tobytes() == expected.tobytes()
     for parity, literal, first in [("even", False, 0), ("even", True, 0),
                                    ("odd", False, 1), ("odd", True, 3)]:
@@ -191,7 +190,7 @@ def test_recipe_states_check_arguments_when_made(monkeypatch):
     psi_prime(4)
     psi_parity(4, "odd", literal_bounds=True)
     for make in (lambda: psi_k(4, 2, 3, -1.0), lambda: psi_k(4, 2, 1, 0.9),
-                 lambda: psi_prime(3), lambda: psi_prime(4, ratio=1.0),
+                 lambda: psi_prime(3),
                  lambda: psi_parity(4, "both"),
                  lambda: psi_parity(40, "even")):
         with pytest.raises(ValueError):
@@ -225,7 +224,7 @@ def test_repr_shows_how_a_state_is_held_without_building_it():
     assert texts == [
         "StateVector(n_sites=20, index=1048575)",
         "StateVector(n_sites=20, recipe=_psi_k_amplitudes(20, 6, -1.0))",
-        "StateVector(n_sites=20, recipe=_psi_prime_amplitudes(20, -1.0))",
+        "StateVector(n_sites=20, recipe=_psi_prime_amplitudes(20))",
         "StateVector(n_sites=20, recipe=_psi_parity_amplitudes(20, 3))"]
     assert peak < 2 ** 20
     assert repr(StateVector(1, [1.0, 0.5j])) == \
@@ -277,8 +276,6 @@ def test_psi_prime_frozen_two_sites():
     assert abs(st.amplitudes[1]) + abs(st.amplitudes[2]) == 0.0
     with pytest.raises(ValueError):
         psi_prime(3)
-    with pytest.raises(ValueError):
-        psi_prime(2, ratio=1.0)
 
 
 def test_psi_prime_membership():

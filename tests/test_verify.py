@@ -152,14 +152,18 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
     real_h = not np.any(build_family(params).matrix.imag)
     assert real_h == (label in ("hardcore", "hardcore-mixed", "exchange/-1"))
 
-    # Two random non-members ride along with the catalogue, so residuals
-    # are compared away from zero as well.
+    # Two random non-members and two random basis states ride along with
+    # the catalogue, so residuals of both kinds of state are compared away
+    # from zero as well.
     reported = []
 
     def catalogue_with_probes(p, n):
         states = ground_state_catalogue(p, n) + [
             NamedState(f"probe{j}", StateVector(
                 n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)))
+            for j in range(2)] + [
+            NamedState(f"basis{j}", StateVector._basis(
+                n, int(rng.integers(2 ** n))))
             for j in range(2)]
         reported[:] = states
         return states
@@ -317,9 +321,13 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
                   "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
         scored = verify._rotated(local.matrix, symmetry_frame(local).matrix)
-        _, (_, _, vals), u = _framed_sectors(local, 2)
+        _, (rows, cols, vals), u = _framed_sectors(local, 2)
         assert u is not None
-        assert np.array_equal(vals, scored[np.nonzero(scored)])
+        # rows together, each position once; columns in mask order
+        assert np.all(np.diff(rows) >= 0)
+        order = np.lexsort((cols, rows))
+        assert np.all(np.diff(rows[order] * 4 + cols[order]) > 0)
+        assert np.array_equal(vals[order], scored[np.nonzero(scored)])
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
