@@ -307,15 +307,39 @@ def chain_entries(local: LocalHamiltonian, n_sites: int):
     the diagonal, the one-site flips by bit, then the two-site flips by
     top bit.  Columns within a row are not sorted.
     """
+    masks, vals = _chain_table(local.matrix, n_sites)
+    rows, k = _table_nonzero(vals)
+    return rows, rows ^ masks[k], vals[k, rows]
+
+
+def _table_nonzero(vals: np.ndarray):
+    """(rows, k) of the nonzero values vals[k, rows] of a _chain_table,
+    row-major: rows ascending, each row's masks in order."""
+    # a contiguous boolean copy with the rows first reads far faster than
+    # the strided complex table
+    found = np.flatnonzero(np.ascontiguousarray((vals != 0).T))
+    return np.divmod(found, vals.shape[0])
+
+
+def _chain_table(h: np.ndarray, n_sites: int, x: np.ndarray | None = None):
+    """(masks, vals): the flip masks of chain_entries in its order, and
+    vals[j, i] = H[x_i, x_i ^ masks[j]] for the chain of the 4x4 array h,
+    zeros included, over the basis indices x (every one by default), of
+    h's dtype.
+
+    Each row's values are summed exactly as for the whole chain, so the
+    rows of any x are those of chain_entries bit for bit.  Refuses
+    (ChainSizeError) a chain outside the site guard.
+    """
     limit = max_sites()
     if not 2 <= n_sites <= limit:
         raise ChainSizeError(
             f"n_sites must be between 2 and {limit} (got {n_sites})")
-    dim = 2 ** n_sites
-    x = np.arange(dim)
+    if x is None:
+        x = np.arange(2 ** n_sites)
     # one contiguous row per flip: indexing it is far cheaper than a
     # column of a 2-D array
-    hf = local.matrix[_FOUR, _FLIPPED]
+    hf = h[_FOUR, _FLIPPED]
     has = np.any(hf, axis=1)
     one, two = bool(has[1] or has[2]), bool(has[3])
     shift = np.arange(n_sites)
@@ -326,21 +350,19 @@ def chain_entries(local: LocalHamiltonian, n_sites: int):
     # site of the bond at shift b and the first of the bond at shift b - 1
     masks = np.concatenate([[0], 1 << shift[:one * n_sites],
                             3 << shift[:two * (n_sites - 1)]])
-    vals = np.zeros((masks.size, dim), dtype=complex)
+    vals = np.zeros((masks.size, x.size), dtype=h.dtype)
     # a sum that overflows stays inf, for the caller to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_sites - 2, -1, -1):
-            vals[0] += hf[0][pair[s]]
+        # one bond after another down the rows: the sums of the loop
+        # "vals[0] += hf[0][pair[s]]" for s = n-2, ..., 0
+        vals[0] = np.add.reduce(hf[0][pair][::-1], axis=0)
         if has[1]:
             vals[1:n_sites] += hf[1][pair]
         if has[2]:
             vals[2:n_sites + 1] += hf[2][pair]
         if two:
             vals[1 + one * n_sites:] += hf[3][pair]
-    # row-major over (row, mask); np.nonzero reads a boolean copy faster
-    # than the strided complex table
-    rows, k = np.nonzero(vals.T != 0)
-    return rows, rows ^ masks[k], vals[k, rows]
+    return masks, vals
 
 
 def chain_row_blocks(n_sites: int, entries):

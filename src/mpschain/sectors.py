@@ -1,0 +1,383 @@
+"""Sector stacks of a chain: the index arrays that split it into blocks.
+
+A chain is block diagonal over the connected components (sectors) of its
+off-diagonal pattern.  This module finds them (_sector_roots,
+_sector_members), joins or splits them by a basis-permuting involution
+that commutes with the chain (_involutions, _orbit_cost, _parity_fold),
+and works out where each of the chain's entries lands in the stack of
+equal-size blocks it belongs to (_stack_plan).  None of that depends on
+the chain's values beyond their nonzero pattern, so _sector_plan gathers
+it into a plan of index arrays; _numeric_parts then checks a chain's
+values against a plan and hands them to _filled_stacks, which builds and
+yields the stacks one at a time.  verify keeps the plans and picks the
+frame and the involutions.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+import numpy as np
+
+from .hamiltonian import ChainSizeError, _table_nonzero
+
+
+def _sector_roots(dim: int, rows, cols) -> np.ndarray:
+    """Smallest basis index in the connected component of each basis
+    state, for the graph whose edges are (rows, cols).
+
+    Every component root hooks onto the smallest root it touches, then
+    pointer jumping flattens the trees; this repeats until no edge joins
+    two roots.
+    """
+    root = np.arange(dim)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _sector_members(root: np.ndarray, states: np.ndarray) -> list:
+    """The basis states `states` (ascending) grouped into sectors by
+    their root, one (s, k) array per sector size k: the s sectors of
+    that size in order of their root, members ascending."""
+    roots = root[states]
+    size = np.bincount(roots, minlength=root.size)[roots]
+    # a stable sort: by size, then root, members ascending
+    order = np.lexsort((roots, size))
+    ks, counts = np.unique(size[order], return_counts=True)
+    return [states[o].reshape(-1, k)
+            for k, o in zip(ks, np.split(order, np.cumsum(counts)[:-1]))]
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be
+    read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _sector_blocks(dim: int, parts: list):
+    """H restricted to sectors of dim basis states, one stack at a time.
+
+    Each part is (members, (rows, cols, vals), count): a list of (s, k)
+    member arrays from _sector_members, H's nonzero entries, of which
+    those in rows of the members are read, and the number of sectors
+    (1, or 2 where each stands for a twin with the same spectrum) each of
+    these sectors stands for.  Returns the stacks of _filled_stacks.
+    """
+    return _filled_stacks([
+        (count, vals, _stack_plan(dim, members, rows, cols))
+        for members, (rows, cols, vals), count in parts])
+
+
+def _stack_plan(dim: int, members: list, rows, cols) -> tuple:
+    """Where each entry (rows, cols) lands in the stacks of the member
+    arrays (from _sector_members) of a dim-state basis: one (s, k, src,
+    dst) per (s, k) member array, src the entries in rows of its members
+    and dst their flat positions in its (s, k, k) stack.  Entries in rows
+    of no member are left out.  One sort of the entries by stack serves
+    every stack."""
+    shapes = np.array([m.shape for m in members], dtype=np.intp).reshape(-1, 2)
+    counts = shapes[:, 0] * shapes[:, 1]
+    states = np.concatenate([np.zeros(0, dtype=np.intp),
+                             *(m.ravel() for m in members)])
+    # each state's stack, and its rank r there: block r // k, position
+    # r % k in the block, and so its row starts at r * k in the stack;
+    # stack ids of a small dtype, which a stable sort orders in one pass,
+    # and len(members) for the states of none
+    rank = np.arange(states.size) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+    k = np.repeat(shapes[:, 1], counts)
+    stack = np.full(dim, len(members), dtype=np.min_scalar_type(len(members)))
+    stack[states] = np.repeat(np.arange(len(members)), counts)
+    start = np.zeros(dim, dtype=np.intp)
+    start[states] = rank * k
+    pos = np.zeros(dim, dtype=np.intp)
+    pos[states] = rank % k
+    at = stack[rows]
+    src = np.argsort(at, kind="stable")
+    ends = np.searchsorted(at[src], np.arange(1, len(members) + 1))
+    # a row and its column lie in one sector
+    dst = start[rows[src]] + pos[cols[src]]
+    return tuple((s, k, _narrow(src[lo:hi], rows.size),
+                  _narrow(dst[lo:hi], s * k * k))
+                 for (s, k), lo, hi in zip(shapes.tolist(), np.concatenate(
+                     ([0], ends[:-1])), ends))
+
+
+def _filled_stacks(parts: list):
+    """The (count, blocks) stacks of parts of (count, vals, stacks), the
+    stacks from _stack_plan over entries whose values are vals.
+
+    Refuses (ChainSizeError), before any block is allocated, when a stack
+    to be eigensolved and eigvalsh's copy of it need more bytes than
+    MemAvailable; where that cannot be read, only the site guard holds.
+    Then yields (count, blocks) for each stack in turn: blocks (s, k, k)
+    holds H restricted to each of s sectors of k states, real when no
+    value of the part has an imaginary part.  A stack is built only when
+    the one before it has been drawn and dropped, so a caller that solves
+    each as it comes holds one at a time.
+    """
+    parts = [(count, vals.real if np.iscomplexobj(vals)
+              and not np.any(vals.imag) else vals, stacks)
+             for count, vals, stacks in parts]
+    need = 2 * max((s * k * k * vals.itemsize for _, vals, stacks in parts
+                    for s, k, _, _ in stacks if k > 1), default=0)
+    available = _available_bytes() if need else None
+    if available is not None and need > available:
+        raise ChainSizeError(
+            f"the largest sector blocks need {need} bytes with eigvalsh's "
+            f"copy, but {available} bytes are available")
+    return _built_blocks(parts)
+
+
+def _built_blocks(parts: list):
+    """The stacks of _filled_stacks, built one per draw."""
+    for count, vals, stacks in parts:
+        for s, k, src, dst in stacks:
+            blocks = np.zeros(s * k * k, dtype=vals.dtype)
+            blocks[dst] = vals[src]
+            yield count, blocks.reshape(s, k, k)
+            # drop this stack before the next one is built
+            del blocks
+
+
+def _involutions(n_sites: int, held: tuple) -> list:
+    """(sigma, phi) with T|x> = phi[x] |sigma[x]> on every basis index x,
+    for each T = (reverse, flip, sign) in held, in order: sigma[x] is x,
+    reversed when reverse and with every bit flipped when flip, and
+    phi[x] is sign to the number of ones in x."""
+    if not held:
+        return []
+    # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
+    rev, odd = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
+    for _ in range(n_sites):
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+        odd = np.concatenate((odd, ~odd))
+    x = np.arange(2 ** n_sites)
+    return [((rev if reverse else x) ^ (x[-1] if flip else 0),
+             np.where(odd, sign, 1))
+            for reverse, flip, sign in held]
+
+
+def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
+    """The cost sum k^3 over the blocks left to solve once T = (sigma,
+    phi) is applied to the sectors named by root, and the sector roots
+    it is applied to.
+
+    T maps every sector onto one when it commutes with H exactly; in
+    case it does so only up to the snapping cut, the sectors are first
+    merged until it does: two sectors that the states of one sector are
+    mapped into become one, and this repeats until T maps every merged
+    sector onto one (the sectors of the pattern and its image together).
+    Then one of each pair of sectors T swaps is solved, and a
+    sector of k states that T maps onto itself splits into T-even and
+    T-odd halves: (k - p) / 2 states each, plus its p fixed points of
+    sigma, each in the half of its phi.
+    """
+    image, moved = root[sigma], root[sigma[root]]
+    while not np.array_equal(image, moved):
+        # image and moved hold roots only: join those roots, then send
+        # every state to the joined root of its sector
+        root = _sector_roots(root.size, image, moved)[root]
+        image, moved = root[sigma], root[sigma[root]]
+    k = np.bincount(root, minlength=root.size)
+    heads = np.flatnonzero(k)
+    k = k[heads]
+    twin = root[sigma[heads]]
+    points = np.flatnonzero(sigma == np.arange(root.size))
+    even, odd = (np.bincount(root[points], weights=phi[points] == p,
+                             minlength=root.size)[heads] for p in (1, -1))
+    pairs = (k - even - odd) / 2
+    cost = np.where(heads < twin, k ** 3.0, 0.0) + np.where(
+        heads == twin, (pairs + even) ** 3 + (pairs + odd) ** 3, 0.0)
+    return float(np.sum(cost)), root
+
+
+def _parity_fold(sigma: np.ndarray, phi: np.ndarray, rows, cols):
+    """How H's entries (rows, cols) fold into its nonzero entries in the
+    even and odd states of the involution T|x> = phi[x] |sigma[x]>
+    (phi = +-1); T must commute with H.
+
+    The orbit {r, sigma r}, r the smaller, gives the normalized states of
+    (1 + T)|r> and (1 - T)|r>, indexed by r and sigma r; a fixed point r
+    gives only the one that does not vanish, indexed by r.  As T commutes
+    with H, the entry between the parity-p states of r and s is
+    sqrt(o_r / o_s) (H[r, s] + p phi_s H[r, sigma s]), o the orbit sizes
+    and the second term absent for a fixed point s: only rows at orbit
+    representatives are read, and no entry between the parities is made.
+
+    Returns the fold (src, weight, slot) of _folded, the term
+    vals[src] * _FOLD_WEIGHTS[weight] of H's values vals going to slot,
+    and keys, row * dim + col of every slot, ascending, dim = sigma.size.
+    """
+    dim = sigma.size
+    x = np.arange(dim)
+    rep = np.minimum(x, sigma)
+    orbit = np.where(sigma == x, 1.0, 2.0)
+    at_rep = np.flatnonzero(rows == rep[rows])
+    r, y = rows[at_rep], cols[at_rep]
+    s = rep[y]
+    # 0, 2 or 4 for an orbit ratio o_r / o_s of 1, 2 or 1/2
+    scale = (orbit[r] > orbit[s]) * 2 + (orbit[r] < orbit[s]) * 4
+    terms = []
+    for parity, index in ((1, x), (-1, sigma)):
+        live = (orbit == 2) | (phi == parity)
+        keep = live[r] & live[s]
+        negative = (y != s) & (parity * phi[s] < 0)
+        terms.append((at_rep[keep], (scale + negative)[keep].astype(np.int8),
+                      index[r[keep]] * dim + index[s[keep]]))
+    src, weight, keys = (np.concatenate(t) for t in zip(*terms))
+    order = np.argsort(keys)
+    first = np.diff(keys[order], prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    return (src, weight, slot), keys[order][first]
+
+
+# The weights sqrt(o_r / o_s) and their negatives that _parity_fold
+# gives its terms, by code.
+_FOLD_WEIGHTS = np.array([1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0),
+                          np.sqrt(0.5), -np.sqrt(0.5)])
+
+
+def _folded(vals: np.ndarray, fold: tuple, slots: int) -> np.ndarray:
+    """The value of each of the slots of fold (from _parity_fold) for
+    H's values vals: its terms summed in their order.
+
+    A weight is +-1, +-sqrt(2) or +-sqrt(1/2), so each term's nonzero
+    parts are those of +-(value * sqrt(o_r / o_s)) bit for bit.
+    """
+    src, weight, slot = fold
+    terms = vals[src] * _FOLD_WEIGHTS[weight]
+    if not np.iscomplexobj(terms):
+        return np.bincount(slot, weights=terms, minlength=slots)
+    return (np.bincount(slot, weights=terms.real, minlength=slots)
+            + 1j * np.bincount(slot, weights=terms.imag, minlength=slots))
+
+
+@dataclass(frozen=True)
+class _SectorPlan:
+    """The symbolic half of a framed chain's sector split: index arrays
+    only, no values (see verify._framed_sectors).
+
+    flat holds the positions, in the chain's flattened _chain_table of
+    size entries, of its nonzero values in chain_entries' order; chain
+    the _stack_plan of the part read from those values, each of its
+    sectors standing for count.  Where an involution T is applied, fold
+    is the _parity_fold of the entries in sectors T maps onto themselves,
+    keep marks its nonzero slots, and split is the _stack_plan of the
+    kept folded values.
+    """
+
+    size: int
+    flat: np.ndarray
+    count: int
+    chain: tuple
+    fold: tuple = ()
+    keep: np.ndarray | None = None
+    split: tuple = ()
+
+    @functools.cached_property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.flat, *self.fold, *(() if self.keep is None else
+                                     (self.keep,)),
+            *(a for stack in self.chain + self.split for a in stack[2:])))
+
+
+def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
+                 held: tuple, gauge: bool) -> _SectorPlan:
+    """The plan of the chain whose _chain_table is (masks, table), its
+    bond term commuting with the involutions held and gauged when gauge.
+
+    Of the involutions, the one whose blocks cost least (_orbit_cost) is
+    applied, if it costs less than none; none is tried on a diagonal
+    chain.  The table's values enter only through their nonzero pattern
+    and that of the folded entries.
+    """
+    dim = 2 ** n_sites
+    rows, k = _table_nonzero(table)
+    cols = rows ^ masks[k]
+    flat = k * dim + rows
+    off = rows != cols
+    root = _sector_roots(dim, rows[off], cols[off])
+    best = None
+    if held and np.any(off):
+        cost = float(np.sum(np.bincount(root).astype(float) ** 3))
+        for sigma, phi in _involutions(n_sites, held):
+            merged_cost, merged = _orbit_cost(root, sigma, phi)
+            if merged_cost < cost:
+                cost, best = merged_cost, (merged, sigma, phi)
+    if best is None:
+        return _SectorPlan(table.size, _narrow(flat, table.size), 1,
+                           _stack_plan(dim, _sector_members(
+                               root, np.arange(dim)), rows, cols))
+    root, sigma, phi = best
+    twin = root[sigma]
+    fixed = root == twin
+    sel = np.flatnonzero(fixed[rows])
+    (src, weight, slot), keys = _parity_fold(sigma, phi, rows[sel],
+                                             cols[sel])
+    fold = _narrow(sel[src], flat.size), weight, _narrow(slot, keys.size)
+    keep = _folded(_gauged(table.reshape(-1)[flat], dim, flat, gauge),
+                   fold, keys.size) != 0
+    keys = keys[keep]
+    srows, scols = keys // dim, keys % dim
+    soff = srows != scols
+    return _SectorPlan(
+        table.size, _narrow(flat, table.size), 2,
+        _stack_plan(dim, _sector_members(root, np.flatnonzero(root < twin)),
+                    rows, cols),
+        fold, keep,
+        _stack_plan(dim, _sector_members(
+            _sector_roots(dim, srows[soff], scols[soff]),
+            np.flatnonzero(fixed)), srows, scols))
+
+
+def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
+    """index as int32 when every value below bound fits, for a plan to
+    hold half the bytes."""
+    return index.astype(np.int32) if bound <= 2 ** 31 else index
+
+
+def _gauged(vals: np.ndarray, dim: int, flat: np.ndarray,
+            gauge: bool) -> np.ndarray:
+    """The chain values vals at table positions flat with the hopping
+    phase gauged away when gauge: the diagonal (positions below dim) by
+    its real part, every other value by its modulus."""
+    return np.where(flat < dim, vals.real, np.abs(vals)) if gauge else vals
+
+
+def _numeric_parts(plan: _SectorPlan, table: np.ndarray, gauge: bool):
+    """The parts of _filled_stacks for the chain's _chain_table table
+    under plan, and its nonzero values in chain_entries' order; None
+    where the pattern of the values, or of the folded values, is not the
+    plan's."""
+    if table.size != plan.size:
+        return None
+    vals = table.reshape(-1)[plan.flat]
+    if np.count_nonzero(table) != vals.size or not np.all(vals):
+        return None
+    gauged = _gauged(vals, table.shape[1], plan.flat, gauge)
+    parts = [(plan.count, gauged, plan.chain)]
+    if plan.keep is not None:
+        total = _folded(gauged, plan.fold, plan.keep.size)
+        if not np.array_equal(total != 0, plan.keep):
+            return None
+        parts.append((1, total[plan.keep], plan.split))
+    return parts, vals

@@ -229,9 +229,22 @@ def _zero_counts(n_sites: int):
 
 
 def _powers(ratio, max_exponent: int) -> np.ndarray:
-    """Table t[e] = complex(ratio)**e, each entry taken in Python: numpy's
-    elementwise complex power may round differently."""
-    return np.array([complex(ratio) ** e for e in range(max_exponent + 1)])
+    """Table t[e] = z**e, z = complex(ratio), for e up to max_exponent,
+    every entry by the binary exponentiation CPython's z**e uses up to
+    e = 100: 1 times z^(2^b) for each set bit b of e, lowest first, each
+    square the one before squared.  So t[e] is t[e without its top bit]
+    times the top bit's square, in Python complex arithmetic, and equals
+    z**e bit for bit up to 100.  Past 100 CPython switches to the polar
+    formula, whose (-1+0j)**101 is (-1+8.8e-15j); the products here keep
+    the powers of -1 and of 1j exact at every exponent.
+    """
+    squares, table = [complex(ratio)], [1 + 0j]
+    for e in range(1, max_exponent + 1):
+        top = e.bit_length() - 1
+        if top == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        table.append(table[e - (1 << top)] * squares[top])
+    return np.array(table)
 
 
 def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:

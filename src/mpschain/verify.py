@@ -30,18 +30,30 @@ exchange at |nu'| = |nu| splits each number sector by reversal.  Before
 any block is allocated, the largest stack to be solved is held against
 the memory available.  The checks stay unambiguous: a state either
 sits in the numerical kernel of the chain or it does not.
+
+All of that structure (sectors, involution, parity fold, where each
+entry lands in its stack) depends only on the chain's size, the nonzero
+pattern of the framed bond term and the involutions it commutes with.
+The sectors module works it out as a plan of index arrays, once per
+such pattern: this module keeps the plans in a small least-recently-used
+cache, and each call only computes the chain's values, checks they fit
+the plan and scatters them into the stacks (_framed_sectors).  Residuals
+need no second chain: the bond term acts on each bond of the catalogued
+states.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import (HERMITICITY_TOL, ChainSizeError, FullHamiltonian,
-                          LocalHamiltonian, FamilyParams, build_family,
-                          chain_entries)
+from . import sectors
+from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
+                          FamilyParams, _chain_table, build_family)
 from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from .states import _times_power_of_two, ground_state_catalogue
 
@@ -73,6 +85,13 @@ _PAIR_ONES = np.array([0, 1, 1, 2])
 _SWAPPED = np.array([0, 2, 1, 3])
 _PAIR_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
+# The diagonal of a bond term; and, over its flattened entries h[a, b],
+# which change the number of ones (ones(a) != ones(b)) and which their
+# parity.
+_DIAGONAL = np.eye(4, dtype=bool)
+_CHANGE = (_PAIR_ONES[:, None] - _PAIR_ONES[None, :]).ravel()
+_CHANGES = np.array([_CHANGE != 0, _CHANGE % 2 == 1]).T
+
 # The basis-permuting involutions T = R o v^{x n} that may join the
 # sectors in pairs or split them, as (reverse, flip, sign): R is site
 # reversal when reverse, and v is X when flip, else diag(1, sign).  The
@@ -80,6 +99,13 @@ _PAIR_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 # among them; of equally good ones the first wins.
 _INVOLUTIONS = ((True, False, 1), (True, False, -1), (False, True, 1),
                 (True, True, 1))
+
+# The pair state each T of _INVOLUTIONS takes every pair state to, and
+# the sign it gives every entry of the bond term.
+_MOVED = np.array([(_SWAPPED if reverse else np.arange(4)) ^ (3 * flip)
+                   for reverse, flip, _ in _INVOLUTIONS])
+_MOVED_SIGNS = np.array([_PAIR_SIGNS if sign < 0 else np.ones((4, 4))
+                         for *_, sign in _INVOLUTIONS])
 
 
 @dataclass(frozen=True)
@@ -97,111 +123,14 @@ class SpectrumReport:
         return all(r <= tol for r in self.residuals.values())
 
 
-def _sector_roots(dim: int, rows, cols) -> np.ndarray:
-    """Smallest basis index in the connected component of each basis
-    state, for the graph whose edges are (rows, cols).
-
-    Every component root hooks onto the smallest root it touches, then
-    pointer jumping flattens the trees; this repeats until no edge joins
-    two roots.
-    """
-    root = np.arange(dim)
-    while True:
-        a, b = root[rows], root[cols]
-        if np.array_equal(a, b):
-            return root
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-
-
-def _sector_members(root: np.ndarray, states: np.ndarray) -> list:
-    """The basis states `states` (ascending) grouped into sectors by
-    their root, one (s, k) array per sector size k: the s sectors of
-    that size in order of their root, members ascending."""
-    _, sector, sizes = np.unique(root[states], return_inverse=True,
-                                 return_counts=True)
-    size = sizes[sector]
-    order = np.lexsort((sector, size))
-    ks, counts = np.unique(size, return_counts=True)
-    return [states[o].reshape(-1, k)
-            for k, o in zip(ks, np.split(order, np.cumsum(counts)[:-1]))]
-
-
-def _available_bytes() -> int | None:
-    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be
-    read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
-def _sector_blocks(dim: int, parts: list):
-    """H restricted to sectors of dim basis states, one stack at a time.
-
-    Each part is (members, (rows, cols, vals), count): a list of (s, k)
-    member arrays from _sector_members, H's nonzero entries, of which
-    those in rows of the members are read, and the number of sectors
-    (1, or 2 where each stands for a twin with the same spectrum) each of
-    these sectors stands for.  Refuses (ChainSizeError), before any block
-    is allocated, when a stack to be eigensolved and eigvalsh's copy of
-    it need more bytes than MemAvailable; where that cannot be read, only
-    the site guard holds.  Then yields (count, blocks) for each member
-    array in turn: blocks (s, k, k) holds H restricted to each sector,
-    real when no entry of the part has an imaginary part.  A stack is
-    built only when the one before it has been drawn and dropped, so a
-    caller that solves each as it comes holds one at a time.
-    """
-    parts = [(members, (rows, cols, vals.real if np.iscomplexobj(vals)
-                        and not np.any(vals.imag) else vals), count)
-             for members, (rows, cols, vals), count in parts]
-    need = 2 * max((m.shape[0] * m.shape[1] ** 2 * entries[2].itemsize
-                    for members, entries, _ in parts for m in members
-                    if m.shape[1] > 1), default=0)
-    available = _available_bytes() if need else None
-    if available is not None and need > available:
-        raise ChainSizeError(
-            f"the largest sector blocks need {need} bytes with eigvalsh's "
-            f"copy, but {available} bytes are available")
-    return _built_blocks(dim, parts)
-
-
-def _built_blocks(dim: int, parts: list):
-    """The stacks of _sector_blocks, built one per draw."""
-    size = np.zeros(dim, dtype=np.intp)
-    block = np.empty(dim, dtype=np.intp)
-    pos = np.empty(dim, dtype=np.intp)
-    for members, (rows, cols, vals), count in parts:
-        size[:] = 0
-        for m in members:
-            size[m] = m.shape[1]
-        for m in members:
-            s, k = m.shape
-            block[m] = np.arange(s)[:, None]
-            pos[m] = np.arange(k)
-            sel = size[rows] == k
-            r, c = rows[sel], cols[sel]
-            blocks = np.zeros((s, k, k), dtype=vals.dtype)
-            blocks[block[r], pos[r], pos[c]] = vals[sel]
-            yield count, blocks
-            # drop this stack before the next one is built
-            del blocks
-
-
 def _snapped(h: np.ndarray) -> np.ndarray:
     """h with every real or imaginary part at or below
     HERMITICITY_TOL * max|h| set to zero."""
     cut = HERMITICITY_TOL * np.max(np.abs(h))
-    return (np.where(np.abs(h.real) > cut, h.real, 0.0)
-            + 1j * np.where(np.abs(h.imag) > cut, h.imag, 0.0))
+    snapped = np.empty(h.shape, dtype=complex)
+    snapped.real = np.where(np.abs(h.real) > cut, h.real, 0.0)
+    snapped.imag = np.where(np.abs(h.imag) > cut, h.imag, 0.0)
+    return snapped
 
 
 def _rotated(h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -233,28 +162,53 @@ def _axis_frame(axis: np.ndarray) -> np.ndarray:
                      [phase * np.sin(half), np.cos(half)]])
 
 
-def _commutes(h: np.ndarray, reverse: bool, flip: bool, sign: int) -> bool:
-    """Whether the chain of h commutes with T = (reverse, flip, sign) of
-    _INVOLUTIONS.
+def _commuting(h: np.ndarray) -> np.ndarray:
+    """Whether the chain of h commutes with each T = (reverse, flip,
+    sign) of _INVOLUTIONS, in order.
 
     Reversal swaps the two sites of every bond, so the condition is
     (v x v) [SWAP] h [SWAP] (v x v) = h, every real and imaginary part
     compared to the snapping cut HERMITICITY_TOL * max|h|.
     """
-    perm = _SWAPPED if reverse else np.arange(4)
-    moved = h[np.ix_(perm ^ 3, perm ^ 3) if flip else np.ix_(perm, perm)]
-    diff = (moved if sign > 0 else moved * _PAIR_SIGNS) - h
+    diff = h[_MOVED[:, :, None], _MOVED[:, None, :]] * _MOVED_SIGNS - h
     cut = HERMITICITY_TOL * np.max(np.abs(h))
-    return max(np.max(np.abs(diff.real)), np.max(np.abs(diff.imag))) <= cut
+    return np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(
+        axis=(1, 2)) <= cut
 
 
 def _reversal_sign(h: np.ndarray) -> int | None:
     """d in (1, -1) for which the chain of h is symmetric under site
     reversal times diag(1, d) on every site, or None if neither is."""
-    for d in (1, -1):
-        if _commutes(h, True, False, d):
-            return d
-    return None
+    plus, minus = _commuting(h)[:2]
+    return 1 if plus else -1 if minus else None
+
+
+def _screened_scores(h: np.ndarray, axes: list) -> list:
+    """_conserved(_rotated(h, _axis_frame(axis))) for every axis, from
+    one batched rotation, or None where that rotation leaves a real or
+    imaginary part too near the snapping cut to tell.
+
+    The batched frames differ from _axis_frame's by a few rounding
+    errors, so each rotated entry differs from the exact one by far less
+    than the cut; a part kept or dropped with a factor of 10 to spare is
+    kept or dropped alike by the exact rotation.
+    """
+    a = np.array(axes)
+    a = a / np.max(np.abs(a), axis=1, keepdims=True)
+    x, y, z = (a / np.linalg.norm(a, axis=1, keepdims=True)).T
+    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
+    phase = np.exp(1j * np.arctan2(y, x))
+    cos, sin = np.cos(half), np.sin(half)
+    u = np.array([[cos, -sin / phase], [phase * sin, cos]]).transpose(2, 0, 1)
+    uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
+    moved = uu.conj().transpose(0, 2, 1) @ h @ uu
+    parts = np.abs(moved.view(float))
+    cut = HERMITICITY_TOL * np.abs(moved).max(axis=(1, 2))[:, None, None]
+    unsure = ((parts > cut / 10) & (parts < 10 * cut)).any(axis=(1, 2))
+    kept = (parts > cut).reshape(-1, 16, 2).any(axis=2)
+    number, parity = ~(kept @ _CHANGES).T
+    return [None if doubt else 2 if n else 1 if p else 0
+            for doubt, n, p in zip(unsure, number, parity)]
 
 
 def symmetry_frame(local: LocalHamiltonian) -> SL2:
@@ -291,24 +245,29 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     part, so the even and odd blocks shift every eigenvalue by at most
     (n - 1) * |h' - T h' T|_2.
     """
-    h = local.matrix
+    return SL2(_frame(local.matrix)[0])
+
+
+def _frame(h: np.ndarray):
+    """symmetry_frame's u for the bond term h, and the bond term in that
+    frame: h itself when u is the identity, else _rotated(h, u)."""
     frame = np.eye(2, dtype=complex)
     best = _conserved(_snapped(h))
     if best < 2:
         c = np.einsum("ij,abji->ab", h, _PAIR_PAULI).real / 4.0
         k = c[1:, 1:]
         axes = [c[0, 1:], c[1:, 0]]
-        for m in (k, k.T):
-            w, v = np.linalg.eig(m)
+        for w, v in zip(*np.linalg.eig(np.array((k, k.T)))):
             axes.extend(v[:, w.imag == 0].real.T)
         cut = HERMITICITY_TOL * np.max(np.abs(c))
-        for axis in axes:
-            if np.max(np.abs(axis)) <= cut:
-                continue
-            u = _axis_frame(axis)
-            score = _conserved(_rotated(h, u))
+        axes = [axis for axis, big in zip(axes, np.max(np.abs(axes), axis=1)
+                                          > cut) if big]
+        for axis, score in zip(axes, _screened_scores(h, axes)
+                               if axes else ()):
+            if score is None:
+                score = _conserved(_rotated(h, _axis_frame(axis)))
             if score > best:
-                best, frame = score, u
+                best, frame = score, _axis_frame(axis)
                 if best == 2:
                     break
         if best == 0 and _reversal_sign(h) is None:
@@ -331,10 +290,11 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
             theta = (turn * np.pi - angle) / delta
             u = frame @ np.diag([np.exp(-0.5j * theta),
                                  np.exp(0.5j * theta)])
-            if not np.any(_rotated(h, u).imag):
-                frame = u
+            turned = _rotated(h, u)
+            if not np.any(turned.imag):
+                frame, moved = u, turned
                 break
-    return SL2(frame)
+    return frame, h if np.array_equal(frame, np.eye(2)) else moved
 
 
 def _spectrum_report(n_sites: int, sectors) -> SpectrumReport:
@@ -378,128 +338,40 @@ def spectrum(chain: FullHamiltonian) -> SpectrumReport:
     dim = chain.matrix.shape[0]
     rows, cols = np.nonzero(chain.matrix)
     off = rows != cols
-    members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
-                              np.arange(dim))
-    return _spectrum_report(chain.n_sites, _sector_blocks(dim, [
+    members = sectors._sector_members(
+        sectors._sector_roots(dim, rows[off], cols[off]), np.arange(dim))
+    return _spectrum_report(chain.n_sites, sectors._sector_blocks(dim, [
         (members, (rows, cols, chain.matrix[rows, cols]), 1)]))
 
 
-def _involutions(n_sites: int, h: np.ndarray) -> list:
-    """(sigma, phi) with T|x> = phi[x] |sigma[x]> on every basis index x,
-    for each T = (reverse, flip, sign) of _INVOLUTIONS that commutes with
-    the chain of h, in order: sigma[x] is x, reversed when reverse and
-    with every bit flipped when flip, and phi[x] is sign to the number of
-    ones in x.
+def _held_involutions(h: np.ndarray) -> tuple:
+    """The (reverse, flip, sign) of _INVOLUTIONS that commute with the
+    chain of h, in order.
 
     A T that differs from an earlier one only in its sign is left out:
     both holding, the chain keeps parity, so every sector has one and the
     two split it alike.
     """
     held = {}
-    for reverse, flip, sign in _INVOLUTIONS:
-        if (reverse, flip) not in held and _commutes(h, reverse, flip, sign):
+    for (reverse, flip, sign), ok in zip(_INVOLUTIONS, _commuting(h)):
+        if ok and (reverse, flip) not in held:
             held[reverse, flip] = sign
-    if not held:
-        return []
-    # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
-    rev, odd = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
-    for _ in range(n_sites):
-        rev = np.concatenate((2 * rev, 2 * rev + 1))
-        odd = np.concatenate((odd, ~odd))
-    x = np.arange(2 ** n_sites)
-    return [((rev if reverse else x) ^ (x[-1] if flip else 0),
-             np.where(odd, sign, 1))
-            for (reverse, flip), sign in held.items()]
+    return tuple((reverse, flip, sign)
+                 for (reverse, flip), sign in held.items())
 
 
-def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
-    """The cost sum k^3 over the blocks left to solve once T = (sigma,
-    phi) is applied to the sectors named by root, and the sector roots
-    it is applied to.
-
-    T maps every sector onto one when it commutes with H exactly; in
-    case it does so only up to the snapping cut, the sectors are first
-    merged until it does: two sectors that the states of one sector are
-    mapped into become one, and this repeats until T maps every merged
-    sector onto one (the sectors of the pattern and its image together).
-    Then one of each pair of sectors T swaps is solved, and a
-    sector of k states that T maps onto itself splits into T-even and
-    T-odd halves: (k - p) / 2 states each, plus its p fixed points of
-    sigma, each in the half of its phi.
-    """
-    image, moved = root[sigma], root[sigma[root]]
-    while not np.array_equal(image, moved):
-        # image and moved hold roots only: join those roots, then send
-        # every state to the joined root of its sector
-        root = _sector_roots(root.size, image, moved)[root]
-        image, moved = root[sigma], root[sigma[root]]
-    k = np.bincount(root, minlength=root.size)
-    heads = np.flatnonzero(k)
-    k = k[heads]
-    twin = root[sigma[heads]]
-    points = np.flatnonzero(sigma == np.arange(root.size))
-    even, odd = (np.bincount(root[points], weights=phi[points] == p,
-                             minlength=root.size)[heads] for p in (1, -1))
-    pairs = (k - even - odd) / 2
-    cost = np.where(heads < twin, k ** 3.0, 0.0) + np.where(
-        heads == twin, (pairs + even) ** 3 + (pairs + odd) ** 3, 0.0)
-    return float(np.sum(cost)), root
-
-
-def _parity_entries(sigma: np.ndarray, phi: np.ndarray, rows, cols, vals):
-    """Nonzero entries of H in the even and odd states of the involution
-    T|x> = phi[x] |sigma[x]> (phi = +-1), from H's entries (rows, cols,
-    vals) in the basis; T must commute with H.
-
-    The orbit {r, sigma r}, r the smaller, gives the normalized states of
-    (1 + T)|r> and (1 - T)|r>, indexed by r and sigma r; a fixed point r
-    gives only the one that does not vanish, indexed by r.  As T commutes
-    with H, the entry between the parity-p states of r and s is
-    sqrt(o_r / o_s) (H[r, s] + p phi_s H[r, sigma s]), o the orbit sizes
-    and the second term absent for a fixed point s: only rows at orbit
-    representatives are read, and no entry between the parities is made.
-    """
-    x = np.arange(sigma.size)
-    rep = np.minimum(x, sigma)
-    orbit = np.where(sigma == x, 1.0, 2.0)
-    at_rep = rows == rep[rows]
-    r, y = rows[at_rep], cols[at_rep]
-    s = rep[y]
-    h = vals[at_rep] * np.sqrt(orbit[r] / orbit[s])
-    parts = []
-    for parity, index in ((1, x), (-1, sigma)):
-        live = (orbit == 2) | (phi == parity)
-        keep = live[r] & live[s]
-        turn = np.where(y == s, 1, parity * phi[s])
-        parts.append((index[r[keep]], index[s[keep]], (turn * h)[keep]))
-    return _summed_entries(sigma.size,
-                           *(np.concatenate(p) for p in zip(*parts)))
-
-
-def _summed_entries(dim: int, rows, cols, vals):
-    """The entries (rows, cols, vals) of a dim x dim matrix sorted by row
-    then column, with duplicate positions summed in the order given and
-    exact zeros dropped."""
-    keys = rows * dim + cols
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    keys = keys[first]
-    total = (np.bincount(slot, weights=vals.real, minlength=keys.size)
-             + 1j * np.bincount(slot, weights=vals.imag, minlength=keys.size))
-    keep = total != 0
-    keys = keys[keep]
-    return keys // dim, keys % dim, total[keep]
+# Plans by (n_sites, nonzero pattern of the framed and gauged bond term,
+# involutions it commutes with), least recently used first, and the bytes
+# they may hold together.
+_PLANS: OrderedDict = OrderedDict()
+_PLAN_BYTES = 16 << 20
+_PLAN_LOCK = threading.Lock()
 
 
 def _framed_sectors(local: LocalHamiltonian, n_sites: int):
-    """The (count, blocks) stacks of _sector_blocks for the chain of local,
-    built on the bond term exactly as symmetry_frame scored it in its
-    frame; the chain's nonzero entries (rows, cols, vals) in that frame;
-    and the frame (None, with the bond term untouched, when the frame is
-    the identity).
+    """The (count, blocks) stacks of _filled_stacks for the chain of
+    local, built on the bond term exactly as symmetry_frame scored it in
+    its frame, and that chain's nonzero values in chain_entries' order.
 
     When the framed bond term h' keeps the number of ones and has an
     imaginary part, the blocks are built from the chain conjugated by
@@ -507,55 +379,62 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     t for the hopping entry t = h'[|01>, |10>]: every off-diagonal chain
     entry comes from one bond and is t or conj(t), so D turns it into |t|
     and the diagonal into its real part, with no tolerance involved.
-    The spectrum and the sectors are unchanged; the returned entries
-    stay the ungauged ones.
+    The spectrum and the sectors are unchanged; the returned values stay
+    the ungauged ones.
 
     When the (gauged) bond term has an off-diagonal entry and commutes
     with involutions T of _INVOLUTIONS, the one whose blocks cost least
-    (_orbit_cost) is applied, if it costs less than none: of two sectors
-    T swaps only the one with the smaller root is solved, and its block
-    counts twice; a sector T maps onto itself gives the blocks of its
-    T-even and T-odd states (_parity_entries).
+    is applied: of two sectors T swaps only the one with the smaller
+    root is solved, and its block counts twice; a sector T maps onto
+    itself gives the blocks of its T-even and T-odd states.
+
+    The work is split in two.  The symbolic step (_sector_plan) finds the
+    sectors, the involution, the twin and fixed sectors, the parity fold
+    and where every entry lands in its stack; it depends only on n_sites,
+    the nonzero pattern of the framed, gauged bond term and the
+    involutions it commutes with, and its plan is kept in a
+    least-recently-used cache of at most _PLAN_BYTES.  The numeric step
+    runs on every call: it computes the chain's values, checks that their
+    nonzero pattern and that of the folded values are the plan's, and
+    scatters the values into the stacks.  An exact cancellation that the
+    bond term's pattern does not show fails the check; that call then
+    gets a plan of its own, which is not kept.  Only index arrays are
+    cached, never values or results.
     """
-    u = symmetry_frame(local)
-    if np.array_equal(u.matrix, np.eye(2)):
-        u = None
-    else:
-        local = LocalHamiltonian(_rotated(local.matrix, u.matrix))
-    entries = chain_entries(local, n_sites)
-    h = local.matrix
-    gauged = entries
-    if np.any(h.imag) and _conserved(h) == 2:
+    _, h = _frame(local.matrix)
+    masks, table = _chain_table(h if np.any(h.imag) else h.real, n_sites)
+    gauge = bool(np.any(h.imag)) and _conserved(h) == 2
+    if gauge:
         # gauge the hopping phase away, exactly (see above)
-        h = np.where(np.eye(4, dtype=bool), h.real, np.abs(h))
-        rows, cols, vals = entries
-        gauged = rows, cols, np.where(rows == cols, vals.real, np.abs(vals))
-    rows, cols, vals = gauged
-    dim = 2 ** n_sites
-    off = rows != cols
-    root = _sector_roots(dim, rows[off], cols[off])
-    best = float(np.sum(np.bincount(root).astype(float) ** 3)), root, None
-    # a diagonal chain has one-state sectors, which T cannot split
-    for sigma, phi in _involutions(n_sites, h) if np.any(off) else ():
-        cost, merged = _orbit_cost(root, sigma, phi)
-        if cost < best[0]:
-            best = cost, merged, (sigma, phi)
-    _, root, t = best
-    if t is None:
-        parts = [(_sector_members(root, np.arange(dim)), gauged, 1)]
-    else:
-        sigma, phi = t
-        twin = root[sigma]
-        fixed = root == twin
-        sel = fixed[rows]
-        split = _parity_entries(sigma, phi, rows[sel], cols[sel], vals[sel])
-        off = split[0] != split[1]
-        parts = [(_sector_members(root, np.flatnonzero(root < twin)),
-                  gauged, 2),
-                 (_sector_members(_sector_roots(dim, split[0][off],
-                                                split[1][off]),
-                                  np.flatnonzero(fixed)), split, 1)]
-    return _sector_blocks(dim, parts), entries, u
+        h = np.where(_DIAGONAL, h.real, np.abs(h))
+    # a diagonal chain has one-state sectors, which no T can split
+    held = _held_involutions(h) if np.any(h[~_DIAGONAL]) else ()
+    key = n_sites, (h != 0).tobytes(), held
+    with _PLAN_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+    numeric = (None if plan is None
+               else sectors._numeric_parts(plan, table, gauge))
+    if numeric is None:
+        fresh = sectors._sector_plan(n_sites, masks, table, held, gauge)
+        numeric = sectors._numeric_parts(fresh, table, gauge)
+        if plan is None:
+            _keep_plan(key, fresh)
+    parts, vals = numeric
+    return sectors._filled_stacks(parts), vals
+
+
+def _keep_plan(key: tuple, plan: sectors._SectorPlan) -> None:
+    """Store plan under key, dropping the least recently used plans
+    until all fit in _PLAN_BYTES; a plan larger than that is not kept."""
+    with _PLAN_LOCK:
+        if key in _PLANS or plan.nbytes > _PLAN_BYTES:
+            return
+        _PLANS[key] = plan
+        held = sum(p.nbytes for p in _PLANS.values())
+        while held > _PLAN_BYTES:
+            held -= _PLANS.popitem(last=False)[1].nbytes
 
 
 def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
@@ -563,51 +442,65 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
     assembling the dense chain.
 
-    The spectrum comes from the chain built in the bond term's symmetry
-    frame; H psi comes from the chain's entries in the caller's basis.
-    A basis state's |H e_x| is the norm of column x, which is that of row
-    x because H is Hermitian bit for bit (local_from_espace symmetrizes
-    every bond term), so one pass over the entries gives them all; the
-    other states' amplitudes, each read once, share one sparse product.
+    The spectrum comes from the sector stacks of _framed_sectors, and
+    |H|_F from the framed chain's values that its numeric step holds (a
+    unitary frame keeps the norm).  H psi never needs the chain in the
+    caller's basis.  A basis state's |H e_x| is the norm of row x, which
+    is that of column x because H is Hermitian bit for bit
+    (local_from_espace symmetrizes every bond term): the row's values are
+    summed from the bond term exactly as chain_entries sums them, and
+    their squares are added in its order.  The other states, each read
+    once, are stacked, and the bond term acts on each bond's reshaped
+    (states * 2^i, 4, 2^(n-2-i)) view of them.
     """
     local = build_family(params)
-    sectors, entries, u = _framed_sectors(local, n_sites)
+    sectors, vals = _framed_sectors(local, n_sites)
     report = _spectrum_report(n_sites, sectors)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:
         return report
-    rows, cols, vals = entries if u is None else chain_entries(local, n_sites)
-    # Work with the entries times 2**-f, their largest real or imaginary
-    # part brought into [0.5, 1), so |H|_F and H psi cannot overflow.
-    # Scaling by a power of two is exact: in-range residuals come out bit
-    # for bit as from the raw entries.
+    # Work with the chain times 2**-f, its largest real or imaginary part
+    # brought into [0.5, 1), so |H|_F and H psi cannot overflow.  Scaling
+    # by a power of two is exact: in-range residuals come out bit for bit
+    # as from the raw values.
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
-    vals = _times_power_of_two(vals, -f)
-    hnorm = float(np.linalg.norm(vals))
+    # taken of complex values, as chain_entries holds them: an identity
+    # frame gives the norm of the caller's chain bit for bit
+    hnorm = float(np.linalg.norm(_times_power_of_two(
+        np.asarray(vals, dtype=complex), -f)))
     norms = np.ones(len(catalogue))
     hpsi_norms = np.empty(len(catalogue))
     basis = [i for i, ns in enumerate(catalogue)
              if ns.state._index is not None]
     dense = [i for i, ns in enumerate(catalogue) if ns.state._index is None]
     if basis:
-        squares = np.bincount(rows, weights=(vals.conj() * vals).real,
-                              minlength=2 ** n_sites)
-        hpsi_norms[basis] = np.sqrt(
-            squares[[catalogue[i].state._index for i in basis]])
+        _, row_vals = _chain_table(local.matrix, n_sites, np.array(
+            [catalogue[i].state._index for i in basis]))
+        row_vals = _times_power_of_two(row_vals, -f)
+        squares = np.zeros(len(basis))
+        for square in (row_vals.conj() * row_vals).real:
+            squares += square
+        hpsi_norms[basis] = np.sqrt(squares)
     if dense:
         psi = np.array([catalogue[i].state.amplitudes for i in dense])
         norms[dense] = np.linalg.norm(psi, axis=1)
         if not np.all(norms):
             raise ValueError("zero vector cannot witness a ground state")
-        if not np.any(vals.imag) and not np.any(psi.imag):
-            vals, psi = vals.real, psi.real
-        hpsi = vals * psi[:, cols]
-        # each row's entries are together, so each run of one row sums to
-        # one entry of H psi; a chain with one entry per row (a diagonal
-        # one) needs no sums
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        if starts.size < rows.size:
-            hpsi = np.add.reduceat(hpsi, starts, axis=1)
+        h = _times_power_of_two(local.matrix, -f)
+        if not np.any(h.imag) and not np.any(psi.imag):
+            h, psi = h.real, psi.real
+        hpsi = np.zeros_like(psi)
+        for i in range(n_sites - 1):
+            right = 2 ** (n_sites - 2 - i)
+            shape = (-1, 4, right)
+            bond, state = hpsi.reshape(shape), psi.reshape(shape)
+            if bond.shape[0] <= right:
+                bond += h @ state
+            else:
+                # few states to the right: one product with the pair axis
+                # last beats one small product per left index
+                bond += (state.transpose(0, 2, 1).reshape(-1, 4) @ h.T
+                         ).reshape(-1, right, 4).transpose(0, 2, 1)
         hpsi_norms[dense] = np.linalg.norm(hpsi, axis=1)
     # the divisor max(1, |H|_F) is |H|_F = hnorm * 2**f exactly when the
     # exponent of hnorm plus f is at least 1

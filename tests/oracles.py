@@ -32,6 +32,9 @@ route the library does not take, so agreement is evidence.
   states' amplitudes built at once from the loop table of zero_counts,
   as the library built them before its states kept a recipe; each power
   of the ratio is taken in Python.
+- unscreened_symmetry_frame: the symmetry frame search that rotates
+  every candidate axis exactly and scores it in turn, instead of
+  screening the axes in one batched rotation first.
 - transform_state: a chain state pushed through the inverse one-site
   action, one tensordot per site.
 - minkowski, trace_form: the (-,+,+) product and the invariant pairing
@@ -72,6 +75,7 @@ from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
                             quartet_from_matrix)
 from mpschain.serialize import FormatError
 from mpschain.states import StateVector
+from mpschain import verify
 from mpschain.verify import SpectrumReport, _framed_sectors, _spectrum_report
 
 _I2 = np.eye(2, dtype=complex)
@@ -334,8 +338,57 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     rows = space.coefficient_matrix() @ _TO_FLAT
     if lam is None:
         lam = np.eye(rows.shape[0])
-    sectors, _, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
+    sectors, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
     return _spectrum_report(n_sites, sectors)
+
+
+def unscreened_symmetry_frame(local: LocalHamiltonian) -> np.ndarray:
+    """verify.symmetry_frame's u, every candidate axis rotated exactly
+    and scored in turn."""
+    h = local.matrix
+    frame = np.eye(2, dtype=complex)
+    best = verify._conserved(verify._snapped(h))
+    if best < 2:
+        c = np.einsum("ij,abji->ab", h, verify._PAIR_PAULI).real / 4.0
+        k = c[1:, 1:]
+        axes = [c[0, 1:], c[1:, 0]]
+        for m in (k, k.T):
+            w, v = np.linalg.eig(m)
+            axes.extend(v[:, w.imag == 0].real.T)
+        cut = verify.HERMITICITY_TOL * np.max(np.abs(c))
+        for axis in axes:
+            if np.max(np.abs(axis)) <= cut:
+                continue
+            u = verify._axis_frame(axis)
+            score = verify._conserved(verify._rotated(h, u))
+            if score > best:
+                best, frame = score, u
+                if best == 2:
+                    break
+        if best == 0 and verify._reversal_sign(h) is None:
+            k_sym, field = (k + k.T) / 2.0, c[1:, 0] + c[0, 1:]
+            for axis in [field, *np.linalg.eigh(k_sym)[1].T]:
+                if np.max(np.abs(axis)) <= cut:
+                    continue
+                u = verify._axis_frame(axis)
+                if verify._reversal_sign(verify._rotated(h, u)) is not None:
+                    frame = u
+                    break
+    moved = verify._rotated(h, frame)
+    a, b = np.nonzero(moved)
+    change = verify._PAIR_ONES[b] - verify._PAIR_ONES[a]
+    if np.any(moved.imag) and np.any(change):
+        j = np.flatnonzero(change)[np.argmax(np.abs(
+            moved[a[change != 0], b[change != 0]]))]
+        angle, delta = np.angle(moved[a[j], b[j]]), change[j]
+        for turn in range(abs(delta)):
+            theta = (turn * np.pi - angle) / delta
+            u = frame @ np.diag([np.exp(-0.5j * theta),
+                                 np.exp(0.5j * theta)])
+            if not np.any(verify._rotated(h, u).imag):
+                frame = u
+                break
+    return frame
 
 
 def conjugate_local(local: LocalHamiltonian, g: SL2) -> LocalHamiltonian:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpschain import cli, verify
+from mpschain import cli, sectors, verify
 from mpschain.classify import classify, invariant_signature
 from mpschain.cli import _report_payload
 from mpschain.hamiltonian import (_PARAM_NAMES, FamilyId, FamilyParams,
@@ -515,7 +515,7 @@ def test_verify_refuses_blocks_beyond_available_memory(monkeypatch,
     # pinned at 14 sites leaves one complex 16383-state block: 4.3 GB, and
     # eigvalsh's copy, against 7 GiB available
     available = 7 * 2 ** 30
-    monkeypatch.setattr(verify, "_available_bytes", lambda: available)
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: available)
     argv, _ = _family_argv("pinned", 14)
     capsys.readouterr()
     assert cli.main(["verify", *argv]) == 2

@@ -269,6 +269,44 @@ def test_psi_k_members_of_exchange_kernel():
             assert chain_residual(params, st) <= 1e-10
 
 
+def test_powers_match_python_up_to_100():
+    rng = np.random.default_rng(43)
+    ratios = [-1.0, 1j, -1j, np.exp(2j * np.pi / 3), complex(-1.0, -0.0),
+              *(complex(*z) for z in rng.normal(size=(20, 2))),
+              *np.exp(2j * np.pi * rng.uniform(size=20))]
+    for ratio in ratios:
+        want = np.array([complex(ratio) ** e for e in range(101)])
+        assert states._powers(ratio, 100).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [21, 22, 23, 24])
+def test_exchange_minus_one_amplitudes_stay_exact_signs(n):
+    # zeta exponents reach n^2/4 > 100 here, where CPython's own
+    # (-1+0j)**e takes the polar formula: (-1+0j)**101 = (-1+8.8e-15j)
+    params = FamilyParams(FamilyId.EXCHANGE, g=1.0, nu=1.0, nu_prime=-1.0)
+    zeros, exponent = states._zero_counts(n)
+    dense = [ns.state for ns in ground_state_catalogue(params, n)
+             if ns.state._index is None]
+    # ratio -1 has order 2: no string-sum state on an odd chain
+    assert len(dense) == (n // 2 - 1 if n % 2 == 0 else 0)
+    for state in dense:
+        # the nonzero amplitudes, as the state's recipe writes them,
+        # without its 2^n vector
+        builder, (n_sites, n_zeros, ratio) = state._held.func, \
+            state._held.args
+        assert builder is states._psi_k_amplitudes and n_sites == n
+        e = exponent[zeros == n_zeros]
+        amps = states._powers(ratio, int(e.max()))[e]
+        assert np.all(amps.imag == 0.0)
+        assert np.array_equal(amps.real, np.where(e % 2 == 1, -1.0, 1.0))
+    if n == 22:
+        # ten zeros: exponents up to 120, read through the vector
+        amps = next(s for s in dense if s._held.args[1] == 10).amplitudes
+        assert np.all(amps.imag == 0.0)
+        assert np.array_equal(np.abs(amps.real[amps.real != 0]), np.ones(
+            int(np.sum(zeros == 10))))
+
+
 def test_psi_prime_frozen_two_sites():
     st = psi_prime(2)
     assert st.amplitudes[0] == pytest.approx(-1.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 from math import comb
 
@@ -10,21 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpschain.classify import CanonicalForm, CaseId
+from mpschain.classify import MU_CASES, CanonicalForm, CaseId, canonical_space
 from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
                                   FullHamiltonian,
                                   LocalHamiltonian, build_family,
-                                  chain_entries, params_from_mapping)
-from mpschain.pauli import SL2
-from mpschain import verify
+                                  chain_entries, local_from_espace,
+                                  params_from_mapping)
+from mpschain.pauli import _TO_FLAT, SL2
+from mpschain import cli, verify
+from mpschain import sectors as sector_module
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
-from mpschain.verify import (KERNEL_TOL, _framed_sectors, _sector_blocks,
-                             _sector_members, _sector_roots,
-                             _spectrum_report, family_report, spectrum,
-                             stacked_state_rank, symmetry_frame)
+from mpschain.sectors import _sector_blocks, _sector_members, _sector_roots
+from mpschain.verify import (KERNEL_TOL, _framed_sectors, _spectrum_report,
+                             family_report, spectrum, stacked_state_rank,
+                             symmetry_frame)
 from oracles import (benchmark_specs, check_zero_member, conjugate_local,
                      covariance_check, kron_chain, no_mps_case_report,
-                     operator_sum, random_sl2)
+                     operator_sum, random_sl2, unscreened_symmetry_frame)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -237,6 +240,17 @@ def _plain_sectors(n_sites, rows, cols, vals):
     return list(_sector_blocks(dim, [(members, (rows, cols, vals), 1)]))
 
 
+def _parity_entries(n_sites, involution, entries):
+    """The nonzero entries of a chain in the even and odd states of an
+    involution (sigma, phi) that commutes with it."""
+    rows, cols, vals = entries
+    fold, keys = sector_module._parity_fold(*involution, rows, cols)
+    total = sector_module._folded(vals, fold, keys.size)
+    keep = total != 0
+    keys = keys[keep]
+    return keys // 2 ** n_sites, keys % 2 ** n_sites, total[keep]
+
+
 def _sizes(sectors):
     """Sizes of every sector, a block counted once for each it stands
     for."""
@@ -309,9 +323,9 @@ def test_hardcore_singlet_blocks_are_real_in_its_frame():
     params = _seeded_params("hardcore-singlet", rng)
     local = build_family(params)
     assert np.any(local.matrix.imag)
+    assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
     for n in range(2, 9):
-        sectors, _, u = _framed_sectors(local, n)
-        assert u is not None
+        sectors, _ = _framed_sectors(local, n)
         assert all(blocks.dtype == np.float64 for _, blocks in sectors)
 
 
@@ -320,14 +334,17 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
     for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
                   "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
-        scored = verify._rotated(local.matrix, symmetry_frame(local).matrix)
-        _, (rows, cols, vals), u = _framed_sectors(local, 2)
-        assert u is not None
-        # rows together, each position once; columns in mask order
-        assert np.all(np.diff(rows) >= 0)
+        u = symmetry_frame(local).matrix
+        assert not np.array_equal(u, np.eye(2))
+        scored = verify._rotated(local.matrix, u)
+        _, vals = _framed_sectors(local, 2)
+        # the scored term's chain values, in chain_entries' order
+        rows, cols, want = chain_entries(LocalHamiltonian(scored), 2)
+        # real where the scored term is
+        assert np.iscomplexobj(vals) == bool(np.any(scored.imag))
+        assert vals.astype(complex).tobytes() == want.tobytes()
         order = np.lexsort((cols, rows))
-        assert np.all(np.diff(rows[order] * 4 + cols[order]) > 0)
-        assert np.array_equal(vals[order], scored[np.nonzero(scored)])
+        assert np.array_equal(want[order], scored[np.nonzero(scored)])
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
@@ -338,8 +355,10 @@ def test_frame_is_the_identity_without_a_hidden_symmetry(label):
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
         assert np.array_equal(symmetry_frame(local).matrix, np.eye(2))
-        _, _, u = _framed_sectors(local, 4)
-        assert u is None
+        # the chain's values are the unframed ones
+        _, vals = _framed_sectors(local, 4)
+        assert vals.astype(complex).tobytes() \
+            == chain_entries(local, 4)[2].tobytes()
 
 
 def _reversal_bound(n_sites):
@@ -385,15 +404,16 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     # what the reversal-parity states would give
     expected = {}
     for n in (4, 7, 10):
-        sectors = _plain_sectors(n, *verify._parity_entries(
-            *verify._involutions(n, local.matrix)[0],
-            *chain_entries(local, n)))
+        sectors = _plain_sectors(n, *_parity_entries(
+            n, sector_module._involutions(n, verify._held_involutions(
+                local.matrix))[0], chain_entries(local, n)))
         expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
     def refuse(*args):
-        raise AssertionError("_parity_entries called on a diagonal chain")
+        raise AssertionError("_parity_fold called on a diagonal chain")
 
-    monkeypatch.setattr(verify, "_parity_entries", refuse)
+    monkeypatch.setattr(sector_module, "_parity_fold", refuse)
+    verify._PLANS.clear()
     for n, (sizes, rep) in expected.items():
         assert _framed_sizes(local, n) == sizes == [1] * 2 ** n
         assert _framed_report(local, n) == rep
@@ -456,9 +476,65 @@ def test_frame_keeps_spectra_of_rotated_families(label, seed, n):
     rng = np.random.default_rng(seed)
     local = conjugate_local(build_family(_seeded_params(label, rng)),
                             _random_special_unitary(rng))
+    assert symmetry_frame(local).matrix.tobytes() \
+        == unscreened_symmetry_frame(local).tobytes()
     _assert_matches_dense(_framed_report(local, n), *_dense_evals(local, n))
     if label in REVERSAL_CASES:
         assert max(_framed_sizes(local, n)) <= _reversal_bound(n)
+
+
+def _canonical_points() -> list:
+    """The nonempty canonical forms with identity weight on their literal
+    rows, each mu form at several mu."""
+    points = []
+    for case in CaseId:
+        for mu in ([0.0, 0.3 + 0.1j, np.exp(2j * np.pi / 3), -1.0]
+                   if case in MU_CASES else [None]):
+            rows = canonical_space(CanonicalForm(case, mu)) \
+                .coefficient_matrix() @ _TO_FLAT
+            if rows.size:
+                points.append(local_from_espace(rows, np.eye(len(rows))))
+    return points
+
+
+def test_screened_frame_is_the_unscreened_one_bit_for_bit():
+    # the benchmark draws on three seeds and the canonical points, each
+    # also turned by two random unitaries
+    rng = np.random.default_rng(976)
+    terms = [build_family(params_from_mapping(*spec))
+             for seed in (1001, 2001, 4242)
+             for spec in benchmark_specs(np.random.default_rng(seed)).values()]
+    terms += _canonical_points()
+    assert len(terms) > 33 + 14
+    for local in terms:
+        for turned in (local, *(conjugate_local(
+                local, _random_special_unitary(rng)) for _ in range(2))):
+            assert symmetry_frame(turned).matrix.tobytes() \
+                == unscreened_symmetry_frame(turned).tobytes()
+
+
+def test_frame_screen_defers_parts_near_the_cut(monkeypatch):
+    # a parity-keeping bond term plus a generic one near the snapping
+    # cut: the screen leaves the axes whose rotated parts it cannot place
+    # to the exact rotation, and the frame is the unscreened one
+    h = build_family(params_from_mapping(
+        *BENCH_SPECS["pairsum-exchange/prime"])).matrix
+    rng = np.random.default_rng(977)
+    screen, deferred = verify._screened_scores, []
+
+    def screening(h, axes):
+        scores = screen(h, axes)
+        deferred.extend(score for score in scores if score is None)
+        return scores
+
+    monkeypatch.setattr(verify, "_screened_scores", screening)
+    for scale in np.geomspace(1e-14, 1e-10, 25):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        local = LocalHamiltonian(h + scale * np.max(np.abs(h)) * a
+                                 @ a.conj().T)
+        assert symmetry_frame(local).matrix.tobytes() \
+            == unscreened_symmetry_frame(local).tobytes()
+    assert deferred
 
 
 def test_frame_keeps_a_small_symmetry_breaking_term():
@@ -609,8 +685,10 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
     breaking[0, 0] = 1.0
     local = LocalHamiltonian(antialigned + 1e-6 * breaking)
     plain = LocalHamiltonian(antialigned)
-    assert verify._commutes(_framed_term(plain), True, True, 1)
-    assert not verify._commutes(_framed_term(local), True, True, 1)
+    # reverse o X^{x n} is the last of verify._INVOLUTIONS
+    assert verify._INVOLUTIONS[-1] == (True, True, 1)
+    assert verify._commuting(_framed_term(plain))[-1]
+    assert not verify._commuting(_framed_term(local))[-1]
     for n in range(2, 9):
         binomial = sorted((comb(n, k) for k in range(n + 1)), reverse=True)
         assert _solved_sizes(local, n) == [k for k in binomial if k > 1]
@@ -641,9 +719,9 @@ def test_a_pattern_broken_below_the_cut_merges_sectors(pair):
         rows, cols, _ = chain_entries(local, n)
         off = rows != cols
         root = _sector_roots(2 ** n, rows[off], cols[off])
-        (sigma, phi), = verify._involutions(n, h)
+        (sigma, phi), = sector_module._involutions(n, verify._held_involutions(h))
         assert not np.array_equal(root[sigma], root[sigma[root]])
-        _, merged = verify._orbit_cost(root, sigma, phi)
+        _, merged = sector_module._orbit_cost(root, sigma, phi)
         assert np.array_equal(merged[sigma], merged[sigma[merged]])
         if pair != (0, 1):
             assert np.max(np.bincount(merged[merged != root])) > 1
@@ -685,19 +763,19 @@ def test_family_report_refuses_blocks_beyond_available_memory(monkeypatch):
     params = params_from_mapping(*BENCH_SPECS["pinned"])
     # one complex 1023-state block, and eigvalsh's copy of it
     need = 2 * 16 * 1023 ** 2
-    monkeypatch.setattr(verify, "_available_bytes", lambda: need - 1)
+    monkeypatch.setattr(sector_module, "_available_bytes", lambda: need - 1)
     with pytest.raises(ChainSizeError,
                        match=f"need {need} bytes .* {need - 1} bytes"):
         family_report(params, 10)
     for available in (need, None):
         # enough, or MemAvailable unreadable: only the site guard holds
-        monkeypatch.setattr(verify, "_available_bytes", lambda: available)
+        monkeypatch.setattr(sector_module, "_available_bytes", lambda: available)
         assert family_report(params, 10).residuals == {"psi1": 0.0}
 
 
 def test_pinned_at_14_sites_is_refused_before_any_block(monkeypatch):
     # 16 * 16383^2 bytes (4.3 GB) and its copy do not fit in 7 GiB
-    monkeypatch.setattr(verify, "_available_bytes", lambda: 7 * 2 ** 30)
+    monkeypatch.setattr(sector_module, "_available_bytes", lambda: 7 * 2 ** 30)
     params = params_from_mapping(*BENCH_SPECS["pinned"])
     tracemalloc.start()
     try:
@@ -727,10 +805,10 @@ def test_stacks_are_solved_one_at_a_time(monkeypatch):
     assert [m.shape for m in members] == [(1, k - 1), (1, k)]
     stack = 8 * k * k
     parts = [(members, (rows, cols, vals), 1)]
-    monkeypatch.setattr(verify, "_available_bytes", lambda: 2 * stack - 1)
+    monkeypatch.setattr(sector_module, "_available_bytes", lambda: 2 * stack - 1)
     with pytest.raises(ChainSizeError, match=f"need {2 * stack} bytes"):
         _sector_blocks(x.size, parts)
-    monkeypatch.setattr(verify, "_available_bytes", lambda: 2 * stack)
+    monkeypatch.setattr(sector_module, "_available_bytes", lambda: 2 * stack)
     tracemalloc.start()
     try:
         rep = _spectrum_report(1, _sector_blocks(x.size, parts))
@@ -745,8 +823,129 @@ def test_stacks_are_solved_one_at_a_time(monkeypatch):
 
 
 def test_available_bytes_reads_meminfo():
-    available = verify._available_bytes()
+    available = sector_module._available_bytes()
     assert available is None or available > 0
+
+
+def _counted_plans(monkeypatch) -> list:
+    """An empty plan cache, and a list that gets one entry for every plan
+    _sector_plan builds."""
+    built = []
+    build = sector_module._sector_plan
+
+    def counting(*args):
+        built.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(sector_module, "_sector_plan", counting)
+    monkeypatch.setattr(verify, "_PLANS", OrderedDict())
+    return built
+
+
+def _stacks_and_values(local, n_sites):
+    stacks, vals = _framed_sectors(local, n_sites)
+    return list(stacks), vals
+
+
+def _assert_same_stacks(got, want):
+    """The same (count, blocks) stacks and chain values, dtype and bytes."""
+    (stacks, vals), (want_stacks, want_vals) = got, want
+    assert vals.dtype == want_vals.dtype
+    assert vals.tobytes() == want_vals.tobytes()
+    assert len(stacks) == len(want_stacks)
+    for (count, blocks), (want_count, want_blocks) in zip(stacks,
+                                                          want_stacks):
+        assert count == want_count
+        assert blocks.dtype == want_blocks.dtype
+        assert blocks.shape == want_blocks.shape
+        assert blocks.tobytes() == want_blocks.tobytes()
+
+
+def _report_bits(rep):
+    return (rep.n_sites, rep.kernel_dim, rep.warning, rep.ground_energy.hex(),
+            tuple(v.hex() for v in rep.lowest_k_eigenvalues),
+            {label: r.hex() for label, r in rep.residuals.items()})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9),
+       density=st.floats(0.0, 1.0), real=st.booleans(),
+       small_integers=st.booleans())
+def test_warm_plans_give_the_cold_stacks_bit_for_bit(seed, n, density, real,
+                                                     small_integers):
+    # a sparse Hermitian PSD bond term; small integer entries make exact
+    # cancellations in the chain and in the parity fold likely
+    rng = np.random.default_rng(seed)
+    if small_integers:
+        m = rng.integers(-2, 3, size=(4, 4)) + (
+            0 if real else 1j * rng.integers(-2, 3, size=(4, 4)))
+    else:
+        m = rng.normal(size=(4, 4)) + (
+            0 if real else 1j * rng.normal(size=(4, 4)))
+    mask = rng.uniform(size=(4, 4)) < density
+    h = np.where(mask | mask.T, m + m.conj().T, 0.0)
+    h += max(0.0, -np.linalg.eigvalsh(h)[0]) * np.eye(4)
+    local = LocalHamiltonian(h)
+    verify._PLANS.clear()
+    cold = _stacks_and_values(local, n)
+    warm = _stacks_and_values(local, n)
+    _assert_same_stacks(warm, cold)
+    rep = _spectrum_report(n, warm[0])
+    assert _report_bits(rep) == _report_bits(_spectrum_report(n, cold[0]))
+    _assert_matches_dense(rep, *_dense_evals(local, n))
+
+
+def test_a_cancelling_point_gets_a_plan_of_its_own(monkeypatch):
+    # the one-site flip of a site between two |0>s is h[00, 01] +
+    # h[00, 10] = g1 - g2: it cancels at g1 = g2, while the bond term's
+    # pattern and its (no) involutions are those of g1 != g2
+    rows = np.array([[1, 1, 0, 0], [1, 0, -1, 0], [0, 1, 0, 0]])
+    plain = local_from_espace(rows, np.diag([1.0, 2.0, 0.5]))
+    cancel = local_from_espace(rows, np.diag([1.0, 1.0, 0.5]))
+    for n in range(3, 8):
+        assert len(chain_entries(cancel, n)[0]) \
+            < len(chain_entries(plain, n)[0])
+        for first, second in ((plain, cancel), (cancel, plain)):
+            built = _counted_plans(monkeypatch)
+            _stacks_and_values(first, n)
+            (key, kept), = verify._PLANS.items()
+            warm = _stacks_and_values(second, n)
+            # the second point's values do not fit the first one's plan:
+            # it got one of its own, which was not kept
+            assert len(built) == 2
+            assert list(verify._PLANS.items()) == [(key, kept)]
+            verify._PLANS.clear()
+            _assert_same_stacks(warm, _stacks_and_values(second, n))
+            _assert_matches_dense(_spectrum_report(n, warm[0]),
+                                  *_dense_evals(second, n))
+
+
+def test_evicted_plans_leave_reports_unchanged(monkeypatch):
+    cases = [(params_from_mapping(*BENCH_SPECS[label]), n)
+             for label in BENCH_SPECS for n in (5, 7)]
+    built = _counted_plans(monkeypatch)
+    want = [_report_bits(family_report(p, n)) for p, n in cases]
+    sizes = sorted(plan.nbytes for plan in verify._PLANS.values())
+    assert len(built) == len(sizes) > 2
+    # room for the largest plan but not for all, then for none
+    for bound in (sizes[-1], sizes[0] - 1):
+        monkeypatch.setattr(verify, "_PLAN_BYTES", bound)
+        verify._PLANS.clear()
+        for _ in range(2):
+            for (p, n), bits in zip(cases, want):
+                assert _report_bits(family_report(p, n)) == bits
+                assert sum(plan.nbytes for plan in
+                           verify._PLANS.values()) <= bound
+        assert len(verify._PLANS) < len(sizes)
+
+
+def test_a_sweep_at_fixed_size_builds_one_plan(monkeypatch, capsys):
+    built = _counted_plans(monkeypatch)
+    assert cli.main(["sweep", "--family", "antialigned", "--params",
+                     '{"g1": 1.0, "g2": 1.0}', "--grid", "g3:0.25..1:5",
+                     "--n-sites", "6"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 6
+    assert built == [6]
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -796,6 +995,29 @@ def test_basis_state_residuals_read_their_column(label, monkeypatch):
                                                     rel=1e-14)
             if label == "hardcore":
                 assert got[False][key].hex() == got[True][key].hex()
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_dense_state_residuals_match_the_dense_chain(label, monkeypatch):
+    # the catalogue's states, each as a dense vector, and two random
+    # probes: H psi comes from the bond term on each bond, |H|_F from the
+    # framed chain's values
+    params = params_from_mapping(*BENCH_SPECS[label])
+    rng = np.random.default_rng(list(BENCH_SPECS).index(label) + 980)
+    h = build_family(params).matrix
+    for n in range(2, 9):
+        states = [NamedState(ns.label, StateVector(n, ns.state.amplitudes))
+                  for ns in ground_state_catalogue(params, n)] + [
+            NamedState(f"probe{j}", StateVector(
+                n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)))
+            for j in range(2)]
+        monkeypatch.setattr(verify, "ground_state_catalogue",
+                            lambda p, n_sites: states)
+        rep = family_report(params, n)
+        chain = kron_chain(h, n)
+        for ns in states:
+            assert abs(rep.residuals[ns.label]
+                       - check_zero_member(chain, ns.state)) <= 1e-13
 
 
 def test_hardcore_report_at_11_sites_stacks_no_dense_states():
