@@ -33,6 +33,8 @@ ZERO_TOL = 1e-8
 # Tolerance of the final witness validation.
 WITNESS_TOL = 1e-8
 
+_EPS = float(np.finfo(float).eps)
+
 # Half-width, as a factor either side of ZERO_TOL, of the band of
 # |<v, v>| / s^2 that _is_null refuses (AmbiguousNullError).
 NULL_BAND = 4.0
@@ -53,7 +55,11 @@ class AmbiguousNullError(ClassificationError):
     image; mapped onto tau2, rounding grows like s^2 / |<v, v>|.  In the
     band (ZERO_TOL / NULL_BAND, ZERO_TOL * NULL_BAND] of that ratio
     neither image is within WITNESS_TOL of its canonical span, so such
-    inputs are refused instead of failing validation."""
+    inputs are refused instead of failing validation.
+
+    Also raised where a tilted null form's scale step would carry what
+    the null test let through, or the rounding of the witness's own
+    action, past WITNESS_TOL (see _refuse_amplified)."""
 
 
 class CaseId(str, Enum):
@@ -169,14 +175,19 @@ def _rotation(theta: float) -> SL2:
     return SL2(np.array([[c, s], [-s, c]], dtype=complex))
 
 
+def _fixed(g: SL2) -> tuple:
+    """A step that never changes, with its action matrix built once."""
+    return g, _action_matrix(g)
+
+
 # tau2 -> tau1 exchange (fixes tau0 and the antisymmetric part)
-_R_T2_TO_T1 = _rotation(-math.pi / 4.0)
+_R_T2_TO_T1 = _fixed(_rotation(-math.pi / 4.0))
 
 # negates v1 and v2
-_SWAP = _rotation(math.pi / 2.0)
+_SWAP = _fixed(_rotation(math.pi / 2.0))
 
 # negates v0 and v2, fixes v1 and u
-_FLIP = SL2(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+_FLIP = _fixed(SL2(np.array([[0.0, 1.0j], [1.0j, 0.0]])))
 
 
 def _scale(a: complex) -> SL2:
@@ -202,7 +213,7 @@ def _boost(big_c: complex, big_s: complex) -> SL2:
         np.array([[small_c, small_s], [small_s, small_c]]))
 
 
-def _lorentz_steps(big_c: complex, big_s: complex) -> list[SL2]:
+def _apply_lorentz(pipe: _Pipeline, big_c: complex, big_s: complex) -> None:
     """Realize the (v0, v2)-action [[C,S],[S,C]] robustly.
 
     Near C = -1 the boost formula degenerates; there the action factors as
@@ -210,8 +221,10 @@ def _lorentz_steps(big_c: complex, big_s: complex) -> list[SL2]:
     on the (v0, v2) plane).
     """
     if big_c.real >= -0.5:
-        return [_boost(big_c, big_s)]
-    return [_boost(-big_c, -big_s), _FLIP]
+        pipe.apply(_boost(big_c, big_s))
+    else:
+        pipe.apply(_boost(-big_c, -big_s))
+        pipe.apply(*_FLIP)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +243,9 @@ def _is_null(v) -> bool:
     in between it raises AmbiguousNullError.  Branch decisions and the
     normalizers share this test, so a branch never hands a normalizer an
     input it refuses."""
-    square = abs(minkowski_vec(v, v))
-    cut = ZERO_TOL * float(np.max(np.abs(_symmetric_matrix(v)))) ** 2
+    v0, v1, v2 = np.asarray(v, dtype=complex).tolist()
+    square = abs(-v0 * v0 + v1 * v1 + v2 * v2)
+    cut = ZERO_TOL * max(abs(v0 + v1), abs(v2), abs(v0 - v1)) ** 2
     if square <= cut / NULL_BAND:
         return True
     if square > cut * NULL_BAND:
@@ -335,28 +349,47 @@ def invariant_signature(space: CSpace) -> SpaceSignature:
         return SpaceSignature(n, 0, 0, sigma_in)
     basis = vh[:p]  # rows spanning the symmetric part
     gram = basis @ MINKOWSKI_METRIC @ basis.T
-    gsv = np.linalg.svd(gram, compute_uv=False)
-    grank = int(np.sum(gsv > ZERO_TOL * max(1.0, gsv[0])))
-    return SpaceSignature(n, p, grank, sigma_in)
+    return SpaceSignature(n, p, _gram_rank(gram), sigma_in)
+
+
+def _gram_rank(gram: np.ndarray) -> int:
+    """Number of singular values above ZERO_TOL * max(1, the largest).
+
+    A 1x1 or 2x2 matrix is ranked in closed form: its largest singular
+    value s0 has s0^2 = (F + sqrt(F^2 - 4 D^2)) / 2, F the squared
+    Frobenius norm and D = |det|, and the other is D / s0."""
+    if gram.shape[0] == 3:
+        gsv = np.linalg.svd(gram, compute_uv=False)
+        return int(np.sum(gsv > ZERO_TOL * max(1.0, gsv[0])))
+    entries = gram.ravel().tolist()
+    if len(entries) == 1:
+        return int(abs(entries[0]) > ZERO_TOL)
+    a, b, c, d = entries
+    fro = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    det = abs(a * d - b * c)
+    s0 = math.sqrt((fro + math.sqrt(max(fro * fro - 4.0 * det * det, 0.0)))
+                   / 2.0)
+    if s0 <= ZERO_TOL:
+        return 0
+    return 2 if det / s0 > ZERO_TOL * max(1.0, s0) else 1
 
 
 # ---------------------------------------------------------------------------
 # the classifier
 
 class _Pipeline:
-    """Mutable state while reducing: coefficient rows plus the witness."""
+    """Mutable state while reducing: coefficient rows plus the witness,
+    kept as the raw 2x2 product of the steps; _finish checks it once."""
 
     def __init__(self, space: CSpace):
         self.rows = space.coefficient_matrix()
-        self.gamma = SL2.identity()
+        self.gamma = np.eye(2, dtype=complex)
 
-    def apply(self, g: SL2) -> None:
-        self.gamma = self.gamma @ g
-        self.rows = self.rows @ _action_matrix(g)
-
-    def apply_all(self, steps) -> None:
-        for g in steps:
-            self.apply(g)
+    def apply(self, g: SL2, action: np.ndarray | None = None) -> None:
+        """Act with g; action is its matrix M(g) where that is built."""
+        self.gamma = self.gamma @ g.matrix
+        self.rows = self.rows @ (_action_matrix(g) if action is None
+                                 else action)
 
 
 def _needs_sign_flip(mu: complex) -> bool:
@@ -414,9 +447,31 @@ def classify(space: CSpace) -> ClassificationResult:
     return _finish(space, pipe, form)
 
 
+def _refuse_amplified(pipe: _Pipeline, nullness: float,
+                      case: CaseId) -> None:
+    """Refuse a tilted null witness that would not validate.
+
+    nullness is what the canonical image keeps of the input's distance
+    from null: the invariant |<v, v>| / u^2 of a line, |<w, w>| of a
+    full symmetric part.  The witness's action, with entries up to
+    |gamma|_F^2, adds rounding of about eps |gamma|_F^4 relative to the
+    image.  The scale step makes both large where the input sits close to
+    the untilted form.  On random near-null inputs (|<v, v>| / s^2 up to
+    ZERO_TOL / NULL_BAND, any tilt) the validation residual stayed below
+    half their sum, so a sum above WITNESS_TOL is refused."""
+    norm2 = float(np.vdot(pipe.gamma, pipe.gamma).real)
+    amplified = nullness + _EPS * norm2 * norm2
+    if amplified > WITNESS_TOL:
+        raise AmbiguousNullError(
+            f"{case.value} witness would leave {amplified:.3e} of null "
+            f"residual and rounding in the image, above WITNESS_TOL "
+            f"{WITNESS_TOL:.1e}; too close to the untilted form")
+
+
 def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
     """s: unit vector spanning the (rank-one) symmetric row space."""
     if _is_null(s):
+        given = pipe.rows[0]
         pipe.apply(normalize_null(s))
         if sigma_in:
             return CanonicalForm(CaseId.NULL_LINE_SIGMA)
@@ -426,6 +481,9 @@ def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
         if abs(mu) <= ZERO_TOL:
             return CanonicalForm(CaseId.NULL_LINE)
         pipe.apply(_scale(np.sqrt(mu)))
+        v, u = given[:3], given[3]
+        _refuse_amplified(pipe, abs(minkowski_vec(v, v)) / abs(u) ** 2,
+                          CaseId.NULL_LINE_TILTED)
         return CanonicalForm(CaseId.NULL_LINE_TILTED)
     pipe.apply(normalize_nonnull(s))
     if sigma_in:
@@ -433,7 +491,7 @@ def _classify_line(pipe: _Pipeline, s: np.ndarray, sigma_in: bool):
     row = pipe.rows[0]
     mu = row[3] / row[2]
     if _needs_sign_flip(mu):
-        pipe.apply(_FLIP)
+        pipe.apply(*_FLIP)
         mu = -mu
     return CanonicalForm(CaseId.NONNULL_LINE, mu)
 
@@ -444,7 +502,7 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
     if not _is_null(w_dir):
         # symmetric part equivalent to span{tau0, tau2}
         pipe.apply(normalize_nonnull(w_dir))
-        pipe.apply(_R_T2_TO_T1)
+        pipe.apply(*_R_T2_TO_T1)
         if sigma_in:
             raise UncataloguedSpaceError(
                 "two-dimensional symmetric part with non-degenerate induced "
@@ -460,17 +518,17 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
         if abs(rho2) <= ZERO_TOL * max(abs(w0), abs(w2)) ** 2:
             # null w: carry it onto the v2 - v0 direction
             if abs(w2 - w0) <= abs(w2 + w0):
-                pipe.apply(_SWAP)
+                pipe.apply(*_SWAP)
                 w2 = -w2
             beta = (w0 - w2) / 2.0
             big_c = -(beta + 1.0 / beta) / 2.0
             big_s = (1.0 / beta - beta) / 2.0
-            pipe.apply_all(_lorentz_steps(big_c, big_s))
+            _apply_lorentz(pipe, big_c, big_s)
             return CanonicalForm(CaseId.REGULAR_PLANE_TILTED)
         mu = np.sqrt(rho2)  # principal root lands in the canonical half plane
-        pipe.apply_all(_lorentz_steps(w2 / mu, -w0 / mu))
+        _apply_lorentz(pipe, w2 / mu, -w0 / mu)
         if _needs_sign_flip(mu):  # signed-zero edge of the principal branch
-            pipe.apply(_FLIP)
+            pipe.apply(*_FLIP)
             mu = -mu
         return CanonicalForm(CaseId.REGULAR_PLANE, mu)
 
@@ -504,28 +562,30 @@ def _classify_full(pipe: _Pipeline, sigma_in: bool):
         return CanonicalForm(CaseId.FULL_SYMMETRIC, 0.0)
     if _is_null(w):
         pipe.apply(normalize_null(w))
-        pipe.apply(_SWAP)
+        pipe.apply(*_SWAP)
         w2 = _solve_w(pipe.rows)
         c = (w2[0] - w2[1]) / 2.0  # coefficient on the v0 - v1 ray
         # c is 1/2 up to rounding (w lands on (tau0+tau1)/2, then _SWAP):
         # sqrt(-c) would sit on the branch cut and let rounding pick the
         # sign of gamma; i sqrt(c) is the same action with a fixed sign.
         pipe.apply(_scale(1j * np.sqrt(c)))
+        _refuse_amplified(pipe, abs(minkowski_vec(w, w)),
+                          CaseId.FULL_SYMMETRIC_TILTED)
         return CanonicalForm(CaseId.FULL_SYMMETRIC_TILTED)
     pipe.apply(normalize_nonnull(w))
     mu = _solve_w(pipe.rows)[2]
     if _needs_sign_flip(mu):
-        pipe.apply(_FLIP)
+        pipe.apply(*_FLIP)
         mu = -mu
     return CanonicalForm(CaseId.FULL_SYMMETRIC, mu)
 
 
 def _finish(space: CSpace, pipe: _Pipeline,
             form: CanonicalForm) -> ClassificationResult:
+    gamma = SL2(pipe.gamma)
     canonical = canonical_space(form)
-    image = sl2_act_space(pipe.gamma, space)
+    image = sl2_act_space(gamma, space)
     if not span_equal(image, canonical, WITNESS_TOL):
         raise ClassificationError(
             f"witness validation failed for {form.case_id.value}")
-    return ClassificationResult(form=form, gamma=pipe.gamma,
-                                canonical=canonical)
+    return ClassificationResult(form=form, gamma=gamma, canonical=canonical)

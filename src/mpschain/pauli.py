@@ -208,8 +208,12 @@ class CSpace:
     """
 
     def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray):
-        coeff = np.array([q.as_array() if isinstance(q, PauliQuartet) else q
-                          for q in basis] or np.zeros((0, 4)), dtype=complex)
+        if isinstance(basis, np.ndarray) and basis.ndim == 2 and len(basis):
+            coeff = basis.astype(complex)
+        else:
+            coeff = np.array([q.as_array() if isinstance(q, PauliQuartet)
+                              else q for q in basis] or np.zeros((0, 4)),
+                             dtype=complex)
         if coeff.ndim != 2 or coeff.shape[1] != 4:
             raise ValueError("expected rows of 4 coefficients")
         if not np.all(np.isfinite(coeff)):
@@ -304,12 +308,14 @@ def _row_reduce(rows: np.ndarray, ratio: float = 0.0) -> np.ndarray:
     for col in range(m.shape[1]):
         if r >= m.shape[0]:
             break
-        piv = r + int(np.argmax(np.abs(m[r:, col])))
-        p = abs(m[piv, col])
+        mags = np.abs(m[r:, col])
+        piv = int(mags.argmax())
+        p = mags[piv]
         if p <= thresh or (p <= share * scale and p <= share * float(
                 np.max(np.abs(m[r:, col:])))):
             continue
-        m[[r, piv]] = m[[piv, r]]
+        if piv:
+            m[[r, r + piv]] = m[[r + piv, r]]
         pivot = m[r] / m[r, col]
         # one rank-1 update clears the column; the pivot row is put back
         m -= m[:, col, None] * pivot
@@ -347,11 +353,19 @@ def span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
     """True iff the two spans agree: equal dimension and every basis vector
     of one lies within tol (relative) of the span of the other.
 
-    Decided from one SVD of the stacked (2, k, 4) pair of basis rows."""
+    Equal spans store the same reduced rows up to rounding, so the stored
+    rows are compared first: when every row pair has 2 max|a_i - b_i| <=
+    tol max(1, min(max|a_i|, max|b_i|)), each row lies within tol max(1,
+    |row|) of the other span, its distance to it being at most |a_i -
+    b_i| <= 2 max|a_i - b_i| over four entries.  Otherwise the answer
+    comes from one SVD of the stacked (2, k, 4) pair of basis rows."""
     if a.dim != b.dim:
         return False
     if a.dim == 0:
         return True
-    pair = np.stack([a.coefficient_matrix(), b.coefficient_matrix()])
+    ra, rb = a.coefficient_matrix(), b.coefficient_matrix()
+    diff, big_a, big_b = np.abs(np.stack([ra - rb, ra, rb])).max(axis=2)
+    if np.all(2.0 * diff <= tol * np.maximum(1.0, np.minimum(big_a, big_b))):
+        return True
+    pair = np.stack([ra, rb])
     return _within(pair, _row_spaces(pair)[1][::-1], tol)
-

@@ -327,9 +327,13 @@ def hardcore_states(n_sites: int) -> list:
     _check_sites(n_sites)
     z = ~np.arange(2 ** n_sites) & (2 ** n_sites - 1)
     # ascending index is lexicographic order of the strings
-    return [NamedState(format(idx, f"0{n_sites}b"),
-                       StateVector._basis(n_sites, idx))
-            for idx in np.flatnonzero(z & (z >> 1) == 0).tolist()]
+    index = np.flatnonzero(z & (z >> 1) == 0)
+    # each index's bits, most significant first, as the bytes of its label
+    bits = index[:, None] >> np.arange(n_sites - 1, -1, -1) & 1
+    labels = (bits + ord("0")).astype(np.uint8).view(f"S{n_sites}")
+    return [NamedState(label, StateVector._basis(n_sites, idx))
+            for label, idx in zip(labels.astype(str).ravel().tolist(),
+                                  index.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +389,21 @@ def transfer_matrix(spec: MPSSpec) -> np.ndarray:
     return t[0] + t[1]
 
 
-def _half_products(a0: np.ndarray, a1: np.ndarray, n_bits: int,
-                   prepend: bool) -> np.ndarray:
-    """All 2^n_bits ordered products of bond matrices, bits most
-    significant first.  With prepend=False bit b extends products on the
-    right (prefixes); with prepend=True on the left (suffixes).
+def _half_products(a0: np.ndarray, a1: np.ndarray,
+                   n_bits: int) -> np.ndarray:
+    """All 2^n_bits ordered products A_s1 ... A_sn of bond matrices, the
+    word s read as bits most significant first.
 
-    Each bit is one matrix product against both bond matrices side by
-    side: [a0 a1] on the right, or [a0; a1] on the left.
+    Each bit extends every product on the right by one matrix product
+    against both bond matrices side by side, [a0 a1].
     """
     d = a0.shape[0]
     out = np.eye(d, dtype=complex)[None]
-    if prepend:
-        both = np.concatenate([a0, a1])
-        for _ in range(n_bits):
-            out = both @ out.transpose(1, 0, 2).reshape(d, -1)
-            out = out.reshape(2, d, -1, d).transpose(0, 2, 1, 3)
-            out = out.reshape(-1, d, d)
-    else:
-        both = np.concatenate([a0, a1], axis=1)
-        for _ in range(n_bits):
-            out = out.reshape(-1, d) @ both
-            out = out.reshape(-1, d, 2, d).transpose(0, 2, 1, 3)
-            out = out.reshape(-1, d, d)
+    both = np.concatenate([a0, a1], axis=1)
+    for _ in range(n_bits):
+        out = out.reshape(-1, d) @ both
+        out = out.reshape(-1, d, 2, d).transpose(0, 2, 1, 3)
+        out = out.reshape(-1, d, d)
     return out
 
 
@@ -415,8 +411,11 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     """Evaluate all trace amplitudes of the N-site bond-matrix state.
 
     Meets in the middle: amplitudes factor as tr(P S) over prefix and
-    suffix products, which is a single flat matrix product.  The state is
-    zero when z < MPS_ZERO_TOL (|A0|_F^2 + |A1|_F^2)^N.
+    suffix products, which is a single flat matrix product.  The 2^(N//2)
+    words of N//2 bond matrices are built once and serve as both the
+    prefixes and the suffixes; at odd N each suffix takes one more bond
+    matrix on the left.  The state is zero when z < MPS_ZERO_TOL
+    (|A0|_F^2 + |A1|_F^2)^N.
     """
     _check_sites(n_sites)
     # Work with the bond matrices times 2**-f, their largest real or
@@ -425,17 +424,16 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     # matrices wherever those stay in range; where they overflow or
     # underflow, z becomes inf or 0 (never nan) while the zero test and
     # the normalized state stay right.
-    f = math.frexp(max(np.abs(spec.a0.view(float)).max(),
-                       np.abs(spec.a1.view(float)).max()))[1]
-    a0 = _times_power_of_two(spec.a0, -f)
-    a1 = _times_power_of_two(spec.a1, -f)
+    both = np.stack([spec.a0, spec.a1])
+    f = math.frexp(np.abs(both.view(float)).max())[1]
+    both = _times_power_of_two(both, -f)
+    a0, a1 = both
     d = spec.bond_dim
-    m1 = n_sites // 2
-    m2 = n_sites - m1
-    pref = _half_products(a0, a1, m1, prepend=False).reshape(2 ** m1, d * d)
-    suff = _half_products(a0, a1, m2, prepend=True)
-    suff = suff.transpose(0, 2, 1).reshape(2 ** m2, d * d)
-    amps = (pref @ suff.T).ravel()
+    words = _half_products(a0, a1, n_sites // 2)
+    suff = words if n_sites % 2 == 0 else (
+        both[:, None] @ words).reshape(-1, d, d)
+    amps = (words.reshape(-1, d * d)
+            @ suff.transpose(0, 2, 1).reshape(-1, d * d).T).ravel()
 
     # the squared sum of the scaled amplitudes themselves, as
     # np.linalg.norm forms it: an exact zero state keeps only the
@@ -491,6 +489,28 @@ def _shift_matrix(m: int) -> np.ndarray:
 
 
 _E01_2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_E01_3 = np.zeros((3, 3), dtype=complex)
+_E01_3[0, 1] = 1.0
+_E22_3 = np.zeros((3, 3), dtype=complex)
+_E22_3[2, 2] = 1.0
+
+# Bond matrices of the cases that carry no modulus.  Their representations
+# are built once: MPSSpec and CSpace are read-only, so every caller can
+# share them.
+_FIXED_BONDS = {
+    CaseId.EMPTY: (np.eye(1), np.eye(1)),
+    CaseId.ANTISYMMETRIC_LINE: (np.diag([1.0, 2.0]), np.diag([3.0, 1.0])),
+    CaseId.NONNULL_LINE_SIGMA: (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+    CaseId.NULL_LINE: (_E01_2, np.eye(2)),
+    CaseId.NULL_LINE_TILTED: (_E01_2, np.eye(2)),
+    CaseId.NULL_LINE_SIGMA: (_E01_2, np.eye(2)),
+    CaseId.DEGENERATE_PLANE_TILTED: (_E01_3, -_E01_3 + _E22_3),
+    CaseId.DEGENERATE_PLANE_SIGMA: (_E01_3, _E22_3),
+}
+_FIXED_REPRESENTATIONS = {
+    case: CaseRepresentation(MPSSpec(a0, a1),
+                             canonical_space(CanonicalForm(case)))
+    for case, (a0, a1) in _FIXED_BONDS.items()}
 
 
 def representation_for_case(form: CanonicalForm,
@@ -504,14 +524,9 @@ def representation_for_case(form: CanonicalForm,
     """
     params = params or {}
     case = form.case_id
-
-    if case is CaseId.EMPTY:
-        return CaseRepresentation(
-            MPSSpec(np.eye(1), np.eye(1)), canonical_space(form))
-    if case is CaseId.ANTISYMMETRIC_LINE:
-        return CaseRepresentation(
-            MPSSpec(np.diag([1.0, 2.0]), np.diag([3.0, 1.0])),
-            canonical_space(form))
+    fixed = _FIXED_REPRESENTATIONS.get(case)
+    if fixed is not None:
+        return fixed
     if case is CaseId.NONNULL_LINE:
         mu = complex(form.mu)
         if abs(mu - 1.0) <= ROOT_TOL:
@@ -526,14 +541,6 @@ def representation_for_case(form: CanonicalForm,
         clock = np.diag(omega ** np.arange(m)).astype(complex)
         return CaseRepresentation(
             MPSSpec(_shift_matrix(m), clock), canonical_space(form))
-    if case is CaseId.NONNULL_LINE_SIGMA:
-        return CaseRepresentation(
-            MPSSpec(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-            canonical_space(form))
-    if case in (CaseId.NULL_LINE, CaseId.NULL_LINE_TILTED,
-                CaseId.NULL_LINE_SIGMA):
-        return CaseRepresentation(
-            MPSSpec(_E01_2, np.eye(2)), canonical_space(form))
     if case is CaseId.REGULAR_PLANE:
         if params.get("branch") == "commuting":
             # scalar pair with a0^2 + a1^2 = 0 and [a0, a1] = 0: it
@@ -552,21 +559,8 @@ def representation_for_case(form: CanonicalForm,
     if case is CaseId.DEGENERATE_PLANE:
         mu = complex(form.mu)
         diag = np.diag([1.0 + mu, mu - 1.0, 1.0]).astype(complex)
-        e01 = np.zeros((3, 3), dtype=complex)
-        e01[0, 1] = 1.0
-        return CaseRepresentation(MPSSpec(e01, diag), canonical_space(form))
-    if case is CaseId.DEGENERATE_PLANE_TILTED:
-        e01 = np.zeros((3, 3), dtype=complex)
-        e01[0, 1] = 1.0
-        a1 = -e01.copy()
-        a1[2, 2] = 1.0
-        return CaseRepresentation(MPSSpec(e01, a1), canonical_space(form))
-    if case is CaseId.DEGENERATE_PLANE_SIGMA:
-        e01 = np.zeros((3, 3), dtype=complex)
-        e01[0, 1] = 1.0
-        e22 = np.zeros((3, 3), dtype=complex)
-        e22[2, 2] = 1.0
-        return CaseRepresentation(MPSSpec(e01, e22), canonical_space(form))
+        return CaseRepresentation(MPSSpec(_E01_3, diag),
+                                  canonical_space(form))
     raise NoRepresentationError(
         f"no catalogued bond representation for {case.value}")
 

@@ -44,6 +44,9 @@ route the library does not take, so agreement is evidence.
   loop_row_reduce (one row update at a time), lstsq_contains and
   lstsq_span_equal (one least-squares solve per basis vector) and
   loop_half_products (one batched product per bond matrix and bit).
+- svd_span_equal: the span test as one SVD of the stacked pair of basis
+  rows, with no comparison of the stored rows first: the library's
+  fallback route, kept as the answer its shortcut must agree with.
 - value_dumps, encode_vector, encode_matrix: the JSON writer that walks
   nested lists and formats one float at a time, and the encoders that
   turn complex arrays into lists of [re, im] pairs for it; the
@@ -535,21 +538,36 @@ def lstsq_span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
         all(lstsq_contains(a, q, tol) for q in b.basis)
 
 
-def loop_half_products(a0: np.ndarray, a1: np.ndarray, n_bits: int,
-                       prepend: bool) -> np.ndarray:
+def svd_span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
+    """Equal dimension and every basis row of each within tol * max(1,
+    |row|) of the other's span, the spans taken from one SVD of the
+    stacked (2, k, 4) rows, singular values at or below lstsq's cut
+    4 eps times the largest dropped."""
+    if a.dim != b.dim:
+        return False
+    if a.dim == 0:
+        return True
+    pair = np.stack([a.coefficient_matrix(), b.coefficient_matrix()])
+    _, s, vh = np.linalg.svd(pair, full_matrices=False)
+    vh = vh * (s > 4 * np.finfo(float).eps * s[..., :1])[..., None]
+    other = vh[::-1]
+    resid = np.linalg.norm(
+        pair - pair @ other.conj().swapaxes(-1, -2) @ other, axis=-1)
+    return bool(np.all(
+        resid <= tol * np.maximum(1.0, np.linalg.norm(pair, axis=-1))))
+
+
+def loop_half_products(a0: np.ndarray, a1: np.ndarray,
+                       n_bits: int) -> np.ndarray:
     """All 2^n_bits ordered products of a0 and a1, bits most significant
-    first, one batched product per bond matrix and bit: extended on the
-    right (prefixes) or, with prepend, on the left (suffixes)."""
+    first, one batched product per bond matrix and bit, each extending
+    the products on the right."""
     d = a0.shape[0]
     out = np.eye(d, dtype=complex)[None]
     for _ in range(n_bits):
         nxt = np.empty((2 * out.shape[0], d, d), dtype=complex)
-        if prepend:
-            nxt[:out.shape[0]] = a0 @ out
-            nxt[out.shape[0]:] = a1 @ out
-        else:
-            nxt[0::2] = out @ a0
-            nxt[1::2] = out @ a1
+        nxt[0::2] = out @ a0
+        nxt[1::2] = out @ a1
         out = nxt
     return out
 

@@ -1,6 +1,9 @@
 """Canonical forms, invariants, and the classification pipeline."""
 
+import cmath
+import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +323,103 @@ def test_null_band_scan_ends_in_a_form_or_a_named_refusal():
     # 0.75 ZERO_TOL (1.0 lands just above it by rounding); every point
     # above is refused by name, and none fails witness validation
     assert outcomes == [CaseId.NULL_LINE] * 3 + [None] * 13
+
+
+@pytest.mark.parametrize("mu", [1e-5, 1e-6, 1e-7])
+def test_tilted_null_line_next_to_the_untilted_one_is_refused(mu):
+    # tau0 + tau1 + mu sigma is exactly null, but its witness must shrink
+    # the null ray by mu: the action's rounding, about eps / mu^2 of the
+    # image, is past WITNESS_TOL, so it is refused by name instead of
+    # failing validation
+    with pytest.raises(AmbiguousNullError, match="untilted"):
+        classify(CSpace([PauliQuartet(1, 1, 0, mu)]))
+    res = classify(CSpace([PauliQuartet(1, 1, 0, 1e-3)]))
+    assert res.form.case_id is CaseId.NULL_LINE_TILTED
+
+
+def _minkowski(a, b):
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _near_null(rng, size: float) -> np.ndarray:
+    """A random null symmetric vector of norm size, pushed off null (two
+    draws in three) to |<v, v>| / s^2 up to ZERO_TOL / 4, the most the
+    null test accepts."""
+    v = quartet_action(random_sl2(rng, 20.0), T0 + T1).as_array()[:3]
+    v *= size / np.linalg.norm(v) * np.exp(2j * np.pi * rng.random())
+    if rng.integers(3):
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        s = max(abs(v[0] + v[1]), abs(v[2]), abs(v[0] - v[1]))
+        v += rng.uniform(0, 0.25) * ZERO_TOL * s * s / (
+            2 * _minkowski(v, d)) * d
+    return v
+
+
+def test_near_null_tilted_forms_validate_or_are_refused_by_name():
+    # near-null lines at any tilt mu in [1e-8, 10], and full symmetric
+    # parts whose w is near null at |w| in [0.1, 20]: the scale step of
+    # their witness amplifies what the null test let through, and none may
+    # end in a failed validation
+    rng = np.random.default_rng(3)
+    seen = set()
+    for _ in range(500):
+        v = _near_null(rng, 1.0)
+        mu = 10.0 ** rng.uniform(-8, 1) * np.exp(2j * np.pi * rng.random())
+        rows = np.array([[*v, mu * (v[0] + v[1]) / 2]])
+        try:
+            seen.add(classify(CSpace(rows)).form.case_id)
+        except AmbiguousNullError:
+            seen.add("refused line")
+    for _ in range(500):
+        w = _near_null(rng, 10.0 ** rng.uniform(-1, 1.3))
+        vs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rows = np.array([[*v, _minkowski(v, w)] for v in vs])
+        try:
+            seen.add(classify(CSpace(rows)).form.case_id)
+        except AmbiguousNullError:
+            seen.add("refused w")
+    assert seen == {CaseId.NULL_LINE, CaseId.NULL_LINE_TILTED,
+                    CaseId.FULL_SYMMETRIC_TILTED, "refused line",
+                    "refused w"}
+
+
+# The 19 canonical points: every nonempty form, each mu form at mu = 0
+# and 0.3+0.1i, and nonnull_line also where its commutation factor is
+# e^(2 pi i / 3).
+_OMEGA3 = cmath.exp(2j * cmath.pi / 3)
+CANONICAL_POINTS = [
+    (case, mu) for case in CaseId if case is not CaseId.EMPTY
+    for mu in ([0.0, 0.3 + 0.1j] + ([(1 + _OMEGA3) / (_OMEGA3 - 1)]
+                                    if case is CaseId.NONNULL_LINE else [])
+               if case in MU_CASES else [None])]
+
+
+def _hex(z) -> list:
+    z = complex(z)
+    return [z.real.hex(), z.imag.hex()]
+
+
+def test_witnesses_are_the_recorded_ones():
+    # form.mu and gamma as float.hex, recorded when each witness step was
+    # still an SL2 product: two seeded unimodular images (condition at
+    # most 20) of each canonical point; composing the raw 2x2 product and
+    # checking it once keeps every bit
+    assert len(CANONICAL_POINTS) == 19
+    got = []
+    for case, mu in CANONICAL_POINTS:
+        space = canonical_space(CanonicalForm(case, mu))
+        rng = np.random.default_rng(zlib.crc32(f"{case.value}:{mu}".encode()))
+        for _ in range(2):
+            res = classify(sl2_act_space(random_sl2(rng, 20.0), space))
+            assert res.form.case_id is case
+            got.append({"case": case.value,
+                        "mu_in": None if mu is None else _hex(mu),
+                        "mu": (None if res.form.mu is None
+                               else _hex(res.form.mu)),
+                        "gamma": [_hex(z) for z in res.gamma.matrix.ravel()]})
+    recorded = Path(__file__).with_name("golden_witnesses.json")
+    assert got == json.loads(recorded.read_text())
+
 
 # Property tests near the classifier's decision boundaries.  Near a cut
 # the branch taken may depend on the orbit point, so each asserts the

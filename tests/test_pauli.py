@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
@@ -13,7 +13,7 @@ from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
 from oracles import (flat, kron_action_matrix, loop_row_reduce,
                      lstsq_contains, lstsq_span_equal, minkowski,
                      quartet_action, random_sl2, sl2_with_condition,
-                     trace_form)
+                     svd_span_equal, trace_form)
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -331,6 +331,9 @@ def test_pivot_share_rule_is_the_loop_one(seed, dim, log_small):
     assert reduced.shape[0] == dim
     stored = np.linalg.svd(reduced, compute_uv=False)
     assert stored[-1] / stored[0] >= 1e-3 * ratio
+    if ratio > 1e-9:
+        # construction from the array reduces at the rows' own ratio
+        assert CSpace(rows).coefficient_matrix().tobytes() == reduced.tobytes()
 
 
 def _residual_ratio(x: np.ndarray, space: CSpace) -> float:
@@ -364,6 +367,51 @@ def test_span_tests_decide_as_the_lstsq_oracle(seed, dim, log_off, side):
         assert b.contains(q, tol) == lstsq_contains(b, q, tol)
     for q in b.basis:
         assert a.contains(q, tol) == lstsq_contains(a, q, tol)
+
+
+def _rows_agree(a: CSpace, b: CSpace, tol: float) -> bool:
+    """The stored-row comparison span_equal answers True from, written
+    out: 2 max|a_i - b_i| <= tol max(1, min(max|a_i|, max|b_i|))."""
+    ra, rb = a.coefficient_matrix(), b.coefficient_matrix()
+    return all(2.0 * np.max(np.abs(x - y)) <= tol * max(
+        1.0, min(np.max(np.abs(x)), np.max(np.abs(y))))
+        for x, y in zip(ra, rb))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=SEEDS, dim=st.integers(1, 4), log_cond=LOG_CONDS,
+       kind=st.sampled_from(["equal", "offset", "near_dependent"]),
+       log_off=st.floats(-9.0, -7.0), log_tol=st.floats(-12.0, -6.0))
+def test_span_equal_decides_as_the_svd_route(seed, dim, log_cond, kind,
+                                             log_off, log_tol):
+    # pairs of spans moved by one unimodular action of condition up to
+    # 1e3: the same span from two bases, spans 1e-9 to 1e-7 apart, and
+    # spans with two rows that far from dependent; tol drawn, then put 1%
+    # either side of the pair's residual ratio
+    rng = np.random.default_rng(seed)
+    g = sl2_with_condition(rng, 10.0 ** log_cond)
+    rows = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    off = 10.0 ** log_off * (rng.normal(size=(dim, 4))
+                             + 1j * rng.normal(size=(dim, 4)))
+    if kind == "near_dependent" and dim > 1:
+        rows[-1] = rows[0] + off[0]
+    mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    try:
+        b = sl2_act_space(g, CSpace(rows))
+        a = sl2_act_space(g, CSpace(
+            mix @ rows + (off if kind == "offset" else 0.0)))
+    except (LinearDependenceError, AmbiguousRankError):
+        return
+    ratio = max(_residual_ratio(a.coefficient_matrix(), b),
+                _residual_ratio(b.coefficient_matrix(), a))
+    tols = [10.0 ** log_tol] + [side * ratio for side in (0.99, 1.01)
+                                if side * ratio >= 1e-12]
+    for tol in tols:
+        want = svd_span_equal(a, b, tol)
+        assert span_equal(a, b, tol) == want
+        if _rows_agree(a, b, tol):
+            event("stored rows agree")
+            assert want
 
 
 def test_span_tests_on_empty_and_full_spaces():

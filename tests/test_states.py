@@ -433,7 +433,7 @@ def test_mps_contract_across_scales(d, n, exponent, data):
 
 
 def _brute_force_amplitudes(a0, a1, n_sites):
-    return np.trace(loop_half_products(a0, a1, n_sites, False),
+    return np.trace(loop_half_products(a0, a1, n_sites),
                     axis1=1, axis2=2)
 
 
@@ -490,13 +490,13 @@ def test_transfer_matrix_traces_norm():
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
-       n_bits=st.integers(0, 8), prepend=st.booleans())
-def test_half_products_match_the_loop(seed, d, n_bits, prepend):
+       n_bits=st.integers(0, 8))
+def test_half_products_match_the_loop(seed, d, n_bits):
     rng = np.random.default_rng(seed)
     a0, a1 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
               for _ in range(2))
-    got = _half_products(a0, a1, n_bits, prepend)
-    want = loop_half_products(a0, a1, n_bits, prepend)
+    got = _half_products(a0, a1, n_bits)
+    want = loop_half_products(a0, a1, n_bits)
     assert got.shape == want.shape == (2 ** n_bits, d, d)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -1,0 +1,82 @@
+"""Work the algebra layer's hot path may do, counted in calls, not timed.
+
+A validated witness compares stored rows instead of running the SVD, the
+witness is one raw 2x2 product checked once, the fixed steps carry their
+action matrices, and mps_contract builds its words once.  Counting calls
+keeps each of these from creeping back, on any machine.
+"""
+
+import importlib
+import zlib
+
+import numpy as np
+
+from mpschain import pauli, states
+from mpschain.classify import (CanonicalForm, CaseId, MU_CASES,
+                               canonical_space, classify)
+from mpschain.pauli import SL2, sl2_act_space
+from mpschain.states import (NoRepresentationError, mps_contract,
+                             representation_for_case)
+from oracles import random_sl2
+
+classify_module = importlib.import_module("mpschain.classify")
+
+# every canonical kind, each mu form at mu = 0 and at a generic modulus
+KINDS = [(case, mu) for case in CaseId
+         for mu in ([0.0, 0.3 + 0.1j] if case in MU_CASES else [None])]
+
+
+def _counting(calls: dict, key: str, fn, counts=lambda *args: True):
+    def wrapper(*args, **kwargs):
+        calls[key] += bool(counts(*args, **kwargs))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_validated_witnesses_stay_within_their_work_budget(monkeypatch):
+    calls = dict.fromkeys(["svd", "matmul", "fixed_actions"], 0)
+    applied = set()
+    fixed = {id(step[0]) for step in (classify_module._R_T2_TO_T1,
+                                      classify_module._SWAP,
+                                      classify_module._FLIP)}
+    monkeypatch.setattr(pauli, "_row_spaces",
+                        _counting(calls, "svd", pauli._row_spaces))
+    monkeypatch.setattr(SL2, "__matmul__",
+                        _counting(calls, "matmul", SL2.__matmul__))
+    monkeypatch.setattr(
+        classify_module, "_action_matrix",
+        _counting(calls, "fixed_actions", classify_module._action_matrix,
+                  lambda g: id(g) in fixed))
+    apply = classify_module._Pipeline.apply
+
+    def recorded_apply(pipe, g, action=None):
+        applied.add(id(g))
+        apply(pipe, g, action)
+
+    monkeypatch.setattr(classify_module._Pipeline, "apply", recorded_apply)
+    for case, mu in KINDS:
+        space = canonical_space(CanonicalForm(case, mu))
+        rng = np.random.default_rng(zlib.crc32(case.value.encode()))
+        for _ in range(10):
+            res = classify(sl2_act_space(random_sl2(rng, 20.0), space))
+            assert res.form.case_id is case
+    assert calls == dict(svd=0, matmul=0, fixed_actions=0)
+    # the draws do take the fixed steps: the rotation, the swap, the flip
+    assert fixed <= applied
+
+
+def test_mps_contract_builds_its_words_once(monkeypatch):
+    calls = {"words": 0}
+    monkeypatch.setattr(states, "_half_products",
+                        _counting(calls, "words", states._half_products))
+    contracted = 0
+    for case, mu in KINDS:
+        try:
+            spec = representation_for_case(CanonicalForm(case, mu)).spec
+        except NoRepresentationError:
+            continue
+        for n_sites in (1, 2, 9, 10):
+            mps_contract(spec, n_sites)
+            contracted += 1
+            assert calls["words"] == contracted
+    assert contracted > 0
