@@ -57,9 +57,9 @@ class AmbiguousNullError(ClassificationError):
     neither image is within WITNESS_TOL of its canonical span, so such
     inputs are refused instead of failing validation.
 
-    Also raised where a tilted null form's scale step would carry what
-    the null test let through, or the rounding of the witness's own
-    action, past WITNESS_TOL (see _refuse_amplified)."""
+    Also raised where a tilted form's scale step would carry what the
+    null test let through, or the rounding of the witness's own action,
+    past WITNESS_TOL (see _refuse_amplified)."""
 
 
 class CaseId(str, Enum):
@@ -208,9 +208,14 @@ def _boost(big_c: complex, big_s: complex) -> SL2:
     if abs(small_c) < 1e-8:
         raise ValueError("boost parameter at the branch singularity")
     small_s = big_s / (2.0 * small_c)
-    # unit_normalized soaks up rounding drift in C^2 - S^2 = 1
-    return SL2.unit_normalized(
-        np.array([[small_c, small_s], [small_s, small_c]]))
+    try:
+        # unit_normalized soaks up rounding drift in C^2 - S^2 = 1
+        return SL2.unit_normalized(
+            np.array([[small_c, small_s], [small_s, small_c]]))
+    except ValueError as exc:
+        # a boost too large to bring back onto unit determinant
+        raise ClassificationError(
+            f"witness validation failed for a boost: {exc}") from None
 
 
 def _apply_lorentz(pipe: _Pipeline, big_c: complex, big_s: complex) -> None:
@@ -449,16 +454,17 @@ def classify(space: CSpace) -> ClassificationResult:
 
 def _refuse_amplified(pipe: _Pipeline, nullness: float,
                       case: CaseId) -> None:
-    """Refuse a tilted null witness that would not validate.
+    """Refuse a tilted witness that would not validate.
 
     nullness is what the canonical image keeps of the input's distance
     from null: the invariant |<v, v>| / u^2 of a line, |<w, w>| of a
-    full symmetric part.  The witness's action, with entries up to
-    |gamma|_F^2, adds rounding of about eps |gamma|_F^4 relative to the
-    image.  The scale step makes both large where the input sits close to
-    the untilted form.  On random near-null inputs (|<v, v>| / s^2 up to
-    ZERO_TOL / NULL_BAND, any tilt) the validation residual stayed below
-    half their sum, so a sum above WITNESS_TOL is refused."""
+    full symmetric part, none for the planes.  The witness's action, with
+    entries up to |gamma|_F^2, adds rounding of about eps |gamma|_F^4
+    relative to the image.  The scale step makes both large where the
+    input sits close to the untilted form.  On random near-null inputs
+    (|<v, v>| / s^2 up to ZERO_TOL / NULL_BAND, any tilt) the validation
+    residual stayed below half their sum, so a sum above WITNESS_TOL is
+    refused."""
     norm2 = float(np.vdot(pipe.gamma, pipe.gamma).real)
     amplified = nullness + _EPS * norm2 * norm2
     if amplified > WITNESS_TOL:
@@ -524,6 +530,7 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
             big_c = -(beta + 1.0 / beta) / 2.0
             big_s = (1.0 / beta - beta) / 2.0
             _apply_lorentz(pipe, big_c, big_s)
+            _refuse_amplified(pipe, 0.0, CaseId.REGULAR_PLANE_TILTED)
             return CanonicalForm(CaseId.REGULAR_PLANE_TILTED)
         mu = np.sqrt(rho2)  # principal root lands in the canonical half plane
         _apply_lorentz(pipe, w2 / mu, -w0 / mu)
@@ -545,6 +552,7 @@ def _classify_plane(pipe: _Pipeline, vp: np.ndarray, sigma_in: bool):
         return CanonicalForm(CaseId.DEGENERATE_PLANE, gamma_c)
     pipe.apply(_shear(gamma_c / (2.0 * beta)))
     pipe.apply(_scale(np.sqrt(2.0 * beta)))
+    _refuse_amplified(pipe, 0.0, CaseId.DEGENERATE_PLANE_TILTED)
     return CanonicalForm(CaseId.DEGENERATE_PLANE_TILTED)
 
 
@@ -582,7 +590,13 @@ def _classify_full(pipe: _Pipeline, sigma_in: bool):
 
 def _finish(space: CSpace, pipe: _Pipeline,
             form: CanonicalForm) -> ClassificationResult:
-    gamma = SL2(pipe.gamma)
+    try:
+        gamma = SL2(pipe.gamma)
+    except ValueError as exc:
+        # the raw product drifted off unit determinant
+        raise ClassificationError(
+            f"witness validation failed for {form.case_id.value}: {exc}"
+        ) from None
     canonical = canonical_space(form)
     image = sl2_act_space(gamma, space)
     if not span_equal(image, canonical, WITNESS_TOL):

@@ -9,8 +9,9 @@ equal-size blocks it belongs to (_stack_plan).  None of that depends on
 the chain's values beyond their nonzero pattern, so _sector_plan gathers
 it into a plan of index arrays; _numeric_parts then checks a chain's
 values against a plan and hands them to _filled_stacks, which builds and
-yields the stacks one at a time.  verify keeps the plans and picks the
-frame and the involutions.
+yields the stacks one at a time.  Which values a chain has (its frame,
+its gauge) is verify's choice; verify also picks the involutions and
+keeps the plans.
 """
 
 from __future__ import annotations
@@ -68,20 +69,6 @@ def _available_bytes() -> int | None:
     except (OSError, ValueError, IndexError):
         pass
     return None
-
-
-def _sector_blocks(dim: int, parts: list):
-    """H restricted to sectors of dim basis states, one stack at a time.
-
-    Each part is (members, (rows, cols, vals), count): a list of (s, k)
-    member arrays from _sector_members, H's nonzero entries, of which
-    those in rows of the members are read, and the number of sectors
-    (1, or 2 where each stands for a twin with the same spectrum) each of
-    these sectors stands for.  Returns the stacks of _filled_stacks.
-    """
-    return _filled_stacks([
-        (count, vals, _stack_plan(dim, members, rows, cols))
-        for members, (rows, cols, vals), count in parts])
 
 
 def _stack_plan(dim: int, members: list, rows, cols) -> tuple:
@@ -301,9 +288,9 @@ class _SectorPlan:
 
 
 def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
-                 held: tuple, gauge: bool) -> _SectorPlan:
+                 held: tuple) -> _SectorPlan:
     """The plan of the chain whose _chain_table is (masks, table), its
-    bond term commuting with the involutions held and gauged when gauge.
+    bond term commuting with the involutions held.
 
     Of the involutions, the one whose blocks cost least (_orbit_cost) is
     applied, if it costs less than none; none is tried on a diagonal
@@ -334,8 +321,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     (src, weight, slot), keys = _parity_fold(sigma, phi, rows[sel],
                                              cols[sel])
     fold = _narrow(sel[src], flat.size), weight, _narrow(slot, keys.size)
-    keep = _folded(_gauged(table.reshape(-1)[flat], dim, flat, gauge),
-                   fold, keys.size) != 0
+    keep = _folded(table.reshape(-1)[flat], fold, keys.size) != 0
     keys = keys[keep]
     srows, scols = keys // dim, keys % dim
     soff = srows != scols
@@ -355,15 +341,7 @@ def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
     return index.astype(np.int32) if bound <= 2 ** 31 else index
 
 
-def _gauged(vals: np.ndarray, dim: int, flat: np.ndarray,
-            gauge: bool) -> np.ndarray:
-    """The chain values vals at table positions flat with the hopping
-    phase gauged away when gauge: the diagonal (positions below dim) by
-    its real part, every other value by its modulus."""
-    return np.where(flat < dim, vals.real, np.abs(vals)) if gauge else vals
-
-
-def _numeric_parts(plan: _SectorPlan, table: np.ndarray, gauge: bool):
+def _numeric_parts(plan: _SectorPlan, table: np.ndarray):
     """The parts of _filled_stacks for the chain's _chain_table table
     under plan, and its nonzero values in chain_entries' order; None
     where the pattern of the values, or of the folded values, is not the
@@ -373,10 +351,9 @@ def _numeric_parts(plan: _SectorPlan, table: np.ndarray, gauge: bool):
     vals = table.reshape(-1)[plan.flat]
     if np.count_nonzero(table) != vals.size or not np.all(vals):
         return None
-    gauged = _gauged(vals, table.shape[1], plan.flat, gauge)
-    parts = [(plan.count, gauged, plan.chain)]
+    parts = [(plan.count, vals, plan.chain)]
     if plan.keep is not None:
-        total = _folded(gauged, plan.fold, plan.keep.size)
+        total = _folded(vals, plan.fold, plan.keep.size)
         if not np.array_equal(total != 0, plan.keep):
             return None
         parts.append((1, total[plan.keep], plan.split))

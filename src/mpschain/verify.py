@@ -4,21 +4,22 @@ A chain is block diagonal over the connected components (sectors) of its
 off-diagonal pattern, so spectra and residuals come from one dense
 Hermitian eigensolve per sector block; a sector of one basis state is its
 diagonal entry.  Finding the sectors needs no per-family symmetry.  Before
-they are found, every site is turned by one unitary frame chosen from the
-4x4 bond term alone (symmetry_frame): it brings an axis along which the
-bond term keeps the number or parity of ones onto z, and makes the bond
-term real where a site phase can.  A unitary frame leaves the spectrum
-unchanged, and it lets a hidden local symmetry split the chain; the
-chain is built from exactly the framed bond term the frame was scored
-on.  Where no axis keeps either, the frame instead brings the axis of a
-reversal symmetry T = reverse o v^{x n} (v a pi rotation) onto z.  When
-the framed bond term keeps the number of ones but its hopping entry t is
-complex (exchange at a complex ratio, antialigned, pairsum-exchange at
-nu' = nu), the phase of t is gauged away: on an open chain the site
-phase exp(i theta k) on the k-th one turns every hopping entry into |t|
-exactly, so those sectors are real blocks with the same spectrum.
+they are found, the basis is chosen from the 4x4 bond term alone, in one
+place (symmetry_frame): one search rotates a short list of candidate
+axes onto z, in one batch, and ranks what the bond term keeps in each
+frame and in the identity: the number of ones, else their parity, else a
+reversal symmetry T = reverse o v^{x n} with v = 1 or Z.  A site phase then makes
+the bond term real where it can.  A unitary frame leaves the spectrum
+unchanged, and it lets a hidden local symmetry split the chain; the chain
+is built from exactly the framed bond term the frame was scored on.  When
+that term keeps the number of ones but its hopping entry t is complex
+(exchange at a complex ratio, antialigned, pairsum-exchange at nu' = nu),
+the phase of t is gauged away in the bond term itself: on an open chain
+the site phase exp(i theta k) on the k-th one turns every hopping entry
+into |t| exactly, so the chain is built from the real term with |t| in
+place of t, and its sectors are real blocks with the same spectrum.
 
-The (gauged) framed chain is then tested against the basis-permuting
+The framed, gauged chain is then tested against the basis-permuting
 involutions T = R o v^{x n}, R site reversal or nothing and v one of
 1, Z, X.  T maps each sector onto a sector whose block differs by a
 signed permutation only, so of two sectors T swaps one is solved and
@@ -124,91 +125,43 @@ class SpectrumReport:
 
 
 def _snapped(h: np.ndarray) -> np.ndarray:
-    """h with every real or imaginary part at or below
-    HERMITICITY_TOL * max|h| set to zero."""
-    cut = HERMITICITY_TOL * np.max(np.abs(h))
-    snapped = np.empty(h.shape, dtype=complex)
-    snapped.real = np.where(np.abs(h.real) > cut, h.real, 0.0)
-    snapped.imag = np.where(np.abs(h.imag) > cut, h.imag, 0.0)
-    return snapped
+    """h, or each 4x4 term of a stack h, with every real or imaginary
+    part at or below HERMITICITY_TOL times its largest modulus set to
+    zero."""
+    cut = HERMITICITY_TOL * np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+    parts = h.view(float)
+    return np.where(np.abs(parts) > cut, parts, 0.0).view(complex)
 
 
 def _rotated(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(u x u)^dagger h (u x u), snapped."""
-    uu = (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
-    return _snapped(uu.conj().T @ h @ uu)
+    """(u x u)^dagger h (u x u), snapped, for one 2x2 u or each of a
+    stack of them."""
+    uu = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(
+        *u.shape[:-2], 4, 4)
+    return _snapped(np.swapaxes(uu.conj(), -1, -2) @ h @ uu)
 
 
-def _conserved(h: np.ndarray) -> int:
-    """2 if h keeps the number of ones, 1 if it keeps only its parity,
-    0 if neither."""
-    a, b = np.nonzero(h)
-    change = _PAIR_ONES[a] - _PAIR_ONES[b]
-    if not change.any():
-        return 2
-    return 1 if not (change % 2).any() else 0
-
-
-def _axis_frame(axis: np.ndarray) -> np.ndarray:
-    """Special unitary u with u^dagger (n . sigma) u = Z for the unit
-    vector n along axis: its columns are the +1 and -1 eigenvectors."""
-    # an exact power-of-two rescale first, so the norm's squares neither
-    # overflow nor underflow for a bond term of any finite scale
-    axis = np.ldexp(axis, -np.frexp(np.max(np.abs(axis)))[1])
-    x, y, z = axis / np.linalg.norm(axis)
-    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
-    phase = np.exp(1j * np.arctan2(y, x))
-    return np.array([[np.cos(half), -np.sin(half) / phase],
-                     [phase * np.sin(half), np.cos(half)]])
+def _conserved(h: np.ndarray):
+    """2 where h keeps the number of ones, 1 where it keeps only their
+    parity, 0 where neither: for one 4x4 h, or each term of a stack."""
+    changed = (h != 0).reshape(*h.shape[:-2], 16) @ _CHANGES
+    return np.sum(~changed, axis=-1)
 
 
 def _commuting(h: np.ndarray) -> np.ndarray:
     """Whether the chain of h commutes with each T = (reverse, flip,
-    sign) of _INVOLUTIONS, in order.
+    sign) of _INVOLUTIONS, in order: for one 4x4 h, or each term of a
+    stack.
 
     Reversal swaps the two sites of every bond, so the condition is
     (v x v) [SWAP] h [SWAP] (v x v) = h, every real and imaginary part
     compared to the snapping cut HERMITICITY_TOL * max|h|.
     """
-    diff = h[_MOVED[:, :, None], _MOVED[:, None, :]] * _MOVED_SIGNS - h
-    cut = HERMITICITY_TOL * np.max(np.abs(h))
+    diff = (h[..., _MOVED[:, :, None], _MOVED[:, None, :]] * _MOVED_SIGNS
+            - h[..., None, :, :])
+    cut = HERMITICITY_TOL * np.max(np.abs(h), axis=(-2, -1))[..., None]
     return np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(
-        axis=(1, 2)) <= cut
-
-
-def _reversal_sign(h: np.ndarray) -> int | None:
-    """d in (1, -1) for which the chain of h is symmetric under site
-    reversal times diag(1, d) on every site, or None if neither is."""
-    plus, minus = _commuting(h)[:2]
-    return 1 if plus else -1 if minus else None
-
-
-def _screened_scores(h: np.ndarray, axes: list) -> list:
-    """_conserved(_rotated(h, _axis_frame(axis))) for every axis, from
-    one batched rotation, or None where that rotation leaves a real or
-    imaginary part too near the snapping cut to tell.
-
-    The batched frames differ from _axis_frame's by a few rounding
-    errors, so each rotated entry differs from the exact one by far less
-    than the cut; a part kept or dropped with a factor of 10 to spare is
-    kept or dropped alike by the exact rotation.
-    """
-    a = np.array(axes)
-    a = a / np.max(np.abs(a), axis=1, keepdims=True)
-    x, y, z = (a / np.linalg.norm(a, axis=1, keepdims=True)).T
-    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
-    phase = np.exp(1j * np.arctan2(y, x))
-    cos, sin = np.cos(half), np.sin(half)
-    u = np.array([[cos, -sin / phase], [phase * sin, cos]]).transpose(2, 0, 1)
-    uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
-    moved = uu.conj().transpose(0, 2, 1) @ h @ uu
-    parts = np.abs(moved.view(float))
-    cut = HERMITICITY_TOL * np.abs(moved).max(axis=(1, 2))[:, None, None]
-    unsure = ((parts > cut / 10) & (parts < 10 * cut)).any(axis=(1, 2))
-    kept = (parts > cut).reshape(-1, 16, 2).any(axis=2)
-    number, parity = ~(kept @ _CHANGES).T
-    return [None if doubt else 2 if n else 1 if p else 0
-            for doubt, n, p in zip(unsure, number, parity)]
+        axis=(-2, -1)) <= cut
 
 
 def symmetry_frame(local: LocalHamiltonian) -> SL2:
@@ -217,20 +170,16 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     Writes h = sum_ab c_ab P_a x P_b over the Pauli matrices.  If h keeps
     the number (or parity) of ones along some axis n, then n is a real
     eigenvector of K = c[1:, 1:] and of K^T, or (for a degenerate K) the
-    direction of a one-site field c[0, 1:] or c[1:, 0].  Each candidate
-    axis is rotated onto z, and the frame whose rotated h keeps the most
-    wins: number beats parity, parity beats nothing, and the identity
-    stays unless another frame is strictly better.
-
-    Where no axis keeps either, the frame looks for a reversal symmetry
-    T = reverse o v^{x n}, v = m . sigma a pi rotation about a unit axis
-    m.  v turns Pauli vectors by R = 2 m m^T - 1 and reversal swaps the
-    sites, so T commutes with the chain exactly when R K^T R = K and R
-    swaps the fields c[1:, 0] and c[0, 1:]: m lies along their sum and is
-    an eigenvector of (K + K^T) / 2.  Unless T with v = 1 or Z already
-    holds, the first such candidate m for which it holds once m is
-    rotated onto z gives the frame.  An axis that keeps the number or
-    parity is never given up for T.
+    direction of a one-site field c[0, 1:] or c[1:, 0].  If the chain has
+    a reversal symmetry T = reverse o v^{x n}, v = m . sigma a pi
+    rotation about a unit axis m, then v turns Pauli vectors by R = 2 m
+    m^T - 1 and reversal swaps the sites, so R K^T R = K and R swaps the
+    two fields: m lies along their sum and is an eigenvector of (K +
+    K^T) / 2.  The identity and every such candidate axis, rotated onto
+    z, are ranked: keeping the number beats keeping the parity, which
+    beats commuting with T for v = 1 or Z, which beats nothing.  Of equal
+    ranks the first wins, so the identity stays unless another frame is
+    strictly better.
 
     Then, if a site phase diag(1, e^{i theta}) makes the rotated h real,
     it is folded in; theta is read off the largest entry that changes the
@@ -250,36 +199,41 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
 
 def _frame(h: np.ndarray):
     """symmetry_frame's u for the bond term h, and the bond term in that
-    frame: h itself when u is the identity, else _rotated(h, u)."""
-    frame = np.eye(2, dtype=complex)
-    best = _conserved(_snapped(h))
-    if best < 2:
+    frame: h itself when u is the identity, else _rotated(h, u).
+
+    The candidate frames are rotated in one batch; the identity needs
+    only snapping.  When it keeps the number already, no candidate can
+    beat it and none is listed.
+    """
+    frames, moved = np.eye(2, dtype=complex)[None], _snapped(h)[None]
+    if _conserved(moved[0]) < 2:
         c = np.einsum("ij,abji->ab", h, _PAIR_PAULI).real / 4.0
         k = c[1:, 1:]
         axes = [c[0, 1:], c[1:, 0]]
         for w, v in zip(*np.linalg.eig(np.array((k, k.T)))):
             axes.extend(v[:, w.imag == 0].real.T)
-        cut = HERMITICITY_TOL * np.max(np.abs(c))
-        axes = [axis for axis, big in zip(axes, np.max(np.abs(axes), axis=1)
-                                          > cut) if big]
-        for axis, score in zip(axes, _screened_scores(h, axes)
-                               if axes else ()):
-            if score is None:
-                score = _conserved(_rotated(h, _axis_frame(axis)))
-            if score > best:
-                best, frame = score, _axis_frame(axis)
-                if best == 2:
-                    break
-        if best == 0 and _reversal_sign(h) is None:
-            k_sym, field = (k + k.T) / 2.0, c[1:, 0] + c[0, 1:]
-            for axis in [field, *np.linalg.eigh(k_sym)[1].T]:
-                if np.max(np.abs(axis)) <= cut:
-                    continue
-                u = _axis_frame(axis)
-                if _reversal_sign(_rotated(h, u)) is not None:
-                    frame = u
-                    break
-    moved = _rotated(h, frame)
+        axes = np.array([*axes, c[1:, 0] + c[0, 1:],
+                         *np.linalg.eigh((k + k.T) / 2.0)[1].T])
+        big = np.max(np.abs(axes), axis=1)
+        keep = big > HERMITICITY_TOL * np.max(np.abs(c))
+        # an exact power-of-two rescale first, so the norm's squares
+        # neither overflow nor underflow for a bond term of any finite scale
+        axes = np.ldexp(axes[keep], -np.frexp(big[keep])[1][:, None])
+        x, y, z = (axes / np.linalg.norm(axes, axis=1, keepdims=True)).T
+        # the columns of each u are the +1 and -1 eigenvectors of n . sigma
+        half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
+        phase = np.exp(1j * np.arctan2(y, x))
+        cos, sin = np.cos(half), np.sin(half)
+        turns = np.array([[cos, -sin / phase],
+                          [phase * sin, cos]]).transpose(2, 0, 1)
+        frames = np.concatenate((frames, turns))
+        moved = np.concatenate((moved, _rotated(h, turns)))
+    rank = _conserved(moved)
+    if not rank.any():
+        # no frame keeps the parity: rank by reversal with v = 1 or Z
+        rank = _commuting(moved)[:, :2].any(axis=1)
+    best = int(np.argmax(rank))
+    frame, moved = frames[best], moved[best]
     a, b = np.nonzero(moved)
     change = _PAIR_ONES[b] - _PAIR_ONES[a]
     if np.any(moved.imag) and np.any(change):
@@ -340,8 +294,9 @@ def spectrum(chain: FullHamiltonian) -> SpectrumReport:
     off = rows != cols
     members = sectors._sector_members(
         sectors._sector_roots(dim, rows[off], cols[off]), np.arange(dim))
-    return _spectrum_report(chain.n_sites, sectors._sector_blocks(dim, [
-        (members, (rows, cols, chain.matrix[rows, cols]), 1)]))
+    return _spectrum_report(chain.n_sites, sectors._filled_stacks([
+        (1, chain.matrix[rows, cols],
+         sectors._stack_plan(dim, members, rows, cols))]))
 
 
 def _held_involutions(h: np.ndarray) -> tuple:
@@ -360,9 +315,9 @@ def _held_involutions(h: np.ndarray) -> tuple:
                  for (reverse, flip), sign in held.items())
 
 
-# Plans by (n_sites, nonzero pattern of the framed and gauged bond term,
-# involutions it commutes with), least recently used first, and the bytes
-# they may hold together.
+# Plans by (n_sites, nonzero pattern of the bond term the chain is built
+# from, involutions it commutes with), least recently used first, and the
+# bytes they may hold together.
 _PLANS: OrderedDict = OrderedDict()
 _PLAN_BYTES = 16 << 20
 _PLAN_LOCK = threading.Lock()
@@ -374,39 +329,38 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
     its frame, and that chain's nonzero values in chain_entries' order.
 
     When the framed bond term h' keeps the number of ones and has an
-    imaginary part, the blocks are built from the chain conjugated by
-    the diagonal unitary D = diag(exp(i theta sum_k k x_k)), theta = arg
-    t for the hopping entry t = h'[|01>, |10>]: every off-diagonal chain
-    entry comes from one bond and is t or conj(t), so D turns it into |t|
-    and the diagonal into its real part, with no tolerance involved.
-    The spectrum and the sectors are unchanged; the returned values stay
-    the ungauged ones.
+    imaginary part, the chain is built from h' with its phase gauged
+    away: the diagonal by its real part, every other entry by its
+    modulus.  That is the chain conjugated by the diagonal unitary D =
+    diag(exp(i theta sum_k k x_k)), theta = arg t for the hopping entry t
+    = h'[|01>, |10>]: every off-diagonal chain entry comes from one bond
+    and is t or conj(t), so D turns it into |t|, with no tolerance
+    involved.  The spectrum and the sectors are unchanged, and the
+    returned values are the gauged ones.
 
-    When the (gauged) bond term has an off-diagonal entry and commutes
-    with involutions T of _INVOLUTIONS, the one whose blocks cost least
-    is applied: of two sectors T swaps only the one with the smaller
-    root is solved, and its block counts twice; a sector T maps onto
-    itself gives the blocks of its T-even and T-odd states.
+    When the bond term has an off-diagonal entry and commutes with
+    involutions T of _INVOLUTIONS, the one whose blocks cost least is
+    applied: of two sectors T swaps only the one with the smaller root is
+    solved, and its block counts twice; a sector T maps onto itself gives
+    the blocks of its T-even and T-odd states.
 
     The work is split in two.  The symbolic step (_sector_plan) finds the
     sectors, the involution, the twin and fixed sectors, the parity fold
     and where every entry lands in its stack; it depends only on n_sites,
-    the nonzero pattern of the framed, gauged bond term and the
-    involutions it commutes with, and its plan is kept in a
-    least-recently-used cache of at most _PLAN_BYTES.  The numeric step
-    runs on every call: it computes the chain's values, checks that their
-    nonzero pattern and that of the folded values are the plan's, and
-    scatters the values into the stacks.  An exact cancellation that the
-    bond term's pattern does not show fails the check; that call then
-    gets a plan of its own, which is not kept.  Only index arrays are
-    cached, never values or results.
+    the nonzero pattern of the bond term and the involutions it commutes
+    with, and its plan is kept in a least-recently-used cache of at most
+    _PLAN_BYTES.  The numeric step runs on every call: it computes the
+    chain's values, checks that their nonzero pattern and that of the
+    folded values are the plan's, and scatters the values into the
+    stacks.  An exact cancellation that the bond term's pattern does not
+    show fails the check; that call then gets a plan of its own, which is
+    not kept.  Only index arrays are cached, never values or results.
     """
     _, h = _frame(local.matrix)
-    masks, table = _chain_table(h if np.any(h.imag) else h.real, n_sites)
-    gauge = bool(np.any(h.imag)) and _conserved(h) == 2
-    if gauge:
+    if np.any(h.imag) and _conserved(h) == 2:
         # gauge the hopping phase away, exactly (see above)
         h = np.where(_DIAGONAL, h.real, np.abs(h))
+    masks, table = _chain_table(h if np.any(h.imag) else h.real, n_sites)
     # a diagonal chain has one-state sectors, which no T can split
     held = _held_involutions(h) if np.any(h[~_DIAGONAL]) else ()
     key = n_sites, (h != 0).tobytes(), held
@@ -414,11 +368,10 @@ def _framed_sectors(local: LocalHamiltonian, n_sites: int):
         plan = _PLANS.get(key)
         if plan is not None:
             _PLANS.move_to_end(key)
-    numeric = (None if plan is None
-               else sectors._numeric_parts(plan, table, gauge))
+    numeric = None if plan is None else sectors._numeric_parts(plan, table)
     if numeric is None:
-        fresh = sectors._sector_plan(n_sites, masks, table, held, gauge)
-        numeric = sectors._numeric_parts(fresh, table, gauge)
+        fresh = sectors._sector_plan(n_sites, masks, table, held)
+        numeric = sectors._numeric_parts(fresh, table)
         if plan is None:
             _keep_plan(key, fresh)
     parts, vals = numeric
@@ -443,15 +396,15 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     assembling the dense chain.
 
     The spectrum comes from the sector stacks of _framed_sectors, and
-    |H|_F from the framed chain's values that its numeric step holds (a
-    unitary frame keeps the norm).  H psi never needs the chain in the
-    caller's basis.  A basis state's |H e_x| is the norm of row x, which
-    is that of column x because H is Hermitian bit for bit
-    (local_from_espace symmetrizes every bond term): the row's values are
-    summed from the bond term exactly as chain_entries sums them, and
-    their squares are added in its order.  The other states, each read
-    once, are stacked, and the bond term acts on each bond's reshaped
-    (states * 2^i, 4, 2^(n-2-i)) view of them.
+    |H|_F from the framed, gauged chain's values that its numeric step
+    holds (a unitary frame and the gauge keep the norm).  H psi never
+    needs the chain in the caller's basis.  A basis state's |H e_x| is
+    the norm of row x, which is that of column x because H is Hermitian
+    bit for bit (local_from_espace symmetrizes every bond term): the
+    row's values are summed from the bond term exactly as chain_entries
+    sums them, and their squares are added in its order.  The other
+    states, each read once, are stacked, and the bond term acts on each
+    bond's reshaped (states * 2^i, 4, 2^(n-2-i)) view of them.
     """
     local = build_family(params)
     sectors, vals = _framed_sectors(local, n_sites)
@@ -465,7 +418,7 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     # as from the raw values.
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
     # taken of complex values, as chain_entries holds them: an identity
-    # frame gives the norm of the caller's chain bit for bit
+    # frame with no gauge gives the norm of the caller's chain bit for bit
     hnorm = float(np.linalg.norm(_times_power_of_two(
         np.asarray(vals, dtype=complex), -f)))
     norms = np.ones(len(catalogue))

@@ -32,9 +32,11 @@ route the library does not take, so agreement is evidence.
   states' amplitudes built at once from the loop table of zero_counts,
   as the library built them before its states kept a recipe; each power
   of the ratio is taken in Python.
-- unscreened_symmetry_frame: the symmetry frame search that rotates
-  every candidate axis exactly and scores it in turn, instead of
-  screening the axes in one batched rotation first.
+- axis_by_axis_frame, frame_rank: the symmetry frame search one
+  candidate axis at a time, each turned onto z by the eigenvectors of
+  n . sigma and an explicit Kronecker product, and ranked from the
+  turned bond term's kept entries and a written-out site swap, instead
+  of one batched rotation by a closed-form frame.
 - transform_state: a chain state pushed through the inverse one-site
   action, one tensordot per site.
 - minkowski, trace_form: the (-,+,+) product and the invariant pairing
@@ -345,53 +347,86 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     return _spectrum_report(n_sites, sectors)
 
 
-def unscreened_symmetry_frame(local: LocalHamiltonian) -> np.ndarray:
-    """verify.symmetry_frame's u, every candidate axis rotated exactly
-    and scored in turn."""
+# I, X, Y, Z; the site swap of a pair and Z x Z; the ones of each pair
+# state
+_PAULIS = (_I2, _S1, np.array([[0.0, -1j], [1j, 0.0]]), _S3)
+_PAIR_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+_PAIR_ONES = np.array([0, 1, 1, 2])
+
+
+def _snapped_term(h: np.ndarray) -> np.ndarray:
+    """h with every real or imaginary part at or below HERMITICITY_TOL *
+    max|h| set to zero."""
+    cut = verify.HERMITICITY_TOL * np.max(np.abs(h))
+    return (np.where(np.abs(h.real) > cut, h.real, 0.0)
+            + 1j * np.where(np.abs(h.imag) > cut, h.imag, 0.0))
+
+
+def frame_rank(h: np.ndarray) -> int:
+    """What the bond term h keeps once snapped: 3 the number of ones, 2
+    only their parity, 1 neither but its chain commutes with site
+    reversal times 1 or Z on every site (to the snapping cut), else 0."""
+    h = _snapped_term(h)
+    change = (_PAIR_ONES[:, None] - _PAIR_ONES[None, :])[h != 0]
+    if not np.any(change):
+        return 3
+    if not np.any(change % 2):
+        return 2
+    cut = verify.HERMITICITY_TOL * np.max(np.abs(h))
+    for t in (_PAIR_SWAP, _ZZ @ _PAIR_SWAP):
+        d = t @ h @ t - h
+        if max(np.max(np.abs(d.real)), np.max(np.abs(d.imag))) <= cut:
+            return 1
+    return 0
+
+
+def _axis_turn(axis: np.ndarray) -> np.ndarray:
+    """A unit-determinant u with u^dagger (n . sigma) u = Z, n the unit
+    vector along axis: the +1 and -1 eigenvectors of n . sigma."""
+    n = axis / np.max(np.abs(axis))
+    n = n / np.linalg.norm(n)
+    _, v = np.linalg.eigh(sum(x * p for x, p in zip(n, _PAULIS[1:])))
+    u = v[:, ::-1]
+    return u / np.sqrt(np.linalg.det(u))
+
+
+def axis_by_axis_frame(local: LocalHamiltonian):
+    """(rank, u, term): the best frame_rank of verify.symmetry_frame's
+    candidate frames before its phase step, the frame u that first
+    reaches it (the identity first) and the bond term in it: h itself
+    for the identity, as the library keeps it, else snapped.
+
+    The candidates are the axes of the one-site fields, the real
+    eigenvectors of K and K^T, the field sum and the eigenvectors of (K +
+    K^T) / 2, K the two-site part of the Pauli coefficients; each is
+    turned onto z by _axis_turn and ranked in turn.
+    """
     h = local.matrix
-    frame = np.eye(2, dtype=complex)
-    best = verify._conserved(verify._snapped(h))
-    if best < 2:
-        c = np.einsum("ij,abji->ab", h, verify._PAIR_PAULI).real / 4.0
-        k = c[1:, 1:]
-        axes = [c[0, 1:], c[1:, 0]]
-        for m in (k, k.T):
-            w, v = np.linalg.eig(m)
-            axes.extend(v[:, w.imag == 0].real.T)
-        cut = verify.HERMITICITY_TOL * np.max(np.abs(c))
-        for axis in axes:
-            if np.max(np.abs(axis)) <= cut:
-                continue
-            u = verify._axis_frame(axis)
-            score = verify._conserved(verify._rotated(h, u))
-            if score > best:
-                best, frame = score, u
-                if best == 2:
-                    break
-        if best == 0 and verify._reversal_sign(h) is None:
-            k_sym, field = (k + k.T) / 2.0, c[1:, 0] + c[0, 1:]
-            for axis in [field, *np.linalg.eigh(k_sym)[1].T]:
-                if np.max(np.abs(axis)) <= cut:
-                    continue
-                u = verify._axis_frame(axis)
-                if verify._reversal_sign(verify._rotated(h, u)) is not None:
-                    frame = u
-                    break
-    moved = verify._rotated(h, frame)
-    a, b = np.nonzero(moved)
-    change = verify._PAIR_ONES[b] - verify._PAIR_ONES[a]
-    if np.any(moved.imag) and np.any(change):
-        j = np.flatnonzero(change)[np.argmax(np.abs(
-            moved[a[change != 0], b[change != 0]]))]
-        angle, delta = np.angle(moved[a[j], b[j]]), change[j]
-        for turn in range(abs(delta)):
-            theta = (turn * np.pi - angle) / delta
-            u = frame @ np.diag([np.exp(-0.5j * theta),
-                                 np.exp(0.5j * theta)])
-            if not np.any(verify._rotated(h, u).imag):
-                frame = u
-                break
-    return frame
+    c = np.array([[np.trace(np.kron(a, b) @ h).real for b in _PAULIS]
+                  for a in _PAULIS]) / 4.0
+    k = c[1:, 1:]
+    axes = [c[0, 1:], c[1:, 0]]
+    for m in (k, k.T):
+        w, v = np.linalg.eig(m)
+        axes.extend(v[:, w.imag == 0].real.T)
+    axes.append(c[1:, 0] + c[0, 1:])
+    axes.extend(np.linalg.eigh((k + k.T) / 2.0)[1].T)
+    cut = verify.HERMITICITY_TOL * np.max(np.abs(c))
+    best, frame, term = frame_rank(h), _I2, h
+    for axis in axes:
+        if best == 3:
+            break
+        if np.max(np.abs(axis)) <= cut:
+            continue
+        u = _axis_turn(axis)
+        uu = np.kron(u, u)
+        turned = uu.conj().T @ h @ uu
+        rank = frame_rank(turned)
+        if rank > best:
+            best, frame = rank, u
+            term = _snapped_term((turned + turned.conj().T) / 2.0)
+    return best, frame, term
 
 
 def conjugate_local(local: LocalHamiltonian, g: SL2) -> LocalHamiltonian:

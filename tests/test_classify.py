@@ -383,6 +383,43 @@ def test_near_null_tilted_forms_validate_or_are_refused_by_name():
                     "refused w"}
 
 
+def test_tilted_plane_scan_ends_in_a_form_or_a_named_refusal():
+    # unimodular images (condition at most 20) of planes next to the
+    # tilted degenerate plane, [[1, 1, 0, beta], [0, 0, 1, gamma]] with
+    # beta from 1e-11 to 1e-1, and of regular planes [[1, 0, 0, a], [0, 0,
+    # 1, b]] whose w = (-a, b) is next to null: their witnesses take large
+    # scale steps.  Every outcome is a form or a ClassificationError (the
+    # witness image's own rank refusal aside), never the plain ValueError
+    # of a witness that drifted off unit determinant
+    rng = np.random.default_rng(3)
+    seen = {}
+    for kind in ("degenerate", "regular") * 250:
+        phase = np.exp(2j * np.pi * rng.random())
+        a = complex(rng.normal(), rng.normal())
+        if kind == "degenerate":
+            rows = [[1, 1, 0, 10.0 ** rng.uniform(-11, -1) * phase],
+                    [0, 0, 1, a]]
+        else:
+            b = a * rng.choice([1, -1]) * (
+                1 + 10.0 ** rng.uniform(-12, -6) * phase)
+            rows = [[1, 0, 0, a], [0, 0, 1, b]]
+        space = sl2_act_space(random_sl2(rng, 20.0),
+                              CSpace(np.array(rows, dtype=complex)))
+        try:
+            got = classify(space).form.case_id
+        except (ClassificationError, AmbiguousRankError) as exc:
+            got = type(exc).__name__
+        seen[kind, got] = seen.get((kind, got), 0) + 1
+    assert set(seen) == {
+        ("degenerate", CaseId.DEGENERATE_PLANE),
+        ("degenerate", CaseId.DEGENERATE_PLANE_TILTED),
+        ("degenerate", "AmbiguousNullError"),
+        ("regular", CaseId.REGULAR_PLANE),
+        ("regular", CaseId.REGULAR_PLANE_TILTED),
+        ("regular", "ClassificationError"),
+        ("regular", "AmbiguousRankError")}
+
+
 # The 19 canonical points: every nonempty form, each mu form at mu = 0
 # and 0.3+0.1i, and nonnull_line also where its commutation factor is
 # e^(2 pi i / 3).

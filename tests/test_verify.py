@@ -21,13 +21,15 @@ from mpschain.pauli import _TO_FLAT, SL2
 from mpschain import cli, verify
 from mpschain import sectors as sector_module
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
-from mpschain.sectors import _sector_blocks, _sector_members, _sector_roots
+from mpschain.sectors import (_filled_stacks, _sector_members, _sector_roots,
+                              _stack_plan)
 from mpschain.verify import (KERNEL_TOL, _framed_sectors, _spectrum_report,
                              family_report, spectrum, stacked_state_rank,
                              symmetry_frame)
-from oracles import (benchmark_specs, check_zero_member, conjugate_local,
-                     covariance_check, kron_chain, no_mps_case_report,
-                     operator_sum, random_sl2, unscreened_symmetry_frame)
+from oracles import (axis_by_axis_frame, benchmark_specs, check_zero_member,
+                     conjugate_local, covariance_check, frame_rank,
+                     kron_chain, no_mps_case_report, operator_sum,
+                     random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -237,7 +239,8 @@ def _plain_sectors(n_sites, rows, cols, vals):
     off = rows != cols
     members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
                               np.arange(dim))
-    return list(_sector_blocks(dim, [(members, (rows, cols, vals), 1)]))
+    return list(_filled_stacks([
+        (1, vals, _stack_plan(dim, members, rows, cols))]))
 
 
 def _parity_entries(n_sites, involution, entries):
@@ -329,14 +332,24 @@ def test_hardcore_singlet_blocks_are_real_in_its_frame():
         assert all(blocks.dtype == np.float64 for _, blocks in sectors)
 
 
+def _gauged(h):
+    """h with a complex hopping phase gauged away where h keeps the
+    number of ones: the diagonal by its real part, the rest by modulus."""
+    if verify._conserved(h) == 2 and np.any(h.imag):
+        return np.where(np.eye(4, dtype=bool), h.real, np.abs(h))
+    return h
+
+
 def test_framed_chain_is_built_from_the_scored_bond_term():
     rng = np.random.default_rng(965)
+    gauged = 0
     for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
                   "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
         u = symmetry_frame(local).matrix
         assert not np.array_equal(u, np.eye(2))
-        scored = verify._rotated(local.matrix, u)
+        scored = _gauged(verify._rotated(local.matrix, u))
+        gauged += not np.iscomplexobj(scored)
         _, vals = _framed_sectors(local, 2)
         # the scored term's chain values, in chain_entries' order
         rows, cols, want = chain_entries(LocalHamiltonian(scored), 2)
@@ -345,6 +358,8 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
         assert vals.astype(complex).tobytes() == want.tobytes()
         order = np.lexsort((cols, rows))
         assert np.array_equal(want[order], scored[np.nonzero(scored)])
+    # pairsum-exchange at nu' = nu keeps the number with a complex hopping
+    assert gauged == 4
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
@@ -355,10 +370,14 @@ def test_frame_is_the_identity_without_a_hidden_symmetry(label):
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
         assert np.array_equal(symmetry_frame(local).matrix, np.eye(2))
-        # the chain's values are the unframed ones
+        # the chain's values are the unframed ones, the hopping phase of
+        # exchange and antialigned gauged away
+        h = _gauged(local.matrix)
+        assert (h is not local.matrix) == (label in ("exchange",
+                                                     "antialigned"))
         _, vals = _framed_sectors(local, 4)
         assert vals.astype(complex).tobytes() \
-            == chain_entries(local, 4)[2].tobytes()
+            == chain_entries(LocalHamiltonian(h), 4)[2].tobytes()
 
 
 def _reversal_bound(n_sites):
@@ -376,7 +395,9 @@ def test_reversal_splits_one_block_families(label):
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
         u = symmetry_frame(local).matrix
-        assert verify._reversal_sign(verify._rotated(local.matrix, u)) == -1
+        # reversal times Z on every site, not reversal alone
+        assert verify._commuting(verify._rotated(local.matrix, u))[:2] \
+            .tolist() == [False, True]
         for n in range(2, 9):
             sizes = _framed_sizes(local, n)
             assert sum(sizes) == 2 ** n
@@ -390,7 +411,7 @@ def test_reversal_is_refused_without_the_symmetry(label):
     rng = np.random.default_rng(967)
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
-        assert verify._reversal_sign(local.matrix) is None
+        assert not verify._commuting(local.matrix)[:2].any()
         for n in range(2, 9):
             # |1...1> is alone; every other state is one block
             assert _framed_sizes(local, n) == [1, 2 ** n - 1]
@@ -399,8 +420,7 @@ def test_reversal_is_refused_without_the_symmetry(label):
 def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     params = _seeded_params("hardcore", np.random.default_rng(970))
     local = build_family(params)
-    sign = verify._reversal_sign(local.matrix)
-    assert sign == 1
+    assert verify._commuting(local.matrix)[0]
     # what the reversal-parity states would give
     expected = {}
     for n in (4, 7, 10):
@@ -476,65 +496,57 @@ def test_frame_keeps_spectra_of_rotated_families(label, seed, n):
     rng = np.random.default_rng(seed)
     local = conjugate_local(build_family(_seeded_params(label, rng)),
                             _random_special_unitary(rng))
-    assert symmetry_frame(local).matrix.tobytes() \
-        == unscreened_symmetry_frame(local).tobytes()
+    assert frame_rank(verify._frame(local.matrix)[1]) \
+        == axis_by_axis_frame(local)[0]
     _assert_matches_dense(_framed_report(local, n), *_dense_evals(local, n))
     if label in REVERSAL_CASES:
         assert max(_framed_sizes(local, n)) <= _reversal_bound(n)
 
 
-def _canonical_points() -> list:
+def _canonical_points() -> dict:
     """The nonempty canonical forms with identity weight on their literal
-    rows, each mu form at several mu."""
-    points = []
+    rows, each mu form at several mu, by name."""
+    points = {}
     for case in CaseId:
         for mu in ([0.0, 0.3 + 0.1j, np.exp(2j * np.pi / 3), -1.0]
                    if case in MU_CASES else [None]):
             rows = canonical_space(CanonicalForm(case, mu)) \
                 .coefficient_matrix() @ _TO_FLAT
             if rows.size:
-                points.append(local_from_espace(rows, np.eye(len(rows))))
+                name = case.value if mu is None else f"{case.value}@{mu}"
+                points[name] = local_from_espace(rows, np.eye(len(rows)))
     return points
 
 
-def test_screened_frame_is_the_unscreened_one_bit_for_bit():
+def test_frame_search_matches_the_axis_by_axis_oracle():
     # the benchmark draws on three seeds and the canonical points, each
-    # also turned by two random unitaries
+    # also turned by three random unitaries: the library's frame reaches
+    # the oracle's rank, and the oracle's frame splits the chain alike
     rng = np.random.default_rng(976)
-    terms = [build_family(params_from_mapping(*spec))
+    terms = {f"{label}@{seed}": build_family(params_from_mapping(*spec))
              for seed in (1001, 2001, 4242)
-             for spec in benchmark_specs(np.random.default_rng(seed)).values()]
-    terms += _canonical_points()
-    assert len(terms) > 33 + 14
-    for local in terms:
-        for turned in (local, *(conjugate_local(
-                local, _random_special_unitary(rng)) for _ in range(2))):
-            assert symmetry_frame(turned).matrix.tobytes() \
-                == unscreened_symmetry_frame(turned).tobytes()
-
-
-def test_frame_screen_defers_parts_near_the_cut(monkeypatch):
-    # a parity-keeping bond term plus a generic one near the snapping
-    # cut: the screen leaves the axes whose rotated parts it cannot place
-    # to the exact rotation, and the frame is the unscreened one
-    h = build_family(params_from_mapping(
-        *BENCH_SPECS["pairsum-exchange/prime"])).matrix
-    rng = np.random.default_rng(977)
-    screen, deferred = verify._screened_scores, []
-
-    def screening(h, axes):
-        scores = screen(h, axes)
-        deferred.extend(score for score in scores if score is None)
-        return scores
-
-    monkeypatch.setattr(verify, "_screened_scores", screening)
-    for scale in np.geomspace(1e-14, 1e-10, 25):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        local = LocalHamiltonian(h + scale * np.max(np.abs(h)) * a
-                                 @ a.conj().T)
-        assert symmetry_frame(local).matrix.tobytes() \
-            == unscreened_symmetry_frame(local).tobytes()
-    assert deferred
+             for label, spec in benchmark_specs(
+                 np.random.default_rng(seed)).items()}
+    terms.update(_canonical_points())
+    ranks, unlike = [], set()
+    for name, local in terms.items():
+        for turn, turned in enumerate((local, *(conjugate_local(
+                local, _random_special_unitary(rng)) for _ in range(3)))):
+            rank, _, term = axis_by_axis_frame(turned)
+            assert frame_rank(verify._frame(turned.matrix)[1]) == rank
+            if any(_solved_sizes(turned, n)
+                   != _solved_sizes(LocalHamiltonian(term), n)
+                   for n in (5, 8)):
+                unlike.add((name, turn))
+            ranks.append(rank)
+    assert len(ranks) == 236
+    # every rank occurs: number, parity, reversal and none
+    assert set(ranks) == {0, 1, 2, 3}
+    # the one exception: the tilted degenerate plane, turned.  Its
+    # reversal-parity blocks split further only where folded entries
+    # cancel exactly, and the rounding of each frame's rotation decides
+    # whether they do
+    assert unlike == {("degenerate_plane_tilted", turn) for turn in (1, 2, 3)}
 
 
 def test_frame_keeps_a_small_symmetry_breaking_term():
@@ -584,7 +596,7 @@ def test_exchange_at_equal_moduli_splits_by_reversal():
     # nu' = omega nu: once the hopping phase is gauged away, the bond term
     # is unchanged by the site swap, so each number sector splits in two
     local = build_family(params_from_mapping(*BENCH_SPECS["exchange/omega3"]))
-    assert verify._reversal_sign(local.matrix) is None
+    assert not verify._commuting(local.matrix)[:2].any()
     for n in range(2, 10):
         sizes = _framed_sizes(local, n)
         assert sum(sizes) == 2 ** n
@@ -804,14 +816,14 @@ def test_stacks_are_solved_one_at_a_time(monkeypatch):
     members = _sector_members(_sector_roots(x.size, rows[off], cols[off]), x)
     assert [m.shape for m in members] == [(1, k - 1), (1, k)]
     stack = 8 * k * k
-    parts = [(members, (rows, cols, vals), 1)]
+    parts = [(1, vals, _stack_plan(x.size, members, rows, cols))]
     monkeypatch.setattr(sector_module, "_available_bytes", lambda: 2 * stack - 1)
     with pytest.raises(ChainSizeError, match=f"need {2 * stack} bytes"):
-        _sector_blocks(x.size, parts)
+        _filled_stacks(parts)
     monkeypatch.setattr(sector_module, "_available_bytes", lambda: 2 * stack)
     tracemalloc.start()
     try:
-        rep = _spectrum_report(1, _sector_blocks(x.size, parts))
+        rep = _spectrum_report(1, _filled_stacks(parts))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

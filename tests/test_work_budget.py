@@ -1,8 +1,9 @@
-"""Work the algebra layer's hot path may do, counted in calls, not timed.
+"""Work the hot paths may do, counted in calls, not timed.
 
 A validated witness compares stored rows instead of running the SVD, the
 witness is one raw 2x2 product checked once, the fixed steps carry their
-action matrices, and mps_contract builds its words once.  Counting calls
+action matrices, and mps_contract builds its words once.  The chain's
+frame search rotates all its candidates in one batch.  Counting calls
 keeps each of these from creeping back, on any machine.
 """
 
@@ -11,13 +12,14 @@ import zlib
 
 import numpy as np
 
-from mpschain import pauli, states
+from mpschain import pauli, states, verify
 from mpschain.classify import (CanonicalForm, CaseId, MU_CASES,
                                canonical_space, classify)
+from mpschain.hamiltonian import build_family, params_from_mapping
 from mpschain.pauli import SL2, sl2_act_space
 from mpschain.states import (NoRepresentationError, mps_contract,
                              representation_for_case)
-from oracles import random_sl2
+from oracles import benchmark_specs, conjugate_local, random_sl2
 
 classify_module = importlib.import_module("mpschain.classify")
 
@@ -80,3 +82,46 @@ def test_mps_contract_builds_its_words_once(monkeypatch):
             contracted += 1
             assert calls["words"] == contracted
     assert contracted > 0
+
+
+def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
+    # one _rotated call over every candidate, none where the identity
+    # keeps the number already, then at most one per phase turn (a
+    # hopping changes the number by at most 2); reversal is ranked only
+    # where no frame keeps the parity
+    rotations, reversal = [], []
+    rotated, commuting = verify._rotated, verify._commuting
+
+    def counted_rotated(h, u):
+        rotations.append(u.shape)
+        return rotated(h, u)
+
+    def counted_commuting(h):
+        reversal.append(h.shape)
+        return commuting(h)
+
+    monkeypatch.setattr(verify, "_rotated", counted_rotated)
+    monkeypatch.setattr(verify, "_commuting", counted_commuting)
+    rng = np.random.default_rng(978)
+    batched, ranked_by_reversal = 0, 0
+    for spec in benchmark_specs(np.random.default_rng(1001)).values():
+        local = build_family(params_from_mapping(*spec))
+        for term in (local, conjugate_local(local, random_sl2(rng, 20.0))):
+            rotations.clear()
+            reversal.clear()
+            _, framed = verify._frame(term.matrix)
+            kept = verify._conserved(verify._snapped(term.matrix))
+            candidates = int(kept < 2)
+            turns = rotations[candidates:]
+            assert len(turns) <= 2 and all(t == (2, 2) for t in turns)
+            if candidates:
+                batch, *shape = rotations[0]
+                assert shape == [2, 2] and batch > 1
+            if verify._conserved(verify._snapped(framed)):
+                assert not reversal
+            else:
+                assert reversal == [(1 + batch, 4, 4)]
+            batched += candidates
+            ranked_by_reversal += bool(reversal)
+    # both paths and the reversal rank are taken
+    assert 0 < batched < 22 and ranked_by_reversal
