@@ -1,27 +1,32 @@
 """Sector stacks of a chain: the index arrays that split it into blocks.
 
 A chain is block diagonal over the connected components (sectors) of its
-off-diagonal pattern.  This module finds them (_sector_roots,
-_sector_members), joins or splits them by a basis-permuting involution
-that commutes with the chain (_involutions, _orbit_cost, _parity_fold),
-and works out where each of the chain's entries lands in the stack of
-equal-size blocks it belongs to (_stack_plan).  None of that depends on
-the chain's values beyond their nonzero pattern, so _sector_plan gathers
-it into a plan of index arrays; _numeric_parts then checks a chain's
-values against a plan and hands them to _filled_stacks, which builds and
-yields the stacks one at a time.  Which values a chain has (its frame,
-its gauge) is verify's choice; verify also picks the involutions and
-keeps the plans.
+off-diagonal pattern.  This module finds them and works out where each
+of the chain's entries lands in the stack of equal-size blocks it
+belongs to (_sector_stacks), and joins or splits them by a
+basis-permuting involution that commutes with the chain (_involutions,
+_orbit_cost, _parity_fold).  None of that depends on the chain's values
+beyond their nonzero pattern, so _sector_plan gathers it into a plan of
+index arrays.  _stacks is the one entry point for a chain of a 4x4 bond
+term: it computes the chain's values, keeps one plan per size, bond
+pattern and involutions in a small least-recently-used cache, checks
+the values against it (_numeric_parts) and hands them to _filled_stacks,
+which builds and yields the stacks one at a time.  Which bond term a
+chain is built from (its frame, its gauge) and which involutions it
+commutes with is verify's choice.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChainSizeError, _table_nonzero
+from .hamiltonian import (ChainSizeError, ParameterError, _chain_table,
+                          _table_nonzero)
 
 
 def _sector_roots(dim: int, rows, cols) -> np.ndarray:
@@ -45,19 +50,6 @@ def _sector_roots(dim: int, rows, cols) -> np.ndarray:
             root = jumped
 
 
-def _sector_members(root: np.ndarray, states: np.ndarray) -> list:
-    """The basis states `states` (ascending) grouped into sectors by
-    their root, one (s, k) array per sector size k: the s sectors of
-    that size in order of their root, members ascending."""
-    roots = root[states]
-    size = np.bincount(roots, minlength=root.size)[roots]
-    # a stable sort: by size, then root, members ascending
-    order = np.lexsort((roots, size))
-    ks, counts = np.unique(size[order], return_counts=True)
-    return [states[o].reshape(-1, k)
-            for k, o in zip(ks, np.split(order, np.cumsum(counts)[:-1]))]
-
-
 def _available_bytes() -> int | None:
     """MemAvailable of /proc/meminfo in bytes, or None where it cannot be
     read."""
@@ -71,44 +63,55 @@ def _available_bytes() -> int | None:
     return None
 
 
-def _stack_plan(dim: int, members: list, rows, cols) -> tuple:
-    """Where each entry (rows, cols) lands in the stacks of the member
-    arrays (from _sector_members) of a dim-state basis: one (s, k, src,
-    dst) per (s, k) member array, src the entries in rows of its members
-    and dst their flat positions in its (s, k, k) stack.  Entries in rows
-    of no member are left out.  One sort of the entries by stack serves
-    every stack."""
-    shapes = np.array([m.shape for m in members], dtype=np.intp).reshape(-1, 2)
-    counts = shapes[:, 0] * shapes[:, 1]
-    states = np.concatenate([np.zeros(0, dtype=np.intp),
-                             *(m.ravel() for m in members)])
+def _sector_stacks(dim: int, rows, cols, states,
+                   root: np.ndarray | None = None) -> tuple:
+    """Where each entry (rows, cols) of a dim-state chain lands in the
+    stacks of equal-size sectors of the basis states `states`
+    (ascending): the sectors named by root, else the connected
+    components of the entries' off-diagonal pattern.
+
+    One (s, k, src, dst) per sector size k: the s sectors of that size in
+    order of their root, members ascending, src the entries in rows of
+    their members and dst their flat positions in the (s, k, k) stack.
+    Entries in rows of no member are left out.  One sort of the entries
+    by stack serves every stack.
+    """
+    if root is None:
+        off = rows != cols
+        root = _sector_roots(dim, rows[off], cols[off])
+    roots = root[states]
+    size = np.bincount(roots, minlength=dim)[roots]
+    # a stable sort: by size, then root, members ascending
+    order = np.lexsort((roots, size))
+    states, k = states[order], size[order]
+    ks, counts = np.unique(k, return_counts=True)
     # each state's stack, and its rank r there: block r // k, position
     # r % k in the block, and so its row starts at r * k in the stack;
     # stack ids of a small dtype, which a stable sort orders in one pass,
-    # and len(members) for the states of none
+    # and len(ks) for the states of none
     rank = np.arange(states.size) - np.repeat(np.cumsum(counts) - counts,
                                               counts)
-    k = np.repeat(shapes[:, 1], counts)
-    stack = np.full(dim, len(members), dtype=np.min_scalar_type(len(members)))
-    stack[states] = np.repeat(np.arange(len(members)), counts)
+    stack = np.full(dim, ks.size, dtype=np.min_scalar_type(ks.size))
+    stack[states] = np.repeat(np.arange(ks.size), counts)
     start = np.zeros(dim, dtype=np.intp)
     start[states] = rank * k
     pos = np.zeros(dim, dtype=np.intp)
     pos[states] = rank % k
     at = stack[rows]
     src = np.argsort(at, kind="stable")
-    ends = np.searchsorted(at[src], np.arange(1, len(members) + 1))
+    ends = np.searchsorted(at[src], np.arange(1, ks.size + 1))
     # a row and its column lie in one sector
     dst = start[rows[src]] + pos[cols[src]]
-    return tuple((s, k, _narrow(src[lo:hi], rows.size),
-                  _narrow(dst[lo:hi], s * k * k))
-                 for (s, k), lo, hi in zip(shapes.tolist(), np.concatenate(
-                     ([0], ends[:-1])), ends))
+    return tuple((count // k, k, _narrow(src[lo:hi], rows.size),
+                  _narrow(dst[lo:hi], count * k))
+                 for k, count, lo, hi in zip(ks.tolist(), counts.tolist(),
+                                             np.concatenate(([0], ends[:-1])),
+                                             ends))
 
 
 def _filled_stacks(parts: list):
     """The (count, blocks) stacks of parts of (count, vals, stacks), the
-    stacks from _stack_plan over entries whose values are vals.
+    stacks from _sector_stacks over entries whose values are vals.
 
     Refuses (ChainSizeError), before any block is allocated, when a stack
     to be eigensolved and eigvalsh's copy of it need more bytes than
@@ -259,21 +262,19 @@ def _folded(vals: np.ndarray, fold: tuple, slots: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SectorPlan:
-    """The symbolic half of a framed chain's sector split: index arrays
-    only, no values (see verify._framed_sectors).
+    """The symbolic half of a chain's sector split: index arrays only,
+    no values (see _stacks).
 
-    flat holds the positions, in the chain's flattened _chain_table of
-    size entries, of its nonzero values in chain_entries' order; chain
-    the _stack_plan of the part read from those values, each of its
-    sectors standing for count.  Where an involution T is applied, fold
+    flat holds the positions, in the chain's flattened _chain_table, of
+    its nonzero values in chain_entries' order; chain the _sector_stacks
+    of the part read from those values.  Where an involution T is
+    applied, each sector of chain stands for itself and its twin, fold
     is the _parity_fold of the entries in sectors T maps onto themselves,
-    keep marks its nonzero slots, and split is the _stack_plan of the
+    keep marks its nonzero slots, and split is the _sector_stacks of the
     kept folded values.
     """
 
-    size: int
     flat: np.ndarray
-    count: int
     chain: tuple
     fold: tuple = ()
     keep: np.ndarray | None = None
@@ -300,7 +301,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     dim = 2 ** n_sites
     rows, k = _table_nonzero(table)
     cols = rows ^ masks[k]
-    flat = k * dim + rows
+    flat = _narrow(k * dim + rows, table.size)
     off = rows != cols
     root = _sector_roots(dim, rows[off], cols[off])
     best = None
@@ -311,9 +312,8 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
             if merged_cost < cost:
                 cost, best = merged_cost, (merged, sigma, phi)
     if best is None:
-        return _SectorPlan(table.size, _narrow(flat, table.size), 1,
-                           _stack_plan(dim, _sector_members(
-                               root, np.arange(dim)), rows, cols))
+        return _SectorPlan(flat, _sector_stacks(dim, rows, cols,
+                                                np.arange(dim), root))
     root, sigma, phi = best
     twin = root[sigma]
     fixed = root == twin
@@ -323,16 +323,11 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     fold = _narrow(sel[src], flat.size), weight, _narrow(slot, keys.size)
     keep = _folded(table.reshape(-1)[flat], fold, keys.size) != 0
     keys = keys[keep]
-    srows, scols = keys // dim, keys % dim
-    soff = srows != scols
     return _SectorPlan(
-        table.size, _narrow(flat, table.size), 2,
-        _stack_plan(dim, _sector_members(root, np.flatnonzero(root < twin)),
-                    rows, cols),
+        flat,
+        _sector_stacks(dim, rows, cols, np.flatnonzero(root < twin), root),
         fold, keep,
-        _stack_plan(dim, _sector_members(
-            _sector_roots(dim, srows[soff], scols[soff]),
-            np.flatnonzero(fixed)), srows, scols))
+        _sector_stacks(dim, keys // dim, keys % dim, np.flatnonzero(fixed)))
 
 
 def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
@@ -343,18 +338,65 @@ def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
 
 def _numeric_parts(plan: _SectorPlan, table: np.ndarray):
     """The parts of _filled_stacks for the chain's _chain_table table
-    under plan, and its nonzero values in chain_entries' order; None
-    where the pattern of the values, or of the folded values, is not the
-    plan's."""
-    if table.size != plan.size:
-        return None
+    under plan, the first holding its nonzero values in chain_entries'
+    order; None where the pattern of the values, or of the folded
+    values, is not the plan's."""
     vals = table.reshape(-1)[plan.flat]
     if np.count_nonzero(table) != vals.size or not np.all(vals):
         return None
-    parts = [(plan.count, vals, plan.chain)]
-    if plan.keep is not None:
-        total = _folded(vals, plan.fold, plan.keep.size)
-        if not np.array_equal(total != 0, plan.keep):
-            return None
-        parts.append((1, total[plan.keep], plan.split))
-    return parts, vals
+    if plan.keep is None:
+        return [(1, vals, plan.chain)]
+    total = _folded(vals, plan.fold, plan.keep.size)
+    if not np.array_equal(total != 0, plan.keep):
+        return None
+    return [(2, vals, plan.chain), (1, total[plan.keep], plan.split)]
+
+
+# Plans by (n_sites, nonzero pattern of the bond term, involutions held),
+# least recently used first, and the bytes they may hold together.
+_PLANS: OrderedDict = OrderedDict()
+_PLAN_BYTES = 16 << 20
+_PLAN_LOCK = threading.Lock()
+
+
+def _stacks(h: np.ndarray, n_sites: int, held: tuple):
+    """The (count, blocks) stacks of _filled_stacks for the open chain of
+    the 4x4 bond term h, its chain commuting with the involutions held,
+    and that chain's nonzero values in chain_entries' order, of h's
+    dtype.
+
+    The work is split in two.  The symbolic step (_sector_plan) finds the
+    sectors, the involution, the twin and fixed sectors, the parity fold
+    and where every entry lands in its stack; it depends only on n_sites,
+    the nonzero pattern of h and held, and its plan is kept in a
+    least-recently-used cache of at most _PLAN_BYTES; a larger plan is
+    not kept.  The numeric step runs on every call: it computes the
+    chain's values, checks that their nonzero pattern and that of the
+    folded values are the plan's, and scatters the values into the
+    stacks.  An exact cancellation that the bond term's pattern does not
+    show fails the check; that call then gets a plan of its own, which is
+    not kept.  Only index arrays are cached, never values or results.
+
+    Refuses (ParameterError), before any plan is kept or block built, a
+    chain value, raw or folded, that a sum took beyond the float range.
+    """
+    masks, table = _chain_table(h, n_sites)
+    key = n_sites, (h != 0).tobytes(), held
+    with _PLAN_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+    parts = None if plan is None else _numeric_parts(plan, table)
+    if parts is None:
+        fresh = _sector_plan(n_sites, masks, table, held)
+        parts = _numeric_parts(fresh, table)
+    if not all(np.all(np.isfinite(vals)) for _, vals, _ in parts):
+        raise ParameterError(f"chain values exceed the float range at "
+                             f"n_sites={n_sites}")
+    if plan is None and fresh.nbytes <= _PLAN_BYTES:
+        with _PLAN_LOCK:
+            _PLANS.setdefault(key, fresh)
+            kept = sum(p.nbytes for p in _PLANS.values())
+            while kept > _PLAN_BYTES:
+                kept -= _PLANS.popitem(last=False)[1].nbytes
+    return _filled_stacks(parts), parts[0][1]

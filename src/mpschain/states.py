@@ -378,17 +378,6 @@ class MPSResult:
     normalized: StateVector | None
 
 
-def transfer_matrix(spec: MPSSpec) -> np.ndarray:
-    """kron(conj(a0), a0) + kron(conj(a1), a1), the Kronecker products
-    taken as broadcast outer products (entry for entry np.kron); its N-th
-    power traces to the squared norm of the N-site state."""
-    d = spec.bond_dim
-    a = np.stack([spec.a0, spec.a1])
-    t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
-    t = t.reshape(2, d * d, d * d)
-    return t[0] + t[1]
-
-
 def _half_products(a0: np.ndarray, a1: np.ndarray,
                    n_bits: int) -> np.ndarray:
     """All 2^n_bits ordered products A_s1 ... A_sn of bond matrices, the

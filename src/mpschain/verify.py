@@ -5,21 +5,23 @@ off-diagonal pattern, so spectra and residuals come from one dense
 Hermitian eigensolve per sector block; a sector of one basis state is its
 diagonal entry.  Finding the sectors needs no per-family symmetry.  Before
 they are found, the basis is chosen from the 4x4 bond term alone, in one
-place (symmetry_frame): one search rotates a short list of candidate
-axes onto z, in one batch, and ranks what the bond term keeps in each
-frame and in the identity: the number of ones, else their parity, else a
-reversal symmetry T = reverse o v^{x n} with v = 1 or Z.  A site phase then makes
+call (_frame), which settles the frame, the gauge and the involutions
+together: one search rotates a short list of candidate axes onto z, in
+one batch, and ranks what the bond term keeps in each frame and in the
+identity: the number of ones, else their parity, else a reversal
+symmetry T = reverse o v^{x n} with v = 1 or Z.  A site phase then makes
 the bond term real where it can.  A unitary frame leaves the spectrum
 unchanged, and it lets a hidden local symmetry split the chain; the chain
-is built from exactly the framed bond term the frame was scored on.  When
-that term keeps the number of ones but its hopping entry t is complex
-(exchange at a complex ratio, antialigned, pairsum-exchange at nu' = nu),
-the phase of t is gauged away in the bond term itself: on an open chain
+is built from exactly the framed, snapped bond term the frame was scored
+on, in the identity frame too.  When that term keeps the number of ones
+but its hopping entry t is complex (exchange at a complex ratio,
+antialigned, pairsum-exchange at nu' = nu), the phase of t is gauged
+away in the bond term itself: on an open chain
 the site phase exp(i theta k) on the k-th one turns every hopping entry
 into |t| exactly, so the chain is built from the real term with |t| in
 place of t, and its sectors are real blocks with the same spectrum.
 
-The framed, gauged chain is then tested against the basis-permuting
+The framed, gauged bond term is then tested against the basis-permuting
 involutions T = R o v^{x n}, R site reversal or nothing and v one of
 1, Z, X.  T maps each sector onto a sector whose block differs by a
 signed permutation only, so of two sectors T swaps one is solved and
@@ -32,30 +34,24 @@ any block is allocated, the largest stack to be solved is held against
 the memory available.  The checks stay unambiguous: a state either
 sits in the numerical kernel of the chain or it does not.
 
-All of that structure (sectors, involution, parity fold, where each
-entry lands in its stack) depends only on the chain's size, the nonzero
-pattern of the framed bond term and the involutions it commutes with.
-The sectors module works it out as a plan of index arrays, once per
-such pattern: this module keeps the plans in a small least-recently-used
-cache, and each call only computes the chain's values, checks they fit
-the plan and scatters them into the stacks (_framed_sectors).  Residuals
-need no second chain: the bond term acts on each bond of the catalogued
-states.
+From that bond term and those involutions the sectors module builds the
+chain's stacks (sectors._stacks), keeping the index arrays of each
+sector split it works out; this module only solves the stacks.
+Residuals need no second chain: the bond term acts on each bond of the
+catalogued states.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sectors
-from .hamiltonian import (HERMITICITY_TOL, FullHamiltonian, LocalHamiltonian,
-                          FamilyParams, _chain_table, build_family)
-from .pauli import SIGMA, SL2, TAU0, TAU1, TAU2
+from .hamiltonian import (HERMITICITY_TOL, FamilyParams, FullHamiltonian,
+                          ParameterError, _chain_table, build_family)
+from .pauli import SIGMA, TAU0, TAU1, TAU2
 from .states import _times_power_of_two, ground_state_catalogue
 
 # Reports list the lowest LOWEST_K eigenvalues.
@@ -134,11 +130,11 @@ def _snapped(h: np.ndarray) -> np.ndarray:
 
 
 def _rotated(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(u x u)^dagger h (u x u), snapped, for one 2x2 u or each of a
-    stack of them."""
+    """(u x u)^dagger h (u x u) for one 2x2 u or each of a stack of
+    them."""
     uu = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(
         *u.shape[:-2], 4, 4)
-    return _snapped(np.swapaxes(uu.conj(), -1, -2) @ h @ uu)
+    return np.swapaxes(uu.conj(), -1, -2) @ h @ uu
 
 
 def _conserved(h: np.ndarray):
@@ -164,8 +160,10 @@ def _commuting(h: np.ndarray) -> np.ndarray:
         axis=(-2, -1)) <= cut
 
 
-def symmetry_frame(local: LocalHamiltonian) -> SL2:
-    """One-site unitary frame u in which the chain splits best.
+def _frame(h: np.ndarray):
+    """(u, h', held): the one-site unitary frame u in which the chain of
+    the 4x4 bond term h splits best, the bond term h' the chain is built
+    from, and the involutions of _INVOLUTIONS its chain commutes with.
 
     Writes h = sum_ab c_ab P_a x P_b over the Pauli matrices.  If h keeps
     the number (or parity) of ones along some axis n, then n is a real
@@ -176,34 +174,38 @@ def symmetry_frame(local: LocalHamiltonian) -> SL2:
     m^T - 1 and reversal swaps the sites, so R K^T R = K and R swaps the
     two fields: m lies along their sum and is an eigenvector of (K +
     K^T) / 2.  The identity and every such candidate axis, rotated onto
-    z, are ranked: keeping the number beats keeping the parity, which
-    beats commuting with T for v = 1 or Z, which beats nothing.  Of equal
-    ranks the first wins, so the identity stays unless another frame is
-    strictly better.
+    z in one batch, are ranked: keeping the number beats keeping the
+    parity, which beats commuting with T for v = 1 or Z, which beats
+    nothing.  Of equal ranks the first wins, so the identity stays
+    unless another frame is strictly better; when it keeps the number
+    already, no candidate can beat it and none is listed.
 
     Then, if a site phase diag(1, e^{i theta}) makes the rotated h real,
     it is folded in; theta is read off the largest entry that changes the
     number.  A phase commutes with Z, so it keeps T.
 
-    A unitary frame leaves the chain spectrum unchanged.  Entries are
-    compared after snapping to zero every real or imaginary part at or
-    below HERMITICITY_TOL * max|h|, which removes the rotation's rounding
-    residue; a bond term whose snapped mass is `dropped` shifts every
-    chain eigenvalue by at most (n - 1) * |dropped|_2.  Likewise T is
-    accepted when h' and T h' T differ by no more than that cut in any
-    part, so the even and odd blocks shift every eigenvalue by at most
-    (n - 1) * |h' - T h' T|_2.
-    """
-    return SL2(_frame(local.matrix)[0])
+    When the framed term keeps the number of ones and has an imaginary
+    part, its phase is gauged away: the diagonal by its real part, every
+    other entry by its modulus.  That is the chain conjugated by the
+    diagonal unitary D = diag(exp(i theta sum_k k x_k)), theta = arg t
+    for the hopping entry t = h'[|01>, |10>]: every off-diagonal chain
+    entry comes from one bond and is t or conj(t), so D turns it into
+    |t|, with no tolerance involved.  h' is real dtype when it has no
+    imaginary part.
 
-
-def _frame(h: np.ndarray):
-    """symmetry_frame's u for the bond term h, and the bond term in that
-    frame: h itself when u is the identity, else _rotated(h, u).
-
-    The candidate frames are rotated in one batch; the identity needs
-    only snapping.  When it keeps the number already, no candidate can
-    beat it and none is listed.
+    A unitary frame and the gauge leave the chain spectrum unchanged.
+    Entries are compared after snapping to zero every real or imaginary
+    part at or below HERMITICITY_TOL * max|h|, which removes the
+    rotation's rounding residue; h' is the snapped term in every frame,
+    the identity included, and a bond term whose snapped mass is
+    `dropped` shifts every chain eigenvalue by at most (n - 1) *
+    |dropped|_2.  Likewise T is held when h' and T h' T differ by no
+    more than that cut in any part, so the even and odd blocks shift
+    every eigenvalue by at most (n - 1) * |h' - T h' T|_2.  A T that
+    differs from an earlier held one only in its sign is left out: both
+    holding, the chain keeps parity, so every sector has one and the two
+    split it alike.  A diagonal h' holds none, as its chain's sectors
+    are single states, which no T can split.
     """
     frames, moved = np.eye(2, dtype=complex)[None], _snapped(h)[None]
     if _conserved(moved[0]) < 2:
@@ -227,7 +229,7 @@ def _frame(h: np.ndarray):
         turns = np.array([[cos, -sin / phase],
                           [phase * sin, cos]]).transpose(2, 0, 1)
         frames = np.concatenate((frames, turns))
-        moved = np.concatenate((moved, _rotated(h, turns)))
+        moved = np.concatenate((moved, _snapped(_rotated(h, turns))))
     rank = _conserved(moved)
     if not rank.any():
         # no frame keeps the parity: rank by reversal with v = 1 or Z
@@ -244,25 +246,38 @@ def _frame(h: np.ndarray):
             theta = (turn * np.pi - angle) / delta
             u = frame @ np.diag([np.exp(-0.5j * theta),
                                  np.exp(0.5j * theta)])
-            turned = _rotated(h, u)
+            turned = _snapped(_rotated(h, u))
             if not np.any(turned.imag):
                 frame, moved = u, turned
                 break
-    return frame, h if np.array_equal(frame, np.eye(2)) else moved
+    if np.any(moved.imag) and _conserved(moved) == 2:
+        # gauge the hopping phase away, exactly (see above)
+        moved = np.where(_DIAGONAL, moved.real, np.abs(moved))
+    if not np.any(moved.imag):
+        moved = moved.real
+    held = []
+    if np.any(moved[~_DIAGONAL]):
+        held = [t for t, ok in zip(_INVOLUTIONS, _commuting(moved)) if ok]
+    return frame, moved, tuple(t for i, t in enumerate(held)
+                               if all(s[:2] != t[:2] for s in held[:i]))
 
 
-def _spectrum_report(n_sites: int, sectors) -> SpectrumReport:
+def _spectrum_report(n_sites: int, stacks) -> SpectrumReport:
     """Lowest LOWEST_K eigenvalues (ascending) and the kernel count of
-    the sorted union of the spectra of the (count, blocks) stacks in
-    sectors, each block's counted count times; each stack is solved as
-    it is drawn and only its eigenvalues are kept."""
+    the sorted union of the spectra of the (count, blocks) stacks, each
+    block's counted count times; each stack is solved as it is drawn and
+    only its eigenvalues are kept.  Refuses (ParameterError) a spectrum
+    beyond the float range, where the kernel cut would be inf."""
     spectra = []
-    for count, blocks in sectors:
+    for count, blocks in stacks:
         spectra.append(np.tile(np.linalg.eigvalsh(blocks) if blocks.shape[1]
                                > 1 else blocks[:, 0, 0].real, count))
         # drop this stack before the next one is drawn
         del blocks
     evals = np.sort(np.concatenate(spectra, axis=None))
+    if not np.all(np.isfinite(evals)):
+        raise ParameterError(f"chain eigenvalues exceed the float range "
+                             f"at n_sites={n_sites}")
     cut = KERNEL_TOL * float(np.max(np.abs(evals)))
     kernel_dim = int(np.sum(evals <= cut))
     warning = None
@@ -291,103 +306,9 @@ def spectrum(chain: FullHamiltonian) -> SpectrumReport:
     """
     dim = chain.matrix.shape[0]
     rows, cols = np.nonzero(chain.matrix)
-    off = rows != cols
-    members = sectors._sector_members(
-        sectors._sector_roots(dim, rows[off], cols[off]), np.arange(dim))
     return _spectrum_report(chain.n_sites, sectors._filled_stacks([
         (1, chain.matrix[rows, cols],
-         sectors._stack_plan(dim, members, rows, cols))]))
-
-
-def _held_involutions(h: np.ndarray) -> tuple:
-    """The (reverse, flip, sign) of _INVOLUTIONS that commute with the
-    chain of h, in order.
-
-    A T that differs from an earlier one only in its sign is left out:
-    both holding, the chain keeps parity, so every sector has one and the
-    two split it alike.
-    """
-    held = {}
-    for (reverse, flip, sign), ok in zip(_INVOLUTIONS, _commuting(h)):
-        if ok and (reverse, flip) not in held:
-            held[reverse, flip] = sign
-    return tuple((reverse, flip, sign)
-                 for (reverse, flip), sign in held.items())
-
-
-# Plans by (n_sites, nonzero pattern of the bond term the chain is built
-# from, involutions it commutes with), least recently used first, and the
-# bytes they may hold together.
-_PLANS: OrderedDict = OrderedDict()
-_PLAN_BYTES = 16 << 20
-_PLAN_LOCK = threading.Lock()
-
-
-def _framed_sectors(local: LocalHamiltonian, n_sites: int):
-    """The (count, blocks) stacks of _filled_stacks for the chain of
-    local, built on the bond term exactly as symmetry_frame scored it in
-    its frame, and that chain's nonzero values in chain_entries' order.
-
-    When the framed bond term h' keeps the number of ones and has an
-    imaginary part, the chain is built from h' with its phase gauged
-    away: the diagonal by its real part, every other entry by its
-    modulus.  That is the chain conjugated by the diagonal unitary D =
-    diag(exp(i theta sum_k k x_k)), theta = arg t for the hopping entry t
-    = h'[|01>, |10>]: every off-diagonal chain entry comes from one bond
-    and is t or conj(t), so D turns it into |t|, with no tolerance
-    involved.  The spectrum and the sectors are unchanged, and the
-    returned values are the gauged ones.
-
-    When the bond term has an off-diagonal entry and commutes with
-    involutions T of _INVOLUTIONS, the one whose blocks cost least is
-    applied: of two sectors T swaps only the one with the smaller root is
-    solved, and its block counts twice; a sector T maps onto itself gives
-    the blocks of its T-even and T-odd states.
-
-    The work is split in two.  The symbolic step (_sector_plan) finds the
-    sectors, the involution, the twin and fixed sectors, the parity fold
-    and where every entry lands in its stack; it depends only on n_sites,
-    the nonzero pattern of the bond term and the involutions it commutes
-    with, and its plan is kept in a least-recently-used cache of at most
-    _PLAN_BYTES.  The numeric step runs on every call: it computes the
-    chain's values, checks that their nonzero pattern and that of the
-    folded values are the plan's, and scatters the values into the
-    stacks.  An exact cancellation that the bond term's pattern does not
-    show fails the check; that call then gets a plan of its own, which is
-    not kept.  Only index arrays are cached, never values or results.
-    """
-    _, h = _frame(local.matrix)
-    if np.any(h.imag) and _conserved(h) == 2:
-        # gauge the hopping phase away, exactly (see above)
-        h = np.where(_DIAGONAL, h.real, np.abs(h))
-    masks, table = _chain_table(h if np.any(h.imag) else h.real, n_sites)
-    # a diagonal chain has one-state sectors, which no T can split
-    held = _held_involutions(h) if np.any(h[~_DIAGONAL]) else ()
-    key = n_sites, (h != 0).tobytes(), held
-    with _PLAN_LOCK:
-        plan = _PLANS.get(key)
-        if plan is not None:
-            _PLANS.move_to_end(key)
-    numeric = None if plan is None else sectors._numeric_parts(plan, table)
-    if numeric is None:
-        fresh = sectors._sector_plan(n_sites, masks, table, held)
-        numeric = sectors._numeric_parts(fresh, table)
-        if plan is None:
-            _keep_plan(key, fresh)
-    parts, vals = numeric
-    return sectors._filled_stacks(parts), vals
-
-
-def _keep_plan(key: tuple, plan: sectors._SectorPlan) -> None:
-    """Store plan under key, dropping the least recently used plans
-    until all fit in _PLAN_BYTES; a plan larger than that is not kept."""
-    with _PLAN_LOCK:
-        if key in _PLANS or plan.nbytes > _PLAN_BYTES:
-            return
-        _PLANS[key] = plan
-        held = sum(p.nbytes for p in _PLANS.values())
-        while held > _PLAN_BYTES:
-            held -= _PLANS.popitem(last=False)[1].nbytes
+         sectors._sector_stacks(dim, rows, cols, np.arange(dim)))]))
 
 
 def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
@@ -395,20 +316,21 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     zero-energy states, each |H psi| / (|psi| max(1, |H|_F)), without
     assembling the dense chain.
 
-    The spectrum comes from the sector stacks of _framed_sectors, and
-    |H|_F from the framed, gauged chain's values that its numeric step
-    holds (a unitary frame and the gauge keep the norm).  H psi never
-    needs the chain in the caller's basis.  A basis state's |H e_x| is
-    the norm of row x, which is that of column x because H is Hermitian
-    bit for bit (local_from_espace symmetrizes every bond term): the
-    row's values are summed from the bond term exactly as chain_entries
-    sums them, and their squares are added in its order.  The other
-    states, each read once, are stacked, and the bond term acts on each
-    bond's reshaped (states * 2^i, 4, 2^(n-2-i)) view of them.
+    The spectrum comes from the sector stacks of the chain of _frame's
+    bond term h', and |H|_F from that chain's values, which the stacks'
+    numeric step holds (a unitary frame and the gauge keep the norm).
+    H psi never needs the chain in the caller's basis.  A basis state's
+    |H e_x| is the norm of row x, which is that of column x because H is
+    Hermitian bit for bit (local_from_espace symmetrizes every bond
+    term): the row's values are summed from the bond term exactly as
+    chain_entries sums them, and their squares are added in its order.
+    The other states, each read once, are stacked, and the bond term acts
+    on each bond's reshaped (states * 2^i, 4, 2^(n-2-i)) view of them.
     """
     local = build_family(params)
-    sectors, vals = _framed_sectors(local, n_sites)
-    report = _spectrum_report(n_sites, sectors)
+    _, h, held = _frame(local.matrix)
+    stacks, vals = sectors._stacks(h, n_sites, held)
+    report = _spectrum_report(n_sites, stacks)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:
         return report
@@ -417,8 +339,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     # by a power of two is exact: in-range residuals come out bit for bit
     # as from the raw values.
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
-    # taken of complex values, as chain_entries holds them: an identity
-    # frame with no gauge gives the norm of the caller's chain bit for bit
+    # taken of complex values, as chain_entries holds them, whether h' is
+    # real or not
     hnorm = float(np.linalg.norm(_times_power_of_two(
         np.asarray(vals, dtype=complex), -f)))
     norms = np.ones(len(catalogue))

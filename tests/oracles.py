@@ -41,8 +41,11 @@ route the library does not take, so agreement is evidence.
   action, one tensordot per site.
 - minkowski, trace_form: the (-,+,+) product and the invariant pairing
   tr(C1 sigma^-1 C2^T sigma^-1) of two quartets, in closed form.
+- transfer_matrix: the transfer matrix of a bond-matrix state by
+  np.kron, whose N-th power traces to the state's squared norm; the
+  library has no transfer matrix of its own.
 - The loop versions of the algebra layer's batched kernels, kept as
-  their definitions: kron_action_matrix and kron_transfer (np.kron),
+  their definitions: kron_action_matrix (np.kron),
   loop_row_reduce (one row update at a time), lstsq_contains and
   lstsq_span_equal (one least-squares solve per basis vector) and
   loop_half_products (one batched product per bond matrix and bit).
@@ -80,8 +83,8 @@ from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
                             quartet_from_matrix)
 from mpschain.serialize import FormatError
 from mpschain.states import StateVector
-from mpschain import verify
-from mpschain.verify import SpectrumReport, _framed_sectors, _spectrum_report
+from mpschain import sectors, verify
+from mpschain.verify import SpectrumReport, _spectrum_report
 
 _I2 = np.eye(2, dtype=complex)
 _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -343,8 +346,9 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     rows = space.coefficient_matrix() @ _TO_FLAT
     if lam is None:
         lam = np.eye(rows.shape[0])
-    sectors, _ = _framed_sectors(local_from_espace(rows, lam), n_sites)
-    return _spectrum_report(n_sites, sectors)
+    _, h, held = verify._frame(local_from_espace(rows, lam).matrix)
+    stacks, _ = sectors._stacks(h, n_sites, held)
+    return _spectrum_report(n_sites, stacks)
 
 
 # I, X, Y, Z; the site swap of a pair and Z x Z; the ones of each pair
@@ -392,10 +396,9 @@ def _axis_turn(axis: np.ndarray) -> np.ndarray:
 
 
 def axis_by_axis_frame(local: LocalHamiltonian):
-    """(rank, u, term): the best frame_rank of verify.symmetry_frame's
-    candidate frames before its phase step, the frame u that first
-    reaches it (the identity first) and the bond term in it: h itself
-    for the identity, as the library keeps it, else snapped.
+    """(rank, u, term): the best frame_rank of verify._frame's candidate
+    frames before its phase step, the frame u that first reaches it (the
+    identity first) and the bond term in it, snapped.
 
     The candidates are the axes of the one-site fields, the real
     eigenvectors of K and K^T, the field sum and the eigenvectors of (K +
@@ -413,7 +416,7 @@ def axis_by_axis_frame(local: LocalHamiltonian):
     axes.append(c[1:, 0] + c[0, 1:])
     axes.extend(np.linalg.eigh((k + k.T) / 2.0)[1].T)
     cut = verify.HERMITICITY_TOL * np.max(np.abs(c))
-    best, frame, term = frame_rank(h), _I2, h
+    best, frame, term = frame_rank(h), _I2, _snapped_term(h)
     for axis in axes:
         if best == 3:
             break
@@ -518,9 +521,11 @@ def kron_action_matrix(g: SL2) -> np.ndarray:
     return m
 
 
-def kron_transfer(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """kron(conj(a0), a0) + kron(conj(a1), a1) by np.kron."""
-    return np.kron(np.conj(a0), a0) + np.kron(np.conj(a1), a1)
+def transfer_matrix(spec) -> np.ndarray:
+    """kron(conj(a0), a0) + kron(conj(a1), a1) of an MPSSpec by np.kron;
+    its N-th power traces to the squared norm of the N-site state."""
+    return np.kron(np.conj(spec.a0), spec.a0) + np.kron(np.conj(spec.a1),
+                                                        spec.a1)
 
 
 def loop_row_reduce(rows: np.ndarray, ratio: float = 0.0) -> np.ndarray:

@@ -301,6 +301,36 @@ def test_verify_huge_weights_neither_overflow_nor_warn(family, params,
     assert all(r == 0 for r in out["residuals"].values())
 
 
+# Finite weights whose chain sums (or, for pairsum-exchange, eigenvalues)
+# pass the float range at the first n and not at n = 3: hardcore's |00>
+# costs 4g on each of the n - 1 bonds.  The kernel at n = 3 is the one
+# of unit weights.
+OVERFLOWING = [
+    ("antialigned", '{"g1": 5e307, "g2": 5e307, "g3": 0}', 6, "values", 2),
+    ("pairsum-exchange", '{"g1": 2e307, "g2": 2e307, "g3": 0, "nu": 1, '
+     '"nu_prime": 1}', 6, "eigenvalues", 2),
+    ("hardcore", '{"g": 2.2e307}', 4, "values", 5),
+]
+
+
+@pytest.mark.parametrize("family, params, n, what, kernel", OVERFLOWING)
+def test_verify_refuses_a_chain_beyond_the_float_range(family, params, n,
+                                                       what, kernel):
+    proc = run_cli("verify", "--family", family, "--params", params,
+                   "--n-sites", str(n))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip() == (f"error: chain {what} exceed the float "
+                                   f"range at n_sites={n}")
+    assert proc.stdout == ""
+    proc = run_cli("verify", "--family", family, "--params", params,
+                   "--n-sites", "3")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["kernel_dim"] == kernel
+    assert len(out["residuals"]) == kernel
+    assert all(r == 0 for r in out["residuals"].values())
+
+
 def test_verify_claim_failure_exit_code():
     proc = run_cli("verify", "--family", "exchange", "--params",
                    EXCHANGE_M3, "--n-sites", "6", "--tol", "1e-30")

@@ -19,9 +19,9 @@ from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              ground_state_catalogue, hardcore_states,
                              mps_contract, order_of_unit_root, product_state,
                              psi_k, psi_parity, psi_prime,
-                             representation_for_case, transfer_matrix)
+                             representation_for_case)
 from oracles import (eager_psi_k, eager_psi_parity, eager_psi_prime,
-                     kron_transfer, loop_half_products, random_sl2,
+                     loop_half_products, random_sl2, transfer_matrix,
                      transform_state, zero_counts)
 
 
@@ -499,15 +499,6 @@ def test_half_products_match_the_loop(seed, d, n_bits):
     want = loop_half_products(a0, a1, n_bits)
     assert got.shape == want.shape == (2 ** n_bits, d, d)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_transfer_matrix_is_the_kron_one():
-    rng = np.random.default_rng(46)
-    for d in range(1, 5):
-        spec = MPSSpec(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
-                       rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        assert transfer_matrix(spec).tobytes() == \
-            kron_transfer(spec.a0, spec.a1).tobytes()
 
 
 def test_built_states_are_read_only_and_public_ones_copied():

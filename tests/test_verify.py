@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpschain.classify import MU_CASES, CanonicalForm, CaseId, canonical_space
-from mpschain.hamiltonian import (ChainSizeError, FamilyId, FamilyParams,
-                                  FullHamiltonian,
+from mpschain.hamiltonian import (HERMITICITY_TOL, ChainSizeError, FamilyId,
+                                  FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
                                   chain_entries, local_from_espace,
                                   params_from_mapping)
@@ -21,11 +21,9 @@ from mpschain.pauli import _TO_FLAT, SL2
 from mpschain import cli, verify
 from mpschain import sectors as sector_module
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
-from mpschain.sectors import (_filled_stacks, _sector_members, _sector_roots,
-                              _stack_plan)
-from mpschain.verify import (KERNEL_TOL, _framed_sectors, _spectrum_report,
-                             family_report, spectrum, stacked_state_rank,
-                             symmetry_frame)
+from mpschain.sectors import _filled_stacks, _sector_roots, _sector_stacks
+from mpschain.verify import (KERNEL_TOL, _spectrum_report, family_report,
+                             spectrum, stacked_state_rank)
 from oracles import (axis_by_axis_frame, benchmark_specs, check_zero_member,
                      conjugate_local, covariance_check, frame_rank,
                      kron_chain, no_mps_case_report, operator_sum,
@@ -236,11 +234,8 @@ def test_psi1_is_an_exact_zero_mode(label):
 def _plain_sectors(n_sites, rows, cols, vals):
     """The sector blocks of a chain's entries, no frame or involution."""
     dim = 2 ** n_sites
-    off = rows != cols
-    members = _sector_members(_sector_roots(dim, rows[off], cols[off]),
-                              np.arange(dim))
     return list(_filled_stacks([
-        (1, vals, _stack_plan(dim, members, rows, cols))]))
+        (1, vals, _sector_stacks(dim, rows, cols, np.arange(dim)))]))
 
 
 def _parity_entries(n_sites, involution, entries):
@@ -281,6 +276,13 @@ def test_sector_sizes_follow_bond_connectivity():
         assert _sector_sizes(pairsum, n) == [2 ** n]
 
 
+def _framed_sectors(local, n_sites):
+    """The stacks and values of the chain family_report solves for local:
+    that of _frame's bond term, split by the involutions it holds."""
+    _, h, held = verify._frame(local.matrix)
+    return sector_module._stacks(h, n_sites, held)
+
+
 def _framed_stacks(local, n_sites):
     """The framed chain's (count, blocks) stacks, all built."""
     return list(_framed_sectors(local, n_sites)[0])
@@ -314,7 +316,7 @@ def test_frame_splits_pairsum_chains(label):
     for _ in range(3):
         params = _seeded_params(label, rng)
         local = build_family(params)
-        assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+        assert not np.array_equal(verify._frame(local.matrix)[0], np.eye(2))
         for n in range(2, 9):
             sizes = _framed_sizes(local, n)
             assert sum(sizes) == 2 ** n
@@ -326,7 +328,7 @@ def test_hardcore_singlet_blocks_are_real_in_its_frame():
     params = _seeded_params("hardcore-singlet", rng)
     local = build_family(params)
     assert np.any(local.matrix.imag)
-    assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+    assert not np.array_equal(verify._frame(local.matrix)[0], np.eye(2))
     for n in range(2, 9):
         sectors, _ = _framed_sectors(local, n)
         assert all(blocks.dtype == np.float64 for _, blocks in sectors)
@@ -346,10 +348,13 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
     for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
                   "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
-        u = symmetry_frame(local).matrix
+        u, h, _ = verify._frame(local.matrix)
         assert not np.array_equal(u, np.eye(2))
-        scored = _gauged(verify._rotated(local.matrix, u))
+        scored = _gauged(verify._snapped(verify._rotated(local.matrix, u)))
         gauged += not np.iscomplexobj(scored)
+        # the scored term, real dtype where it has no imaginary part
+        assert np.array_equal(h, scored)
+        assert np.iscomplexobj(h) == bool(np.any(scored.imag))
         _, vals = _framed_sectors(local, 2)
         # the scored term's chain values, in chain_entries' order
         rows, cols, want = chain_entries(LocalHamiltonian(scored), 2)
@@ -369,12 +374,14 @@ def test_frame_is_the_identity_without_a_hidden_symmetry(label):
     rng = np.random.default_rng(962)
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
-        assert np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+        u, framed, _ = verify._frame(local.matrix)
+        assert np.array_equal(u, np.eye(2))
         # the chain's values are the unframed ones, the hopping phase of
         # exchange and antialigned gauged away
         h = _gauged(local.matrix)
         assert (h is not local.matrix) == (label in ("exchange",
                                                      "antialigned"))
+        assert np.array_equal(framed, h)
         _, vals = _framed_sectors(local, 4)
         assert vals.astype(complex).tobytes() \
             == chain_entries(LocalHamiltonian(h), 4)[2].tobytes()
@@ -394,10 +401,10 @@ def test_reversal_splits_one_block_families(label):
     rng = np.random.default_rng(966)
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
-        u = symmetry_frame(local).matrix
+        _, h, held = verify._frame(local.matrix)
         # reversal times Z on every site, not reversal alone
-        assert verify._commuting(verify._rotated(local.matrix, u))[:2] \
-            .tolist() == [False, True]
+        assert verify._commuting(h)[:2].tolist() == [False, True]
+        assert held[0] == (True, False, -1)
         for n in range(2, 9):
             sizes = _framed_sizes(local, n)
             assert sum(sizes) == 2 ** n
@@ -421,19 +428,20 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     params = _seeded_params("hardcore", np.random.default_rng(970))
     local = build_family(params)
     assert verify._commuting(local.matrix)[0]
+    assert verify._frame(local.matrix)[2] == ()
     # what the reversal-parity states would give
     expected = {}
     for n in (4, 7, 10):
         sectors = _plain_sectors(n, *_parity_entries(
-            n, sector_module._involutions(n, verify._held_involutions(
-                local.matrix))[0], chain_entries(local, n)))
+            n, sector_module._involutions(n, verify._INVOLUTIONS[:1])[0],
+            chain_entries(local, n)))
         expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
     def refuse(*args):
         raise AssertionError("_parity_fold called on a diagonal chain")
 
     monkeypatch.setattr(sector_module, "_parity_fold", refuse)
-    verify._PLANS.clear()
+    sector_module._PLANS.clear()
     for n, (sizes, rep) in expected.items():
         assert _framed_sizes(local, n) == sizes == [1] * 2 ** n
         assert _framed_report(local, n) == rep
@@ -549,6 +557,73 @@ def test_frame_search_matches_the_axis_by_axis_oracle():
     assert unlike == {("degenerate_plane_tilted", turn) for turn in (1, 2, 3)}
 
 
+def test_identity_frame_builds_the_chain_from_the_snapped_term():
+    # u x u keeps the singlet for every unitary u, so the singlet
+    # projector turned by one keeps the number of ones up to rounding
+    # residue, which snapping removes from the term the chain is built
+    # from: number sectors, paired by the flip and split by reversal
+    rng = np.random.default_rng(981)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    local = conjugate_local(LocalHamiltonian(np.outer(singlet, singlet)),
+                            _random_special_unitary(rng))
+    assert verify._conserved(local.matrix) < 2
+    u, h, _ = verify._frame(local.matrix)
+    assert np.array_equal(u, np.eye(2)) and verify._conserved(h) == 2
+    stacks = _framed_stacks(local, 5)
+    assert sorted((blocks.shape[1] for _, blocks in stacks
+                   for _ in range(blocks.shape[0])), reverse=True) \
+        == [6, 6, 4, 4, 3, 3, 2, 2, 1, 1]
+    _assert_matches_dense(_spectrum_report(5, stacks),
+                          *_dense_evals(local, 5))
+
+
+def _signed_permutation(n_sites, reverse, flip, sign):
+    """T = (reverse, flip, sign) as a dense matrix, T|x> = sign^ones(x)
+    |sigma x>, sigma read off x's bit string: reversed when reverse, each
+    bit flipped when flip."""
+    dim = 2 ** n_sites
+    t = np.zeros((dim, dim))
+    for x in range(dim):
+        bits = format(x, f"0{n_sites}b")
+        image = bits[::-1] if reverse else bits
+        if flip:
+            image = image.translate(str.maketrans("01", "10"))
+        t[int(image, 2), x] = sign ** bits.count("1")
+    return t
+
+
+def test_held_involutions_are_those_of_the_dense_chain():
+    # on the canonical points and the benchmark draws: each T of
+    # _INVOLUTIONS whose signed permutation commutes with the dense chain
+    # of h' to the bond term's snapping cut, summed over its bonds, less
+    # a T that only changes the sign of an earlier one; none for a
+    # diagonal h'
+    terms = {f"{label}@{seed}": build_family(params_from_mapping(*spec))
+             for seed in (1001, 2001, 4242)
+             for label, spec in benchmark_specs(
+                 np.random.default_rng(seed)).items()}
+    terms.update(_canonical_points())
+    held_any = set()
+    for name, local in terms.items():
+        _, h, held = verify._frame(local.matrix)
+        held_any.update(held)
+        for n in (4, 5, 6):
+            chain = kron_chain(h, n)
+            cut = (n - 1) * HERMITICITY_TOL * np.max(np.abs(h))
+            want = {}
+            if np.any(h[~np.eye(4, dtype=bool)]):
+                for reverse, flip, sign in verify._INVOLUTIONS:
+                    t = _signed_permutation(n, reverse, flip, sign)
+                    diff = t @ chain @ t.T - chain
+                    if max(np.max(np.abs(diff.real)),
+                           np.max(np.abs(diff.imag))) <= cut:
+                        want.setdefault((reverse, flip), sign)
+            assert held == tuple((reverse, flip, sign) for (reverse, flip),
+                                 sign in want.items()), (name, n)
+    # every involution is held somewhere
+    assert held_any == set(verify._INVOLUTIONS)
+
+
 def test_frame_keeps_a_small_symmetry_breaking_term():
     rng = np.random.default_rng(964)
     u = _random_special_unitary(rng)
@@ -558,7 +633,7 @@ def test_frame_keeps_a_small_symmetry_breaking_term():
     bell[[0, 3]] = 2 ** -0.5
     local = conjugate_local(
         LocalHamiltonian(exchange + 1e-6 * np.outer(bell, bell)), u)
-    assert not np.array_equal(symmetry_frame(local).matrix, np.eye(2))
+    assert not np.array_equal(verify._frame(local.matrix)[0], np.eye(2))
     for n in range(2, 9):
         # the parity sectors, not the number sectors of exchange alone
         assert _framed_sizes(local, n) == [2 ** (n - 1)] * 2
@@ -570,11 +645,9 @@ GAUGED_CASES = ["exchange", "antialigned", "pairsum-exchange/parity"]
 
 
 def _framed_term(local):
-    """The bond term the chain is built from in its symmetry frame."""
-    u = symmetry_frame(local).matrix
-    if np.array_equal(u, np.eye(2)):
-        return local.matrix
-    return verify._rotated(local.matrix, u)
+    """The bond term in its symmetry frame, snapped, before the gauge."""
+    return verify._snapped(verify._rotated(local.matrix,
+                                           verify._frame(local.matrix)[0]))
 
 
 @pytest.mark.parametrize("label", GAUGED_CASES)
@@ -701,6 +774,8 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
     assert verify._INVOLUTIONS[-1] == (True, True, 1)
     assert verify._commuting(_framed_term(plain))[-1]
     assert not verify._commuting(_framed_term(local))[-1]
+    assert (True, True, 1) in verify._frame(plain.matrix)[2]
+    assert (True, True, 1) not in verify._frame(local.matrix)[2]
     for n in range(2, 9):
         binomial = sorted((comb(n, k) for k in range(n + 1)), reverse=True)
         assert _solved_sizes(local, n) == [k for k in binomial if k > 1]
@@ -716,28 +791,33 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
 
 @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 3)])
 def test_a_pattern_broken_below_the_cut_merges_sectors(pair):
-    # a 1e-13 hop between two pair states passes the snapping cut, so
-    # reverse o X^{x n} is accepted, but its images of the sectors no
-    # longer are sectors: they are merged first, until T maps every
-    # merged sector onto one; |01> <-> |11> and |10> <-> |11> merge
-    # sectors of many states
+    # a 1e-13 hop between two pair states lies below the snapping cut, so
+    # reverse o X^{x n} holds and _frame drops the hop.  A chain whose
+    # pattern breaks T only where rounding does (as exact cancellations
+    # on one side of T can) must still split right: built from the raw
+    # term, T's images of its sectors no longer are sectors, so they are
+    # merged first, until T maps every merged sector onto one; |01> <->
+    # |11> and |10> <-> |11> merge sectors of many states
     rng = np.random.default_rng(975)
     hop = np.zeros((4, 4))
     hop[pair] = hop[pair[::-1]] = 1.0
-    h = build_family(_seeded_params("antialigned", rng)).matrix + 1e-13 * hop
-    local = LocalHamiltonian(h)
-    assert symmetry_frame(local).matrix.tolist() == np.eye(2).tolist()
+    plain = build_family(_seeded_params("antialigned", rng)).matrix
+    h = plain + 1e-13 * hop
+    u, framed, held = verify._frame(h)
+    assert u.tolist() == np.eye(2).tolist()
+    assert np.array_equal(framed, verify._frame(plain)[1])
+    assert held == ((True, True, 1),)
     for n in range(3, 9):
-        rows, cols, _ = chain_entries(local, n)
+        rows, cols, _ = chain_entries(LocalHamiltonian(h), n)
         off = rows != cols
         root = _sector_roots(2 ** n, rows[off], cols[off])
-        (sigma, phi), = sector_module._involutions(n, verify._held_involutions(h))
+        (sigma, phi), = sector_module._involutions(n, held)
         assert not np.array_equal(root[sigma], root[sigma[root]])
         _, merged = sector_module._orbit_cost(root, sigma, phi)
         assert np.array_equal(merged[sigma], merged[sigma[merged]])
         if pair != (0, 1):
             assert np.max(np.bincount(merged[merged != root])) > 1
-        sectors = _framed_stacks(local, n)
+        sectors = list(sector_module._stacks(h, n, held)[0])
         evals = np.linalg.eigvalsh(kron_chain(h, n))
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert np.max(np.abs(_sector_spectrum(sectors) - evals)) \
@@ -812,11 +892,10 @@ def test_stacks_are_solved_one_at_a_time(monkeypatch):
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     vals = np.where(rows == cols, 2.0, -1.0)
-    off = rows != cols
-    members = _sector_members(_sector_roots(x.size, rows[off], cols[off]), x)
-    assert [m.shape for m in members] == [(1, k - 1), (1, k)]
+    plan = _sector_stacks(x.size, rows, cols, x)
+    assert [(s, size) for s, size, _, _ in plan] == [(1, k - 1), (1, k)]
     stack = 8 * k * k
-    parts = [(1, vals, _stack_plan(x.size, members, rows, cols))]
+    parts = [(1, vals, plan)]
     monkeypatch.setattr(sector_module, "_available_bytes", lambda: 2 * stack - 1)
     with pytest.raises(ChainSizeError, match=f"need {2 * stack} bytes"):
         _filled_stacks(parts)
@@ -850,7 +929,7 @@ def _counted_plans(monkeypatch) -> list:
         return build(*args)
 
     monkeypatch.setattr(sector_module, "_sector_plan", counting)
-    monkeypatch.setattr(verify, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sector_module, "_PLANS", OrderedDict())
     return built
 
 
@@ -898,7 +977,7 @@ def test_warm_plans_give_the_cold_stacks_bit_for_bit(seed, n, density, real,
     h = np.where(mask | mask.T, m + m.conj().T, 0.0)
     h += max(0.0, -np.linalg.eigvalsh(h)[0]) * np.eye(4)
     local = LocalHamiltonian(h)
-    verify._PLANS.clear()
+    sector_module._PLANS.clear()
     cold = _stacks_and_values(local, n)
     warm = _stacks_and_values(local, n)
     _assert_same_stacks(warm, cold)
@@ -920,13 +999,13 @@ def test_a_cancelling_point_gets_a_plan_of_its_own(monkeypatch):
         for first, second in ((plain, cancel), (cancel, plain)):
             built = _counted_plans(monkeypatch)
             _stacks_and_values(first, n)
-            (key, kept), = verify._PLANS.items()
+            (key, kept), = sector_module._PLANS.items()
             warm = _stacks_and_values(second, n)
             # the second point's values do not fit the first one's plan:
             # it got one of its own, which was not kept
             assert len(built) == 2
-            assert list(verify._PLANS.items()) == [(key, kept)]
-            verify._PLANS.clear()
+            assert list(sector_module._PLANS.items()) == [(key, kept)]
+            sector_module._PLANS.clear()
             _assert_same_stacks(warm, _stacks_and_values(second, n))
             _assert_matches_dense(_spectrum_report(n, warm[0]),
                                   *_dense_evals(second, n))
@@ -937,18 +1016,18 @@ def test_evicted_plans_leave_reports_unchanged(monkeypatch):
              for label in BENCH_SPECS for n in (5, 7)]
     built = _counted_plans(monkeypatch)
     want = [_report_bits(family_report(p, n)) for p, n in cases]
-    sizes = sorted(plan.nbytes for plan in verify._PLANS.values())
+    sizes = sorted(plan.nbytes for plan in sector_module._PLANS.values())
     assert len(built) == len(sizes) > 2
     # room for the largest plan but not for all, then for none
     for bound in (sizes[-1], sizes[0] - 1):
-        monkeypatch.setattr(verify, "_PLAN_BYTES", bound)
-        verify._PLANS.clear()
+        monkeypatch.setattr(sector_module, "_PLAN_BYTES", bound)
+        sector_module._PLANS.clear()
         for _ in range(2):
             for (p, n), bits in zip(cases, want):
                 assert _report_bits(family_report(p, n)) == bits
                 assert sum(plan.nbytes for plan in
-                           verify._PLANS.values()) <= bound
-        assert len(verify._PLANS) < len(sizes)
+                           sector_module._PLANS.values()) <= bound
+        assert len(sector_module._PLANS) < len(sizes)
 
 
 def test_a_sweep_at_fixed_size_builds_one_plan(monkeypatch, capsys):

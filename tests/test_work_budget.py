@@ -3,8 +3,9 @@
 A validated witness compares stored rows instead of running the SVD, the
 witness is one raw 2x2 product checked once, the fixed steps carry their
 action matrices, and mps_contract builds its words once.  The chain's
-frame search rotates all its candidates in one batch.  Counting calls
-keeps each of these from creeping back, on any machine.
+frame search rotates all its candidates in one batch, and a report
+decides its frame, gauge and involutions in that one search.  Counting
+calls keeps each of these from creeping back, on any machine.
 """
 
 import importlib
@@ -12,7 +13,7 @@ import zlib
 
 import numpy as np
 
-from mpschain import pauli, states, verify
+from mpschain import hamiltonian, pauli, sectors, states, verify
 from mpschain.classify import (CanonicalForm, CaseId, MU_CASES,
                                canonical_space, classify)
 from mpschain.hamiltonian import build_family, params_from_mapping
@@ -87,8 +88,8 @@ def test_mps_contract_builds_its_words_once(monkeypatch):
 def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
     # one _rotated call over every candidate, none where the identity
     # keeps the number already, then at most one per phase turn (a
-    # hopping changes the number by at most 2); reversal is ranked only
-    # where no frame keeps the parity
+    # hopping changes the number by at most 2); reversal is ranked, over
+    # the whole stack of frames, only where no frame keeps the parity
     rotations, reversal = [], []
     rotated, commuting = verify._rotated, verify._commuting
 
@@ -109,7 +110,7 @@ def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
         for term in (local, conjugate_local(local, random_sl2(rng, 20.0))):
             rotations.clear()
             reversal.clear()
-            _, framed = verify._frame(term.matrix)
+            _, framed, _ = verify._frame(term.matrix)
             kept = verify._conserved(verify._snapped(term.matrix))
             candidates = int(kept < 2)
             turns = rotations[candidates:]
@@ -117,11 +118,39 @@ def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
             if candidates:
                 batch, *shape = rotations[0]
                 assert shape == [2, 2] and batch > 1
-            if verify._conserved(verify._snapped(framed)):
-                assert not reversal
+            # the other _commuting call takes h' alone, for its involutions
+            ranked = [shape for shape in reversal if len(shape) == 3]
+            if verify._conserved(framed):
+                assert not ranked
             else:
-                assert reversal == [(1 + batch, 4, 4)]
+                assert ranked == [(1 + batch, 4, 4)]
             batched += candidates
-            ranked_by_reversal += bool(reversal)
+            ranked_by_reversal += bool(ranked)
     # both paths and the reversal rank are taken
     assert 0 < batched < 22 and ranked_by_reversal
+
+
+def test_a_report_searches_its_basis_once(monkeypatch):
+    # one _frame; _commuting at most twice (the reversal ranking, then
+    # the involutions h' holds) and _chain_table at most twice (the whole
+    # table, then the basis states' rows), so no second search creeps in
+    calls = dict.fromkeys(["frame", "commuting", "table"], 0)
+    monkeypatch.setattr(verify, "_frame",
+                        _counting(calls, "frame", verify._frame))
+    monkeypatch.setattr(verify, "_commuting",
+                        _counting(calls, "commuting", verify._commuting))
+    table = _counting(calls, "table", hamiltonian._chain_table)
+    monkeypatch.setattr(verify, "_chain_table", table)
+    monkeypatch.setattr(sectors, "_chain_table", table)
+    most = dict.fromkeys(calls, 0)
+    for spec in benchmark_specs(np.random.default_rng(1001)).values():
+        params = params_from_mapping(*spec)
+        for n_sites in (4, 7):
+            for key in calls:
+                calls[key] = 0
+            verify.family_report(params, n_sites)
+            assert calls["frame"] == 1
+            assert calls["commuting"] <= 2 and calls["table"] <= 2
+            most = {key: max(most[key], calls[key]) for key in calls}
+    # both bounds are reached
+    assert most == dict(frame=1, commuting=2, table=2)
