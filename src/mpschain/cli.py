@@ -144,16 +144,16 @@ def _cmd_build_h(args) -> int:
     if args.binary and args.out in (None, "-"):
         raise serialize.FormatError("--binary requires --out FILE")
     params = _parse_params_arg(args)
-    # every refusal (site guard, bad parameters, a non-finite entry in
-    # JSON) comes before the output is opened; the dense chain is then
-    # written one row block at a time
+    # every refusal (site guard, bad parameters, a non-finite entry)
+    # comes before the output is opened; the dense chain is then written
+    # one row block at a time
     entries = chain_entries(build_family(params), args.n_sites)
+    serialize.check_finite(entries[2])
     blocks = chain_row_blocks(args.n_sites, entries)
     if args.binary:
         with open(args.out, "wb") as fh:
             serialize.write_chain(fh, args.n_sites, blocks)
         return EXIT_OK
-    serialize.check_finite(entries[2])
     with _text_sink(args.out) as fh:
         fh.write(f'{{"n_sites": {args.n_sites}, "matrix": [')
         for i, block in enumerate(blocks):

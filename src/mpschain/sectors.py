@@ -3,17 +3,17 @@
 A chain is block diagonal over the connected components (sectors) of its
 off-diagonal pattern.  This module finds them and works out where each
 of the chain's entries lands in the stack of equal-size blocks it
-belongs to (_sector_stacks), and joins or splits them by a
-basis-permuting involution that commutes with the chain (_involutions,
-_orbit_cost, _parity_fold).  None of that depends on the chain's values
+belongs to (_sector_stacks), and pairs or splits them by a
+basis-permuting involution its bond term is invariant under
+(_involution, _parity_fold).  None of that depends on the chain's values
 beyond their nonzero pattern, so _sector_plan gathers it into a plan of
 index arrays.  _stacks is the one entry point for a chain of a 4x4 bond
 term: it computes the chain's values, keeps one plan per size, bond
-pattern and involutions in a small least-recently-used cache, checks
-the values against it (_numeric_parts) and hands them to _filled_stacks,
+pattern and involution in a small least-recently-used cache, checks the
+values against it (_numeric_parts) and hands them to _filled_stacks,
 which builds and yields the stacks one at a time.  Which bond term a
-chain is built from (its frame, its gauge) and which involutions it
-commutes with is verify's choice.
+chain is built from (its frame, its gauge, its involution) is verify's
+choice.
 """
 
 from __future__ import annotations
@@ -146,56 +146,20 @@ def _built_blocks(parts: list):
             del blocks
 
 
-def _involutions(n_sites: int, held: tuple) -> list:
+def _involution(n_sites: int, t: tuple):
     """(sigma, phi) with T|x> = phi[x] |sigma[x]> on every basis index x,
-    for each T = (reverse, flip, sign) in held, in order: sigma[x] is x,
-    reversed when reverse and with every bit flipped when flip, and
-    phi[x] is sign to the number of ones in x."""
-    if not held:
-        return []
+    for T = (reverse, flip, sign): sigma[x] is x, reversed when reverse
+    and with every bit flipped when flip, and phi[x] is sign to the
+    number of ones in x."""
+    reverse, flip, sign = t
     # a leading bit b on x' of one site fewer: rev = 2 rev(x') + b
     rev, odd = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
     for _ in range(n_sites):
         rev = np.concatenate((2 * rev, 2 * rev + 1))
         odd = np.concatenate((odd, ~odd))
     x = np.arange(2 ** n_sites)
-    return [((rev if reverse else x) ^ (x[-1] if flip else 0),
-             np.where(odd, sign, 1))
-            for reverse, flip, sign in held]
-
-
-def _orbit_cost(root: np.ndarray, sigma: np.ndarray, phi: np.ndarray):
-    """The cost sum k^3 over the blocks left to solve once T = (sigma,
-    phi) is applied to the sectors named by root, and the sector roots
-    it is applied to.
-
-    T maps every sector onto one when it commutes with H exactly; in
-    case it does so only up to the snapping cut, the sectors are first
-    merged until it does: two sectors that the states of one sector are
-    mapped into become one, and this repeats until T maps every merged
-    sector onto one (the sectors of the pattern and its image together).
-    Then one of each pair of sectors T swaps is solved, and a
-    sector of k states that T maps onto itself splits into T-even and
-    T-odd halves: (k - p) / 2 states each, plus its p fixed points of
-    sigma, each in the half of its phi.
-    """
-    image, moved = root[sigma], root[sigma[root]]
-    while not np.array_equal(image, moved):
-        # image and moved hold roots only: join those roots, then send
-        # every state to the joined root of its sector
-        root = _sector_roots(root.size, image, moved)[root]
-        image, moved = root[sigma], root[sigma[root]]
-    k = np.bincount(root, minlength=root.size)
-    heads = np.flatnonzero(k)
-    k = k[heads]
-    twin = root[sigma[heads]]
-    points = np.flatnonzero(sigma == np.arange(root.size))
-    even, odd = (np.bincount(root[points], weights=phi[points] == p,
-                             minlength=root.size)[heads] for p in (1, -1))
-    pairs = (k - even - odd) / 2
-    cost = np.where(heads < twin, k ** 3.0, 0.0) + np.where(
-        heads == twin, (pairs + even) ** 3 + (pairs + odd) ** 3, 0.0)
-    return float(np.sum(cost)), root
+    return (rev if reverse else x) ^ (x[-1] if flip else 0), np.where(
+        odd, sign, 1)
 
 
 def _parity_fold(sigma: np.ndarray, phi: np.ndarray, rows, cols):
@@ -289,13 +253,16 @@ class _SectorPlan:
 
 
 def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
-                 held: tuple) -> _SectorPlan:
+                 t: tuple | None) -> _SectorPlan:
     """The plan of the chain whose _chain_table is (masks, table), its
-    bond term commuting with the involutions held.
+    bond term invariant under the involution t (or None).
 
-    Of the involutions, the one whose blocks cost least (_orbit_cost) is
-    applied, if it costs less than none; none is tried on a diagonal
-    chain.  The table's values enter only through their nonzero pattern
+    t is applied whenever the chain has an off-diagonal entry: one of
+    each pair of sectors it swaps is solved, and a sector it maps onto
+    itself splits into its T-even and T-odd states.  Refuses
+    (RuntimeError) a t that does not map every sector onto one, which
+    a bond term from verify._frame, T-invariant bit for bit, never
+    gives.  The table's values enter only through their nonzero pattern
     and that of the folded entries.
     """
     dim = 2 ** n_sites
@@ -304,18 +271,14 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     flat = _narrow(k * dim + rows, table.size)
     off = rows != cols
     root = _sector_roots(dim, rows[off], cols[off])
-    best = None
-    if held and np.any(off):
-        cost = float(np.sum(np.bincount(root).astype(float) ** 3))
-        for sigma, phi in _involutions(n_sites, held):
-            merged_cost, merged = _orbit_cost(root, sigma, phi)
-            if merged_cost < cost:
-                cost, best = merged_cost, (merged, sigma, phi)
-    if best is None:
+    if t is None or not np.any(off):
         return _SectorPlan(flat, _sector_stacks(dim, rows, cols,
                                                 np.arange(dim), root))
-    root, sigma, phi = best
+    sigma, phi = _involution(n_sites, t)
     twin = root[sigma]
+    if not np.array_equal(twin, root[sigma[root]]):
+        raise RuntimeError(f"{t} does not map every sector of the chain "
+                           f"onto one at n_sites={n_sites}")
     fixed = root == twin
     sel = np.flatnonzero(fixed[rows])
     (src, weight, slot), keys = _parity_fold(sigma, phi, rows[sel],
@@ -352,23 +315,23 @@ def _numeric_parts(plan: _SectorPlan, table: np.ndarray):
     return [(2, vals, plan.chain), (1, total[plan.keep], plan.split)]
 
 
-# Plans by (n_sites, nonzero pattern of the bond term, involutions held),
+# Plans by (n_sites, nonzero pattern of the bond term, involution),
 # least recently used first, and the bytes they may hold together.
 _PLANS: OrderedDict = OrderedDict()
 _PLAN_BYTES = 16 << 20
 _PLAN_LOCK = threading.Lock()
 
 
-def _stacks(h: np.ndarray, n_sites: int, held: tuple):
+def _stacks(h: np.ndarray, n_sites: int, t: tuple | None):
     """The (count, blocks) stacks of _filled_stacks for the open chain of
-    the 4x4 bond term h, its chain commuting with the involutions held,
-    and that chain's nonzero values in chain_entries' order, of h's
-    dtype.
+    the 4x4 bond term h, split by the involution t (or None) that h is
+    invariant under, and that chain's nonzero values in chain_entries'
+    order, of h's dtype.
 
     The work is split in two.  The symbolic step (_sector_plan) finds the
-    sectors, the involution, the twin and fixed sectors, the parity fold
+    sectors, the twin and fixed sectors of t, the parity fold
     and where every entry lands in its stack; it depends only on n_sites,
-    the nonzero pattern of h and held, and its plan is kept in a
+    the nonzero pattern of h and t, and its plan is kept in a
     least-recently-used cache of at most _PLAN_BYTES; a larger plan is
     not kept.  The numeric step runs on every call: it computes the
     chain's values, checks that their nonzero pattern and that of the
@@ -381,14 +344,14 @@ def _stacks(h: np.ndarray, n_sites: int, held: tuple):
     chain value, raw or folded, that a sum took beyond the float range.
     """
     masks, table = _chain_table(h, n_sites)
-    key = n_sites, (h != 0).tobytes(), held
+    key = n_sites, (h != 0).tobytes(), t
     with _PLAN_LOCK:
         plan = _PLANS.get(key)
         if plan is not None:
             _PLANS.move_to_end(key)
     parts = None if plan is None else _numeric_parts(plan, table)
     if parts is None:
-        fresh = _sector_plan(n_sites, masks, table, held)
+        fresh = _sector_plan(n_sites, masks, table, t)
         parts = _numeric_parts(fresh, table)
     if not all(np.all(np.isfinite(vals)) for _, vals, _ in parts):
         raise ParameterError(f"chain values exceed the float range at "

@@ -5,7 +5,7 @@ off-diagonal pattern, so spectra and residuals come from one dense
 Hermitian eigensolve per sector block; a sector of one basis state is its
 diagonal entry.  Finding the sectors needs no per-family symmetry.  Before
 they are found, the basis is chosen from the 4x4 bond term alone, in one
-call (_frame), which settles the frame, the gauge and the involutions
+call (_frame), which settles the frame, the gauge and the involution
 together: one search rotates a short list of candidate axes onto z, in
 one batch, and ranks what the bond term keeps in each frame and in the
 identity: the number of ones, else their parity, else a reversal
@@ -21,20 +21,21 @@ the site phase exp(i theta k) on the k-th one turns every hopping entry
 into |t| exactly, so the chain is built from the real term with |t| in
 place of t, and its sectors are real blocks with the same spectrum.
 
-The framed, gauged bond term is then tested against the basis-permuting
-involutions T = R o v^{x n}, R site reversal or nothing and v one of
-1, Z, X.  T maps each sector onto a sector whose block differs by a
-signed permutation only, so of two sectors T swaps one is solved and
-its spectrum counted twice, and a sector T maps onto itself splits into
-T's even and odd states.  Exchange at a general ratio, antialigned and
-pairsum-exchange at nu' = nu gain reverse o X^{x n}, which pairs k ones
-with n - k; pairsum-exchange at nu' = -nu pairs its sectors by reversal;
-exchange at |nu'| = |nu| splits each number sector by reversal.  Before
-any block is allocated, the largest stack to be solved is held against
-the memory available.  The checks stay unambiguous: a state either
-sits in the numerical kernel of the chain or it does not.
+The framed, gauged bond term then takes one basis-permuting involution
+T = R o v^{x n}, R site reversal or nothing and v one of 1, Z, X: the
+first it commutes with, and it is made T-invariant bit for bit.  T maps
+each sector onto a sector whose block differs by a signed permutation
+only, so of two sectors T swaps one is solved and its spectrum counted
+twice, and a sector T maps onto itself splits into T's even and odd
+states.  Exchange at a general ratio, antialigned and pairsum-exchange
+at nu' = nu take reverse o X^{x n}, which pairs k ones with n - k;
+pairsum-exchange at nu' = -nu pairs its sectors by reversal; exchange
+at |nu'| = |nu| splits each number sector by reversal.  Before any
+block is allocated, the largest stack to be solved is held against the
+memory available.  The checks stay unambiguous: a state either sits in
+the numerical kernel of the chain or it does not.
 
-From that bond term and those involutions the sectors module builds the
+From that bond term and its involution the sectors module builds the
 chain's stacks (sectors._stacks), keeping the index arrays of each
 sector split it works out; this module only solves the stacks.
 Residuals need no second chain: the bond term acts on each bond of the
@@ -93,7 +94,7 @@ _CHANGES = np.array([_CHANGE != 0, _CHANGE % 2 == 1]).T
 # sectors in pairs or split them, as (reverse, flip, sign): R is site
 # reversal when reverse, and v is X when flip, else diag(1, sign).  The
 # identity and plain parity, which the sectors already resolve, are not
-# among them; of equally good ones the first wins.
+# among them; the first that holds is taken.
 _INVOLUTIONS = ((True, False, 1), (True, False, -1), (False, True, 1),
                 (True, True, 1))
 
@@ -161,9 +162,10 @@ def _commuting(h: np.ndarray) -> np.ndarray:
 
 
 def _frame(h: np.ndarray):
-    """(u, h', held): the one-site unitary frame u in which the chain of
-    the 4x4 bond term h splits best, the bond term h' the chain is built
-    from, and the involutions of _INVOLUTIONS its chain commutes with.
+    """(u, h', t): the one-site unitary frame u in which the chain of the
+    4x4 bond term h splits best, the bond term h' the chain is built
+    from, and the involution t of _INVOLUTIONS that h' is invariant
+    under, or None.
 
     Writes h = sum_ab c_ab P_a x P_b over the Pauli matrices.  If h keeps
     the number (or parity) of ones along some axis n, then n is a real
@@ -199,13 +201,16 @@ def _frame(h: np.ndarray):
     rotation's rounding residue; h' is the snapped term in every frame,
     the identity included, and a bond term whose snapped mass is
     `dropped` shifts every chain eigenvalue by at most (n - 1) *
-    |dropped|_2.  Likewise T is held when h' and T h' T differ by no
-    more than that cut in any part, so the even and odd blocks shift
-    every eigenvalue by at most (n - 1) * |h' - T h' T|_2.  A T that
-    differs from an earlier held one only in its sign is left out: both
-    holding, the chain keeps parity, so every sector has one and the two
-    split it alike.  A diagonal h' holds none, as its chain's sectors
-    are single states, which no T can split.
+    |dropped|_2.  t is the first T of _INVOLUTIONS for which h' and T h'
+    T differ by no more than that cut in any part, the order of the
+    frame ranking: v = 1 or Z maps every number or parity sector onto
+    itself and halves it, v = X only pairs k ones with n - k.  h' is
+    then replaced by (h' + T h' T) / 2, T-invariant bit for bit: h'
+    itself where it was T-invariant already, as (a + a) / 2 == a, and
+    elsewhere each part moved by at most half the cut, so every chain
+    eigenvalue by at most (n - 1) * |h' - T h' T|_2 / 2.  t is None for
+    a diagonal h', whose chain's sectors are single states that no T
+    can split, and where no T holds.
     """
     frames, moved = np.eye(2, dtype=complex)[None], _snapped(h)[None]
     if _conserved(moved[0]) < 2:
@@ -255,11 +260,14 @@ def _frame(h: np.ndarray):
         moved = np.where(_DIAGONAL, moved.real, np.abs(moved))
     if not np.any(moved.imag):
         moved = moved.real
-    held = []
-    if np.any(moved[~_DIAGONAL]):
-        held = [t for t, ok in zip(_INVOLUTIONS, _commuting(moved)) if ok]
-    return frame, moved, tuple(t for i, t in enumerate(held)
-                               if all(s[:2] != t[:2] for s in held[:i]))
+    # a diagonal h' holds none
+    holds = _commuting(moved) & np.any(moved[~_DIAGONAL])
+    if not holds.any():
+        return frame, moved, None
+    i = int(np.argmax(holds))
+    # T h' T, then h' made T-invariant bit for bit (see above)
+    image = moved[_MOVED[i][:, None], _MOVED[i][None, :]] * _MOVED_SIGNS[i]
+    return frame, (moved + image) / 2.0, _INVOLUTIONS[i]
 
 
 def _spectrum_report(n_sites: int, stacks) -> SpectrumReport:
@@ -328,8 +336,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     on each bond's reshaped (states * 2^i, 4, 2^(n-2-i)) view of them.
     """
     local = build_family(params)
-    _, h, held = _frame(local.matrix)
-    stacks, vals = sectors._stacks(h, n_sites, held)
+    _, h, t = _frame(local.matrix)
+    stacks, vals = sectors._stacks(h, n_sites, t)
     report = _spectrum_report(n_sites, stacks)
     catalogue = ground_state_catalogue(params, n_sites)
     if not catalogue:

@@ -346,8 +346,8 @@ def no_mps_case_report(form: CanonicalForm, n_sites: int,
     rows = space.coefficient_matrix() @ _TO_FLAT
     if lam is None:
         lam = np.eye(rows.shape[0])
-    _, h, held = verify._frame(local_from_espace(rows, lam).matrix)
-    stacks, _ = sectors._stacks(h, n_sites, held)
+    _, h, t = verify._frame(local_from_espace(rows, lam).matrix)
+    stacks, _ = sectors._stacks(h, n_sites, t)
     return _spectrum_report(n_sites, stacks)
 
 

@@ -568,12 +568,28 @@ def test_build_h_json_refuses_a_non_finite_chain_entry(tmp_path, capsys):
         assert out == ""
         assert err == "error: non-finite value inf cannot be serialized\n"
     assert not path.exists()
-    # the binary dump carries the entry as it is
-    chain = full_chain(build_family(FamilyParams(FamilyId.HARDCORE, g=2e307)),
-                       4).matrix
+
+
+def test_build_h_binary_refuses_a_non_finite_chain_entry(tmp_path, capsys):
+    # the sum on |0000> overflows to inf; the binary dump is refused as
+    # the JSON one is, before its file is opened
+    argv = ["build-h", "--family", "hardcore", "--n-sites", "4", "--binary"]
+    path = tmp_path / "chain.mpsh"
+    chain = full_chain(build_family(FamilyParams(FamilyId.HARDCORE,
+                                                 g=2.2e307)), 4).matrix
     assert np.isinf(chain[0, 0])
-    assert cli.main([*argv, "--binary", "--out", str(path)]) == 0
-    assert path.read_bytes() == pack_chain(4, chain)
+    capsys.readouterr()
+    assert cli.main([*argv, "--params", '{"g": 2.2e307}',
+                     "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: non-finite value inf cannot be serialized\n"
+    assert not path.exists()
+    # a finite chain is written as it is
+    assert cli.main([*argv, "--params", '{"g": 1.0}', "--out", str(path)]) \
+        == 0
+    assert path.read_bytes() == pack_chain(4, full_chain(
+        build_family(FamilyParams(FamilyId.HARDCORE, g=1.0)), 4).matrix)
 
 
 def test_binary_build_h_at_10_sites_streams_the_chain(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -24,6 +25,7 @@ from mpschain.states import NamedState, StateVector, ground_state_catalogue
 from mpschain.sectors import _filled_stacks, _sector_roots, _sector_stacks
 from mpschain.verify import (KERNEL_TOL, _spectrum_report, family_report,
                              spectrum, stacked_state_rank)
+from fingerprints import fingerprints
 from oracles import (axis_by_axis_frame, benchmark_specs, check_zero_member,
                      conjugate_local, covariance_check, frame_rank,
                      kron_chain, no_mps_case_report, operator_sum,
@@ -278,9 +280,9 @@ def test_sector_sizes_follow_bond_connectivity():
 
 def _framed_sectors(local, n_sites):
     """The stacks and values of the chain family_report solves for local:
-    that of _frame's bond term, split by the involutions it holds."""
-    _, h, held = verify._frame(local.matrix)
-    return sector_module._stacks(h, n_sites, held)
+    that of _frame's bond term, split by its involution."""
+    _, h, t = verify._frame(local.matrix)
+    return sector_module._stacks(h, n_sites, t)
 
 
 def _framed_stacks(local, n_sites):
@@ -344,27 +346,41 @@ def _gauged(h):
 
 def test_framed_chain_is_built_from_the_scored_bond_term():
     rng = np.random.default_rng(965)
-    gauged = 0
+    gauged, invariant, averaged = 0, 0, 0
     for label in ("pairsum-exchange/prime", "pairsum-exchange/parity",
                   "hardcore-singlet", "mixed-singlet") * 4:
         local = build_family(_seeded_params(label, rng))
-        u, h, _ = verify._frame(local.matrix)
-        assert not np.array_equal(u, np.eye(2))
+        u, h, t = verify._frame(local.matrix)
+        assert not np.array_equal(u, np.eye(2)) and t is not None
         scored = _gauged(verify._snapped(verify._rotated(local.matrix, u)))
         gauged += not np.iscomplexobj(scored)
-        # the scored term, real dtype where it has no imaginary part
-        assert np.array_equal(h, scored)
+        # the scored term averaged with its image under t: the term
+        # itself where it is t-invariant already
+        move = _signed_permutation(2, *t)
+        image = move @ scored @ move.T
+        if np.array_equal(image, scored):
+            assert np.array_equal(h, scored)
+            invariant += 1
+        else:
+            assert np.array_equal(h, (scored + image) / 2.0)
+            averaged += 1
+        # real dtype where it has no imaginary part
         assert np.iscomplexobj(h) == bool(np.any(scored.imag))
         _, vals = _framed_sectors(local, 2)
-        # the scored term's chain values, in chain_entries' order
-        rows, cols, want = chain_entries(LocalHamiltonian(scored), 2)
+        # the averaged term's chain values, in chain_entries' order
+        term = (scored + image) / 2.0
+        rows, cols, want = chain_entries(LocalHamiltonian(term), 2)
         # real where the scored term is
         assert np.iscomplexobj(vals) == bool(np.any(scored.imag))
         assert vals.astype(complex).tobytes() == want.tobytes()
         order = np.lexsort((cols, rows))
-        assert np.array_equal(want[order], scored[np.nonzero(scored)])
+        assert np.array_equal(want[order], term[np.nonzero(term)])
     # pairsum-exchange at nu' = nu keeps the number with a complex hopping
     assert gauged == 4
+    # mixed-singlet's tilted frame leaves rounding residue that its
+    # reversal o Z breaks, so its four draws are averaged; the rest are
+    # invariant already
+    assert (invariant, averaged) == (12, 4)
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
@@ -401,10 +417,10 @@ def test_reversal_splits_one_block_families(label):
     rng = np.random.default_rng(966)
     for _ in range(3):
         local = build_family(_seeded_params(label, rng))
-        _, h, held = verify._frame(local.matrix)
+        _, h, t = verify._frame(local.matrix)
         # reversal times Z on every site, not reversal alone
         assert verify._commuting(h)[:2].tolist() == [False, True]
-        assert held[0] == (True, False, -1)
+        assert t == (True, False, -1)
         for n in range(2, 9):
             sizes = _framed_sizes(local, n)
             assert sum(sizes) == 2 ** n
@@ -428,12 +444,12 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     params = _seeded_params("hardcore", np.random.default_rng(970))
     local = build_family(params)
     assert verify._commuting(local.matrix)[0]
-    assert verify._frame(local.matrix)[2] == ()
+    assert verify._frame(local.matrix)[2] is None
     # what the reversal-parity states would give
     expected = {}
     for n in (4, 7, 10):
         sectors = _plain_sectors(n, *_parity_entries(
-            n, sector_module._involutions(n, verify._INVOLUTIONS[:1])[0],
+            n, sector_module._involution(n, verify._INVOLUTIONS[0]),
             chain_entries(local, n)))
         expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
@@ -550,11 +566,10 @@ def test_frame_search_matches_the_axis_by_axis_oracle():
     assert len(ranks) == 236
     # every rank occurs: number, parity, reversal and none
     assert set(ranks) == {0, 1, 2, 3}
-    # the one exception: the tilted degenerate plane, turned.  Its
-    # reversal-parity blocks split further only where folded entries
-    # cancel exactly, and the rounding of each frame's rotation decides
-    # whether they do
-    assert unlike == {("degenerate_plane_tilted", turn) for turn in (1, 2, 3)}
+    # no exception: the framed term is invariant under its involution bit
+    # for bit, so folded entries that cancel do so exactly, however a
+    # frame's rotation rounds
+    assert unlike == set()
 
 
 def test_identity_frame_builds_the_chain_from_the_snapped_term():
@@ -593,35 +608,39 @@ def _signed_permutation(n_sites, reverse, flip, sign):
 
 
 def test_held_involutions_are_those_of_the_dense_chain():
-    # on the canonical points and the benchmark draws: each T of
-    # _INVOLUTIONS whose signed permutation commutes with the dense chain
-    # of h' to the bond term's snapping cut, summed over its bonds, less
-    # a T that only changes the sign of an earlier one; none for a
-    # diagonal h'
+    # on the canonical points and the benchmark draws, _frame's t is the
+    # first T of _INVOLUTIONS whose signed permutation commutes with the
+    # dense chain of h' to the bond term's snapping cut, summed over its
+    # bonds, and h' is t-invariant bit for bit; t is None for a diagonal
+    # h' or where no T commutes
     terms = {f"{label}@{seed}": build_family(params_from_mapping(*spec))
              for seed in (1001, 2001, 4242)
              for label, spec in benchmark_specs(
                  np.random.default_rng(seed)).items()}
     terms.update(_canonical_points())
-    held_any = set()
+    chosen = set()
     for name, local in terms.items():
-        _, h, held = verify._frame(local.matrix)
-        held_any.update(held)
+        _, h, t = verify._frame(local.matrix)
+        chosen.add(t)
+        if t is not None:
+            move = _signed_permutation(2, *t)
+            assert np.array_equal(move @ h @ move.T, h), name
+        diagonal = not np.any(h[~np.eye(4, dtype=bool)])
         for n in (4, 5, 6):
             chain = kron_chain(h, n)
             cut = (n - 1) * HERMITICITY_TOL * np.max(np.abs(h))
-            want = {}
-            if np.any(h[~np.eye(4, dtype=bool)]):
-                for reverse, flip, sign in verify._INVOLUTIONS:
-                    t = _signed_permutation(n, reverse, flip, sign)
-                    diff = t @ chain @ t.T - chain
-                    if max(np.max(np.abs(diff.real)),
-                           np.max(np.abs(diff.imag))) <= cut:
-                        want.setdefault((reverse, flip), sign)
-            assert held == tuple((reverse, flip, sign) for (reverse, flip),
-                                 sign in want.items()), (name, n)
-    # every involution is held somewhere
-    assert held_any == set(verify._INVOLUTIONS)
+            commutes = []
+            for reverse, flip, sign in verify._INVOLUTIONS:
+                move = _signed_permutation(n, reverse, flip, sign)
+                diff = move @ chain @ move.T - chain
+                commutes.append(max(np.max(np.abs(diff.real)),
+                                    np.max(np.abs(diff.imag))) <= cut)
+            first = None if diagonal or not any(commutes) else \
+                verify._INVOLUTIONS[commutes.index(True)]
+            assert t == first, (name, n)
+    # every involution but X^{x n} is chosen somewhere, and somewhere
+    # none: wherever X^{x n} holds, a reversal ahead of it holds too
+    assert chosen == {*verify._INVOLUTIONS, None} - {(False, True, 1)}
 
 
 def test_frame_keeps_a_small_symmetry_breaking_term():
@@ -774,8 +793,8 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
     assert verify._INVOLUTIONS[-1] == (True, True, 1)
     assert verify._commuting(_framed_term(plain))[-1]
     assert not verify._commuting(_framed_term(local))[-1]
-    assert (True, True, 1) in verify._frame(plain.matrix)[2]
-    assert (True, True, 1) not in verify._frame(local.matrix)[2]
+    assert verify._frame(plain.matrix)[2] == (True, True, 1)
+    assert verify._frame(local.matrix)[2] is None
     for n in range(2, 9):
         binomial = sorted((comb(n, k) for k in range(n + 1)), reverse=True)
         assert _solved_sizes(local, n) == [k for k in binomial if k > 1]
@@ -792,32 +811,30 @@ def test_a_small_term_breaking_reverse_flip_is_refused():
 @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 3)])
 def test_a_pattern_broken_below_the_cut_merges_sectors(pair):
     # a 1e-13 hop between two pair states lies below the snapping cut, so
-    # reverse o X^{x n} holds and _frame drops the hop.  A chain whose
-    # pattern breaks T only where rounding does (as exact cancellations
-    # on one side of T can) must still split right: built from the raw
-    # term, T's images of its sectors no longer are sectors, so they are
-    # merged first, until T maps every merged sector onto one; |01> <->
-    # |11> and |10> <-> |11> merge sectors of many states
+    # reverse o X^{x n} holds and _frame drops the hop.  Built from the
+    # raw term, the chain's pattern breaks T: T's images of its sectors
+    # are no longer sectors, and a plan for it is refused.  Through
+    # _frame, whose term is T-invariant bit for bit, the chain splits by
+    # T and keeps the raw term's spectrum
     rng = np.random.default_rng(975)
     hop = np.zeros((4, 4))
     hop[pair] = hop[pair[::-1]] = 1.0
     plain = build_family(_seeded_params("antialigned", rng)).matrix
     h = plain + 1e-13 * hop
-    u, framed, held = verify._frame(h)
+    u, framed, t = verify._frame(h)
     assert u.tolist() == np.eye(2).tolist()
     assert np.array_equal(framed, verify._frame(plain)[1])
-    assert held == ((True, True, 1),)
+    assert t == (True, True, 1)
     for n in range(3, 9):
         rows, cols, _ = chain_entries(LocalHamiltonian(h), n)
         off = rows != cols
         root = _sector_roots(2 ** n, rows[off], cols[off])
-        (sigma, phi), = sector_module._involutions(n, held)
+        sigma, _ = sector_module._involution(n, t)
         assert not np.array_equal(root[sigma], root[sigma[root]])
-        _, merged = sector_module._orbit_cost(root, sigma, phi)
-        assert np.array_equal(merged[sigma], merged[sigma[merged]])
-        if pair != (0, 1):
-            assert np.max(np.bincount(merged[merged != root])) > 1
-        sectors = list(sector_module._stacks(h, n, held)[0])
+        with pytest.raises(RuntimeError, match="does not map every sector"):
+            sector_module._stacks(h, n, t)
+        sectors = _framed_stacks(LocalHamiltonian(h), n)
+        assert _solved_states(sectors) < 2 ** n
         evals = np.linalg.eigvalsh(kron_chain(h, n))
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert np.max(np.abs(_sector_spectrum(sectors) - evals)) \
@@ -849,6 +866,22 @@ SOLVED_AT_10 = {
 def test_solved_block_sizes_are_pinned(label):
     local = build_family(params_from_mapping(*BENCH_SPECS[label]))
     assert _solved_sizes(local, 10) == SOLVED_AT_10[label]
+
+
+def test_fingerprints_count_the_kernel_as_dense_ed():
+    # the behaviour fingerprints of tests/fingerprints.py, one seed and
+    # the small sizes: one line for each label and size, JSON-ready
+    specs = benchmark_specs(np.random.default_rng(1001))
+    lines = list(fingerprints(seeds=(1001,), sizes=range(2, 5)))
+    assert len(lines) == 33
+    for line in lines:
+        json.dumps(line)
+        local = build_family(params_from_mapping(*specs[line["label"]]))
+        evals = np.linalg.eigvalsh(kron_chain(local.matrix, line["n_sites"]))
+        assert line["kernel_dim"] == int(np.sum(
+            evals <= KERNEL_TOL * np.max(np.abs(evals))))
+        assert sum(count * s * k for count, (s, k, _) in line["stacks"]) \
+            == 2 ** line["n_sites"]
 
 
 def test_family_report_refuses_blocks_beyond_available_memory(monkeypatch):

@@ -4,12 +4,14 @@ A validated witness compares stored rows instead of running the SVD, the
 witness is one raw 2x2 product checked once, the fixed steps carry their
 action matrices, and mps_contract builds its words once.  The chain's
 frame search rotates all its candidates in one batch, and a report
-decides its frame, gauge and involutions in that one search.  Counting
-calls keeps each of these from creeping back, on any machine.
+decides its frame, gauge and involution in that one search and builds
+the involution's permutation only with a plan.  Counting calls keeps
+each of these from creeping back, on any machine.
 """
 
 import importlib
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 
@@ -118,7 +120,7 @@ def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
             if candidates:
                 batch, *shape = rotations[0]
                 assert shape == [2, 2] and batch > 1
-            # the other _commuting call takes h' alone, for its involutions
+            # the other _commuting call takes h' alone, for its involution
             ranked = [shape for shape in reversal if len(shape) == 3]
             if verify._conserved(framed):
                 assert not ranked
@@ -132,7 +134,7 @@ def test_frame_rotates_its_candidates_in_one_batch(monkeypatch):
 
 def test_a_report_searches_its_basis_once(monkeypatch):
     # one _frame; _commuting at most twice (the reversal ranking, then
-    # the involutions h' holds) and _chain_table at most twice (the whole
+    # the involution h' holds) and _chain_table at most twice (the whole
     # table, then the basis states' rows), so no second search creeps in
     calls = dict.fromkeys(["frame", "commuting", "table"], 0)
     monkeypatch.setattr(verify, "_frame",
@@ -154,3 +156,24 @@ def test_a_report_searches_its_basis_once(monkeypatch):
             most = {key: max(most[key], calls[key]) for key in calls}
     # both bounds are reached
     assert most == dict(frame=1, commuting=2, table=2)
+
+
+def test_a_report_builds_its_involution_with_its_plan(monkeypatch):
+    # a cold report builds at most one (sigma, phi), for its plan; a warm
+    # one, its plan cached, builds none
+    calls = {"involution": 0}
+    monkeypatch.setattr(sectors, "_involution",
+                        _counting(calls, "involution", sectors._involution))
+    monkeypatch.setattr(sectors, "_PLANS", OrderedDict())
+    most = 0
+    for spec in benchmark_specs(np.random.default_rng(1001)).values():
+        params = params_from_mapping(*spec)
+        for n_sites in (4, 7):
+            sectors._PLANS.clear()
+            for warm in (False, True):
+                calls["involution"] = 0
+                verify.family_report(params, n_sites)
+                assert calls["involution"] <= (0 if warm else 1)
+                most = max(most, calls["involution"])
+    # a cold report does build one
+    assert most == 1
