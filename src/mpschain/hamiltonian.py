@@ -63,20 +63,6 @@ class FamilyId(str, Enum):
     PINNED = "pinned"
 
 
-# parameter fields each family requires
-REQUIRED_PARAMS = {
-    FamilyId.EXCHANGE: ("g", "nu", "nu_prime"),
-    FamilyId.HARDCORE: ("g",),
-    FamilyId.HARDCORE_MIXED: ("g",),
-    FamilyId.ANTIALIGNED: ("g1", "g2", "g3"),
-    FamilyId.HARDCORE_SINGLET: ("g1", "g2", "g3"),
-    FamilyId.PAIRSUM_EXCHANGE: ("g1", "g2", "g3", "nu", "nu_prime"),
-    FamilyId.HARDCORE_EXCHANGE: ("g1", "g2", "g3", "nu", "nu_prime"),
-    FamilyId.MIXED_SINGLET: ("g1", "g2", "g3"),
-    FamilyId.PINNED: ("lambda3",),
-}
-
-
 def max_sites(default: int = DEFAULT_MAX_SITES) -> int:
     """Site guard, overridable through MPS_MAX_SITES."""
     env = os.environ.get("MPS_MAX_SITES")
@@ -94,7 +80,7 @@ class FamilyParams:
     """Validated coupling constants for one family.
 
     Unused fields stay None; which ones are required depends on the
-    family (see REQUIRED_PARAMS).
+    family (its entry in _FAMILIES).
     """
 
     family: FamilyId
@@ -124,7 +110,7 @@ class FamilyParams:
     def __post_init__(self):
         fam = FamilyId(self.family)
         object.__setattr__(self, "family", fam)
-        required = REQUIRED_PARAMS[fam]
+        required = _FAMILIES[fam][0]
         for name in required:
             if getattr(self, name) is None:
                 raise ParameterError(f"{fam.value} requires parameter {name}")
@@ -238,38 +224,40 @@ def local_from_espace(rows, lam) -> LocalHamiltonian:
     return LocalHamiltonian(h)
 
 
+def _two_row_weight(p: FamilyParams):
+    """[[g1, g3], [conj(g3), g2]], the weight of the two-row families."""
+    return [[p.g1, p.g3], [np.conj(p.g3), p.g2]]
+
+
+# each family's required parameters, and its constraint rows and weight
+# matrix as a function of its validated params
+_FAMILIES = {
+    FamilyId.EXCHANGE: (("g", "nu", "nu_prime"), lambda p: (
+        [[0.0, p.nu_prime, -p.nu, 0.0]], [[p.g]])),
+    FamilyId.HARDCORE: (("g",), lambda p: ([[2.0, 0.0, 0.0, 0.0]], [[p.g]])),
+    FamilyId.HARDCORE_MIXED: (("g",), lambda p: (
+        [[2.0, 1.0, -1.0, 0.0]], [[p.g]])),
+    FamilyId.ANTIALIGNED: (("g1", "g2", "g3"), lambda p: (
+        [[0, 1, 0, 0], [0, 0, 1, 0]], _two_row_weight(p))),
+    FamilyId.HARDCORE_SINGLET: (("g1", "g2", "g3"), lambda p: (
+        [[1, 0, 0, 0], [0, 1, -1, 0]], _two_row_weight(p))),
+    FamilyId.PAIRSUM_EXCHANGE: (
+        ("g1", "g2", "g3", "nu", "nu_prime"), lambda p: (
+            [[1, 0, 0, 1], [0, p.nu_prime, -p.nu, 0]], _two_row_weight(p))),
+    FamilyId.HARDCORE_EXCHANGE: (
+        ("g1", "g2", "g3", "nu", "nu_prime"), lambda p: (
+            [[1, 0, 0, 0], [0, p.nu_prime, -p.nu, 0]], _two_row_weight(p))),
+    FamilyId.MIXED_SINGLET: (("g1", "g2", "g3"), lambda p: (
+        [[2, 1, 1, 0], [0, 1, -1, 0]], _two_row_weight(p))),
+    FamilyId.PINNED: (("lambda3",), lambda p: (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], p.lambda3)),
+}
+
+
 def family_espace(params: FamilyParams):
     """Constraint rows and weight matrix of a named family."""
-    p = params
-    fam = p.family
-    if fam is FamilyId.EXCHANGE:
-        return (np.array([[0.0, p.nu_prime, -p.nu, 0.0]], dtype=complex),
-                np.array([[p.g]], dtype=complex))
-    if fam is FamilyId.HARDCORE:
-        return (np.array([[2.0, 0.0, 0.0, 0.0]], dtype=complex),
-                np.array([[p.g]], dtype=complex))
-    if fam is FamilyId.HARDCORE_MIXED:
-        return (np.array([[2.0, 1.0, -1.0, 0.0]], dtype=complex),
-                np.array([[p.g]], dtype=complex))
-    lam2 = np.array([[p.g1, p.g3], [np.conj(p.g3), p.g2]], dtype=complex) \
-        if p.g1 is not None else None
-    if fam is FamilyId.ANTIALIGNED:
-        return (np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex), lam2)
-    if fam is FamilyId.HARDCORE_SINGLET:
-        return (np.array([[1, 0, 0, 0], [0, 1, -1, 0]], dtype=complex), lam2)
-    if fam is FamilyId.PAIRSUM_EXCHANGE:
-        return (np.array([[1, 0, 0, 1],
-                          [0, p.nu_prime, -p.nu, 0]], dtype=complex), lam2)
-    if fam is FamilyId.HARDCORE_EXCHANGE:
-        return (np.array([[1, 0, 0, 0],
-                          [0, p.nu_prime, -p.nu, 0]], dtype=complex), lam2)
-    if fam is FamilyId.MIXED_SINGLET:
-        return (np.array([[2, 1, 1, 0], [0, 1, -1, 0]], dtype=complex), lam2)
-    if fam is FamilyId.PINNED:
-        rows = np.zeros((3, 4), dtype=complex)
-        rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
-        return rows, np.array(p.lambda3, dtype=complex)
-    raise ParameterError(f"unknown family {fam!r}")
+    rows, lam = _FAMILIES[params.family][1](params)
+    return np.array(rows, dtype=complex), np.array(lam, dtype=complex)
 
 
 def family_space(params: FamilyParams) -> CSpace:

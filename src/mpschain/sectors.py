@@ -102,8 +102,7 @@ def _sector_stacks(dim: int, rows, cols, states,
     ends = np.searchsorted(at[src], np.arange(1, ks.size + 1))
     # a row and its column lie in one sector
     dst = start[rows[src]] + pos[cols[src]]
-    return tuple((count // k, k, _narrow(src[lo:hi], rows.size),
-                  _narrow(dst[lo:hi], count * k))
+    return tuple((count // k, k, src[lo:hi], dst[lo:hi])
                  for k, count, lo, hi in zip(ks.tolist(), counts.tolist(),
                                              np.concatenate(([0], ends[:-1])),
                                              ends))
@@ -227,7 +226,8 @@ def _folded(vals: np.ndarray, fold: tuple, slots: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _SectorPlan:
     """The symbolic half of a chain's sector split: index arrays only,
-    no values (see _stacks).
+    no values (see _stacks), each of the dtype numpy gave it, so a warm
+    call indexes with it as it is.
 
     flat holds the positions, in the chain's flattened _chain_table, of
     its nonzero values in chain_entries' order; chain the _sector_stacks
@@ -268,7 +268,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     dim = 2 ** n_sites
     rows, k = _table_nonzero(table)
     cols = rows ^ masks[k]
-    flat = _narrow(k * dim + rows, table.size)
+    flat = k * dim + rows
     off = rows != cols
     root = _sector_roots(dim, rows[off], cols[off])
     if t is None or not np.any(off):
@@ -283,7 +283,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     sel = np.flatnonzero(fixed[rows])
     (src, weight, slot), keys = _parity_fold(sigma, phi, rows[sel],
                                              cols[sel])
-    fold = _narrow(sel[src], flat.size), weight, _narrow(slot, keys.size)
+    fold = sel[src], weight, slot
     keep = _folded(table.reshape(-1)[flat], fold, keys.size) != 0
     keys = keys[keep]
     return _SectorPlan(
@@ -291,12 +291,6 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
         _sector_stacks(dim, rows, cols, np.flatnonzero(root < twin), root),
         fold, keep,
         _sector_stacks(dim, keys // dim, keys % dim, np.flatnonzero(fixed)))
-
-
-def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
-    """index as int32 when every value below bound fits, for a plan to
-    hold half the bytes."""
-    return index.astype(np.int32) if bound <= 2 ** 31 else index
 
 
 def _numeric_parts(plan: _SectorPlan, table: np.ndarray):

@@ -169,18 +169,23 @@ def _frame(h: np.ndarray):
 
     Writes h = sum_ab c_ab P_a x P_b over the Pauli matrices.  If h keeps
     the number (or parity) of ones along some axis n, then n is a real
-    eigenvector of K = c[1:, 1:] and of K^T, or (for a degenerate K) the
-    direction of a one-site field c[0, 1:] or c[1:, 0].  If the chain has
-    a reversal symmetry T = reverse o v^{x n}, v = m . sigma a pi
-    rotation about a unit axis m, then v turns Pauli vectors by R = 2 m
-    m^T - 1 and reversal swaps the sites, so R K^T R = K and R swaps the
-    two fields: m lies along their sum and is an eigenvector of (K +
-    K^T) / 2.  The identity and every such candidate axis, rotated onto
-    z in one batch, are ranked: keeping the number beats keeping the
-    parity, which beats commuting with T for v = 1 or Z, which beats
-    nothing.  Of equal ranks the first wins, so the identity stays
-    unless another frame is strictly better; when it keeps the number
-    already, no candidate can beat it and none is listed.
+    eigenvector of K = c[1:, 1:] and of K^T with the same eigenvalue, so
+    (K - K^T) n = 0: n lies along d = (K12 - K21, K20 - K02, K01 - K10),
+    the axis of K's antisymmetric part, unless K is symmetric, and then n
+    is an eigenvector of (K + K^T) / 2.  Both one-site fields c[0, 1:]
+    and c[1:, 0] lie along n, so the first gives n, or their sum does
+    where it vanishes.  If the chain has a reversal symmetry T = reverse
+    o v^{x n}, v = m . sigma a pi rotation about a unit axis m, then v
+    turns Pauli vectors by R = 2 m m^T - 1 and reversal swaps the sites,
+    so R K^T R = K and R swaps the two fields: m lies along their sum and
+    is an eigenvector of (K + K^T) / 2.  The identity and the candidate
+    axes (the first field, d, the summed field, the eigenvectors of (K +
+    K^T) / 2), rotated onto z in one batch, are ranked: keeping the
+    number beats keeping the parity, which beats commuting with T for v
+    = 1 or Z, which beats nothing.  Of equal ranks the first wins, so
+    the identity stays unless another frame is strictly better; when it
+    keeps the number already, no candidate can beat it and none is
+    listed.
 
     Then, if a site phase diag(1, e^{i theta}) makes the rotated h real,
     it is folded in; theta is read off the largest entry that changes the
@@ -216,10 +221,9 @@ def _frame(h: np.ndarray):
     if _conserved(moved[0]) < 2:
         c = np.einsum("ij,abji->ab", h, _PAIR_PAULI).real / 4.0
         k = c[1:, 1:]
-        axes = [c[0, 1:], c[1:, 0]]
-        for w, v in zip(*np.linalg.eig(np.array((k, k.T)))):
-            axes.extend(v[:, w.imag == 0].real.T)
-        axes = np.array([*axes, c[1:, 0] + c[0, 1:],
+        d = k - k.T
+        axes = np.array([c[0, 1:], (d[1, 2], d[2, 0], d[0, 1]),
+                         c[1:, 0] + c[0, 1:],
                          *np.linalg.eigh((k + k.T) / 2.0)[1].T])
         big = np.max(np.abs(axes), axis=1)
         keep = big > HERMITICITY_TOL * np.max(np.abs(c))

@@ -1,4 +1,5 @@
-"""Behaviour fingerprints of family_report on the benchmark's draws.
+"""Behaviour fingerprints of family_report on the benchmark's draws, and
+of the chain spectra of some fixed bond terms.
 
 Run from the repository root, and diff the output of two checkouts:
 
@@ -10,26 +11,39 @@ Each line holds the report's kernel_dim and warning, float.hex of its
 ground energy, of each lowest eigenvalue and of each residual, and the
 (count, shape) of every stack of sector blocks the report solves.  Equal
 lines mean the same spectrum, bit for bit, from the same eigensolves.
+
+Then one line per (fixed point, n_sites), n_sites 2..9, with seed null
+(point_fingerprints): the pinned point oracles.CANCELLING_PINNED through
+family_report, residuals included, then the bond terms of
+oracles.CANONICAL_POINTS and oracles.dm_terms through verify._frame,
+sectors._stacks and verify._spectrum_report, without residuals.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 
-from mpschain import verify
-from mpschain.hamiltonian import params_from_mapping
-from oracles import benchmark_specs
+from mpschain import sectors, verify
+from mpschain.hamiltonian import build_family, params_from_mapping
+from oracles import (CANCELLING_PINNED, CANONICAL_POINTS, benchmark_specs,
+                     canonical_term, dm_terms)
 
 SEEDS = (1001, 2001, 4242)
 SIZES = range(2, 11)
+POINT_SIZES = range(2, 10)
+
+# the label of oracles.CANCELLING_PINNED
+PINNED_LABEL = "pinned/cancelling"
 
 
-def fingerprints(seeds=SEEDS, sizes=SIZES):
-    """Yield the fingerprint of each (seed, label, n_sites), as a dict in
-    the order of the lines."""
+@contextmanager
+def recorded_stacks():
+    """A list that holds the (count, shape) of every stack that
+    verify._spectrum_report solves while the context is open."""
     solve = verify._spectrum_report
     stacks = []
 
@@ -39,6 +53,25 @@ def fingerprints(seeds=SEEDS, sizes=SIZES):
         return solve(n_sites, parts)
 
     with mock.patch.object(verify, "_spectrum_report", recording):
+        yield stacks
+
+
+def _line(seed, label, rep, stacks) -> dict:
+    return {
+        "seed": seed, "label": label, "n_sites": rep.n_sites,
+        "kernel_dim": rep.kernel_dim,
+        "warning": rep.warning,
+        "ground_energy": rep.ground_energy.hex(),
+        "lowest": [v.hex() for v in rep.lowest_k_eigenvalues],
+        "residuals": {name: r.hex() for name, r in rep.residuals.items()},
+        "stacks": [[count, list(shape)] for count, shape in stacks],
+    }
+
+
+def fingerprints(seeds=SEEDS, sizes=SIZES):
+    """Yield the fingerprint of each (seed, label, n_sites), as a dict in
+    the order of the lines."""
+    with recorded_stacks() as stacks:
         for seed in seeds:
             specs = benchmark_specs(np.random.default_rng(seed))
             for label, spec in specs.items():
@@ -46,20 +79,40 @@ def fingerprints(seeds=SEEDS, sizes=SIZES):
                 for n_sites in sizes:
                     stacks.clear()
                     rep = verify.family_report(params, n_sites)
-                    yield {
-                        "seed": seed, "label": label, "n_sites": n_sites,
-                        "kernel_dim": rep.kernel_dim,
-                        "warning": rep.warning,
-                        "ground_energy": rep.ground_energy.hex(),
-                        "lowest": [v.hex() for v in
-                                   rep.lowest_k_eigenvalues],
-                        "residuals": {name: r.hex() for name, r in
-                                      rep.residuals.items()},
-                        "stacks": [[count, list(shape)]
-                                   for count, shape in stacks],
-                    }
+                    yield _line(seed, label, rep, stacks)
+
+
+def point_terms() -> dict:
+    """label -> bond term of every fixed point, in the order of the
+    lines: PINNED_LABEL, the canonical points, the DM terms."""
+    terms = {PINNED_LABEL: build_family(params_from_mapping(
+        *CANCELLING_PINNED))}
+    for case, mu in CANONICAL_POINTS:
+        label = case.value if mu is None else f"{case.value}@{mu}"
+        terms[label] = canonical_term(case, mu)
+    terms.update(dm_terms())
+    return terms
+
+
+def point_fingerprints(sizes=POINT_SIZES):
+    """Yield the fingerprint of each (fixed point, n_sites), as a dict in
+    the order of the lines."""
+    params = params_from_mapping(*CANCELLING_PINNED)
+    with recorded_stacks() as stacks:
+        for label, local in point_terms().items():
+            for n_sites in sizes:
+                stacks.clear()
+                if label == PINNED_LABEL:
+                    rep = verify.family_report(params, n_sites)
+                else:
+                    _, h, t = verify._frame(local.matrix)
+                    rep = verify._spectrum_report(
+                        n_sites, sectors._stacks(h, n_sites, t)[0])
+                yield _line(None, label, rep, stacks)
 
 
 if __name__ == "__main__":
     for line in fingerprints():
+        print(json.dumps(line))
+    for line in point_fingerprints():
         print(json.dumps(line))

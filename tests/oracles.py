@@ -58,12 +58,14 @@ route the library does not take, so agreement is evidence.
   library's writer formats a complex array's parts in bulk and must
   give the same text.
 
-Three helpers are shared test plumbing rather than references: flat
-gives a quartet's entries (C00, C01, C10, C11) through the library's own
+The rest is shared test plumbing rather than references: flat gives a
+quartet's entries (C00, C01, C10, C11) through the library's own
 `_TO_FLAT`, which test_pauli checks against the recomposed matrix,
 benchmark_specs draws one parameter set per benchmark label, as the
 benchmark's family_specs does, and child_env is the environment for a
-`python -m mpschain` child process.
+`python -m mpschain` child process.  CANONICAL_POINTS, canonical_term,
+dm_terms and CANCELLING_PINNED are fixed bond terms that the tests and
+the fingerprints share.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mpschain.classify import CanonicalForm, canonical_space
+from mpschain.classify import (MU_CASES, CanonicalForm, CaseId,
+                               canonical_space)
 from mpschain.hamiltonian import (FamilyId, FamilyParams, LocalHamiltonian,
                                   local_from_espace)
 from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
@@ -396,14 +399,17 @@ def _axis_turn(axis: np.ndarray) -> np.ndarray:
 
 
 def axis_by_axis_frame(local: LocalHamiltonian):
-    """(rank, u, term): the best frame_rank of verify._frame's candidate
-    frames before its phase step, the frame u that first reaches it (the
-    identity first) and the bond term in it, snapped.
+    """(rank, u, term): the best frame_rank of a list of candidate frames,
+    the frame u that first reaches it (the identity first) and the bond
+    term in it, snapped.
 
-    The candidates are the axes of the one-site fields, the real
-    eigenvectors of K and K^T, the field sum and the eigenvectors of (K +
-    K^T) / 2, K the two-site part of the Pauli coefficients; each is
-    turned onto z by _axis_turn and ranked in turn.
+    The candidates are the axes of both one-site fields, the real
+    eigenvectors of K and of K^T (one general eigensolve each), the field
+    sum and the eigenvectors of (K + K^T) / 2, K the two-site part of the
+    Pauli coefficients; each is turned onto z by _axis_turn and ranked in
+    turn.  verify._frame reads its axes off K's antisymmetric part and
+    one symmetric eigensolve instead, so this list is an independent
+    route to the same rank.
     """
     h = local.matrix
     c = np.array([[np.trace(np.kron(a, b) @ h).real for b in _PAULIS]
@@ -430,6 +436,45 @@ def axis_by_axis_frame(local: LocalHamiltonian):
             best, frame = rank, u
             term = _snapped_term((turned + turned.conj().T) / 2.0)
     return best, frame, term
+
+
+# The 19 canonical points: every nonempty form, each mu form at mu = 0
+# and 0.3+0.1i, and nonnull_line also where its commutation factor is
+# e^(2 pi i / 3).
+_OMEGA3 = cmath.exp(2j * cmath.pi / 3)
+CANONICAL_POINTS = [
+    (case, mu) for case in CaseId if case is not CaseId.EMPTY
+    for mu in ([0.0, 0.3 + 0.1j] + ([(1 + _OMEGA3) / (_OMEGA3 - 1)]
+                                    if case is CaseId.NONNULL_LINE else [])
+               if case in MU_CASES else [None])]
+
+
+def canonical_term(case: CaseId, mu) -> LocalHamiltonian:
+    """The bond term of a nonempty canonical form: identity weight on its
+    literal rows."""
+    rows = canonical_space(CanonicalForm(case, mu)).coefficient_matrix() \
+        @ _TO_FLAT
+    return local_from_espace(rows, np.eye(len(rows)))
+
+
+def dm_terms() -> dict:
+    """name -> bond term: 4 + XX + YY + ZZ + (XY - YX) / 2, a Heisenberg
+    term with a Dzyaloshinskii-Moriya term, which keeps the number of
+    ones, has no one-site field and a (K + K^T) / 2 that is a multiple of
+    the identity; and the same term plus 0.3 (Z x 1 + 1 x Z)."""
+    x, y, z = _PAULIS[1:]
+    dm = 4.0 * np.eye(4) + sum(np.kron(p, p) for p in (x, y, z)) \
+        + 0.5 * (np.kron(x, y) - np.kron(y, x))
+    return {"dm": LocalHamiltonian(dm),
+            "dm+field": LocalHamiltonian(
+                dm + 0.3 * (np.kron(z, _I2) + np.kron(_I2, z)))}
+
+
+# A pinned point, as (family, mapping), whose lambda02 = -lambda01 makes
+# the one-site flips of a site between two |0>s cancel: its chain has
+# fewer entries than its bond term's pattern shows.
+CANCELLING_PINNED = ("pinned", {"lambda3": np.array(
+    [[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]])})
 
 
 def conjugate_local(local: LocalHamiltonian, g: SL2) -> LocalHamiltonian:

@@ -1,6 +1,5 @@
 """Canonical forms, invariants, and the classification pipeline."""
 
-import cmath
 import json
 import zlib
 from pathlib import Path
@@ -19,7 +18,8 @@ from mpschain.classify import (_CANONICAL_BASES, AmbiguousNullError,
 from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
                             PauliQuartet, minkowski_vec, quartet_from_array,
                             sl2_act, sl2_act_space, span_equal)
-from oracles import lstsq_span_equal, quartet_action, random_sl2
+from oracles import (CANONICAL_POINTS, lstsq_span_equal, quartet_action,
+                     random_sl2)
 
 T0 = PauliQuartet(1, 0, 0, 0)
 T1 = PauliQuartet(0, 1, 0, 0)
@@ -418,17 +418,6 @@ def test_tilted_plane_scan_ends_in_a_form_or_a_named_refusal():
         ("regular", CaseId.REGULAR_PLANE_TILTED),
         ("regular", "ClassificationError"),
         ("regular", "AmbiguousRankError")}
-
-
-# The 19 canonical points: every nonempty form, each mu form at mu = 0
-# and 0.3+0.1i, and nonnull_line also where its commutation factor is
-# e^(2 pi i / 3).
-_OMEGA3 = cmath.exp(2j * cmath.pi / 3)
-CANONICAL_POINTS = [
-    (case, mu) for case in CaseId if case is not CaseId.EMPTY
-    for mu in ([0.0, 0.3 + 0.1j] + ([(1 + _OMEGA3) / (_OMEGA3 - 1)]
-                                    if case is CaseId.NONNULL_LINE else [])
-               if case in MU_CASES else [None])]
 
 
 def _hex(z) -> list:

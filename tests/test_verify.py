@@ -12,24 +12,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpschain.classify import MU_CASES, CanonicalForm, CaseId, canonical_space
+from mpschain.classify import MU_CASES, CanonicalForm, CaseId
 from mpschain.hamiltonian import (HERMITICITY_TOL, ChainSizeError, FamilyId,
                                   FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
                                   chain_entries, local_from_espace,
                                   params_from_mapping)
-from mpschain.pauli import _TO_FLAT, SL2
+from mpschain.pauli import SL2
 from mpschain import cli, verify
 from mpschain import sectors as sector_module
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
 from mpschain.sectors import _filled_stacks, _sector_roots, _sector_stacks
 from mpschain.verify import (KERNEL_TOL, _spectrum_report, family_report,
                              spectrum, stacked_state_rank)
-from fingerprints import fingerprints
-from oracles import (axis_by_axis_frame, benchmark_specs, check_zero_member,
-                     conjugate_local, covariance_check, frame_rank,
-                     kron_chain, no_mps_case_report, operator_sum,
-                     random_sl2)
+from fingerprints import (fingerprints, point_fingerprints, point_terms,
+                          recorded_stacks)
+from oracles import (CANCELLING_PINNED, axis_by_axis_frame, benchmark_specs,
+                     canonical_term, check_zero_member, conjugate_local,
+                     covariance_check, dm_terms, frame_rank, kron_chain,
+                     no_mps_case_report, operator_sum, random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -534,24 +535,29 @@ def _canonical_points() -> dict:
     for case in CaseId:
         for mu in ([0.0, 0.3 + 0.1j, np.exp(2j * np.pi / 3), -1.0]
                    if case in MU_CASES else [None]):
-            rows = canonical_space(CanonicalForm(case, mu)) \
-                .coefficient_matrix() @ _TO_FLAT
-            if rows.size:
+            if case is not CaseId.EMPTY:
                 name = case.value if mu is None else f"{case.value}@{mu}"
-                points[name] = local_from_espace(rows, np.eye(len(rows)))
+                points[name] = canonical_term(case, mu)
     return points
 
 
 def test_frame_search_matches_the_axis_by_axis_oracle():
-    # the benchmark draws on three seeds and the canonical points, each
-    # also turned by three random unitaries: the library's frame reaches
-    # the oracle's rank, and the oracle's frame splits the chain alike
+    # the benchmark draws on three seeds, the canonical points and the
+    # two Dzyaloshinskii-Moriya terms, each also turned by three random
+    # unitaries: the library's frame reaches the oracle's rank, and the
+    # oracle's frame splits the chain alike.  The zero-field DM term
+    # keeps the number along an axis that only K's antisymmetric part
+    # shows once it is turned: no field, and (K + K^T) / 2 a multiple of
+    # the identity
     rng = np.random.default_rng(976)
     terms = {f"{label}@{seed}": build_family(params_from_mapping(*spec))
              for seed in (1001, 2001, 4242)
              for label, spec in benchmark_specs(
                  np.random.default_rng(seed)).items()}
     terms.update(_canonical_points())
+    terms.update(dm_terms())
+    for local in dm_terms().values():
+        assert _solved_sizes(local, 5) == [6, 6, 4, 4, 3, 3, 2, 2]
     ranks, unlike = [], set()
     for name, local in terms.items():
         for turn, turned in enumerate((local, *(conjugate_local(
@@ -563,7 +569,7 @@ def test_frame_search_matches_the_axis_by_axis_oracle():
                    for n in (5, 8)):
                 unlike.add((name, turn))
             ranks.append(rank)
-    assert len(ranks) == 236
+    assert len(ranks) == 244
     # every rank occurs: number, parity, reversal and none
     assert set(ranks) == {0, 1, 2, 3}
     # no exception: the framed term is invariant under its involution bit
@@ -882,6 +888,16 @@ def test_fingerprints_count_the_kernel_as_dense_ed():
             evals <= KERNEL_TOL * np.max(np.abs(evals))))
         assert sum(count * s * k for count, (s, k, _) in line["stacks"]) \
             == 2 ** line["n_sites"]
+    # the fixed points appended after them, at three sites
+    terms = point_terms()
+    lines = list(point_fingerprints(sizes=(3,)))
+    assert len(lines) == 22
+    assert [line["label"] for line in lines] == list(terms)
+    for line in lines:
+        evals = np.linalg.eigvalsh(kron_chain(terms[line["label"]].matrix, 3))
+        assert line["kernel_dim"] == int(np.sum(
+            evals <= KERNEL_TOL * np.max(np.abs(evals))))
+    assert lines[0]["residuals"] and not lines[1]["residuals"]
 
 
 def test_family_report_refuses_blocks_beyond_available_memory(monkeypatch):
@@ -1042,6 +1058,27 @@ def test_a_cancelling_point_gets_a_plan_of_its_own(monkeypatch):
             _assert_same_stacks(warm, _stacks_and_values(second, n))
             _assert_matches_dense(_spectrum_report(n, warm[0]),
                                   *_dense_evals(second, n))
+
+
+def test_plans_follow_the_values_of_a_family_chain():
+    # pinned with lambda02 = -lambda01: the one-site flips of a site
+    # between two |0>s cancel in every chain of this point, so its plan
+    # must come from the chain's values; one from the bond term's
+    # pattern alone would merge the sectors (into [1, 15, 16] at n = 5)
+    params = params_from_mapping(*CANCELLING_PINNED)
+    local = build_family(params)
+    assert verify._frame(local.matrix)[2] == (True, False, -1)
+    solved = {}
+    with recorded_stacks() as stacks:
+        for n in range(5, 9):
+            stacks.clear()
+            rep = family_report(params, n)
+            solved[n] = list(stacks)
+            assert rep.residuals and rep.all_pass()
+            _assert_matches_dense(rep, *_dense_evals(local, n))
+    assert solved[5] == [(1, (2, 1, 1)), (1, (2, 6, 6)), (1, (2, 9, 9))]
+    assert solved[7] == [(1, (2, 1, 1)), (1, (2, 12, 12)), (1, (2, 16, 16)),
+                         (1, (1, 32, 32)), (1, (1, 38, 38))]
 
 
 def test_evicted_plans_leave_reports_unchanged(monkeypatch):
