@@ -1,9 +1,9 @@
 """Command-line front end for classification, chain building, states,
 contraction, verification, and parameter sweeps.
 
-Exit codes: 0 success, 2 input validation failure, 3 the computation
-itself failed (for example an uncatalogued space), 4 a zero-energy
-claim check did not meet tolerance.
+Exit codes: 0 success, 2 input validation failure (a size too large to
+allocate included), 3 the computation itself failed (for example an
+uncatalogued space), 4 a zero-energy claim check did not meet tolerance.
 """
 
 from __future__ import annotations
@@ -192,6 +192,9 @@ def _cmd_mps(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise serialize.FormatError(
+            f"--tol must be finite and at least 0, got {args.tol!r}")
     params = _parse_params_arg(args)
     report = family_report(params, args.n_sites)
     _emit_text(serialize.dumps(_report_payload(report)), args.out)
@@ -324,7 +327,8 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError is numpy refusing an array of the requested size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -69,10 +69,13 @@ def max_sites(default: int = DEFAULT_MAX_SITES) -> int:
     if env is None:
         return default
     try:
-        return int(env)
+        limit = int(env)
     except ValueError as exc:
         raise ChainSizeError(f"MPS_MAX_SITES={env!r} is not an integer") \
             from exc
+    if limit < 1:
+        raise ChainSizeError(f"MPS_MAX_SITES={env!r} is below 1")
+    return limit
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ off-diagonal pattern.  This module finds them and works out where each
 of the chain's entries lands in the stack of equal-size blocks it
 belongs to (_sector_stacks), and pairs or splits them by a
 basis-permuting involution its bond term is invariant under
-(_involution, _parity_fold).  None of that depends on the chain's values
-beyond their nonzero pattern, so _sector_plan gathers it into a plan of
-index arrays.  _stacks is the one entry point for a chain of a 4x4 bond
-term: it computes the chain's values, keeps one plan per size, bond
-pattern and involution in a small least-recently-used cache, checks the
-values against it (_numeric_parts) and hands them to _filled_stacks,
-which builds and yields the stacks one at a time.  Which bond term a
+(_involution, _parity_fold); a chain with none is folded by the
+identity, which pairs nothing and splits nothing.  None of that depends
+on the chain's values beyond their nonzero pattern, so _sector_plan
+gathers it into a plan of index arrays, of one shape for every chain.
+_stacks is the one entry point for a chain of a 4x4 bond term: it
+computes the chain's values, keeps one plan per size, bond pattern and
+involution in a small least-recently-used cache, checks the values
+against it (_numeric_parts) and hands them to _filled_stacks, which
+builds and yields the stacks one at a time.  Which bond term a
 chain is built from (its frame, its gauge, its involution) is verify's
 choice.
 """
@@ -231,35 +233,37 @@ class _SectorPlan:
 
     flat holds the positions, in the chain's flattened _chain_table, of
     its nonzero values in chain_entries' order; chain the _sector_stacks
-    of the part read from those values.  Where an involution T is
-    applied, each sector of chain stands for itself and its twin, fold
-    is the _parity_fold of the entries in sectors T maps onto themselves,
-    keep marks its nonzero slots, and split is the _sector_stacks of the
-    kept folded values.
+    of the part read from those values, each sector standing for itself
+    and its twin under the involution T; fold the _parity_fold of the
+    entries in sectors T maps onto themselves, keep its nonzero slots,
+    and split the _sector_stacks of the kept folded values.  Under the
+    identity, chain is empty and split holds the chain's own sectors.
     """
 
     flat: np.ndarray
     chain: tuple
-    fold: tuple = ()
-    keep: np.ndarray | None = None
-    split: tuple = ()
+    fold: tuple
+    keep: np.ndarray
+    split: tuple
 
     @functools.cached_property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (
-            self.flat, *self.fold, *(() if self.keep is None else
-                                     (self.keep,)),
+            self.flat, *self.fold, self.keep,
             *(a for stack in self.chain + self.split for a in stack[2:])))
 
 
 def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
                  t: tuple | None) -> _SectorPlan:
     """The plan of the chain whose _chain_table is (masks, table), its
-    bond term invariant under the involution t (or None).
+    bond term invariant under the involution t, or None for the identity
+    (False, False, 1).
 
-    t is applied whenever the chain has an off-diagonal entry: one of
-    each pair of sectors it swaps is solved, and a sector it maps onto
-    itself splits into its T-even and T-odd states.  Refuses
+    t is applied to every chain, a diagonal one included: one of each
+    pair of sectors it swaps is solved, and a sector it maps onto itself
+    splits into its T-even and T-odd states.  The identity maps every
+    sector onto itself, gives each folded entry weight 1 and makes no
+    odd states, so its split stacks are the chain's own sectors.  Refuses
     (RuntimeError) a t that does not map every sector onto one, which
     a bond term from verify._frame, T-invariant bit for bit, never
     gives.  The table's values enter only through their nonzero pattern
@@ -271,10 +275,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
     flat = k * dim + rows
     off = rows != cols
     root = _sector_roots(dim, rows[off], cols[off])
-    if t is None or not np.any(off):
-        return _SectorPlan(flat, _sector_stacks(dim, rows, cols,
-                                                np.arange(dim), root))
-    sigma, phi = _involution(n_sites, t)
+    sigma, phi = _involution(n_sites, (False, False, 1) if t is None else t)
     twin = root[sigma]
     if not np.array_equal(twin, root[sigma[root]]):
         raise RuntimeError(f"{t} does not map every sector of the chain "
@@ -301,8 +302,6 @@ def _numeric_parts(plan: _SectorPlan, table: np.ndarray):
     vals = table.reshape(-1)[plan.flat]
     if np.count_nonzero(table) != vals.size or not np.all(vals):
         return None
-    if plan.keep is None:
-        return [(1, vals, plan.chain)]
     total = _folded(vals, plan.fold, plan.keep.size)
     if not np.array_equal(total != 0, plan.keep):
         return None
@@ -318,9 +317,9 @@ _PLAN_LOCK = threading.Lock()
 
 def _stacks(h: np.ndarray, n_sites: int, t: tuple | None):
     """The (count, blocks) stacks of _filled_stacks for the open chain of
-    the 4x4 bond term h, split by the involution t (or None) that h is
-    invariant under, and that chain's nonzero values in chain_entries'
-    order, of h's dtype.
+    the 4x4 bond term h, split by the involution t that h is invariant
+    under (None for the identity), and that chain's nonzero values in
+    chain_entries' order, of h's dtype.
 
     The work is split in two.  The symbolic step (_sector_plan) finds the
     sectors, the twin and fixed sectors of t, the parity fold

@@ -52,19 +52,21 @@ class NoRepresentationError(RuntimeError):
 class StateVector:
     """Unnormalized amplitudes over the 2^N product basis.
 
-    A state holds either its dense read-only vector (StateVector(n,
-    amplitudes), mps_contract results, normalized copies) or a recipe:
-    a functools.partial of a module-level builder that returns a fresh
-    vector.  Every read of .amplitudes on a recipe state builds a new
-    read-only vector that is kept nowhere, so a list of such states holds
-    no 2^N array.  The product basis states (product_state,
-    hardcore_states) are one-hot recipes that also keep their basis
-    index: their norm is 1 and they are their own normalization.
+    A state holds one of three things: its dense read-only vector
+    (StateVector(n, amplitudes), mps_contract results, normalized
+    copies); the basis index, a Python int, of a product basis state
+    (product_state, hardcore_states), whose norm is 1 and which is its
+    own normalization; or a recipe, a functools.partial of a
+    module-level builder that returns a fresh vector.  Every read of
+    .amplitudes on a basis or recipe state builds a new read-only vector
+    that is kept nowhere, so a list of such states holds no 2^N array.
+    Norms are summed by numpy itself (_squared_norm), so they do not
+    depend on the BLAS thread count.
     """
 
-    __slots__ = ("n_sites", "_held", "_index")
+    __slots__ = ("n_sites", "_held")
 
-    def __init__(self, n_sites: int, amplitudes):
+    def __new__(cls, n_sites: int, amplitudes):
         amps = np.array(amplitudes, dtype=complex).ravel()
         if n_sites < 1:
             raise ValueError("n_sites must be at least 1")
@@ -72,40 +74,26 @@ class StateVector:
             raise ValueError("amplitude count must be 2**n_sites")
         if not np.all(np.isfinite(amps)):
             raise ValueError("non-finite amplitudes")
-        amps.flags.writeable = False
-        self._set(n_sites, amps, None)
+        return cls._of(n_sites, amps)
 
     @classmethod
-    def _basis(cls, n_sites: int, index: int) -> "StateVector":
-        """The product basis state with amplitude 1 at index."""
+    def _of(cls, n_sites: int, held) -> "StateVector":
+        """The state that holds held, taken as it is, neither copied nor
+        checked: a fresh finite complex vector of 2^n_sites entries that
+        no one else holds, made read-only here; a basis index, as a
+        Python int; or a functools.partial whose call builds such a
+        vector afresh."""
+        if isinstance(held, np.ndarray):
+            held.flags.writeable = False
         state = object.__new__(cls)
-        state._set(n_sites, functools.partial(_one_hot, n_sites, index), index)
+        object.__setattr__(state, "n_sites", n_sites)
+        object.__setattr__(state, "_held", held)
         return state
 
-    @classmethod
-    def _built(cls, builder, n_sites: int, *args) -> "StateVector":
-        """The state whose amplitudes builder(n_sites, *args) builds afresh
-        on each read, as a finite complex vector of 2^n_sites entries."""
-        state = object.__new__(cls)
-        state._set(n_sites, functools.partial(builder, n_sites, *args), None)
-        return state
-
-    @classmethod
-    def _owning(cls, n_sites: int, amplitudes: np.ndarray) -> "StateVector":
-        """The state of a fresh finite complex vector of 2^n_sites entries
-        that no one else holds: taken as it is, made read-only, neither
-        copied nor checked."""
-        amplitudes.flags.writeable = False
-        state = object.__new__(cls)
-        state._set(n_sites, amplitudes, None)
-        return state
-
-    def _set(self, n_sites, held, index) -> None:
-        """held is the read-only vector or the recipe; index is kept for
-        a basis state only."""
-        object.__setattr__(self, "n_sites", n_sites)
-        object.__setattr__(self, "_held", held)
-        object.__setattr__(self, "_index", index)
+    @property
+    def _index(self) -> int | None:
+        """The basis index of a product basis state, else None."""
+        return self._held if isinstance(self._held, int) else None
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -124,7 +112,11 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         if isinstance(self._held, np.ndarray):
             return self._held
-        amps = self._held()
+        if self._index is None:
+            amps = self._held()
+        else:
+            amps = np.zeros(2 ** self.n_sites, dtype=complex)
+            amps[self._index] = 1.0
         amps.flags.writeable = False
         return amps
 
@@ -142,22 +134,25 @@ class StateVector:
             return 1.0
         scaled, f = self._scaled()
         with np.errstate(over="ignore"):
-            return float(np.ldexp(np.linalg.norm(scaled), f))
+            return float(np.ldexp(math.sqrt(_squared_norm(scaled)), f))
 
     def normalized(self) -> "StateVector":
         if self._index is not None:
             return self
         scaled, _ = self._scaled()
-        n = np.linalg.norm(scaled)
+        n = math.sqrt(_squared_norm(scaled))
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector._owning(self.n_sites, scaled / n)
+        return StateVector._of(self.n_sites, scaled / n)
 
 
-def _one_hot(n_sites: int, index: int) -> np.ndarray:
-    amps = np.zeros(2 ** n_sites, dtype=complex)
-    amps[index] = 1.0
-    return amps
+def _squared_norm(amps: np.ndarray) -> float:
+    """The sum of the squares of the real and of the imaginary parts of
+    amps, the two sums as np.linalg.norm splits them but each by numpy's
+    pairwise summation, which, unlike a BLAS dot, no thread count
+    changes."""
+    re, im = amps.real, amps.imag
+    return float(np.add.reduce(re * re) + np.add.reduce(im * im))
 
 
 def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
@@ -185,7 +180,7 @@ def product_state(symbol: str, n_sites: int) -> StateVector:
     if symbol not in ("0", "1"):
         raise ValueError("symbol must be '0' or '1'")
     index = 0 if symbol == "0" else 2 ** n_sites - 1
-    return StateVector._basis(n_sites, index)
+    return StateVector._of(n_sites, index)
 
 
 def order_of_unit_root(z, max_order: int = MAX_ROOT_ORDER):
@@ -265,8 +260,8 @@ def psi_k(n_sites: int, m_period: int, k: int, ratio) -> StateVector:
     if order_of_unit_root(ratio, max_order=max(m_period, 1)) != m_period:
         raise ValueError(
             f"ratio must be a primitive root of unity of order {m_period}")
-    return StateVector._built(_psi_k_amplitudes, n_sites, k * m_period,
-                              ratio)
+    return StateVector._of(n_sites, functools.partial(
+        _psi_k_amplitudes, n_sites, k * m_period, ratio))
 
 
 def _psi_k_amplitudes(n_sites: int, n_zeros: int, ratio) -> np.ndarray:
@@ -285,7 +280,8 @@ def psi_prime(n_sites: int) -> StateVector:
     _check_sites(n_sites)
     if n_sites % 2 != 0:
         raise ValueError("n_sites must be even")
-    return StateVector._built(_psi_prime_amplitudes, n_sites)
+    return StateVector._of(n_sites, functools.partial(
+        _psi_prime_amplitudes, n_sites))
 
 
 def _psi_prime_amplitudes(n_sites: int) -> np.ndarray:
@@ -311,7 +307,8 @@ def psi_parity(n_sites: int, parity: str,
     fewest = {"even": 0, "odd": 3 if literal_bounds else 1}.get(parity)
     if fewest is None:
         raise ValueError("parity must be 'even' or 'odd'")
-    return StateVector._built(_psi_parity_amplitudes, n_sites, fewest)
+    return StateVector._of(n_sites, functools.partial(
+        _psi_parity_amplitudes, n_sites, fewest))
 
 
 def _psi_parity_amplitudes(n_sites: int, fewest: int) -> np.ndarray:
@@ -331,7 +328,7 @@ def hardcore_states(n_sites: int) -> list:
     # each index's bits, most significant first, as the bytes of its label
     bits = index[:, None] >> np.arange(n_sites - 1, -1, -1) & 1
     labels = (bits + ord("0")).astype(np.uint8).view(f"S{n_sites}")
-    return [NamedState(label, StateVector._basis(n_sites, idx))
+    return [NamedState(label, StateVector._of(n_sites, idx))
             for label, idx in zip(labels.astype(str).ravel().tolist(),
                                   index.tolist())]
 
@@ -424,16 +421,16 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     amps = (words.reshape(-1, d * d)
             @ suff.transpose(0, 2, 1).reshape(-1, d * d).T).ravel()
 
-    # the squared sum of the scaled amplitudes themselves, as
-    # np.linalg.norm forms it: an exact zero state keeps only the
-    # rounding of its own amplitudes, far below the scale bound
-    zs = float(amps.real @ amps.real + amps.imag @ amps.imag)
+    # the squared sum of the scaled amplitudes themselves, as norm()
+    # forms it: an exact zero state keeps only the rounding of its own
+    # amplitudes, far below the scale bound
+    zs = _squared_norm(amps)
     # scale bound: z can never exceed (|a0|_F^2 + |a1|_F^2)^N; both sides
     # carry the same factor 2**(2fN), so the scaled values compare alike
     s = np.linalg.norm(a0) ** 2 + np.linalg.norm(a1) ** 2
     is_zero = bool(zs == 0.0 or np.log(zs) < n_sites * np.log(s)
                    + np.log(MPS_ZERO_TOL))
-    normalized = None if is_zero else StateVector._owning(
+    normalized = None if is_zero else StateVector._of(
         n_sites, amps / math.sqrt(zs))
     # the raw state last, so at most four 2^N arrays are alive at once;
     # out of range, z reads inf and the raw amplitudes are refused
@@ -443,7 +440,7 @@ def mps_contract(spec: MPSSpec, n_sites: int) -> MPSResult:
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"contracted amplitudes exceed the float range "
                          f"at n_sites={n_sites}")
-    return MPSResult(state=StateVector._owning(n_sites, amps),
+    return MPSResult(state=StateVector._of(n_sites, amps),
                      z=z, is_zero=is_zero, normalized=normalized)
 
 

@@ -35,9 +35,10 @@ block is allocated, the largest stack to be solved is held against the
 memory available.  The checks stay unambiguous: a state either sits in
 the numerical kernel of the chain or it does not.
 
-From that bond term and its involution the sectors module builds the
-chain's stacks (sectors._stacks), keeping the index arrays of each
-sector split it works out; this module only solves the stacks.
+From that bond term and its involution (the identity where none holds)
+the sectors module builds the chain's stacks (sectors._stacks), keeping
+the index arrays of each sector split it works out; this module only
+solves the stacks.
 Residuals need no second chain: the bond term acts on each bond of the
 catalogued states.
 """
@@ -364,10 +365,10 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
         _, row_vals = _chain_table(local.matrix, n_sites, np.array(
             [catalogue[i].state._index for i in basis]))
         row_vals = _times_power_of_two(row_vals, -f)
-        squares = np.zeros(len(basis))
-        for square in (row_vals.conj() * row_vals).real:
-            squares += square
-        hpsi_norms[basis] = np.sqrt(squares)
+        # squares summed over the rows in order, which an accumulate
+        # keeps for any number of states and a reduce not for one alone
+        hpsi_norms[basis] = np.sqrt(np.add.accumulate(
+            (row_vals.conj() * row_vals).real)[-1])
     if dense:
         psi = np.array([catalogue[i].state.amplitudes for i in dense])
         norms[dense] = np.linalg.norm(psi, axis=1)

@@ -17,10 +17,19 @@ Then one line per (fixed point, n_sites), n_sites 2..9, with seed null
 family_report, residuals included, then the bond terms of
 oracles.CANONICAL_POINTS and oracles.dm_terms through verify._frame,
 sectors._stacks and verify._spectrum_report, without residuals.
+
+Then the states layer.  state_fingerprints gives one line per seeded
+pair of bond matrices (seeds 0..19, bond dimension 2 and 3 in turn) and
+n_sites 10 and 12, with float.hex of mps_contract's z and of the raw
+state's norm() and a sha256 of the normalized amplitudes.
+catalogue_fingerprints gives one line per state of the seed-1001
+catalogues at n_sites 10, with float.hex of its norm() and a sha256 of
+its amplitudes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 from unittest import mock
@@ -29,12 +38,16 @@ import numpy as np
 
 from mpschain import sectors, verify
 from mpschain.hamiltonian import build_family, params_from_mapping
+from mpschain.states import MPSSpec, ground_state_catalogue, mps_contract
 from oracles import (CANCELLING_PINNED, CANONICAL_POINTS, benchmark_specs,
                      canonical_term, dm_terms)
 
 SEEDS = (1001, 2001, 4242)
 SIZES = range(2, 11)
 POINT_SIZES = range(2, 10)
+MPS_SEEDS = range(20)
+MPS_SIZES = (10, 12)
+CATALOGUE_SEED, CATALOGUE_SIZE = 1001, 10
 
 # the label of oracles.CANCELLING_PINNED
 PINNED_LABEL = "pinned/cancelling"
@@ -111,8 +124,41 @@ def point_fingerprints(sizes=POINT_SIZES):
                 yield _line(None, label, rep, stacks)
 
 
+def _digest(amplitudes: np.ndarray) -> str:
+    return hashlib.sha256(amplitudes.tobytes()).hexdigest()
+
+
+def state_fingerprints(seeds=MPS_SEEDS, sizes=MPS_SIZES):
+    """Yield the fingerprint of each (seed, n_sites) bond pair, as a dict
+    in the order of the lines: seed s draws complex normal 2x2 bond
+    matrices for even s and 3x3 ones for odd s."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        a0, a1 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                  for _ in range(2))
+        for n_sites in sizes:
+            res = mps_contract(MPSSpec(a0, a1), n_sites)
+            yield {"seed": seed, "bond_dim": d, "n_sites": n_sites,
+                   "z": res.z.hex(), "norm": res.state.norm().hex(),
+                   "normalized": None if res.normalized is None
+                   else _digest(res.normalized.amplitudes)}
+
+
+def catalogue_fingerprints(seed=CATALOGUE_SEED, n_sites=CATALOGUE_SIZE):
+    """Yield the fingerprint of each state of the seed's catalogues, as a
+    dict in the order of the lines."""
+    specs = benchmark_specs(np.random.default_rng(seed))
+    for label, spec in specs.items():
+        for ns in ground_state_catalogue(params_from_mapping(*spec),
+                                         n_sites):
+            yield {"seed": seed, "label": label, "n_sites": n_sites,
+                   "state": ns.label, "norm": ns.state.norm().hex(),
+                   "amplitudes": _digest(ns.state.amplitudes)}
+
+
 if __name__ == "__main__":
-    for line in fingerprints():
-        print(json.dumps(line))
-    for line in point_fingerprints():
-        print(json.dumps(line))
+    for lines in (fingerprints(), point_fingerprints(), state_fingerprints(),
+                  catalogue_fingerprints()):
+        for line in lines:
+            print(json.dumps(line))

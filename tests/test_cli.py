@@ -556,6 +556,56 @@ def test_verify_refuses_blocks_beyond_available_memory(monkeypatch,
                    f"{available} bytes are available\n")
 
 
+# Sizes no machine can map (2^57 bytes and more), which numpy refuses at
+# once: a 711 PiB grid and a 128 PiB index range, never a size that
+# memory overcommit could grant.
+HARDCORE_54 = ["--family", "hardcore", "--params", '{"g": 1}',
+               "--n-sites", "54"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["sweep", "--family", "hardcore", "--params", '{"g": 1}', "--grid",
+      f"g:1..2:{10 ** 17}", "--n-sites", "3"], None),
+    (["verify", *HARDCORE_54], "54"),
+    (["build-h", *HARDCORE_54], "54"),
+    (["ground-states", *HARDCORE_54], "54"),
+])
+def test_sizes_beyond_any_memory_end_in_exit_2(argv, env, monkeypatch,
+                                               capsys):
+    if env is not None:
+        monkeypatch.setenv("MPS_MAX_SITES", env)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ")
+    assert "PiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_refuses_a_tolerance_that_is_not_one(tol, monkeypatch,
+                                                    capsys):
+    def never(*args):
+        raise AssertionError("a report ran")
+    monkeypatch.setattr(cli, "family_report", never)
+    argv, _ = _family_argv("hardcore", 3)
+    capsys.readouterr()
+    assert cli.main(["verify", *argv, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --tol must be finite and at least 0")
+
+
+def test_verify_runs_at_tolerance_zero(capsys):
+    argv, params = _family_argv("hardcore", 5)
+    report = verify.family_report(params, 5)
+    capsys.readouterr()
+    code = cli.main(["verify", *argv, "--tol", "0"])
+    assert code == (0 if report.all_pass(0.0) else 4)
+    assert json.loads(capsys.readouterr().out)["kernel_dim"] == \
+        report.kernel_dim
+
+
 def test_build_h_json_refuses_a_non_finite_chain_entry(tmp_path, capsys):
     # each bond term is finite; their sum on |0000> overflows to inf
     argv = ["build-h", "--family", "hardcore", "--params", '{"g": 2e307}',

@@ -257,6 +257,14 @@ def test_chain_size_guard(monkeypatch):
         max_sites()
 
 
+@pytest.mark.parametrize("env", ["0", "-1"])
+def test_site_guard_below_one_is_refused_by_name(env, monkeypatch):
+    monkeypatch.setenv("MPS_MAX_SITES", env)
+    with pytest.raises(ChainSizeError,
+                       match=f"MPS_MAX_SITES='{env}' is below 1"):
+        max_sites()
+
+
 def _random_special_unitary(rng):
     q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     q = q @ np.diag(r.diagonal() / np.abs(r.diagonal()))

@@ -1,7 +1,11 @@
 """State constructions: weighted sums, bond-matrix traces, catalogues."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,10 @@ from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              mps_contract, order_of_unit_root, product_state,
                              psi_k, psi_parity, psi_prime,
                              representation_for_case)
-from oracles import (eager_psi_k, eager_psi_parity, eager_psi_prime,
-                     loop_half_products, random_sl2, transfer_matrix,
-                     transform_state, zero_counts)
+from fingerprints import state_fingerprints
+from oracles import (child_env, eager_psi_k, eager_psi_parity,
+                     eager_psi_prime, loop_half_products, random_sl2,
+                     transfer_matrix, transform_state, zero_counts)
 
 
 def chain_residual(params: FamilyParams, state: StateVector) -> float:
@@ -406,6 +411,21 @@ def test_state_norm_of_huge_amplitudes_stays_finite():
     assert_allclose(unit.amplitudes, 2.0 ** -10, rtol=1e-12)
     tiny = StateVector(2, [3e-200, 4e-200j, 0, 0])
     assert tiny.norm() == pytest.approx(5e-200, rel=1e-15)
+
+
+def test_norms_do_not_depend_on_the_blas_thread_count():
+    # z, norm() and the normalized amplitudes of seeded bond pairs, large
+    # enough for a BLAS dot to split its work over threads: in a child
+    # under one BLAS thread, and here under this process's setting
+    seeds, sizes = range(10), (12, 16, 20)
+    script = ("import json, fingerprints; print(json.dumps(list("
+              f"fingerprints.state_fingerprints({seeds!r}, {sizes!r}))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=child_env({"OPENBLAS_NUM_THREADS": "1",
+                       "PYTHONPATH": str(Path(__file__).parent)}))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == list(state_fingerprints(seeds, sizes))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

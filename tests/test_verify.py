@@ -168,7 +168,7 @@ def test_family_report_matches_dense_ed(label, monkeypatch):
             NamedState(f"probe{j}", StateVector(
                 n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)))
             for j in range(2)] + [
-            NamedState(f"basis{j}", StateVector._basis(
+            NamedState(f"basis{j}", StateVector._of(
                 n, int(rng.integers(2 ** n))))
             for j in range(2)]
         reported[:] = states
@@ -454,10 +454,16 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
             chain_entries(local, n)))
         expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
-    def refuse(*args):
-        raise AssertionError("_parity_fold called on a diagonal chain")
+    fold = sector_module._parity_fold
 
-    monkeypatch.setattr(sector_module, "_parity_fold", refuse)
+    def identity_only(sigma, phi, rows, cols):
+        # a diagonal chain is folded by the identity only
+        if not (np.array_equal(sigma, np.arange(sigma.size))
+                and np.all(phi == 1)):
+            raise AssertionError("a reversal folded a diagonal chain")
+        return fold(sigma, phi, rows, cols)
+
+    monkeypatch.setattr(sector_module, "_parity_fold", identity_only)
     sector_module._PLANS.clear()
     for n, (sizes, rep) in expected.items():
         assert _framed_sizes(local, n) == sizes == [1] * 2 ** n
@@ -1137,7 +1143,7 @@ def test_basis_state_residuals_read_their_column(label, monkeypatch):
     for n in (2, 5, 7):
         def catalogue(p, n_sites, dense):
             return [NamedState(f"e{x}", StateVector(n_sites, np.eye(
-                2 ** n_sites)[x]) if dense else StateVector._basis(n_sites, x))
+                2 ** n_sites)[x]) if dense else StateVector._of(n_sites, x))
                 for x in range(2 ** n_sites)]
         got = {}
         for dense in (False, True):
