@@ -4,6 +4,10 @@ contraction, verification, and parameter sweeps.
 Exit codes: 0 success, 2 input validation failure (a size too large to
 allocate included), 3 the computation itself failed (for example an
 uncatalogued space), 4 a zero-energy claim check did not meet tolerance.
+
+Each subcommand imports the layer it runs when it runs, so a command
+loads only what it uses: classify loads pauli and classify; build-h
+hamiltonian; mps and ground-states states; verify and sweep verify.
 """
 
 from __future__ import annotations
@@ -20,17 +24,16 @@ import sys
 import numpy as np
 
 from . import serialize
-from .classify import ClassificationError, classify, invariant_signature
-from .hamiltonian import (FamilyParams, build_family, chain_entries,
-                          chain_row_blocks, params_from_mapping)
-from .states import (MPSSpec, NoRepresentationError, ground_state_catalogue,
-                     mps_contract)
-from .verify import MEMBER_TOL, family_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CLAIM = 4
+
+# The default of --tol: verify.MEMBER_TOL, stated here because the parser
+# is built for every command and must not load verify (test_imports pins
+# the two equal).
+MEMBER_TOL = 1e-9
 
 _GRID_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -81,9 +84,10 @@ def _params_mapping(args) -> dict:
     return mapping
 
 
-def _decode_params(family: str, mapping: dict) -> FamilyParams:
+def _decode_params(family: str, mapping: dict):
     """JSON parameter object to FamilyParams; [re, im] pairs become
     complex, everything else must be a plain number."""
+    from .hamiltonian import params_from_mapping
     converted = {}
     for key, value in mapping.items():
         if key == "lambda3":
@@ -98,7 +102,7 @@ def _decode_params(family: str, mapping: dict) -> FamilyParams:
     return params_from_mapping(family, converted)
 
 
-def _parse_params_arg(args) -> FamilyParams:
+def _parse_params_arg(args):
     return _decode_params(args.family, _params_mapping(args))
 
 
@@ -119,6 +123,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify, invariant_signature
     data = _loads(_read_text(args.space), "--space")
     space = serialize.decode_space(data)
     result = classify(space)
@@ -143,6 +148,7 @@ def _cmd_classify(args) -> int:
 def _cmd_build_h(args) -> int:
     if args.binary and args.out in (None, "-"):
         raise serialize.FormatError("--binary requires --out FILE")
+    from .hamiltonian import build_family, chain_entries, chain_row_blocks
     params = _parse_params_arg(args)
     # every refusal (site guard, bad parameters, a non-finite entry)
     # comes before the output is opened; the dense chain is then written
@@ -164,6 +170,7 @@ def _cmd_build_h(args) -> int:
 
 
 def _cmd_ground_states(args) -> int:
+    from .states import ground_state_catalogue
     params = _parse_params_arg(args)
     states = ground_state_catalogue(params, args.n_sites)
     # the JSON list written one state at a time, so only one state's
@@ -178,6 +185,7 @@ def _cmd_ground_states(args) -> int:
 
 
 def _cmd_mps(args) -> int:
+    from .states import MPSSpec, mps_contract
     a0 = serialize.decode_matrix(_loads(args.a0, "--a0"))
     a1 = serialize.decode_matrix(_loads(args.a1, "--a1"))
     result = mps_contract(MPSSpec(a0, a1), args.n_sites)
@@ -195,6 +203,7 @@ def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise serialize.FormatError(
             f"--tol must be finite and at least 0, got {args.tol!r}")
+    from .verify import family_report
     params = _parse_params_arg(args)
     report = family_report(params, args.n_sites)
     _emit_text(serialize.dumps(_report_payload(report)), args.out)
@@ -216,6 +225,7 @@ def _cmd_sweep(args) -> int:
             f"--grid bounds must be finite and their difference too, "
             f"got {args.grid!r}")
     values = np.linspace(lo, hi, count)
+    from .verify import family_report
     base = _params_mapping(args)
 
     buf = io.StringIO()
@@ -318,13 +328,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """The errors that end in EXIT_NUMERICAL.  main names them only once
+    a handler has raised, so a command that succeeds loads neither
+    classify nor states for them."""
+    from .classify import ClassificationError
+    from .states import NoRepresentationError
+    return ClassificationError, NoRepresentationError, np.linalg.LinAlgError
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ClassificationError, NoRepresentationError,
-            np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:

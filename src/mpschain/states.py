@@ -19,13 +19,13 @@ Conventions shared by everything here:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import CanonicalForm, CaseId, canonical_space
 from .hamiltonian import (FamilyId, FamilyParams, max_sites)
 from .pauli import _TO_FLAT, CSpace, PauliQuartet
 
@@ -97,6 +97,11 @@ class StateVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the state through _of, which
+        # leaves a copied vector read-only too
+        return self._of, (self.n_sites, self._held)
 
     def __repr__(self) -> str:
         if self._index is not None:
@@ -355,6 +360,18 @@ class MPSSpec:
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
+    @classmethod
+    def _of(cls, a0: np.ndarray, a1: np.ndarray) -> "MPSSpec":
+        """The spec of a0 and a1 taken as they are, neither copied nor
+        checked: finite complex square matrices of one shape that no one
+        writes, made read-only here."""
+        a0.flags.writeable = False
+        a1.flags.writeable = False
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "a0", a0)
+        object.__setattr__(spec, "a1", a1)
+        return spec
+
     @property
     def bond_dim(self) -> int:
         return self.a0.shape[0]
@@ -480,39 +497,50 @@ _E01_3[0, 1] = 1.0
 _E22_3 = np.zeros((3, 3), dtype=complex)
 _E22_3[2, 2] = 1.0
 
-# Bond matrices of the cases that carry no modulus.  Their representations
-# are built once: MPSSpec and CSpace are read-only, so every caller can
-# share them.
-_FIXED_BONDS = {
-    CaseId.EMPTY: (np.eye(1), np.eye(1)),
-    CaseId.ANTISYMMETRIC_LINE: (np.diag([1.0, 2.0]), np.diag([3.0, 1.0])),
-    CaseId.NONNULL_LINE_SIGMA: (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-    CaseId.NULL_LINE: (_E01_2, np.eye(2)),
-    CaseId.NULL_LINE_TILTED: (_E01_2, np.eye(2)),
-    CaseId.NULL_LINE_SIGMA: (_E01_2, np.eye(2)),
-    CaseId.DEGENERATE_PLANE_TILTED: (_E01_3, -_E01_3 + _E22_3),
-    CaseId.DEGENERATE_PLANE_SIGMA: (_E01_3, _E22_3),
-}
-_FIXED_REPRESENTATIONS = {
-    case: CaseRepresentation(MPSSpec(a0, a1),
-                             canonical_space(CanonicalForm(case)))
-    for case, (a0, a1) in _FIXED_BONDS.items()}
+
+@functools.cache
+def _fixed_representations() -> dict:
+    """The representations of the cases that carry no modulus, built on
+    the first call, which loads classify for their spaces: the state
+    builders and mps_contract do not need it.  MPSSpec and CSpace are
+    read-only, so every caller can share them."""
+    from .classify import CanonicalForm, CaseId, canonical_space
+    bonds = {
+        CaseId.EMPTY: (np.eye(1), np.eye(1)),
+        CaseId.ANTISYMMETRIC_LINE: (np.diag([1.0, 2.0]),
+                                    np.diag([3.0, 1.0])),
+        CaseId.NONNULL_LINE_SIGMA: (np.diag([1.0, 0.0]),
+                                    np.diag([0.0, 1.0])),
+        CaseId.NULL_LINE: (_E01_2, np.eye(2)),
+        CaseId.NULL_LINE_TILTED: (_E01_2, np.eye(2)),
+        CaseId.NULL_LINE_SIGMA: (_E01_2, np.eye(2)),
+        CaseId.DEGENERATE_PLANE_TILTED: (_E01_3, -_E01_3 + _E22_3),
+        CaseId.DEGENERATE_PLANE_SIGMA: (_E01_3, _E22_3),
+    }
+    return {case: CaseRepresentation(MPSSpec(a0, a1),
+                                     canonical_space(CanonicalForm(case)))
+            for case, (a0, a1) in bonds.items()}
 
 
-def representation_for_case(form: CanonicalForm,
-                            params: dict | None = None) -> CaseRepresentation:
+def representation_for_case(form, params: dict | None = None
+                            ) -> CaseRepresentation:
     """Catalogued bond matrices annihilating the canonical space of a case.
 
     Raises NoRepresentationError where the catalogue has none: the
     tilted regular plane, both full-symmetric cases, the full space, a
     non-null line whose modulus is not matched to a root of unity, and
-    the regular plane away from modulus zero.
+    the regular plane away from modulus zero.  form is a
+    classify.CanonicalForm.
+
+    The bond pairs built here are fresh, finite and complex, so they
+    take MPSSpec's trusted path.
     """
-    params = params or {}
     case = form.case_id
-    fixed = _FIXED_REPRESENTATIONS.get(case)
+    fixed = _fixed_representations().get(case)
     if fixed is not None:
         return fixed
+    from .classify import CaseId, canonical_space
+    params = params or {}
     if case is CaseId.NONNULL_LINE:
         mu = complex(form.mu)
         if abs(mu - 1.0) <= ROOT_TOL:
@@ -526,26 +554,28 @@ def representation_for_case(form: CanonicalForm,
                 f"order at most {MAX_ROOT_ORDER}")
         clock = np.diag(omega ** np.arange(m)).astype(complex)
         return CaseRepresentation(
-            MPSSpec(_shift_matrix(m), clock), canonical_space(form))
+            MPSSpec._of(_shift_matrix(m), clock), canonical_space(form))
     if case is CaseId.REGULAR_PLANE:
         if params.get("branch") == "commuting":
             # scalar pair with a0^2 + a1^2 = 0 and [a0, a1] = 0: it
             # annihilates span{tau0, sigma}, the plane this branch of the
             # parameter space actually degenerates to
             return CaseRepresentation(
-                MPSSpec(np.eye(1), 1j * np.eye(1)),
+                MPSSpec._of(np.eye(1, dtype=complex), 1j * np.eye(1)),
                 CSpace([PauliQuartet(1, 0, 0, 0), PauliQuartet(0, 0, 0, 1)]))
         if abs(complex(form.mu)) > ROOT_TOL:
             raise NoRepresentationError(
                 "regular plane has a representation only at modulus zero")
         return CaseRepresentation(
-            MPSSpec(np.diag([1.0, -1.0]),
-                    np.array([[0.0, 1.0j], [1.0j, 0.0]])),
+            MPSSpec._of(np.diag([1.0, -1.0]).astype(complex),
+                        np.array([[0.0, 1.0j], [1.0j, 0.0]])),
             canonical_space(form))
     if case is CaseId.DEGENERATE_PLANE:
         mu = complex(form.mu)
+        if not cmath.isfinite(mu):
+            raise ValueError("non-finite bond matrices")
         diag = np.diag([1.0 + mu, mu - 1.0, 1.0]).astype(complex)
-        return CaseRepresentation(MPSSpec(_E01_3, diag),
+        return CaseRepresentation(MPSSpec._of(_E01_3, diag),
                                   canonical_space(form))
     raise NoRepresentationError(
         f"no catalogued bond representation for {case.value}")

@@ -25,13 +25,27 @@ state's norm() and a sha256 of the normalized amplitudes.
 catalogue_fingerprints gives one line per state of the seed-1001
 catalogues at n_sites 10, with float.hex of its norm() and a sha256 of
 its amplitudes.
+
+    PYTHONPATH=src python3 tests/fingerprints.py cli > cli.jsonl
+
+prints the command line's fingerprints instead (cli_fingerprints): one
+line per command of the benchmark's cli_cold workload at seed 0, run as
+`python -m mpschain` in a fresh interpreter, with its exit code and the
+sha256 of its stdout and of its --out file, if any; then one line per
+--help text, the top-level one and each subcommand's.  verify prints
+eigenvalues whose last digits can change with the BLAS thread count, so
+compare runs made with the same OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,7 +54,7 @@ from mpschain import sectors, verify
 from mpschain.hamiltonian import build_family, params_from_mapping
 from mpschain.states import MPSSpec, ground_state_catalogue, mps_contract
 from oracles import (CANCELLING_PINNED, CANONICAL_POINTS, benchmark_specs,
-                     canonical_term, dm_terms)
+                     canonical_term, child_env, dm_terms)
 
 SEEDS = (1001, 2001, 4242)
 SIZES = range(2, 11)
@@ -48,6 +62,10 @@ POINT_SIZES = range(2, 10)
 MPS_SEEDS = range(20)
 MPS_SIZES = (10, 12)
 CATALOGUE_SEED, CATALOGUE_SIZE = 1001, 10
+
+CLI_SEED = 0
+COMMANDS = ("classify", "build-h", "ground-states", "mps", "verify", "sweep")
+ROOT = Path(__file__).resolve().parents[1]
 
 # the label of oracles.CANCELLING_PINNED
 PINNED_LABEL = "pinned/cancelling"
@@ -124,8 +142,8 @@ def point_fingerprints(sizes=POINT_SIZES):
                 yield _line(None, label, rep, stacks)
 
 
-def _digest(amplitudes: np.ndarray) -> str:
-    return hashlib.sha256(amplitudes.tobytes()).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def state_fingerprints(seeds=MPS_SEEDS, sizes=MPS_SIZES):
@@ -142,7 +160,7 @@ def state_fingerprints(seeds=MPS_SEEDS, sizes=MPS_SIZES):
             yield {"seed": seed, "bond_dim": d, "n_sites": n_sites,
                    "z": res.z.hex(), "norm": res.state.norm().hex(),
                    "normalized": None if res.normalized is None
-                   else _digest(res.normalized.amplitudes)}
+                   else _digest(res.normalized.amplitudes.tobytes())}
 
 
 def catalogue_fingerprints(seed=CATALOGUE_SEED, n_sites=CATALOGUE_SIZE):
@@ -154,11 +172,51 @@ def catalogue_fingerprints(seed=CATALOGUE_SEED, n_sites=CATALOGUE_SIZE):
                                          n_sites):
             yield {"seed": seed, "label": label, "n_sites": n_sites,
                    "state": ns.label, "norm": ns.state.norm().hex(),
-                   "amplitudes": _digest(ns.state.amplitudes)}
+                   "amplitudes": _digest(ns.state.amplitudes.tobytes())}
+
+
+def _cli_commands(seed, workdir: Path) -> list:
+    """(label, argv, stdin text) of each command of the benchmark's
+    cli_cold workload at the seed, with its --out files in workdir."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    ctx = workloads.Context(root=ROOT, workdir=workdir, env={})
+    ops = workloads.cli_cold(seed, ctx).ops
+    calls = []
+    with mock.patch.object(workloads, "_run_cli", lambda _, argv, stdin:
+                           calls.append((argv, stdin))):
+        for op in ops:
+            op.run(ctx)
+    return [(op.label, argv, stdin) for op, (argv, stdin) in zip(ops, calls)]
+
+
+def _run_cli(argv, stdin=None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "mpschain", *argv], capture_output=True,
+        input=None if stdin is None else stdin.encode(), env=child_env())
+
+
+def cli_fingerprints(seed=CLI_SEED):
+    """Yield the fingerprint of each cli_cold command at the seed, then of
+    each --help text, as a dict in the order of the lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv, stdin in _cli_commands(seed, Path(tmp)):
+            proc = _run_cli(argv, stdin)
+            out = (Path(argv[argv.index("--out") + 1]).read_bytes()
+                   if "--out" in argv else None)
+            yield {"command": label, "exit": proc.returncode,
+                   "stdout": _digest(proc.stdout),
+                   "out": None if out is None else _digest(out)}
+    for command in (None, *COMMANDS):
+        proc = _run_cli([command, "--help"] if command else ["--help"])
+        yield {"help": command, "exit": proc.returncode,
+               "stdout": _digest(proc.stdout)}
 
 
 if __name__ == "__main__":
-    for lines in (fingerprints(), point_fingerprints(), state_fingerprints(),
-                  catalogue_fingerprints()):
+    groups = ((cli_fingerprints(),) if sys.argv[1:] == ["cli"] else
+              (fingerprints(), point_fingerprints(), state_fingerprints(),
+               catalogue_fingerprints()))
+    for lines in groups:
         for line in lines:
             print(json.dumps(line))

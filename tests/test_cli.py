@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpschain import cli, sectors, verify
+from mpschain import cli, hamiltonian, sectors, verify
 from mpschain.classify import classify, invariant_signature
 from mpschain.cli import _report_payload
 from mpschain.hamiltonian import (_PARAM_NAMES, FamilyId, FamilyParams,
@@ -503,7 +503,7 @@ def test_classify_matches_the_oracle_writer(label, tmp_path, capsys):
 def test_build_h_binary_without_out_builds_nothing(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("a chain was built")
-    monkeypatch.setattr(cli, "build_family", never)
+    monkeypatch.setattr(hamiltonian, "build_family", never)
     capsys.readouterr()
     for extra in ((), ("--out", "-")):
         assert cli.main(["build-h", "--family", "hardcore", "--params",
@@ -587,7 +587,7 @@ def test_verify_refuses_a_tolerance_that_is_not_one(tol, monkeypatch,
                                                     capsys):
     def never(*args):
         raise AssertionError("a report ran")
-    monkeypatch.setattr(cli, "family_report", never)
+    monkeypatch.setattr(verify, "family_report", never)
     argv, _ = _family_argv("hardcore", 3)
     capsys.readouterr()
     assert cli.main(["verify", *argv, "--tol", tol]) == 2

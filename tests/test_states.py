@@ -1,6 +1,8 @@
 """State constructions: weighted sums, bond-matrix traces, catalogues."""
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -535,6 +537,23 @@ def test_built_states_are_read_only_and_public_ones_copied():
         assert np.all(np.isfinite(state.amplitudes))
 
 
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_states_copy_and_pickle_as_the_same_read_only_holder(copier):
+    # a dense vector, a basis index and a recipe
+    for state in (StateVector(1, [1, 0]), hardcore_states(3)[2].state,
+                  psi_k(6, 3, 1, np.exp(2j * np.pi / 3))):
+        twin = copier(state)
+        assert type(twin) is StateVector and repr(twin) == repr(state)
+        assert np.array_equal(twin.amplitudes, state.amplitudes)
+        assert not twin.amplitudes.flags.writeable
+        if isinstance(twin._held, np.ndarray):
+            assert not twin._held.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.n_sites = 2
+
+
 CASES_WITH_REPRESENTATION = [
     CanonicalForm(CaseId.EMPTY),
     CanonicalForm(CaseId.ANTISYMMETRIC_LINE),
@@ -558,6 +577,24 @@ CASES_WITH_REPRESENTATION = [
 def test_representation_residuals(form):
     rep = representation_for_case(form)
     assert constraint_residual(rep.space, rep.spec) <= 1e-12
+
+
+@pytest.mark.parametrize("form", CASES_WITH_REPRESENTATION,
+                         ids=lambda f: f.case_id.value)
+def test_representation_specs_are_those_of_the_checked_path(form):
+    for params in ({}, {"branch": "commuting"}):
+        spec = representation_for_case(form, params).spec
+        checked = MPSSpec(spec.a0, spec.a1)
+        for got, want in ((spec.a0, checked.a0), (spec.a1, checked.a1)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("mu", [np.inf, complex(np.nan, 1.0)])
+def test_degenerate_plane_refuses_a_non_finite_modulus(mu):
+    with pytest.raises(ValueError, match="non-finite bond matrices"):
+        representation_for_case(CanonicalForm(CaseId.DEGENERATE_PLANE, mu))
 
 
 def test_representation_commuting_branch():
