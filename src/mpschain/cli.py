@@ -2,8 +2,9 @@
 contraction, verification, and parameter sweeps.
 
 Exit codes: 0 success, 2 input validation failure (a size too large to
-allocate included), 3 the computation itself failed (for example an
-uncatalogued space), 4 a zero-energy claim check did not meet tolerance.
+allocate included), 3 the computation itself failed: any RuntimeError
+the library raises (an uncatalogued space, for example), or numpy's
+LinAlgError; 4 a zero-energy claim check did not meet tolerance.
 
 Each subcommand imports the layer it runs when it runs, so a command
 loads only what it uses: classify loads pauli and classify; build-h
@@ -328,21 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple:
-    """The errors that end in EXIT_NUMERICAL.  main names them only once
-    a handler has raised, so a command that succeeds loads neither
-    classify nor states for them."""
-    from .classify import ClassificationError
-    from .states import NoRepresentationError
-    return ClassificationError, NoRepresentationError, np.linalg.LinAlgError
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _numerical_errors() as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # the library's computation failures are RuntimeErrors; this
+        # clause comes first, as LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:

@@ -153,6 +153,11 @@ class FamilyParams:
             lam.flags.writeable = False
             object.__setattr__(self, "lambda3", lam)
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the parameters through the
+        # constructor, which leaves a copied lambda3 read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 # the coupling constants of FamilyParams, in declaration order
 _PARAM_NAMES = tuple(f.name for f in fields(FamilyParams)
@@ -192,6 +197,10 @@ class LocalHamiltonian:
         _check_hermitian_psd(m, "pair energy", ValueError)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy stays read-only
+        return type(self), (self.matrix,)
 
 
 @dataclass(frozen=True)

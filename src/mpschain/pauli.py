@@ -148,6 +148,10 @@ class SL2:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy stays read-only
+        return type(self), (self.matrix,)
+
     @staticmethod
     def identity() -> "SL2":
         return SL2(np.eye(2, dtype=complex))
@@ -258,6 +262,10 @@ class CSpace:
         rows.flags.writeable = False
         self._rows = rows
         self._basis = None
+
+    def __reduce__(self):
+        # rebuilt through _reduced, so a copy's rows stay read-only
+        return self._reduced, (self._rows,)
 
     @property
     def basis(self) -> tuple:

@@ -372,6 +372,10 @@ class MPSSpec:
         object.__setattr__(spec, "a1", a1)
         return spec
 
+    def __reduce__(self):
+        # rebuilt through _of, so copied matrices stay read-only
+        return self._of, (self.a0, self.a1)
+
     @property
     def bond_dim(self) -> int:
         return self.a0.shape[0]

@@ -27,13 +27,15 @@ first it commutes with, and it is made T-invariant bit for bit.  T maps
 each sector onto a sector whose block differs by a signed permutation
 only, so of two sectors T swaps one is solved and its spectrum counted
 twice, and a sector T maps onto itself splits into T's even and odd
-states.  Exchange at a general ratio, antialigned and pairsum-exchange
-at nu' = nu take reverse o X^{x n}, which pairs k ones with n - k;
-pairsum-exchange at nu' = -nu pairs its sectors by reversal; exchange
-at |nu'| = |nu| splits each number sector by reversal.  Before any
-block is allocated, the largest stack to be solved is held against the
-memory available.  The checks stay unambiguous: a state either sits in
-the numerical kernel of the chain or it does not.
+states.  T's action on a bond is sectors._involution on two sites, the
+same table as on the chain.  Exchange at a general ratio, antialigned
+and pairsum-exchange at nu' = nu take reverse o X^{x n}, which pairs k
+ones with n - k; pairsum-exchange at nu' = -nu pairs its sectors by
+reversal; exchange at |nu'| = |nu| splits each number sector by
+reversal.  Before any block is allocated, the largest stack to be
+solved is held against the memory available.  The checks stay
+unambiguous: a state either sits in the numerical kernel of the chain
+or it does not.
 
 From that bond term and its involution (the identity where none holds)
 the sectors module builds the chain's stacks (sectors._stacks), keeping
@@ -79,11 +81,6 @@ _PAULI = np.array([TAU0, TAU2, -1j * SIGMA, TAU1])
 _PAIR_PAULI = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 _PAIR_ONES = np.array([0, 1, 1, 2])
 
-# The pair states in the order the site swap gives them, and the sign
-# Z x Z gives each pair of them.
-_SWAPPED = np.array([0, 2, 1, 3])
-_PAIR_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
-
 # The diagonal of a bond term; and, over its flattened entries h[a, b],
 # which change the number of ones (ones(a) != ones(b)) and which their
 # parity.
@@ -100,11 +97,11 @@ _INVOLUTIONS = ((True, False, 1), (True, False, -1), (False, True, 1),
                 (True, True, 1))
 
 # The pair state each T of _INVOLUTIONS takes every pair state to, and
-# the sign it gives every entry of the bond term.
-_MOVED = np.array([(_SWAPPED if reverse else np.arange(4)) ^ (3 * flip)
-                   for reverse, flip, _ in _INVOLUTIONS])
-_MOVED_SIGNS = np.array([_PAIR_SIGNS if sign < 0 else np.ones((4, 4))
-                         for *_, sign in _INVOLUTIONS])
+# the sign it gives every entry of the bond term: T on two sites.
+_PAIR_INVOLUTIONS = [sectors._involution(2, t) for t in _INVOLUTIONS]
+_MOVED = np.array([sigma for sigma, _ in _PAIR_INVOLUTIONS])
+_MOVED_SIGNS = np.array([np.outer(phi, phi) for _, phi in _PAIR_INVOLUTIONS],
+                        dtype=float)
 
 
 @dataclass(frozen=True)

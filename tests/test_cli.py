@@ -582,6 +582,19 @@ def test_sizes_beyond_any_memory_end_in_exit_2(argv, env, monkeypatch,
     assert "PiB" in err and "Traceback" not in err
 
 
+def test_an_unexpected_runtime_error_ends_in_exit_3(monkeypatch, capsys):
+    # any RuntimeError a handler raises is a failed computation
+    def fails(*args):
+        raise RuntimeError("no such computation")
+    monkeypatch.setattr(verify, "family_report", fails)
+    argv, _ = _family_argv("hardcore", 3)
+    capsys.readouterr()
+    assert cli.main(["verify", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no such computation\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_verify_refuses_a_tolerance_that_is_not_one(tol, monkeypatch,
                                                     capsys):

@@ -31,22 +31,27 @@ _STATES = {"cli", "serialize", "states", "hamiltonian", "pauli"}
 _VERIFY = _STATES | {"verify", "sectors"}
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["classify", "--space", "-"], {"cli", "serialize", "pauli", "classify"}),
-    (["build-h", *_FAMILY], {"cli", "serialize", "hamiltonian", "pauli"}),
+@pytest.mark.parametrize("argv, loaded, code", [
+    (["classify", "--space", "-"], {"cli", "serialize", "pauli", "classify"},
+     0),
+    (["build-h", *_FAMILY], {"cli", "serialize", "hamiltonian", "pauli"}, 0),
     (["mps", "--a0", "[[[1, 0]]]", "--a1", "[[[0, 1]]]", "--n-sites", "3"],
-     _STATES),
-    (["ground-states", *_FAMILY], _STATES),
-    (["verify", *_FAMILY], _VERIFY),
+     _STATES, 0),
+    (["ground-states", *_FAMILY], _STATES, 0),
+    (["verify", *_FAMILY], _VERIFY, 0),
     (["sweep", "--family", "hardcore", "--grid", "g:1..2:2",
-      "--n-sites", "3"], _VERIFY),
-], ids=["classify", "build-h", "mps", "ground-states", "verify", "sweep"])
-def test_a_command_loads_only_its_layers(argv, loaded):
+      "--n-sites", "3"], _VERIFY, 0),
+    # telling exit 2 from exit 3 loads no layer the command did not run
+    (["build-h", "--family", "hardcore", "--params", '{"g": 1.0',
+      "--n-sites", "3"], {"cli", "serialize", "hamiltonian", "pauli"}, 2),
+], ids=["classify", "build-h", "mps", "ground-states", "verify", "sweep",
+        "build-h-fails"])
+def test_a_command_loads_only_its_layers(argv, loaded, code):
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv], input=_SPACE,
         capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.returncode == code, proc.stderr
+    assert bool(proc.stdout) == (code == 0)
     modules = proc.stderr.splitlines()[-1].split()
     assert set(modules) == {f"mpschain.{name}" for name in loaded}
 

@@ -1,6 +1,7 @@
 """State constructions: weighted sums, bond-matrix traces, catalogues."""
 
 import copy
+import dataclasses
 import json
 import pickle
 import subprocess
@@ -18,7 +19,7 @@ from mpschain.classify import CanonicalForm, CaseId, classify
 from mpschain.hamiltonian import FamilyId, FamilyParams, build_family, \
     full_chain
 from mpschain import states
-from mpschain.pauli import PauliQuartet
+from mpschain.pauli import SL2, CSpace, PauliQuartet
 from mpschain.states import (CaseRepresentation, MPSSpec, NamedState,
                              NoRepresentationError, StateVector,
                              _half_products, _zero_counts, constraint_residual,
@@ -537,9 +538,12 @@ def test_built_states_are_read_only_and_public_ones_copied():
         assert np.all(np.isfinite(state.amplitudes))
 
 
-@pytest.mark.parametrize("copier", [
+COPIERS = pytest.mark.parametrize("copier", [
     copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
     ids=["copy", "deepcopy", "pickle"])
+
+
+@COPIERS
 def test_states_copy_and_pickle_as_the_same_read_only_holder(copier):
     # a dense vector, a basis index and a recipe
     for state in (StateVector(1, [1, 0]), hardcore_states(3)[2].state,
@@ -552,6 +556,44 @@ def test_states_copy_and_pickle_as_the_same_read_only_holder(copier):
             assert not twin._held.flags.writeable
         with pytest.raises(AttributeError, match="immutable"):
             twin.n_sites = 2
+
+
+def _held_arrays(obj) -> list:
+    """The arrays obj holds, itself or through its fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, CSpace):
+        return [obj._rows]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj)
+                for a in _held_arrays(getattr(obj, f.name))]
+    return []
+
+
+_REPRESENTATION = representation_for_case(
+    CanonicalForm(CaseId.DEGENERATE_PLANE, 0.37 + 0.2j))
+_READ_ONLY_HOLDERS = {
+    "MPSSpec": MPSSpec([[1, 2j], [3, 4]], [[0, 1], [1, 0]]),
+    "SL2": SL2(np.array([[2, 1j], [0, 0.5]])),
+    "CSpace": CSpace(np.array([[1, 0, 0, 0], [0, 1j, 0, 2]])),
+    "LocalHamiltonian": build_family(FamilyParams(FamilyId.HARDCORE, g=2.0)),
+    "FamilyParams": FamilyParams(FamilyId.PINNED, lambda3=np.diag([1, 2, 3])),
+    "CaseRepresentation": _REPRESENTATION,
+    "ClassificationResult": classify(_REPRESENTATION.space),
+}
+
+
+@pytest.mark.parametrize("name", _READ_ONLY_HOLDERS)
+@COPIERS
+def test_copies_keep_their_arrays_read_only(copier, name):
+    original = _READ_ONLY_HOLDERS[name]
+    twin = copier(original)
+    assert type(twin) is type(original)
+    held, twins = _held_arrays(original), _held_arrays(twin)
+    assert held and len(twins) == len(held)
+    for a, b in zip(held, twins):
+        assert not b.flags.writeable
+        assert b.dtype == a.dtype and np.array_equal(b, a)
 
 
 CASES_WITH_REPRESENTATION = [

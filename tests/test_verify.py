@@ -619,6 +619,24 @@ def _signed_permutation(n_sites, reverse, flip, sign):
     return t
 
 
+@pytest.mark.parametrize("i", range(len(verify._INVOLUTIONS)))
+def test_bond_tables_are_the_involutions_on_two_sites(i):
+    # _MOVED[i] and _MOVED_SIGNS[i] are T on one bond, X^{x n} included,
+    # which no benchmark draw or canonical point has _frame choose
+    move = _signed_permutation(2, *verify._INVOLUTIONS[i])
+    sigma, signs = verify._MOVED[i], verify._MOVED_SIGNS[i]
+    # phi[|00>] = 1, so the first column of the signs is phi
+    table = np.zeros((4, 4))
+    table[sigma, np.arange(4)] = signs[:, 0]
+    assert np.array_equal(table, move)
+    assert np.array_equal(signs, np.outer(signs[:, 0], signs[:, 0]))
+    # the image _frame and _commuting take: T h T of a bond term
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert np.array_equal(h[sigma[:, None], sigma[None, :]] * signs,
+                          move @ h @ move.T)
+
+
 def test_held_involutions_are_those_of_the_dense_chain():
     # on the canonical points and the benchmark draws, _frame's t is the
     # first T of _INVOLUTIONS whose signed permutation commutes with the
