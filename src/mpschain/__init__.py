@@ -21,12 +21,12 @@ _OWNERS = {
         "canonical_space", "classify", "invariant_signature"), "classify"),
     **dict.fromkeys((
         "ChainSizeError", "FamilyId", "FamilyParams", "FullHamiltonian",
-        "LocalHamiltonian", "ParameterError", "build_family", "family_space",
-        "full_chain", "local_from_espace", "params_from_mapping"),
+        "LocalHamiltonian", "ParameterError", "build_family", "full_chain",
+        "local_from_espace", "params_from_mapping"),
         "hamiltonian"),
     **dict.fromkeys((
-        "CSpace", "PauliQuartet", "SL2", "quartet_from_matrix", "sl2_act",
-        "sl2_act_space", "span_equal"), "pauli"),
+        "CSpace", "PauliQuartet", "SL2", "sl2_act", "sl2_act_space",
+        "span_equal"), "pauli"),
     **dict.fromkeys((
         "CaseRepresentation", "MPSResult", "MPSSpec", "NamedState",
         "NoRepresentationError", "StateVector", "constraint_residual",

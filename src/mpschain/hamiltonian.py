@@ -24,8 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import _FROM_FLAT, CSpace
-
 # Relative tolerance for Hermiticity of inputs and outputs.
 HERMITICITY_TOL = 1e-12
 
@@ -270,11 +268,6 @@ def family_espace(params: FamilyParams):
     """Constraint rows and weight matrix of a named family."""
     rows, lam = _FAMILIES[params.family][1](params)
     return np.array(rows, dtype=complex), np.array(lam, dtype=complex)
-
-
-def family_space(params: FamilyParams) -> CSpace:
-    """The constraint subspace of a family, in quartet coordinates."""
-    return CSpace(family_espace(params)[0] @ _FROM_FLAT)
 
 
 def build_family(params: FamilyParams) -> LocalHamiltonian:

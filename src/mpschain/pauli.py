@@ -82,34 +82,6 @@ class PauliQuartet:
         """Coefficients as a length-4 complex vector (v0, v1, v2, u)."""
         return np.array([self.v0, self.v1, self.v2, self.u], dtype=complex)
 
-    def matrix(self) -> np.ndarray:
-        """Recompose the 2x2 matrix v^i tau_i + u sigma."""
-        return (self.v0 * TAU0 + self.v1 * TAU1
-                + self.v2 * TAU2 + self.u * SIGMA)
-
-    def __add__(self, other: "PauliQuartet") -> "PauliQuartet":
-        return PauliQuartet(self.v0 + other.v0, self.v1 + other.v1,
-                            self.v2 + other.v2, self.u + other.u)
-
-    def __rmul__(self, c) -> "PauliQuartet":
-        c = complex(c)
-        return PauliQuartet(c * self.v0, c * self.v1, c * self.v2, c * self.u)
-
-
-def quartet_from_matrix(m) -> PauliQuartet:
-    """Decompose a 2x2 matrix into its (v0, v1, v2, u) coefficients.
-
-    The inverse basis change is closed form:
-    v0=(C00+C11)/2, v1=(C00-C11)/2, v2=(C01+C10)/2, u=(C01-C10)/2.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    return PauliQuartet((m[0, 0] + m[1, 1]) / 2.0,
-                        (m[0, 0] - m[1, 1]) / 2.0,
-                        (m[0, 1] + m[1, 0]) / 2.0,
-                        (m[0, 1] - m[1, 0]) / 2.0)
-
 
 def quartet_from_array(a) -> PauliQuartet:
     a = np.asarray(a, dtype=complex)
@@ -168,15 +140,6 @@ class SL2:
         # kill the residual rounding in the determinant
         d2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         return SL2(g / np.sqrt(d2))
-
-    def inverse(self) -> "SL2":
-        a, b, c, d = self.matrix.ravel()
-        return SL2(np.array([[d, -b], [-c, a]], dtype=complex))
-
-    def __matmul__(self, other: "SL2") -> "SL2":
-        # Op_{g1 @ g2} = Op_{g2} after Op_{g1}: matrix product composes
-        # actions in application order.
-        return SL2(self.matrix @ other.matrix)
 
 
 def _action_matrix(g: SL2) -> np.ndarray:
@@ -281,12 +244,6 @@ class CSpace:
     def coefficient_matrix(self) -> np.ndarray:
         """Basis rows as a read-only (dim x 4) complex array."""
         return self._rows
-
-    def contains(self, q: PauliQuartet, tol: float = 1e-8) -> bool:
-        """q lies within tol * max(1, |q|) of the span."""
-        vh = (_row_spaces(self._rows)[1] if self.dim
-              else np.zeros((0, 4), dtype=complex))
-        return _within(q.as_array()[None], vh, tol)
 
     def __repr__(self):
         return f"CSpace(dim={self.dim})"

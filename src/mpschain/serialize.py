@@ -8,13 +8,13 @@ numbers are always a two-element [re, im] array.  A complex ndarray of
 any shape is written in one pass as nested lists of such pairs: its
 parts are checked and formatted in bulk rather than value by value.
 
-The binary chain dump is written either from one dense matrix
-(pack_chain) or streamed from consecutive row blocks (write_chain);
-both give the same bytes.
+The binary chain dump is streamed from consecutive row blocks
+(write_chain); pack_chain writes one dense matrix through it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -193,37 +193,21 @@ def decode_space(value):
 # binary matrix dump: b"MPSH" | u32 n_sites LE | row-major complex128 LE
 
 
-def _chain_header(n_sites: int) -> bytes:
-    return MAGIC + struct.pack("<I", n_sites)
-
-
 def pack_chain(n_sites: int, matrix: np.ndarray) -> bytes:
-    m = np.asarray(matrix, dtype="<c16")
+    """The dump of one dense chain matrix, as write_chain writes it."""
     dim = 2 ** n_sites
-    if m.shape != (dim, dim):
+    shape = np.shape(matrix)
+    if shape != (dim, dim):
         raise FormatError(
-            f"matrix shape {m.shape} does not match n_sites={n_sites}")
-    return _chain_header(n_sites) + m.tobytes(order="C")
+            f"matrix shape {shape} does not match n_sites={n_sites}")
+    out = io.BytesIO()
+    write_chain(out, n_sites, [matrix])
+    return out.getvalue()
 
 
 def write_chain(fh, n_sites: int, blocks) -> None:
     """Write the dump of the chain whose consecutive row blocks the
-    iterable gives to the binary file fh, without joining them; the
-    bytes are pack_chain's for the stacked blocks."""
-    fh.write(_chain_header(n_sites))
+    iterable gives to the binary file fh, without joining them."""
+    fh.write(MAGIC + struct.pack("<I", n_sites))
     for block in blocks:
         fh.write(np.ascontiguousarray(block, dtype="<c16").data)
-
-
-def unpack_chain(data: bytes) -> tuple[int, np.ndarray]:
-    if len(data) < 8 or data[:4] != MAGIC:
-        raise FormatError("missing MPSH header")
-    (n_sites,) = struct.unpack("<I", data[4:8])
-    dim = 2 ** n_sites
-    expected = 8 + 16 * dim * dim
-    if len(data) != expected:
-        raise FormatError(
-            f"expected {expected} bytes for n_sites={n_sites}, "
-            f"got {len(data)}")
-    flat = np.frombuffer(data, dtype="<c16", offset=8)
-    return n_sites, flat.reshape(dim, dim).astype(complex)

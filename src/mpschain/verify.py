@@ -56,7 +56,8 @@ from . import sectors
 from .hamiltonian import (HERMITICITY_TOL, FamilyParams, FullHamiltonian,
                           ParameterError, _chain_table, build_family)
 from .pauli import SIGMA, TAU0, TAU1, TAU2
-from .states import _times_power_of_two, ground_state_catalogue
+from .states import (_squared_norm, _times_power_of_two,
+                     ground_state_catalogue)
 
 # Reports list the lowest LOWEST_K eigenvalues.
 LOWEST_K = 8
@@ -350,8 +351,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     # as from the raw values.
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
     # taken of complex values, as chain_entries holds them, whether h' is
-    # real or not
-    hnorm = float(np.linalg.norm(_times_power_of_two(
+    # real or not, and summed by numpy, which no BLAS thread count changes
+    hnorm = math.sqrt(_squared_norm(_times_power_of_two(
         np.asarray(vals, dtype=complex), -f)))
     norms = np.ones(len(catalogue))
     hpsi_norms = np.empty(len(catalogue))

@@ -6,10 +6,13 @@ Run from the repository root:
     python3 tests/linecount.py [module.py ...]
 
 prints, for each module of src/mpschain (or each file given), its
-`wc -l` count and its code lines, then the totals.  A code line holds a
-token other than a comment, outside every docstring (the leading string
-of a module, class or function); a string or expression that spans
-several lines counts each of them.
+`wc -l` count, its code lines and its public names, then the totals.  A
+code line holds a token other than a comment, outside every docstring
+(the leading string of a module, class or function); a string or
+expression that spans several lines counts each of them.  A public name
+is one that does not start with an underscore: a function, class or
+assigned name of the module, or a method of one of its classes.  Names a
+module imports are not its own and are not counted.
 """
 
 from __future__ import annotations
@@ -45,15 +48,46 @@ def counts(source: str) -> tuple:
     return source.count("\n"), len(code - docstrings)
 
 
+def _defined(statements):
+    """The names the statements define: functions, classes and the
+    names assigned to (not attributes or items)."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (list(node.targets) if isinstance(node, ast.Assign)
+                       else [node.target])
+            while targets:
+                target = targets.pop()
+                if isinstance(target, ast.Name):
+                    yield target.id
+                elif isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                elif isinstance(target, ast.Starred):
+                    targets.append(target.value)
+
+
+def public_names(source: str) -> int:
+    """How many of the module's names, and of its classes' methods, do
+    not start with an underscore."""
+    body = ast.parse(source).body
+    names = set(_defined(body)) | {
+        f"{cls.name}.{node.name}" for cls in body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sum(not name.rpartition(".")[2].startswith("_") for name in names)
+
+
 def main(paths) -> None:
-    total = [0, 0]
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
+    total = [0, 0, 0]
+    print(f"{'module':<16}{'wc -l':>8}{'code':>8}{'public':>8}")
     for path in paths:
-        lines, code = counts(Path(path).read_text(encoding="utf-8"))
-        total[0] += lines
-        total[1] += code
-        print(f"{Path(path).name:<16}{lines:>8}{code:>8}")
-    print(f"{'total':<16}{total[0]:>8}{total[1]:>8}")
+        source = Path(path).read_text(encoding="utf-8")
+        row = (*counts(source), public_names(source))
+        total = [t + r for t, r in zip(total, row)]
+        print(f"{Path(path).name:<16}" + "".join(f"{r:>8}" for r in row))
+    print(f"{'total':<16}" + "".join(f"{t:>8}" for t in total))
 
 
 if __name__ == "__main__":

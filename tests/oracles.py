@@ -46,8 +46,8 @@ route the library does not take, so agreement is evidence.
   library has no transfer matrix of its own.
 - The loop versions of the algebra layer's batched kernels, kept as
   their definitions: kron_action_matrix (np.kron),
-  loop_row_reduce (one row update at a time), lstsq_contains and
-  lstsq_span_equal (one least-squares solve per basis vector) and
+  loop_row_reduce (one row update at a time), lstsq_span_equal (one
+  least-squares solve per basis vector) and
   loop_half_products (one batched product per bond matrix and bit).
 - svd_span_equal: the span test as one SVD of the stacked pair of basis
   rows, with no comparison of the stored rows first: the library's
@@ -82,8 +82,7 @@ from mpschain.classify import (MU_CASES, CanonicalForm, CaseId,
 from mpschain.hamiltonian import (FamilyId, FamilyParams, LocalHamiltonian,
                                   local_from_espace)
 from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
-                            PIVOT_SHARE, SL2, CSpace, PauliQuartet,
-                            quartet_from_matrix)
+                            PIVOT_SHARE, SL2, CSpace, PauliQuartet)
 from mpschain.serialize import FormatError
 from mpschain.states import StateVector
 from mpschain import sectors, verify
@@ -531,7 +530,8 @@ def sl2_with_condition(rng: np.random.Generator, cond: float) -> SL2:
 
 def quartet_action(g: SL2, q: PauliQuartet) -> PauliQuartet:
     """Quartet of g^T C g, by way of the recomposed 2x2 matrix."""
-    return quartet_from_matrix(g.matrix.T @ q.matrix() @ g.matrix)
+    c = flat(q).reshape(2, 2)
+    return PauliQuartet(*((g.matrix.T @ c @ g.matrix).ravel() @ _FROM_FLAT))
 
 
 def flat(q: PauliQuartet) -> np.ndarray:
@@ -542,7 +542,8 @@ def flat(q: PauliQuartet) -> np.ndarray:
 def transform_state(state: StateVector, g: SL2) -> StateVector:
     """Push a chain state through the inverse one-site action on every
     site: the companion of the pair-energy congruence transform."""
-    m = g.inverse().matrix
+    a, b, c, d = g.matrix.ravel()
+    m = np.array([[d, -b], [-c, a]])
     t = state.amplitudes.reshape((2,) * state.n_sites)
     for axis in range(state.n_sites):
         t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
@@ -603,24 +604,20 @@ def loop_row_reduce(rows: np.ndarray, ratio: float = 0.0) -> np.ndarray:
     return m[:r]
 
 
-def lstsq_contains(space: CSpace, q: PauliQuartet, tol: float = 1e-8) -> bool:
-    """q within tol * max(1, |q|) of the span, by one least-squares solve."""
-    vec = q.as_array()
-    scale = max(1.0, float(np.linalg.norm(vec)))
-    if space.dim == 0:
-        return float(np.linalg.norm(vec)) <= tol * scale
-    b = space.coefficient_matrix()
-    coef, *_ = np.linalg.lstsq(b.T, vec, rcond=None)
-    return float(np.linalg.norm(b.T @ coef - vec)) <= tol * scale
-
-
 def lstsq_span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:
-    """Equal dimension and every basis vector of each in the other's span,
-    one lstsq_contains per vector."""
+    """Equal dimension and every basis vector of each within tol * max(1,
+    |vector|) of the other's span, by one least-squares solve per
+    vector."""
     if a.dim != b.dim:
         return False
-    return all(lstsq_contains(b, q, tol) for q in a.basis) and \
-        all(lstsq_contains(a, q, tol) for q in b.basis)
+    for rows, span in ((a.coefficient_matrix(), b.coefficient_matrix()),
+                       (b.coefficient_matrix(), a.coefficient_matrix())):
+        for vec in rows:
+            coef, *_ = np.linalg.lstsq(span.T, vec, rcond=None)
+            if np.linalg.norm(span.T @ coef - vec) > tol * max(
+                    1.0, np.linalg.norm(vec)):
+                return False
+    return True
 
 
 def svd_span_equal(a: CSpace, b: CSpace, tol: float = 1e-8) -> bool:

@@ -21,10 +21,8 @@ from mpschain.pauli import (AmbiguousRankError, CSpace, LinearDependenceError,
 from oracles import (CANONICAL_POINTS, lstsq_span_equal, quartet_action,
                      random_sl2)
 
-T0 = PauliQuartet(1, 0, 0, 0)
-T1 = PauliQuartet(0, 1, 0, 0)
-T2 = PauliQuartet(0, 0, 1, 0)
-SG = PauliQuartet(0, 0, 0, 1)
+# coefficient rows of tau0, tau1, tau2 and sigma
+T0, T1, T2, SG = np.eye(4, dtype=complex)
 
 MU = 0.37 + 0.2j
 
@@ -58,8 +56,7 @@ def test_canonical_form_mu_validation():
 def test_canonical_space_table():
     sp = canonical_space(CanonicalForm(CaseId.REGULAR_PLANE, MU))
     assert sp.dim == 2
-    assert sp.contains(T0)
-    assert sp.contains(T2 + MU * SG)
+    assert span_equal(sp, CSpace([T0, T2 + MU * SG]))
     assert canonical_space(CanonicalForm(CaseId.EMPTY)).dim == 0
     assert canonical_space(CanonicalForm(CaseId.FULL_SPACE)).dim == 4
 
@@ -176,8 +173,8 @@ def test_normalize_nonnull_postcondition():
 
 def test_normalize_nonnull_diagonal_free_input():
     g = normalize_nonnull([0, 0, 1])
-    img = sl2_act(g, T2)
-    assert_allclose(img.as_array(), T2.as_array(), atol=1e-14)
+    img = sl2_act(g, quartet_from_array(T2))
+    assert_allclose(img.as_array(), T2, atol=1e-14)
 
 
 def test_normal_complement_examples():
@@ -345,7 +342,8 @@ def _near_null(rng, size: float) -> np.ndarray:
     """A random null symmetric vector of norm size, pushed off null (two
     draws in three) to |<v, v>| / s^2 up to ZERO_TOL / 4, the most the
     null test accepts."""
-    v = quartet_action(random_sl2(rng, 20.0), T0 + T1).as_array()[:3]
+    v = quartet_action(random_sl2(rng, 20.0),
+                       quartet_from_array(T0 + T1)).as_array()[:3]
     v *= size / np.linalg.norm(v) * np.exp(2j * np.pi * rng.random())
     if rng.integers(3):
         d = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -465,7 +463,7 @@ def _round_trip(basis, g=None):
     the oracles; the refusal's type name when construction or classify
     refuses."""
     if g is not None:
-        basis = [quartet_action(g, q) for q in basis]
+        basis = [quartet_action(g, quartet_from_array(q)) for q in basis]
     try:
         space = CSpace(basis)
         res = classify(space)

@@ -17,11 +17,11 @@ from mpschain import cli, hamiltonian, sectors, verify
 from mpschain.classify import classify, invariant_signature
 from mpschain.cli import _report_payload
 from mpschain.hamiltonian import (_PARAM_NAMES, FamilyId, FamilyParams,
-                                  build_family, family_space, full_chain,
+                                  build_family, family_espace, full_chain,
                                   params_from_mapping)
+from mpschain.pauli import _FROM_FLAT, CSpace
 from mpschain.serialize import (decode_matrix, decode_space, dumps,
-                                encode_complex, encode_space, pack_chain,
-                                unpack_chain)
+                                encode_complex, encode_space, pack_chain)
 from mpschain.states import (MPSSpec, NamedState, StateVector,
                              ground_state_catalogue, mps_contract)
 from oracles import (benchmark_specs, child_env, encode_matrix,
@@ -155,8 +155,9 @@ def test_build_h_binary_round_trip(tmp_path):
                    '{"g": 1.0}', "--n-sites", "3", "--binary",
                    "--out", str(path))
     assert proc.returncode == 0, proc.stderr
-    n, mat = unpack_chain(path.read_bytes())
-    assert n == 3
+    data = path.read_bytes()
+    assert data[:8] == b"MPSH\x03\x00\x00\x00"
+    mat = np.frombuffer(data, "<c16", offset=8).reshape(8, 8)
     assert np.allclose(np.diag(mat).real[[0, 1, 7]], [8, 4, 0])
     proc = run_cli("build-h", "--family", "hardcore", "--params",
                    '{"g": 1.0}', "--n-sites", "3", "--binary")
@@ -481,7 +482,8 @@ def test_mps_matches_the_oracle_writer(n, capsys):
 def test_classify_matches_the_oracle_writer(label, tmp_path, capsys):
     _, params = _family_argv(label, 2)
     path = tmp_path / "space.json"
-    path.write_text(dumps(encode_space(family_space(params))))
+    space = CSpace(family_espace(params)[0] @ _FROM_FLAT)
+    path.write_text(dumps(encode_space(space)))
     space = decode_space(json.loads(path.read_text()))
     result, sig = classify(space), invariant_signature(space)
     mu = result.form.mu

@@ -9,11 +9,10 @@ from numpy.testing import assert_allclose
 from mpschain.hamiltonian import (ROW_BLOCK_BYTES, ChainSizeError, FamilyId,
                                   FamilyParams, LocalHamiltonian,
                                   ParameterError, build_family, chain_entries,
-                                  chain_row_blocks, family_espace,
-                                  family_space, full_chain, local_from_espace,
-                                  max_sites, params_from_mapping)
-from mpschain.pauli import (CSpace, PauliQuartet, quartet_from_matrix,
-                            sl2_act_space, span_equal)
+                                  chain_row_blocks, family_espace, full_chain,
+                                  local_from_espace, max_sites,
+                                  params_from_mapping)
+from mpschain.pauli import _FROM_FLAT, CSpace, sl2_act_space, span_equal
 from oracles import (conjugate_local, kron_chain, operator_sum, random_sl2,
                      sl2_with_condition, sorted_chain_entries)
 
@@ -290,15 +289,6 @@ def test_conjugate_local_properties():
     assert kernel_dimension(moved.matrix) == kernel_dimension(h.matrix)
 
 
-def test_family_space_links_to_quartets():
-    p = FamilyParams(FamilyId.EXCHANGE, g=1.0, nu=1.0, nu_prime=1.0)
-    sp = family_space(p)
-    assert sp.dim == 1
-    assert sp.contains(PauliQuartet(0, 0, 0, 1))
-    p = FamilyParams(FamilyId.PINNED, lambda3=np.eye(3))
-    assert family_space(p).dim == 3
-
-
 @pytest.mark.parametrize("family", list(FamilyId))
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, 3.0))
@@ -316,6 +306,5 @@ def test_row_action_is_the_pair_congruence(family, seed, log_cond):
     scale = np.linalg.norm(g.matrix, 2) ** 4 * max(
         1.0, float(np.max(np.abs(build_family(params).matrix))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    moved_space = CSpace([quartet_from_matrix(r.reshape(2, 2))
-                          for r in moved_rows])
-    assert span_equal(sl2_act_space(g, family_space(params)), moved_space)
+    assert span_equal(sl2_act_space(g, CSpace(rows @ _FROM_FLAT)),
+                      CSpace(moved_rows @ _FROM_FLAT))

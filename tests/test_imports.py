@@ -34,7 +34,7 @@ _VERIFY = _STATES | {"verify", "sectors"}
 @pytest.mark.parametrize("argv, loaded, code", [
     (["classify", "--space", "-"], {"cli", "serialize", "pauli", "classify"},
      0),
-    (["build-h", *_FAMILY], {"cli", "serialize", "hamiltonian", "pauli"}, 0),
+    (["build-h", *_FAMILY], {"cli", "serialize", "hamiltonian"}, 0),
     (["mps", "--a0", "[[[1, 0]]]", "--a1", "[[[0, 1]]]", "--n-sites", "3"],
      _STATES, 0),
     (["ground-states", *_FAMILY], _STATES, 0),
@@ -43,7 +43,7 @@ _VERIFY = _STATES | {"verify", "sectors"}
       "--n-sites", "3"], _VERIFY, 0),
     # telling exit 2 from exit 3 loads no layer the command did not run
     (["build-h", "--family", "hardcore", "--params", '{"g": 1.0',
-      "--n-sites", "3"], {"cli", "serialize", "hamiltonian", "pauli"}, 2),
+      "--n-sites", "3"], {"cli", "serialize", "hamiltonian"}, 2),
 ], ids=["classify", "build-h", "mps", "ground-states", "verify", "sweep",
         "build-h-fails"])
 def test_a_command_loads_only_its_layers(argv, loaded, code):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -28,9 +30,10 @@ from mpschain.verify import (KERNEL_TOL, _spectrum_report, family_report,
 from fingerprints import (fingerprints, point_fingerprints, point_terms,
                           recorded_stacks)
 from oracles import (CANCELLING_PINNED, axis_by_axis_frame, benchmark_specs,
-                     canonical_term, check_zero_member, conjugate_local,
-                     covariance_check, dm_terms, frame_rank, kron_chain,
-                     no_mps_case_report, operator_sum, random_sl2)
+                     canonical_term, check_zero_member, child_env,
+                     conjugate_local, covariance_check, dm_terms, frame_rank,
+                     kron_chain, no_mps_case_report, operator_sum,
+                     random_sl2)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -214,6 +217,33 @@ def test_residuals_keep_their_value_beyond_the_float_range(log2_g,
         assert got == base
     else:
         assert got == pytest.approx(2.0 ** log2_g * base * hnorm, rel=1e-14)
+
+
+_RESIDUAL_HEX = """
+import cmath, json
+from mpschain.hamiltonian import FamilyId, FamilyParams
+from mpschain.verify import family_report
+nu = 0.8 + 0.1j
+params = FamilyParams(FamilyId.EXCHANGE, g=1.3, nu=nu,
+                      nu_prime=nu * cmath.exp(2j * cmath.pi / 3))
+report = family_report(params, 12)
+print(json.dumps({k: v.hex() for k, v in report.residuals.items()}))
+"""
+
+
+def test_residuals_do_not_depend_on_the_blas_thread_count():
+    # the chain's 12799 values are enough for a BLAS dot to split its
+    # work over two threads, so |H|_F taken by one would change the
+    # nonzero psi_k residuals in their last bits
+    runs = [subprocess.run(
+        [sys.executable, "-c", _RESIDUAL_HEX], capture_output=True,
+        text=True, env=child_env({"OPENBLAS_NUM_THREADS": threads}))
+        for threads in ("1", "2")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    one, two = (json.loads(proc.stdout) for proc in runs)
+    assert any(float.fromhex(r) for r in one.values())
+    assert one == two
 
 
 PSI1_CASES = ["hardcore-mixed", "hardcore-singlet", "hardcore-exchange",
