@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import re
@@ -58,11 +57,12 @@ def _text_sink(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _emit_text(text: str, path: str | None) -> None:
+def _write_json(obj, path: str | None) -> None:
+    """Write obj's JSON text and a newline to the sink of the path, as
+    serialize.dump streams it."""
     with _text_sink(path) as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        serialize.dump(obj, fh.write)
+        fh.write("\n")
 
 
 def _loads(text: str, what: str):
@@ -142,7 +142,7 @@ def _cmd_classify(args) -> int:
             "sigma_in": sig.sigma_in,
         },
     }
-    _emit_text(serialize.dumps(payload), args.out)
+    _write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -161,12 +161,9 @@ def _cmd_build_h(args) -> int:
         with open(args.out, "wb") as fh:
             serialize.write_chain(fh, args.n_sites, blocks)
         return EXIT_OK
-    with _text_sink(args.out) as fh:
-        fh.write(f'{{"n_sites": {args.n_sites}, "matrix": [')
-        for i, block in enumerate(blocks):
-            fh.write((", " if i else "")
-                     + ", ".join(map(serialize.dumps, block)))
-        fh.write("]}\n")
+    _write_json({"n_sites": args.n_sites,
+                 "matrix": (row for block in blocks for row in block)},
+                args.out)
     return EXIT_OK
 
 
@@ -174,14 +171,9 @@ def _cmd_ground_states(args) -> int:
     from .states import ground_state_catalogue
     params = _parse_params_arg(args)
     states = ground_state_catalogue(params, args.n_sites)
-    # the JSON list written one state at a time, so only one state's
-    # vector and text are alive at once
-    with _text_sink(args.out) as fh:
-        fh.write("[")
-        for i, ns in enumerate(states):
-            fh.write((", " if i else "") + serialize.dumps(
-                {"label": ns.label, "amplitudes": ns.state.amplitudes}))
-        fh.write("]\n")
+    # drawn one state at a time, so only one state's vector is alive
+    _write_json(({"label": ns.label, "amplitudes": ns.state.amplitudes}
+                 for ns in states), args.out)
     return EXIT_OK
 
 
@@ -190,13 +182,16 @@ def _cmd_mps(args) -> int:
     a0 = serialize.decode_matrix(_loads(args.a0, "--a0"))
     a1 = serialize.decode_matrix(_loads(args.a1, "--a1"))
     result = mps_contract(MPSSpec(a0, a1), args.n_sites)
+    # finite amplitudes can still have an infinite z: refused before the
+    # output is opened
+    serialize.format_float(result.z)
     payload = {
         "n_sites": args.n_sites,
         "amplitudes": result.state.amplitudes,
         "z": result.z,
         "is_zero": result.is_zero,
     }
-    _emit_text(serialize.dumps(payload), args.out)
+    _write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -207,7 +202,7 @@ def _cmd_verify(args) -> int:
     from .verify import family_report
     params = _parse_params_arg(args)
     report = family_report(params, args.n_sites)
-    _emit_text(serialize.dumps(_report_payload(report)), args.out)
+    _write_json(_report_payload(report), args.out)
     return EXIT_OK if report.all_pass(args.tol) else EXIT_CLAIM
 
 
@@ -229,10 +224,8 @@ def _cmd_sweep(args) -> int:
     from .verify import family_report
     base = _params_mapping(args)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["params", "ground_energy", "kernel_dim",
-                     "max_residual"])
+    # every row is made before the output is opened
+    rows = [["params", "ground_energy", "kernel_dim", "max_residual"]]
     for value in values:
         mapping = dict(base)
         mapping[name] = float(value)
@@ -245,13 +238,14 @@ def _cmd_sweep(args) -> int:
                            else float(mapping[key]))
         max_residual = (serialize.format_float(max(report.residuals.values()))
                         if report.residuals else "")
-        writer.writerow([
+        rows.append([
             serialize.dumps(record),
             serialize.format_float(report.ground_energy),
             str(report.kernel_dim),
             max_residual,
         ])
-    _emit_text(buf.getvalue(), args.out)
+    with _text_sink(args.out) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 

@@ -5,8 +5,14 @@ byte-identical output: floats are always rendered with 17 significant
 digits (enough to round-trip IEEE doubles), negative zero is folded
 into zero, and non-finite values are rejected outright.  Complex
 numbers are always a two-element [re, im] array.  A complex ndarray of
-any shape is written in one pass as nested lists of such pairs: its
-parts are checked and formatted in bulk rather than value by value.
+any shape is written as nested lists of such pairs: its parts are
+checked and formatted in bulk, a slice of an innermost row at a time,
+rather than value by value.
+
+The JSON layout is stated here only.  dump streams its text piece by
+piece to a write callable, drawing the items of an iterator one at a
+time, so a command's output is written while it is serialized and never
+held whole; dumps joins the same pieces into one string.
 
 The binary chain dump is streamed from consecutive row blocks
 (write_chain); pack_chain writes one dense matrix through it.
@@ -16,8 +22,8 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,71 +57,80 @@ def check_finite(values) -> None:
         format_float(parts[bad][0])
 
 
-def dumps(obj) -> str:
-    """Serialize to JSON with deterministic float formatting.
+# Pairs formatted per slice of a complex row: bounds the text alive at
+# once, while each slice is still checked and formatted in bulk.
+_SLICE_PAIRS = 16384
 
-    Accepts dicts (string keys, insertion order kept), lists/tuples,
+
+def dump(obj, write) -> None:
+    """Write the JSON text of obj with deterministic float formatting,
+    handing it to write (fh.write, say) piece by piece.
+
+    Accepts dicts (string keys, insertion order kept), lists, tuples and
+    iterators (each written as an array, one item drawn at a time),
     strings, bools, None, ints, floats, and complex values (emitted as
-    [re, im]).  numpy scalars and arrays are coerced; a complex array
-    becomes nested lists of [re, im] pairs.
+    [re, im]).  numpy scalars and arrays are coerced; an array of several
+    axes is written one row at a time, and a complex one becomes nested
+    lists of [re, im] pairs.
     """
+    _write(obj, write)
+
+
+def dumps(obj) -> str:
+    """The text dump writes, as one string."""
     pieces: list[str] = []
-    _write(obj, pieces)
+    dump(obj, pieces.append)
     return "".join(pieces)
 
 
-def _write(obj, out: list) -> None:
+def _write(obj, write) -> None:
     if isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif obj is None:
-        out.append("null")
+        write("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        write(format_float(float(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _write(encode_complex(obj), out)
+        _write(encode_complex(obj), write)
     elif isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise FormatError("JSON object keys must be strings")
             if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
+                write(", ")
+            write(json.dumps(key))
+            write(": ")
+            _write(value, write)
+        write("}")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        write("[")
         for i, value in enumerate(obj):
             if i:
-                out.append(", ")
-            _write(value, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
-        out.append(_complex_array(obj))
+                write(", ")
+            _write(value, write)
+        write("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+        _write(iter(obj), write)
+    elif isinstance(obj, np.ndarray) and obj.ndim and np.iscomplexobj(obj):
+        write("[")
+        for start in range(0, obj.size, _SLICE_PAIRS):
+            values = obj[start:start + _SLICE_PAIRS]
+            check_finite(values)
+            # + 0.0 folds -0.0 into +0.0, as format_float does
+            parts = (np.ascontiguousarray(values, dtype=complex).view(float)
+                     + 0.0).tolist()
+            write((", " if start else "") + ", ".join(map(
+                "[{:.17g}, {:.17g}]".format, parts[0::2], parts[1::2])))
+        write("]")
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        _write(obj.tolist(), write)
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
-
-
-def _complex_array(arr: np.ndarray) -> str:
-    """Nested lists of [re, im] pairs, one list level per axis."""
-    check_finite(arr)
-    # + 0.0 folds -0.0 into +0.0, as format_float does
-    parts = (np.ascontiguousarray(arr, dtype=complex).view(float)
-             + 0.0).ravel().tolist()
-    items = list(map("[{:.17g}, {:.17g}]".format, parts[0::2], parts[1::2]))
-    shape = arr.shape
-    for axis in range(len(shape) - 1, -1, -1):
-        size = shape[axis]
-        items = ["[" + ", ".join(items[i * size:(i + 1) * size]) + "]"
-                 for i in range(math.prod(shape[:axis]))]
-    return items[0]
 
 
 # ---------------------------------------------------------------------------

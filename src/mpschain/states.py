@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (FamilyId, FamilyParams, max_sites)
-from .pauli import _TO_FLAT, CSpace, PauliQuartet
 
 # Site guard for explicit state vectors (2^N amplitudes), overridable
 # through MPS_MAX_SITES.
@@ -479,6 +478,7 @@ class CaseRepresentation:
 def constraint_residual(space: CSpace, spec: MPSSpec) -> float:
     """max over basis constraints of |C00 A0A0 + C01 A0A1 + C10 A1A0 +
     C11 A1A1|_F, relative to the bond matrix scale."""
+    from .pauli import _TO_FLAT
     a0, a1 = spec.a0, spec.a1
     scale = max(1.0, float(np.linalg.norm(a0) * np.linalg.norm(a1)))
     # (C00, C01, C10, C11) of every constraint against the four products
@@ -544,6 +544,7 @@ def representation_for_case(form, params: dict | None = None
     if fixed is not None:
         return fixed
     from .classify import CaseId, canonical_space
+    from .pauli import CSpace, PauliQuartet
     params = params or {}
     if case is CaseId.NONNULL_LINE:
         mu = complex(form.mu)

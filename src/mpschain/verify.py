@@ -55,7 +55,6 @@ import numpy as np
 from . import sectors
 from .hamiltonian import (HERMITICITY_TOL, FamilyParams, FullHamiltonian,
                           ParameterError, _chain_table, build_family)
-from .pauli import SIGMA, TAU0, TAU1, TAU2
 from .states import (_squared_norm, _times_power_of_two,
                      ground_state_catalogue)
 
@@ -77,8 +76,11 @@ MEMBER_TOL = 1e-9
 STATE_RANK_TOL = 1e-8
 
 # One-site Pauli matrices I, X, Y, Z, their pair products P_a x P_b
-# indexed [a, b], and the number of ones in |00>, |01>, |10>, |11>.
-_PAULI = np.array([TAU0, TAU2, -1j * SIGMA, TAU1])
+# indexed [a, b], and the number of ones in |00>, |01>, |10>, |11>.  Y is
+# -1j times pauli.SIGMA, whose -0.0 parts _frame's arctan2 reads: a literal
+# [[0, -1j], [1j, 0]] would have +0.0 there.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]],
+                   -1j * np.array([[0, 1], [-1, 0]]), [[1, 0], [0, -1]]])
 _PAIR_PAULI = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 _PAIR_ONES = np.array([0, 1, 1, 2])
 

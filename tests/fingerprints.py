@@ -32,7 +32,9 @@ prints the command line's fingerprints instead (cli_fingerprints): one
 line per command of the benchmark's cli_cold workload at seed 0, run as
 `python -m mpschain` in a fresh interpreter, with its exit code and the
 sha256 of its stdout and of its --out file, if any; then one line per
---help text, the top-level one and each subcommand's.  verify prints
+command of MULTI_SLICE, whose outputs span many of the JSON writer's
+slices of complex pairs; then one line per --help text, the top-level
+one and each subcommand's.  verify prints
 eigenvalues whose last digits can change with the BLAS thread count, so
 compare runs made with the same OPENBLAS_NUM_THREADS.
 """
@@ -66,6 +68,21 @@ CATALOGUE_SEED, CATALOGUE_SIZE = 1001, 10
 CLI_SEED = 0
 COMMANDS = ("classify", "build-h", "ground-states", "mps", "verify", "sweep")
 ROOT = Path(__file__).resolve().parents[1]
+
+# (label, argv) of commands whose JSON holds complex rows of 65536 pairs:
+# mps on a bond pair of dimension 2 whose amplitudes are all nonzero, and
+# the exchange catalogue at nu_prime = -nu
+MULTI_SLICE = (
+    ("mps:d2@16", ["mps", "--a0",
+                   "[[[0.3, 0.1], [0.2, -0.4]], [[0.5, 0.05], [-0.1, 0.2]]]",
+                   "--a1",
+                   "[[[0.1, 0.7], [0.3, 0.2]], [[-0.2, 0.1], [0.6, -0.3]]]",
+                   "--n-sites", "16"]),
+    ("ground-states:exchange/-1@16",
+     ["ground-states", "--family", "exchange", "--params",
+      '{"g": 1, "nu": [0.8, 0.1], "nu_prime": [-0.8, -0.1]}',
+      "--n-sites", "16"]),
+)
 
 # the label of oracles.CANCELLING_PINNED
 PINNED_LABEL = "pinned/cancelling"
@@ -198,9 +215,12 @@ def _run_cli(argv, stdin=None) -> subprocess.CompletedProcess:
 
 def cli_fingerprints(seed=CLI_SEED):
     """Yield the fingerprint of each cli_cold command at the seed, then of
-    each --help text, as a dict in the order of the lines."""
+    each MULTI_SLICE command and each --help text, as a dict in the order
+    of the lines."""
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv, stdin in _cli_commands(seed, Path(tmp)):
+        commands = [*_cli_commands(seed, Path(tmp)),
+                    *((label, argv, None) for label, argv in MULTI_SLICE)]
+        for label, argv, stdin in commands:
             proc = _run_cli(argv, stdin)
             out = (Path(argv[argv.index("--out") + 1]).read_bytes()
                    if "--out" in argv else None)

@@ -57,6 +57,9 @@ route the library does not take, so agreement is evidence.
   turn complex arrays into lists of [re, im] pairs for it; the
   library's writer formats a complex array's parts in bulk and must
   give the same text.
+- complex_array_text: a complex array's JSON text from all of its parts
+  formatted at once and then joined axis by axis, the library's earlier
+  writer, kept as the text its slice-by-slice writer must give.
 
 The rest is shared test plumbing rather than references: flat gives a
 quartet's entries (C00, C01, C10, C11) through the library's own
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import os
 from pathlib import Path
 
@@ -705,6 +709,23 @@ def _write(obj, out: list) -> None:
         _write(obj.tolist(), out)
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+
+def complex_array_text(arr: np.ndarray) -> str:
+    """Nested lists of [re, im] pairs, one list level per axis, the
+    whole array checked and formatted before any of it is joined."""
+    parts = np.ascontiguousarray(arr, dtype=complex).view(float)
+    bad = ~np.isfinite(parts)
+    if np.any(bad):
+        _format_float(parts[bad][0])
+    parts = (parts + 0.0).ravel().tolist()
+    items = list(map("[{:.17g}, {:.17g}]".format, parts[0::2], parts[1::2]))
+    shape = arr.shape
+    for axis in range(len(shape) - 1, -1, -1):
+        size = shape[axis]
+        items = ["[" + ", ".join(items[i * size:(i + 1) * size]) + "]"
+                 for i in range(math.prod(shape[:axis]))]
+    return items[0]
 
 
 def encode_vector(vec) -> list:

@@ -273,6 +273,21 @@ def test_mps_refuses_amplitudes_beyond_the_float_range():
     assert proc.stdout == ""
 
 
+def test_a_refused_mps_writes_nothing(tmp_path, capsys):
+    # the amplitudes (3.2e15^10) are finite; their squared norm z is not,
+    # and it is refused before the output is opened
+    argv = ["mps", "--a0", "[[[3.2e15, 0]]]", "--a1", "[[[3.2e15, 0]]]",
+            "--n-sites", "10"]
+    path = tmp_path / "state.json"
+    capsys.readouterr()
+    for extra in ((), ("--out", str(path))):
+        assert cli.main([*argv, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: non-finite value inf cannot be serialized\n"
+    assert not path.exists()
+
+
 def test_verify_passes_and_reports_kernel():
     proc = run_cli("verify", "--family", "hardcore", "--params",
                    '{"g": 1.0}', "--n-sites", "5")
@@ -451,6 +466,33 @@ def test_ground_states_streams_one_state_at_a_time(tmp_path):
     assert len(json.loads(path.read_text())) == 610
     peak_kb = int(proc.stdout)
     assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb} kB"
+
+
+# a bond pair of dimension 2 whose 2^n amplitudes are all nonzero, and
+# exchange weights with nu_prime = -nu
+D2_PAIR = ("[[[0.3, 0.1], [0.2, -0.4]], [[0.5, 0.05], [-0.1, 0.2]]]",
+           "[[[0.1, 0.7], [0.3, 0.2]], [[-0.2, 0.1], [0.6, -0.3]]]")
+EXCHANGE_ANTI = '{"g": 1, "nu": [0.8, 0.1], "nu_prime": [-0.8, -0.1]}'
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["mps", "--a0", D2_PAIR[0], "--a1", D2_PAIR[1]], 13 * 10 ** 6),
+    (["ground-states", "--family", "exchange", "--params", EXCHANGE_ANTI],
+     20 * 10 ** 6),
+], ids=["mps", "ground-states"])
+def test_json_output_is_written_while_it_is_serialized(argv, size,
+                                                       tmp_path):
+    # at 18 sites the text is 13 and 21 MB; held whole, as one string and
+    # its pieces, it took the process to about 120 and 80 MiB
+    path = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv, "--n-sites", "18",
+         "--out", str(path)],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert path.stat().st_size > size
+    peak_kb = int(proc.stdout)
+    assert peak_kb <= 64 * 1024, f"VmHWM {peak_kb} kB"
 
 
 def test_json_build_h_joins_row_blocks(capsys):

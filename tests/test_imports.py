@@ -27,7 +27,7 @@ sys.exit(code)
 
 _FAMILY = ["--family", "hardcore", "--params", '{"g": 1.0}', "--n-sites", "3"]
 _SPACE = '{"basis": [{"v0": [0,0], "v1": [0,0], "v2": [0,0], "u": [1,0]}]}'
-_STATES = {"cli", "serialize", "states", "hamiltonian", "pauli"}
+_STATES = {"cli", "serialize", "states", "hamiltonian"}
 _VERIFY = _STATES | {"verify", "sectors"}
 
 

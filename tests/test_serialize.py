@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpschain.pauli import CSpace, PauliQuartet
-from mpschain.serialize import (FormatError, decode_complex, decode_matrix,
-                                decode_quartet, decode_space, dumps,
-                                encode_complex, encode_quartet, encode_space,
-                                format_float, pack_chain, write_chain)
-from oracles import encode_matrix, encode_vector, flat, value_dumps
+from mpschain.serialize import (_SLICE_PAIRS, FormatError, decode_complex,
+                                decode_matrix, decode_quartet, decode_space,
+                                dump, dumps, encode_complex, encode_quartet,
+                                encode_space, format_float, pack_chain,
+                                write_chain)
+from oracles import (complex_array_text, encode_matrix, encode_vector, flat,
+                     value_dumps)
 
 
 def test_format_float_round_trips_doubles():
@@ -178,6 +180,98 @@ def test_bulk_writer_refuses_non_finite_as_the_oracle_does(arr, data):
         dumps(arr)
     assert str(bulk.value) == str(oracle.value)
     assert str(bulk.value).startswith("non-finite value ")
+
+
+def _draw(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _slice_cases() -> dict:
+    """Complex arrays on either side of the writer's slice boundaries."""
+    rng = np.random.default_rng(28)
+    S = _SLICE_PAIRS
+    signed = _draw(rng, 3 * S + 5)
+    signed.view(float)[::7] = -0.0
+    cases = {"0-d": np.array(1.5 - 2j), "empty": np.zeros(0, complex),
+             "2x0": np.zeros((2, 0), complex),
+             "0x2": np.zeros((0, 2), complex),
+             "3-D": _draw(rng, 2, 3, 4),
+             "3-D, rows of S+3": _draw(rng, 2, 2, S + 3),
+             "-0.0 parts": np.array([-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -1.5,
+                                     -0.0]).view(complex),
+             "-0.0 parts, 3S+5": signed}
+    for label, n in (("1", 1), ("S-1", S - 1), ("S", S), ("S+1", S + 1),
+                     ("3S+5", 3 * S + 5)):
+        cases[label] = _draw(rng, n)
+    return cases
+
+
+SLICE_CASES = _slice_cases()
+# the longest [re, im] pair text
+_PAIR_MAX = len("[-1.2345678901234567e-308, -1.2345678901234567e-308]")
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equal texts, or a failure that quotes their first difference
+    rather than diffing megabytes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ "
+                    f"at {at}: {got[at - 30:at + 30]!r} against "
+                    f"{want[at - 30:at + 30]!r}")
+
+
+@pytest.mark.parametrize("label", SLICE_CASES)
+def test_dump_gives_the_joined_writers_text_across_slices(label):
+    arr = SLICE_CASES[label]
+    want = complex_array_text(arr)
+    pieces = []
+    dump(arr, pieces.append)
+    _assert_same_text("".join(pieces), want)
+    _assert_same_text(dumps(arr), want)
+    # no piece holds more than one slice of pairs
+    assert max(map(len, pieces)) <= _PAIR_MAX * _SLICE_PAIRS
+
+
+@pytest.mark.parametrize("shape", [(3 * _SLICE_PAIRS + 5,),
+                                   (2, 2 * _SLICE_PAIRS)])
+def test_dump_refuses_non_finite_as_the_joined_writer_does(shape):
+    arr = _draw(np.random.default_rng(29), *shape)
+    parts = arr.reshape(-1).view(float)
+    # the first non-finite part in row-major order is in the second slice
+    parts[2 * _SLICE_PAIRS + 7] = float("-inf")
+    parts[4 * _SLICE_PAIRS + 1] = float("nan")
+    with pytest.raises(FormatError) as joined:
+        complex_array_text(arr)
+    with pytest.raises(FormatError) as joined_once:
+        dumps({"n": 1, "a": arr})
+    with pytest.raises(FormatError) as streamed:
+        dump(arr, [].append)
+    assert str(joined.value) == "non-finite value -inf cannot be serialized"
+    assert str(streamed.value) == str(joined_once.value) == str(joined.value)
+
+
+def test_dump_draws_the_items_of_an_iterator_one_at_a_time():
+    rng = np.random.default_rng(30)
+    rows = [_draw(rng, 3) for _ in range(3)]
+    drawn = []
+
+    def items():
+        for row in rows:
+            drawn.append(row)
+            yield row
+
+    pieces = []
+    dump({"n": 3, "rows": items(), "end": None},
+         lambda text: pieces.append((len(drawn), text)))
+    want = ('{"n": 3, "rows": [' + ", ".join(map(complex_array_text, rows))
+            + '], "end": null}')
+    assert "".join(text for _, text in pieces) == want
+    assert dumps({"n": 3, "rows": iter(rows), "end": None}) == want
+    # each row is written before the next one is drawn
+    for i, row in enumerate(rows):
+        assert (i + 1, complex_array_text(row)[1:-1]) in pieces
 
 
 @settings(max_examples=60, deadline=None)

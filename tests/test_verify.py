@@ -20,7 +20,7 @@ from mpschain.hamiltonian import (HERMITICITY_TOL, ChainSizeError, FamilyId,
                                   LocalHamiltonian, build_family,
                                   chain_entries, local_from_espace,
                                   params_from_mapping)
-from mpschain.pauli import SL2
+from mpschain.pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from mpschain import cli, verify
 from mpschain import sectors as sector_module
 from mpschain.states import NamedState, StateVector, ground_state_catalogue
@@ -412,6 +412,14 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
     # reversal o Z breaks, so its four draws are averaged; the rest are
     # invariant already
     assert (invariant, averaged) == (12, 4)
+
+
+def test_frame_paulis_are_the_algebra_layers_bit_for_bit():
+    # _frame's arctan2 reads the signs of Y's zero parts, which -1j *
+    # SIGMA makes -0.0
+    want = np.array([TAU0, TAU2, -1j * SIGMA, TAU1])
+    assert verify._PAULI.dtype == want.dtype
+    assert verify._PAULI.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("label", ["hardcore", "exchange/-1", "exchange",
