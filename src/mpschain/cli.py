@@ -1,10 +1,11 @@
 """Command-line front end for classification, chain building, states,
 contraction, verification, and parameter sweeps.
 
-Exit codes: 0 success, 2 input validation failure (a size too large to
-allocate included), 3 the computation itself failed: any RuntimeError
-the library raises (an uncatalogued space, for example), or numpy's
-LinAlgError; 4 a zero-energy claim check did not meet tolerance.
+Exit codes: 0 success, 1 the reader closed the output before it was
+written, 2 input validation failure (a size too large to allocate
+included), 3 the computation itself failed: any RuntimeError the library
+raises (an uncatalogued space, for example), or numpy's LinAlgError; 4 a
+zero-energy claim check did not meet tolerance.
 
 Each subcommand imports the layer it runs when it runs, so a command
 loads only what it uses: classify loads pauli and classify; build-h
@@ -18,6 +19,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
 
@@ -149,14 +151,14 @@ def _cmd_classify(args) -> int:
 def _cmd_build_h(args) -> int:
     if args.binary and args.out in (None, "-"):
         raise serialize.FormatError("--binary requires --out FILE")
-    from .hamiltonian import build_family, chain_entries, chain_row_blocks
+    from .hamiltonian import _chain_table, build_family, chain_row_blocks
     params = _parse_params_arg(args)
-    # every refusal (site guard, bad parameters, a non-finite entry)
-    # comes before the output is opened; the dense chain is then written
-    # one row block at a time
-    entries = chain_entries(build_family(params), args.n_sites)
-    serialize.check_finite(entries[2])
-    blocks = chain_row_blocks(args.n_sites, entries)
+    # every refusal (site guard, bad parameters, a non-finite value)
+    # comes before the output is opened, the values checked row by row;
+    # the dense chain is then written one row block at a time
+    table = _chain_table(build_family(params).matrix, args.n_sites)
+    serialize.check_finite(table[1].T)
+    blocks = chain_row_blocks(args.n_sites, table)
     if args.binary:
         with open(args.out, "wb") as fh:
             serialize.write_chain(fh, args.n_sites, blocks)
@@ -328,6 +330,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader closed the output: point stdout at devnull, so the
+        # interpreter's final flush stays silent, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         # the library's computation failures are RuntimeErrors; this
         # clause comes first, as LinAlgError is a ValueError

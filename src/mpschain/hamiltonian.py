@@ -30,7 +30,7 @@ HERMITICITY_TOL = 1e-12
 # Relative slack when checking positive semidefiniteness.
 PSD_TOL = 1e-10
 
-# chain_entries (and so every chain, sparse or dense) refuses chains above
+# _chain_table (and so every chain, sparse or dense) refuses chains above
 # this site count unless the MPS_MAX_SITES environment variable raises it.
 DEFAULT_MAX_SITES = 14
 
@@ -284,45 +284,22 @@ _FOUR = np.arange(4)
 _FLIPPED = _FOUR[:, None] ^ _FOUR
 
 
-def chain_entries(local: LocalHamiltonian, n_sites: int):
-    """Nonzero entries of H = sum_i h_{i,i+1} on the open chain.
-
-    Returns (rows, cols, values) with duplicate positions summed and
-    exact zeros dropped.  The pair on the bond at shift s (bond n-2-s
-    from the left) of basis index x is (x >> s) & 3, and h[a, a ^ f]
-    links x to x ^ (f << s).  So every entry of row x sits at x ^ m for
-    one of 2n flip masks m: 0 (the diagonal), one site (1 << b), or two
-    adjacent sites (3 << (b-1)).  The values of one mask over all rows
-    are one vector, summed bond by bond from the left as a dense
-    accumulation would; masks of a kind h has no entry for are skipped.
-
-    Rows come ascending, each row's entries together and in mask order:
-    the diagonal, the one-site flips by bit, then the two-site flips by
-    top bit.  Columns within a row are not sorted.
-    """
-    masks, vals = _chain_table(local.matrix, n_sites)
-    rows, k = _table_nonzero(vals)
-    return rows, rows ^ masks[k], vals[k, rows]
-
-
-def _table_nonzero(vals: np.ndarray):
-    """(rows, k) of the nonzero values vals[k, rows] of a _chain_table,
-    row-major: rows ascending, each row's masks in order."""
-    # a contiguous boolean copy with the rows first reads far faster than
-    # the strided complex table
-    found = np.flatnonzero(np.ascontiguousarray((vals != 0).T))
-    return np.divmod(found, vals.shape[0])
-
-
 def _chain_table(h: np.ndarray, n_sites: int, x: np.ndarray | None = None):
-    """(masks, vals): the flip masks of chain_entries in its order, and
-    vals[j, i] = H[x_i, x_i ^ masks[j]] for the chain of the 4x4 array h,
-    zeros included, over the basis indices x (every one by default), of
-    h's dtype.
+    """(masks, vals), the chain's flip table: vals[j, i] = H[x_i, x_i ^
+    masks[j]] for H = sum_i h_{i,i+1} on the open chain of the 4x4 array
+    h, zeros included, over the basis indices x (every one by default),
+    of h's dtype.
 
-    Each row's values are summed exactly as for the whole chain, so the
-    rows of any x are those of chain_entries bit for bit.  Refuses
-    (ChainSizeError) a chain outside the site guard.
+    The pair on the bond at shift s (bond n-2-s from the left) of basis
+    index x is (x >> s) & 3, and h[a, a ^ f] links x to x ^ (f << s).  So
+    every entry of row x sits at x ^ m for one of 2n flip masks m: 0 (the
+    diagonal), one site (1 << b), or two adjacent sites (3 << (b-1)),
+    listed in that order, each kind by bit; masks of a kind h has no
+    entry for are left out.  The values of one mask over all rows are one
+    vector, summed bond by bond from the left as a dense accumulation
+    would, and each row's values are summed exactly as for the whole
+    chain, whatever x holds.  Refuses (ChainSizeError) a chain outside
+    the site guard.
     """
     limit = max_sites()
     if not 2 <= n_sites <= limit:
@@ -358,38 +335,37 @@ def _chain_table(h: np.ndarray, n_sites: int, x: np.ndarray | None = None):
     return masks, vals
 
 
-def chain_row_blocks(n_sites: int, entries):
-    """The dense chain whose chain_entries are given, as consecutive
-    blocks of whole rows of about ROW_BLOCK_BYTES each.
+def chain_row_blocks(n_sites: int, table):
+    """The dense chain whose _chain_table (masks, vals) is given, as
+    consecutive blocks of whole rows of about ROW_BLOCK_BYTES each.
 
     Every block is the same reused buffer, overwritten when the next is
     drawn, so a caller that keeps one must copy it.
     """
     dim = 2 ** n_sites
-    return _dense_rows(dim, entries, min(dim, max(1, ROW_BLOCK_BYTES
-                                                 // (16 * dim))))
+    return _dense_rows(table, min(dim, max(1, ROW_BLOCK_BYTES
+                                           // (16 * dim))))
 
 
-def _dense_rows(dim: int, entries, block_rows: int):
-    """Scatter row-sorted entries of a dim x dim matrix into one zero
-    buffer of block_rows rows, yield it, and clear what was written."""
-    rows, cols, vals = entries
-    buf = np.zeros((block_rows, dim), dtype=complex)
-    ends = np.searchsorted(rows, np.arange(block_rows, dim + block_rows,
-                                           block_rows))
-    lo = 0
-    for start, hi in zip(range(0, dim, block_rows), ends):
-        at = (rows[lo:hi] - start, cols[lo:hi])
-        buf[at] = vals[lo:hi]
+def _dense_rows(table, block_rows: int):
+    """Scatter the rows of a _chain_table (masks, vals) into one zero
+    buffer of block_rows rows (a power of two, as the rows are), yield
+    it, and clear what was written: row x holds vals[:, x] at columns
+    x ^ masks."""
+    masks, vals = table
+    # rows first, an exact zero written as 0 (never -0.0)
+    vals = np.where(vals != 0, vals, 0).T
+    buf = np.zeros((block_rows, vals.shape[0]), dtype=complex)
+    rows = np.arange(block_rows)[:, None]
+    for start in range(0, vals.shape[0], block_rows):
+        at = rows, (rows + start) ^ masks
+        buf[at] = vals[start:start + block_rows]
         yield buf
         buf[at] = 0
-        lo = hi
 
 
 def full_chain(local: LocalHamiltonian, n_sites: int) -> FullHamiltonian:
     """H = sum_i 1 x ... x h_{i,i+1} x ... x 1 on the open chain, dense:
     the one-block case of chain_row_blocks."""
-    entries = chain_entries(local, n_sites)
-    dim = 2 ** n_sites
-    return FullHamiltonian(n_sites=n_sites,
-                           matrix=next(_dense_rows(dim, entries, dim)))
+    return FullHamiltonian(n_sites, next(_dense_rows(
+        _chain_table(local.matrix, n_sites), 2 ** n_sites)))

@@ -15,6 +15,7 @@ a canonicalized subspace container (CSpace) that stores its reduced rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -176,7 +177,7 @@ class CSpace:
 
     def __init__(self, basis: Iterable[PauliQuartet] | np.ndarray):
         if isinstance(basis, np.ndarray) and basis.ndim == 2 and len(basis):
-            coeff = basis.astype(complex)
+            coeff = basis.astype(complex, order="C")
         else:
             coeff = np.array([q.as_array() if isinstance(q, PauliQuartet)
                               else q for q in basis] or np.zeros((0, 4)),
@@ -188,6 +189,14 @@ class CSpace:
         if coeff.shape[0] > 4:
             raise LinearDependenceError("more than 4 basis vectors")
         if coeff.shape[0]:
+            # rows whose largest real or imaginary part is 2 or more are
+            # scaled by the power of two that brings it into [1, 2), so
+            # the SVD cannot overflow; every threshold below is relative
+            # to max(1, max|rows|) or free of scale, so no decision and
+            # no stored row changes
+            e = math.frexp(np.abs(coeff.view(float)).max())[1] - 1
+            if e > 0:
+                coeff = np.ldexp(coeff.view(float), -e).view(complex)
             reduced = _row_reduce(coeff, self._check_independence(coeff))
             if reduced.shape[0] != coeff.shape[0]:
                 # row reduction lost a vector the SVD band check let through

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (ChainSizeError, ParameterError, _chain_table,
-                          _table_nonzero)
+from .hamiltonian import ChainSizeError, ParameterError, _chain_table
 
 
 def _sector_roots(dim: int, rows, cols) -> np.ndarray:
@@ -225,6 +224,17 @@ def _folded(vals: np.ndarray, fold: tuple, slots: int) -> np.ndarray:
             + 1j * np.bincount(slot, weights=terms.imag, minlength=slots))
 
 
+def _table_nonzero(vals: np.ndarray):
+    """(rows, k) of the nonzero values vals[k, rows] of a _chain_table,
+    in the chain's order: rows ascending, each row's masks in the table's
+    order.  A plan's flat indices list the values in this order, and
+    verify sums the squares of |H|_F in it."""
+    # a contiguous boolean copy with the rows first reads far faster than
+    # the strided complex table
+    found = np.flatnonzero(np.ascontiguousarray((vals != 0).T))
+    return np.divmod(found, vals.shape[0])
+
+
 @dataclass(frozen=True)
 class _SectorPlan:
     """The symbolic half of a chain's sector split: index arrays only,
@@ -232,7 +242,7 @@ class _SectorPlan:
     call indexes with it as it is.
 
     flat holds the positions, in the chain's flattened _chain_table, of
-    its nonzero values in chain_entries' order; chain the _sector_stacks
+    its nonzero values in _table_nonzero's order; chain the _sector_stacks
     of the part read from those values, each sector standing for itself
     and its twin under the involution T; fold the _parity_fold of the
     entries in sectors T maps onto themselves, keep its nonzero slots,
@@ -296,7 +306,7 @@ def _sector_plan(n_sites: int, masks: np.ndarray, table: np.ndarray,
 
 def _numeric_parts(plan: _SectorPlan, table: np.ndarray):
     """The parts of _filled_stacks for the chain's _chain_table table
-    under plan, the first holding its nonzero values in chain_entries'
+    under plan, the first holding its nonzero values in _table_nonzero's
     order; None where the pattern of the values, or of the folded
     values, is not the plan's."""
     vals = table.reshape(-1)[plan.flat]
@@ -319,7 +329,7 @@ def _stacks(h: np.ndarray, n_sites: int, t: tuple | None):
     """The (count, blocks) stacks of _filled_stacks for the open chain of
     the 4x4 bond term h, split by the involution t that h is invariant
     under (None for the identity), and that chain's nonzero values in
-    chain_entries' order, of h's dtype.
+    _table_nonzero's order, of h's dtype.
 
     The work is split in two.  The symbolic step (_sector_plan) finds the
     sectors, the twin and fixed sectors of t, the parity fold

@@ -335,8 +335,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     H psi never needs the chain in the caller's basis.  A basis state's
     |H e_x| is the norm of row x, which is that of column x because H is
     Hermitian bit for bit (local_from_espace symmetrizes every bond
-    term): the row's values are summed from the bond term exactly as
-    chain_entries sums them, and their squares are added in its order.
+    term): the row's values come from _chain_table, summed exactly as
+    for the whole chain, and their squares are added in mask order.
     The other states, each read once, are stacked, and the bond term acts
     on each bond's reshaped (states * 2^i, 4, 2^(n-2-i)) view of them.
     """
@@ -352,8 +352,8 @@ def family_report(params: FamilyParams, n_sites: int) -> SpectrumReport:
     # by a power of two is exact: in-range residuals come out bit for bit
     # as from the raw values.
     f = math.frexp(np.abs(vals.view(float)).max(initial=0.0))[1]
-    # taken of complex values, as chain_entries holds them, whether h' is
-    # real or not, and summed by numpy, which no BLAS thread count changes
+    # taken of complex values whether h' is real or not, and summed by
+    # numpy, which no BLAS thread count changes
     hnorm = math.sqrt(_squared_norm(_times_power_of_two(
         np.asarray(vals, dtype=complex), -f)))
     norms = np.ones(len(catalogue))

@@ -31,10 +31,12 @@ its amplitudes.
 prints the command line's fingerprints instead (cli_fingerprints): one
 line per command of the benchmark's cli_cold workload at seed 0, run as
 `python -m mpschain` in a fresh interpreter, with its exit code and the
-sha256 of its stdout and of its --out file, if any; then one line per
-command of MULTI_SLICE, whose outputs span many of the JSON writer's
-slices of complex pairs; then one line per --help text, the top-level
-one and each subcommand's.  verify prints
+sha256 of its stdout, of its stderr and of its --out file, if one was
+written; then one line per command of MULTI_SLICE, whose outputs span
+many of the JSON writer's slices of complex pairs; then one line per
+build-h command of _build_h_commands, the JSON and the --binary chain of
+every benchmark label and one that is refused; then one line per --help
+text, the top-level one and each subcommand's.  verify prints
 eigenvalues whose last digits can change with the BLAS thread count, so
 compare runs made with the same OPENBLAS_NUM_THREADS.
 """
@@ -54,6 +56,7 @@ import numpy as np
 
 from mpschain import sectors, verify
 from mpschain.hamiltonian import build_family, params_from_mapping
+from mpschain.serialize import dumps
 from mpschain.states import MPSSpec, ground_state_catalogue, mps_contract
 from oracles import (CANCELLING_PINNED, CANONICAL_POINTS, benchmark_specs,
                      canonical_term, child_env, dm_terms)
@@ -83,6 +86,12 @@ MULTI_SLICE = (
       '{"g": 1, "nu": [0.8, 0.1], "nu_prime": [-0.8, -0.1]}',
       "--n-sites", "16"]),
 )
+
+# (n_sites, binary) of the build-h commands for each label of
+# oracles.benchmark_specs: JSON at n=5, --binary at n=7; and the hardcore
+# chain at g = 2e307, whose sums overflow, refused in both forms at n=4
+BUILD_H_FORMS = ((5, False), (7, True))
+REFUSED_HARDCORE = ("hardcore", {"g": 2e307})
 
 # the label of oracles.CANCELLING_PINNED
 PINNED_LABEL = "pinned/cancelling"
@@ -213,20 +222,42 @@ def _run_cli(argv, stdin=None) -> subprocess.CompletedProcess:
         input=None if stdin is None else stdin.encode(), env=child_env())
 
 
+def _build_h_commands(seed, workdir: Path) -> list:
+    """(label, argv, stdin text) of each build-h command: per label of
+    benchmark_specs at the seed, then REFUSED_HARDCORE."""
+    specs = benchmark_specs(np.random.default_rng(seed))
+    calls = [(label, spec, n, binary) for label, spec in specs.items()
+             for n, binary in BUILD_H_FORMS]
+    calls += [("hardcore/refused", REFUSED_HARDCORE, 4, binary)
+              for binary in (False, True)]
+    commands = []
+    for i, (label, (family, mapping), n, binary) in enumerate(calls):
+        argv = ["build-h", "--family", family, "--params", dumps(mapping),
+                "--n-sites", str(n)]
+        if binary:
+            argv += ["--binary", "--out", str(workdir / f"build-h-{i}")]
+        commands.append((f"build-h:{label}@{n}{' binary' * binary}", argv,
+                         None))
+    return commands
+
+
 def cli_fingerprints(seed=CLI_SEED):
     """Yield the fingerprint of each cli_cold command at the seed, then of
-    each MULTI_SLICE command and each --help text, as a dict in the order
-    of the lines."""
+    each MULTI_SLICE command, each build-h command of _build_h_commands
+    and each --help text, as a dict in the order of the lines."""
     with tempfile.TemporaryDirectory() as tmp:
         commands = [*_cli_commands(seed, Path(tmp)),
-                    *((label, argv, None) for label, argv in MULTI_SLICE)]
+                    *((label, argv, None) for label, argv in MULTI_SLICE),
+                    *_build_h_commands(seed, Path(tmp))]
         for label, argv, stdin in commands:
             proc = _run_cli(argv, stdin)
-            out = (Path(argv[argv.index("--out") + 1]).read_bytes()
+            out = (Path(argv[argv.index("--out") + 1])
                    if "--out" in argv else None)
             yield {"command": label, "exit": proc.returncode,
                    "stdout": _digest(proc.stdout),
-                   "out": None if out is None else _digest(out)}
+                   "stderr": _digest(proc.stderr),
+                   "out": None if out is None or not out.exists()
+                   else _digest(out.read_bytes())}
     for command in (None, *COMMANDS):
         proc = _run_cli([command, "--help"] if command else ["--help"])
         yield {"help": command, "exit": proc.returncode,

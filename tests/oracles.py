@@ -64,9 +64,11 @@ route the library does not take, so agreement is evidence.
 The rest is shared test plumbing rather than references: flat gives a
 quartet's entries (C00, C01, C10, C11) through the library's own
 `_TO_FLAT`, which test_pauli checks against the recomposed matrix,
-benchmark_specs draws one parameter set per benchmark label, as the
-benchmark's family_specs does, and child_env is the environment for a
-`python -m mpschain` child process.  CANONICAL_POINTS, canonical_term,
+table_entries lists a chain's nonzero entries through the library's own
+flip table, which test_hamiltonian checks against sorted_chain_entries
+and kron_chain, benchmark_specs draws one parameter set per benchmark
+label, as the benchmark's family_specs does, and child_env is the
+environment for a `python -m mpschain` child process.  CANONICAL_POINTS, canonical_term,
 dm_terms and CANCELLING_PINNED are fixed bond terms that the tests and
 the fingerprints share.
 """
@@ -84,7 +86,7 @@ import numpy as np
 from mpschain.classify import (MU_CASES, CanonicalForm, CaseId,
                                canonical_space)
 from mpschain.hamiltonian import (FamilyId, FamilyParams, LocalHamiltonian,
-                                  local_from_espace)
+                                  _chain_table, local_from_espace)
 from mpschain.pauli import (_FROM_FLAT, _TO_FLAT, DEFAULT_RANK_TOL,
                             PIVOT_SHARE, SL2, CSpace, PauliQuartet)
 from mpschain.serialize import FormatError
@@ -268,6 +270,16 @@ def sorted_chain_entries(h: np.ndarray, n_sites: int):
     keep = total != 0
     keys = keys[keep]
     return keys // dim, keys % dim, total[keep]
+
+
+def table_entries(local: LocalHamiltonian, n_sites: int):
+    """(rows, cols, values) of the nonzero entries of the open chain of
+    local, in the library's order: sectors._table_nonzero of
+    hamiltonian._chain_table, rows ascending and each row's columns in
+    flip-mask order."""
+    masks, vals = _chain_table(local.matrix, n_sites)
+    rows, k = sectors._table_nonzero(vals)
+    return rows, rows ^ masks[k], vals[k, rows]
 
 
 def zero_counts(n_sites: int):

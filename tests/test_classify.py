@@ -95,6 +95,25 @@ def test_classify_scale_invariance():
     assert res.form.mu == pytest.approx(MU, abs=1e-10)
 
 
+@pytest.mark.parametrize("rows, small", [
+    # an independent pair whose SVD overflows unscaled, and one row
+    ([[1, 1, 1, 1], [1, -1, 1, 1]], 1e300),
+    ([[1, 1, 1, 1]], 1.0),
+])
+def test_rows_near_the_float_maximum_classify_as_smaller_ones(rows, small):
+    # scaled by a power of two before the rank test: the same stored rows,
+    # the same form and witness, and no RuntimeWarning
+    huge, want = (CSpace(scale * np.array(rows, dtype=complex))
+                  for scale in (1e308, small))
+    assert huge.coefficient_matrix().tobytes() \
+        == want.coefficient_matrix().tobytes()
+    huge, want = classify(huge), classify(want)
+    assert huge.form == want.form
+    assert huge.gamma.matrix.tobytes() == want.gamma.matrix.tobytes()
+    assert huge.canonical.coefficient_matrix().tobytes() \
+        == want.canonical.coefficient_matrix().tobytes()
+
+
 def test_classify_mu_sign_reduction():
     # the modulus of the non-null line is defined up to sign
     res = classify(CSpace([T2 + (-MU) * SG]))

@@ -639,7 +639,28 @@ def test_an_unexpected_runtime_error_ends_in_exit_3(monkeypatch, capsys):
     assert err == "error: no such computation\n"
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_a_closed_reader_ends_in_exit_1_and_says_nothing(tmp_path, capsys):
+    # the reader takes 300 bytes of megabytes of JSON and closes the pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "mpschain", "ground-states", "--family",
+             "exchange", "--params",
+             '{"g": 1, "nu": [1e-10, 0], "nu_prime": [-1e10, 0]}',
+             "--n-sites", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env()) as proc:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+    # an output file that cannot be opened is still bad input
+    argv, _ = _family_argv("hardcore", 3)
+    capsys.readouterr()
+    assert cli.main(["build-h", *argv, "--out",
+                     str(tmp_path / "missing" / "chain.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+
+@pytest.mark.parametrize("tol",["nan", "-1", "inf"])
 def test_verify_refuses_a_tolerance_that_is_not_one(tol, monkeypatch,
                                                     capsys):
     def never(*args):

@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 
 from mpschain.hamiltonian import (ROW_BLOCK_BYTES, ChainSizeError, FamilyId,
                                   FamilyParams, LocalHamiltonian,
-                                  ParameterError, build_family, chain_entries,
+                                  ParameterError, _chain_table, build_family,
                                   chain_row_blocks, family_espace, full_chain,
                                   local_from_espace, max_sites,
                                   params_from_mapping)
 from mpschain.pauli import _FROM_FLAT, CSpace, sl2_act_space, span_equal
 from oracles import (conjugate_local, kron_chain, operator_sum, random_sl2,
-                     sl2_with_condition, sorted_chain_entries)
+                     sl2_with_condition, sorted_chain_entries, table_entries)
 
 
 def _random_params(family, rng):
@@ -143,7 +143,7 @@ def test_full_chain_matches_kron_sum(family):
     for n in range(2, 8):
         assert_allclose(full_chain(h, n).matrix, kron_chain(h.matrix, n),
                         rtol=0, atol=1e-14)
-        _row_major(chain_entries(h, n), n)
+        _row_major(table_entries(h, n), n)
 
 
 def _sparse_term(rng) -> np.ndarray:
@@ -186,20 +186,20 @@ def _assert_entries_bitwise(entries, h, n_sites):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9))
-def test_chain_entries_are_the_sorted_and_kron_ones(seed, n):
+def test_table_entries_are_the_sorted_and_kron_ones(seed, n):
     # bit for bit once sorted: values summed bond by bond
     h = _sparse_term(np.random.default_rng(seed))
-    _assert_entries_bitwise(chain_entries(LocalHamiltonian(h), n), h, n)
+    _assert_entries_bitwise(table_entries(LocalHamiltonian(h), n), h, n)
 
 
-def test_chain_entries_drop_contributions_that_cancel():
+def test_table_entries_drop_contributions_that_cancel():
     # h = v v^dagger, v = (1, 1, -1, 0): flipping a site between two 0s
     # gives h[00, 01] = 1 from its left bond and h[00, 10] = -1 from its
     # right one, an exact zero, which is no entry
     v = np.array([1.0, 1.0, -1.0, 0.0])
     h = np.outer(v, v) + 0j
     for n in range(3, 10):
-        rows, cols, vals = chain_entries(LocalHamiltonian(h), n)
+        rows, cols, vals = table_entries(LocalHamiltonian(h), n)
         assert np.all(vals != 0)
         assert not np.any((rows == 0) & (cols == 1 << (n - 2)))
         _assert_entries_bitwise((rows, cols, vals), h, n)
@@ -211,7 +211,8 @@ def test_row_blocks_stack_to_the_full_chain(n):
     h = build_family(_random_params(FamilyId.HARDCORE_EXCHANGE, rng))
     dim = 2 ** n
     # copies: every block is the one reused buffer
-    blocks = [b.copy() for b in chain_row_blocks(n, chain_entries(h, n))]
+    blocks = [b.copy() for b in chain_row_blocks(
+        n, _chain_table(h.matrix, n))]
     assert {b.shape for b in blocks} == {
         (min(dim, ROW_BLOCK_BYTES // (16 * dim)), dim)}
     assert np.array_equal(np.vstack(blocks), full_chain(h, n).matrix)

@@ -18,8 +18,7 @@ from mpschain.classify import MU_CASES, CanonicalForm, CaseId
 from mpschain.hamiltonian import (HERMITICITY_TOL, ChainSizeError, FamilyId,
                                   FamilyParams, FullHamiltonian,
                                   LocalHamiltonian, build_family,
-                                  chain_entries, local_from_espace,
-                                  params_from_mapping)
+                                  local_from_espace, params_from_mapping)
 from mpschain.pauli import SIGMA, SL2, TAU0, TAU1, TAU2
 from mpschain import cli, verify
 from mpschain import sectors as sector_module
@@ -33,7 +32,7 @@ from oracles import (CANCELLING_PINNED, axis_by_axis_frame, benchmark_specs,
                      canonical_term, check_zero_member, child_env,
                      conjugate_local, covariance_check, dm_terms, frame_rank,
                      kron_chain, no_mps_case_report, operator_sum,
-                     random_sl2)
+                     random_sl2, table_entries)
 
 
 def _random_special_unitary(rng) -> SL2:
@@ -291,7 +290,7 @@ def _sizes(sectors):
 
 def _sector_sizes(params, n_sites):
     return _sizes(_plain_sectors(
-        n_sites, *chain_entries(build_family(params), n_sites)))
+        n_sites, *table_entries(build_family(params), n_sites)))
 
 
 def test_sector_sizes_follow_bond_connectivity():
@@ -398,9 +397,9 @@ def test_framed_chain_is_built_from_the_scored_bond_term():
         # real dtype where it has no imaginary part
         assert np.iscomplexobj(h) == bool(np.any(scored.imag))
         _, vals = _framed_sectors(local, 2)
-        # the averaged term's chain values, in chain_entries' order
+        # the averaged term's chain values, in the chain's order
         term = (scored + image) / 2.0
-        rows, cols, want = chain_entries(LocalHamiltonian(term), 2)
+        rows, cols, want = table_entries(LocalHamiltonian(term), 2)
         # real where the scored term is
         assert np.iscomplexobj(vals) == bool(np.any(scored.imag))
         assert vals.astype(complex).tobytes() == want.tobytes()
@@ -439,7 +438,7 @@ def test_frame_is_the_identity_without_a_hidden_symmetry(label):
         assert np.array_equal(framed, h)
         _, vals = _framed_sectors(local, 4)
         assert vals.astype(complex).tobytes() \
-            == chain_entries(LocalHamiltonian(h), 4)[2].tobytes()
+            == table_entries(LocalHamiltonian(h), 4)[2].tobytes()
 
 
 def _reversal_bound(n_sites):
@@ -489,7 +488,7 @@ def test_diagonal_chain_skips_the_reversal_step(monkeypatch):
     for n in (4, 7, 10):
         sectors = _plain_sectors(n, *_parity_entries(
             n, sector_module._involution(n, verify._INVOLUTIONS[0]),
-            chain_entries(local, n)))
+            table_entries(local, n)))
         expected[n] = _sizes(sectors), _spectrum_report(n, sectors)
 
     fold = sector_module._parity_fold
@@ -894,7 +893,7 @@ def test_a_pattern_broken_below_the_cut_merges_sectors(pair):
     assert np.array_equal(framed, verify._frame(plain)[1])
     assert t == (True, True, 1)
     for n in range(3, 9):
-        rows, cols, _ = chain_entries(LocalHamiltonian(h), n)
+        rows, cols, _ = table_entries(LocalHamiltonian(h), n)
         off = rows != cols
         root = _sector_roots(2 ** n, rows[off], cols[off])
         sigma, _ = sector_module._involution(n, t)
@@ -1105,8 +1104,8 @@ def test_a_cancelling_point_gets_a_plan_of_its_own(monkeypatch):
     plain = local_from_espace(rows, np.diag([1.0, 2.0, 0.5]))
     cancel = local_from_espace(rows, np.diag([1.0, 1.0, 0.5]))
     for n in range(3, 8):
-        assert len(chain_entries(cancel, n)[0]) \
-            < len(chain_entries(plain, n)[0])
+        assert len(table_entries(cancel, n)[0]) \
+            < len(table_entries(plain, n)[0])
         for first, second in ((plain, cancel), (cancel, plain)):
             built = _counted_plans(monkeypatch)
             _stacks_and_values(first, n)
